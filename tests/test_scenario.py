@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 
 import pytest
 
@@ -229,3 +230,44 @@ def test_cli_checksum_invalid(tmp_path, capsys):
 
 def test_cli_checksum_missing_file():
     assert main(["checksum", "/nonexistent/nope.hex"]) == 2
+
+
+# -- golden CSV digests ---------------------------------------------------------------
+#
+# Pinned SHA-256 of every CSV artifact for two noisy configs on the 520-byte
+# image.  A refactor of the transfer engine must leave these untouched; a
+# change that moves simulated behaviour on purpose updates them and says why.
+
+GOLDEN_CONFIGS = {
+    # NACK timeouts, resends and aborts of the single-word flavour
+    "basic": "protocol = basic\nbootloader = true\nbrownout = auto\n"
+             "distance = static\nd_cm = 40\nwrite_fault_prob = 0.01\nrepeats = 2\n",
+    # throttle steps and re-cut resends of the extended flavour
+    "ex": "protocol = ex\ns_p = throttle\nbootloader = true\ndistance = oscillate\n"
+          "write_fault_prob = 0.01\nrepeats = 2\n",
+}
+
+GOLDEN_DIGESTS = {
+    ("basic", 1): "909bad579630f812c7662f59eaae436c573151fb9d5d8b38f1aded1ea362dadb",
+    ("basic", 2): "784593af93caccbb14941d0a0d7de22f05d5ba16bc946c82f17b15afdedaf283",
+    ("ex", 1): "02d248e7eff0eabc86c8cc234fb929dc1ea1589043a0a032866086c8dbb13c0c",
+    ("ex", 2): "38b5720250f9e0b05d2dc2fc78f687147fb4e39bc73be91aa3101332b24a3e0e",
+}
+
+GOLDEN_EVENTS = {"basic": {"resend", "timeout", "abort"}, "ex": {"throttle", "resend"}}
+
+
+def csv_digest(out_dir) -> str:
+    h = hashlib.sha256()
+    for path in sorted(out_dir.glob("*.csv")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name,seed", sorted(GOLDEN_DIGESTS))
+def test_csv_digests_pinned(tmp_path, small_matrix, name, seed):
+    cfg = parse_config_text(GOLDEN_CONFIGS[name] + f"seed = {seed}\n")
+    outcome = run_scenario(cfg, out_dir=tmp_path, matrix=small_matrix)
+    events = {e.event for r in outcome.runs for e in r.result.log.events}
+    assert GOLDEN_EVENTS[name] <= events  # the digest covers the paths it guards
+    assert csv_digest(tmp_path) == GOLDEN_DIGESTS[name, seed]
