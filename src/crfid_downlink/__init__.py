@@ -5,50 +5,4 @@ channel quality, and replays the full host / reader / tag interaction over
 a distance-parameterized lossy channel with transient tag power.
 """
 
-from .channel import (
-    ChannelModel,
-    Delivery,
-    bit_error_rate,
-    blockwrite_throughput,
-    delivery_outcome,
-)
-from .host import HostConfig, HostSession, SessionResult, Variant, classify_report
-from .ihex import (
-    Chunk,
-    HexRecord,
-    RecordMatrix,
-    Row,
-    chunk_record,
-    encode,
-    generate_fixture,
-    parse_file,
-    parse_record,
-    record_checksum,
-)
-from .metrics import (
-    MODEL_PARAMS,
-    SessionMetrics,
-    compute_metrics,
-    model_curves,
-    r_squared,
-    r_squared_summary,
-)
-from .protocol import (
-    BasicMessage,
-    ExMessage,
-    MessageCursor,
-    ThrottleDirection,
-    ThrottleParams,
-    build_basic_messages,
-    build_ex_message,
-    build_ladder,
-    derive_r_max,
-    ex_checksum,
-    next_message,
-    throttle,
-)
-from .reader import AccessSpec, OperationReport, Reader, ReportResult, apply_accessspec_event
-from .scenario import DistanceProfile, ScenarioConfig, load_config, parse_config_text, run_scenario
-from .tag import BootEvent, FramImage, PowerModel, Tag, TagMode
-
 __version__ = "0.1.0"

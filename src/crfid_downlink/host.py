@@ -16,13 +16,12 @@ from enum import Enum
 
 from .channel import ChannelModel
 from .crc import crc16_ccitt
-from .ihex import Chunk, RecordMatrix
+from .ihex import RecordMatrix
 from .protocol import (
     BasicMessage,
     HDR_REPROGRAM_INIT,
     ThrottleDirection,
     ThrottleParams,
-    ThrottleState,
     build_basic_messages,
     build_ex_message,
     build_ladder,
@@ -145,8 +144,10 @@ class _InFlight:
     row: int
     chunk: int
     s_p: float
-    chunk_bytes: int  # payload bytes carried; cursor advance on ACK
-    resendable_in_place: bool  # basic/init messages resend verbatim
+    step: int  # cursor advance on ACK: payload bytes (extended) or one message (basic)
+
+
+_INIT = BasicMessage(HDR_REPROGRAM_INIT, 0x00)
 
 
 class HostSession:
@@ -160,78 +161,85 @@ class HostSession:
         self.matrix = matrix
         self.log = TransferLog()
         self._spec_serial = 0
-        # Extended-variant cursor: start of the un-acked chunk.  It only
-        # advances on ACK, so a resend re-cuts the same position.
-        self._row = 0
-        self._offset = 0
-        self._chunk_ordinal = 1
+        self._basic = config.variant is Variant.BASIC
+        # What the cursor walks in each row: the basic flavour's Write
+        # messages (built up front so RowTooLong surfaces before the first
+        # round) or the bytes the extended flavour cuts into chunks.
+        if self._basic:
+            self._units = [build_basic_messages(row) for row in matrix.rows]
+        else:
+            self._units = [row.data for row in matrix.rows]
+        self._throttled = not self._basic and config.fixed_s_p is None
+        self._s_p = config.fixed_s_p if config.fixed_s_p is not None else config.s_max
+        self._m_count = 0
+        self._r_count = 0
         self._ladder = (1,)
-        start = config.fixed_s_p if config.fixed_s_p is not None else config.s_max
-        self.throttle_state = ThrottleState(s_p=start)
-        self._skip_empty_rows()
+        # Cursor at the un-acked message: the bootloader init message, then
+        # row plus position (message index or byte offset).  It only moves
+        # on ACK, so a resend rebuilds the message at the same position.
+        self._init_pending = config.use_bootloader
+        self._enter_row(0)
 
     # ------------------------------------------------------------------
-    # sequencing
+    # cursor
 
-    def _skip_empty_rows(self) -> None:
-        # Zero-length data records are legal; they carry nothing to send.
-        while self._row < len(self.matrix) and not self.matrix.rows[self._row].data:
-            self._row += 1
-        if self._row < len(self.matrix):
-            self._enter_row()
+    def _enter_row(self, row: int) -> None:
+        """Start of the first row from ``row`` on that has anything to send."""
+        while row < len(self._units) and not self._units[row]:
+            row += 1
+        self._row, self._pos, self._chunk = row, 0, 1
+        if row < len(self.matrix) and self.matrix.rows[row].data:
+            self._ladder = build_ladder(self.matrix.rows[row].word_count(), self.config.s_max)
+            start = self.config.fixed_s_p if self.config.fixed_s_p is not None else self._s_p
+            self._s_p = snap_to_ladder(start, self._ladder)
 
-    def _enter_row(self) -> None:
+    def _flight(self) -> _InFlight | None:
+        """The message at the cursor, cut at the current S_p; None when done."""
+        if self._init_pending:
+            return _InFlight(_INIT.expected_epc()[:2], (_INIT.word,), False, -1, 0, 0.5, 0)
+        if self._row >= len(self._units):
+            return None
+        if self._basic:
+            msg = self._units[self._row][self._pos]
+            return _InFlight(msg.expected_epc()[:2], (msg.word,), False,
+                             self._row, self._chunk, 0.5, 1)
         row = self.matrix.rows[self._row]
-        self._ladder = build_ladder(row.word_count(), self.config.s_max)
-        if self.config.fixed_s_p is not None:
-            self.throttle_state.s_p = snap_to_ladder(self.config.fixed_s_p, self._ladder)
-        else:
-            self.throttle_state.s_p = snap_to_ladder(self.throttle_state.s_p, self._ladder)
+        data = row.data[self._pos : self._pos + 2 * self._s_p]
+        message = build_ex_message(data, row.address + self._pos, self.config.s_max)
+        return _InFlight(message.expected_epc()[:4], tuple(message.to_words()), True,
+                         self._row, self._chunk, self._s_p, len(data))
 
-    def _cut_chunk(self) -> Chunk:
-        row = self.matrix.rows[self._row]
-        data = row.data[self._offset : self._offset + 2 * self.throttle_state.s_p]
-        return Chunk(row.address + self._offset, data)
-
-    def _advance_past(self, chunk_bytes: int) -> None:
-        """Move the cursor past an acknowledged chunk."""
-        row = self.matrix.rows[self._row]
-        self._offset += chunk_bytes
-        if self._offset >= len(row.data):
-            self._row += 1
-            self._offset = 0
-            self._chunk_ordinal = 1
-            self._skip_empty_rows()
-        else:
-            self._chunk_ordinal += 1
-
-    def _apply_throttle(self, direction: ThrottleDirection) -> None:
-        if self.config.fixed_s_p is not None:
+    def _advance(self, flight: _InFlight) -> None:
+        """Move the cursor past the acknowledged message."""
+        if self._init_pending:
+            self._init_pending = False
             return
-        old = self.throttle_state.s_p
-        self.throttle_state.s_p = throttle(
-            old, self._ladder, direction, self.config.throttle_params
-        )
-        if self.throttle_state.s_p != old:
-            self.log.add(self._now, "throttle", self._row, self._chunk_ordinal,
-                         self.throttle_state.s_p, result=f"{old}->{self.throttle_state.s_p}")
+        self._pos += flight.step
+        if self._pos >= len(self._units[self._row]):
+            self._enter_row(self._row + 1)
+        else:
+            self._chunk += 1
+
+    def _apply_throttle(self, flight: _InFlight, direction: ThrottleDirection) -> None:
+        old = self._s_p
+        self._s_p = throttle(old, self._ladder, direction, self.config.throttle_params)
+        if self._s_p != old:
+            self.log.add(self._now, "throttle", flight.row, flight.chunk,
+                         self._s_p, result=f"{old}->{self._s_p}")
 
     # ------------------------------------------------------------------
     # transmission
 
-    def _stage(self, reader: Reader, words: tuple[int, ...], is_blockwrite: bool) -> None:
+    def _transmit(self, flight: _InFlight, resend: bool) -> None:
         self._spec_serial += 1
         spec = AccessSpec(
             spec_id=self._spec_serial,
-            words=words,
-            is_blockwrite=is_blockwrite,
+            words=flight.words,
+            is_blockwrite=flight.is_blockwrite,
             ocv=self.config.ocv,
         )
-        reader.request_delete(self._now)
-        reader.stage(spec, self._now)
-
-    def _transmit(self, reader: Reader, flight: _InFlight, resend: bool) -> None:
-        self._stage(reader, flight.words, flight.is_blockwrite)
+        self._reader.request_delete(self._now)
+        self._reader.stage(spec, self._now)
         self._in_flight = flight
         self._nack_count = 0
         self._no_tag_count = 0
@@ -242,33 +250,6 @@ class HostSession:
             self._m_resent += 1
         self.log.add(self._now, "resend" if resend else "send",
                      flight.row, flight.chunk, flight.s_p, epc=flight.expected_epc)
-
-    def _flight_for_chunk(self) -> _InFlight:
-        chunk = self._cut_chunk()
-        message = build_ex_message(chunk.data, chunk.address, self.config.s_max)
-        return _InFlight(
-            expected_epc=message.expected_epc()[:4],
-            words=tuple(message.to_words()),
-            is_blockwrite=True,
-            row=self._row,
-            chunk=self._chunk_ordinal,
-            s_p=self.throttle_state.s_p,
-            chunk_bytes=len(chunk.data),
-            resendable_in_place=False,
-        )
-
-    @staticmethod
-    def _flight_for_basic(msg: BasicMessage, row: int, index: int) -> _InFlight:
-        return _InFlight(
-            expected_epc=msg.expected_epc()[:2],
-            words=(msg.word,),
-            is_blockwrite=False,
-            row=row,
-            chunk=index,
-            s_p=0.5,
-            chunk_bytes=0,
-            resendable_in_place=True,
-        )
 
     # ------------------------------------------------------------------
     # main loop
@@ -281,26 +262,7 @@ class HostSession:
         and ``distance_cm(round) -> float`` the physical distance.
         """
         cfg = self.config
-        is_basic = cfg.variant is Variant.BASIC
-
-        if is_basic:
-            stream = []
-            for i, row in enumerate(self.matrix.rows):
-                stream.extend(
-                    (i, j, m) for j, m in enumerate(build_basic_messages(row), start=1)
-                )
-            if cfg.use_bootloader:
-                stream.insert(0, (-1, 0, BasicMessage(HDR_REPROGRAM_INIT, 0x00)))
-            stream_iter = iter(stream)
-            pending_init = False
-        else:
-            stream_iter = None
-            pending_init = cfg.use_bootloader
-
-        self._in_flight: _InFlight | None = None
-        self._nack_count = 0
-        self._no_tag_count = 0
-        self._silent_ticks = 0
+        self._reader = reader
         self._m_sent = 0
         self._m_resent = 0
         self._sum_s_p = 0.0
@@ -310,29 +272,12 @@ class HostSession:
         completed = False
         failure = ""
 
-        def send_next() -> bool:
-            if is_basic:
-                try:
-                    i, j, msg = next(stream_iter)
-                except StopIteration:
-                    return False
-                self._transmit(reader, self._flight_for_basic(msg, i, j), resend=False)
-                return True
-            nonlocal pending_init
-            if pending_init:
-                pending_init = False
-                init = BasicMessage(HDR_REPROGRAM_INIT, 0x00)
-                self._transmit(reader, self._flight_for_basic(init, -1, 0), resend=False)
-                return True
-            if self._row >= len(self.matrix):
-                return False
-            self._transmit(reader, self._flight_for_chunk(), resend=False)
-            return True
-
-        if not send_next():
+        first = self._flight()
+        if first is None:
             self.log.add(0, "complete")
             return SessionResult(True, 0, self.log, 0, 0, 0.0, 0, 0)
-        pending_report: OperationReport | None = None
+        self._transmit(first, resend=False)
+        report: OperationReport | None = None
 
         while self._now < cfg.max_rounds:
             self._now += 1
@@ -340,12 +285,11 @@ class HostSession:
             tag.set_powered(power_step(self._now))
 
             # 1. Consume the report produced by the previous round.
-            report = pending_report
-            pending_report = None
             timeout = False
             stall_timeout = False
             flight = self._in_flight
-            if report is not None and flight is not None:
+            throttles = self._throttled and flight.row >= 0
+            if report is not None:
                 self._silent_ticks = 0
                 if report.result is not ReportResult.INVENTORY:
                     n_total += 1
@@ -354,19 +298,19 @@ class HostSession:
                 if classify_report(flight.expected_epc, report) is Ack.ACK:
                     self.log.add(self._now, "ack", flight.row, flight.chunk,
                                  flight.s_p, report.result.value, report.epc)
-                    self.throttle_state.r_count = 0
-                    if not is_basic and cfg.fixed_s_p is None and flight.row >= 0:
-                        if self.throttle_state.m_count > cfg.throttle_params.m_threshold:
-                            self._apply_throttle(ThrottleDirection.UP)
-                            self.throttle_state.m_count = 0
+                    self._r_count = 0
+                    if throttles:
+                        if self._m_count > cfg.throttle_params.m_threshold:
+                            self._apply_throttle(flight, ThrottleDirection.UP)
+                            self._m_count = 0
                         else:
-                            self.throttle_state.m_count += 1
-                    if not flight.resendable_in_place:
-                        self._advance_past(flight.chunk_bytes)
-                    self._in_flight = None
-                    if not send_next():
+                            self._m_count += 1
+                    self._advance(flight)
+                    following = self._flight()
+                    if following is None:
                         completed = True
                         break
+                    self._transmit(following, resend=False)
                 else:
                     self._nack_count += 1
                     if report.result is ReportResult.NO_TAG_SEEN:
@@ -375,37 +319,35 @@ class HostSession:
                                  flight.s_p, report.result.value, report.epc)
                     if self._nack_count >= cfg.n_threshold:
                         timeout = True
-            elif flight is not None:
+            else:
                 self._silent_ticks += 1
                 if self._silent_ticks >= cfg.stall_ticks:
                     timeout = True
                     stall_timeout = True
 
-            if timeout and self._in_flight is not None:
-                flight = self._in_flight
+            if timeout:
                 lost_type = stall_timeout or 2 * self._no_tag_count > self._nack_count
                 self.log.add(self._now, "timeout", flight.row, flight.chunk,
                              flight.s_p, "lost" if lost_type else "error")
-                if self.throttle_state.r_count >= cfg.r_max:
+                if self._r_count >= cfg.r_max:
                     failure = "resend budget exhausted"
                     self.log.add(self._now, "abort", flight.row, flight.chunk,
                                  flight.s_p, failure)
                     break
-                self.throttle_state.r_count += 1
-                self.throttle_state.m_count = 0
-                if not is_basic and cfg.fixed_s_p is None and flight.row >= 0:
+                self._r_count += 1
+                self._m_count = 0
+                if throttles:
                     self._apply_throttle(
+                        flight,
                         ThrottleDirection.DOWN_LOST if lost_type
-                        else ThrottleDirection.DOWN_ERROR
+                        else ThrottleDirection.DOWN_ERROR,
                     )
-                if flight.resendable_in_place:
-                    self._transmit(reader, flight, resend=True)
-                else:
-                    replacement = self._flight_for_chunk()
-                    self._transmit(reader, replacement, resend=True)
+                # Basic and init messages come back identical; an extended
+                # chunk is re-cut at the throttled S_p.
+                self._transmit(self._flight(), resend=True)
 
             # 2. Reader advances one inventory round.
-            pending_report = reader.tick(self._now, tag, channel)
+            report = reader.tick(self._now, tag, channel)
 
         if not completed and not failure:
             failure = "round budget exhausted"

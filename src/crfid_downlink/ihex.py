@@ -1,8 +1,8 @@
-"""Intel Hex parsing, encoding and chunking.
+"""Intel Hex parsing and encoding.
 
 Transfers present their payload as an Intel Hex file; each data record
-becomes one row of a record matrix, which the host later slices into
-fixed-size word chunks for transmission.
+becomes one row of a record matrix, which the host walks message by
+message.
 """
 
 from __future__ import annotations
@@ -38,12 +38,11 @@ class MissingEof(HexFileError):
     pass
 
 
-class EmptyRow(ValueError):
-    pass
-
-
 def record_checksum(data: bytes) -> int:
-    """Two's complement of the least-significant byte of the byte sum."""
+    """Two's complement of the least-significant byte of the byte sum.
+
+    The Intel Hex record rule; extended messages carry the same checksum.
+    """
     return (-sum(data)) & 0xFF
 
 
@@ -162,35 +161,6 @@ def encode(matrix: RecordMatrix) -> str:
     lines = [encode_record(r.address, TYPE_DATA, r.data) for r in matrix.rows]
     lines.append(encode_record(0, TYPE_EOF, b""))
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class Chunk:
-    """A slice of one row: the unit carried by a single message."""
-
-    address: int
-    data: bytes
-
-    def word_count(self) -> int:
-        return math.ceil(len(self.data) / 2)
-
-
-def chunk_record(row: Row, s_p: int) -> list[Chunk]:
-    """Slice a row into chunks of at most ``s_p`` words.
-
-    All chunks except possibly the last hold exactly ``s_p`` words; chunk
-    addresses advance by 2*s_p bytes.  Concatenating the chunk data
-    reconstructs the row byte-exactly.
-    """
-    if not row.data:
-        raise EmptyRow(f"row at {row.address:#06x} has no data")
-    if s_p < 1:
-        raise ValueError("chunk size must be at least one word")
-    step = 2 * s_p
-    return [
-        Chunk(row.address + off, row.data[off : off + step])
-        for off in range(0, len(row.data), step)
-    ]
 
 
 def generate_fixture(data: bytes, record_width: int, base_address: int = 0x4400) -> str:

@@ -1,4 +1,4 @@
-"""Message construction, sequencing and frame-length throttling.
+"""Message construction and frame-length throttling.
 
 Two message flavors exist.  The single-word ("basic") flavor packs a one
 byte header and one byte payload into each Write; the extended flavor
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .ihex import Chunk, RecordMatrix, Row
+from .ihex import Row, record_checksum
 
 # Basic header bytes.  0x00-0x20 are data-byte offsets relative to the
 # row base address; the two address bytes and the reprogram-init marker
@@ -35,15 +35,6 @@ class RowTooLong(ValueError):
 
 class PayloadTooLarge(ValueError):
     pass
-
-
-def ex_checksum(data: bytes) -> int:
-    """Single-byte message checksum: two's complement of the LSB of the sum.
-
-    Applied over every message byte except the checksum field itself, the
-    same rule used for Intel Hex record checksums.
-    """
-    return (-sum(data)) & 0xFF
 
 
 @dataclass(frozen=True)
@@ -127,50 +118,7 @@ def build_ex_message(chunk: bytes, address: int, s_max: int = DEFAULT_S_MAX) -> 
             f"chunk of {len(chunk)} bytes exceeds 2*S_max = {2 * s_max}"
         )
     body = bytes([len(chunk), (address >> 8) & 0xFF, address & 0xFF]) + chunk
-    return ExMessage(ex_checksum(body), len(chunk), address, bytes(chunk))
-
-
-# ---------------------------------------------------------------------------
-# Message sequencing
-
-
-@dataclass(frozen=True)
-class MessageCursor:
-    """Position of the next chunk to cut: row index plus byte offset.
-
-    A fresh cursor (row 0, offset 0, chunk 0) is the undefined-message
-    state; row_index past the matrix end is the end-of-file state.
-    """
-
-    row_index: int = 0
-    byte_offset: int = 0
-    chunk_index: int = 0  # 1-based ordinal of the chunk within its row
-
-    def done(self, matrix: RecordMatrix) -> bool:
-        return self.row_index >= len(matrix)
-
-
-def next_message(
-    cursor: MessageCursor, matrix: RecordMatrix, s_p: int
-) -> tuple[Chunk | None, MessageCursor]:
-    """Cut the chunk at the cursor and return it with the advanced cursor.
-
-    Within a row the cursor moves to the next chunk; at end of row it moves
-    to the next row; past the last row the result is (None, cursor).
-    Chunk sizes follow the current ``s_p``, so a changed payload size
-    re-chunks the remainder of the row from the current byte offset.
-    """
-    if cursor.done(matrix):
-        return None, cursor
-    row = matrix.rows[cursor.row_index]
-    data = row.data[cursor.byte_offset : cursor.byte_offset + 2 * s_p]
-    chunk = Chunk(row.address + cursor.byte_offset, data)
-    new_offset = cursor.byte_offset + len(data)
-    if new_offset >= len(row.data):
-        advanced = MessageCursor(cursor.row_index + 1, 0, 0)
-    else:
-        advanced = MessageCursor(cursor.row_index, new_offset, cursor.chunk_index + 1)
-    return chunk, advanced
+    return ExMessage(record_checksum(body), len(chunk), address, bytes(chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +160,6 @@ class ThrottleParams:
             raise ValueError("up step T_U must be a positive integer")
         if not self.t_u < abs(self.t_de) <= abs(self.t_dl):
             raise ValueError("throttle steps must satisfy T_U < |T_DE| <= |T_DL|")
-
-
-@dataclass
-class ThrottleState:
-    s_p: int
-    m_count: int = 0
-    r_count: int = 0
 
 
 def throttle(s_p: int, ladder: tuple[int, ...], direction: ThrottleDirection,

@@ -14,13 +14,13 @@ from enum import Enum
 from pathlib import Path
 
 from .crc import crc16_ccitt
+from .ihex import record_checksum
 from .protocol import (
     EPC_LENGTH,
     HDR_ADDR_FIRST,
     HDR_ADDR_SECOND,
     HDR_REPROGRAM_INIT,
     MAX_BASIC_OFFSET,
-    ex_checksum,
 )
 
 FRAM_SIZE = 64 * 1024
@@ -238,14 +238,14 @@ class Tag:
         payload = bytes(raw[4 : 4 + length])
         if len(payload) != length:
             return False
-        if ex_checksum(raw[1 : 4 + length]) != checksum:
+        if record_checksum(raw[1 : 4 + length]) != checksum:
             return False
         if self.mode is not TagMode.REPROGRAM:
             return False
         self._commit(address, payload)
         readback = self.fram.read(address, length)
         header = bytes([checksum, length, raw[2], raw[3]])
-        if ex_checksum(header[1:] + readback) != checksum:
+        if record_checksum(header[1:] + readback) != checksum:
             return False  # write fault surfaced by read-back
         self.epc = header.ljust(EPC_LENGTH, b"\x00")
         return True

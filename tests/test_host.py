@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crfid_downlink.channel import ChannelModel
 from crfid_downlink.host import (
@@ -10,7 +11,7 @@ from crfid_downlink.host import (
     classify_report,
     matrix_crc,
 )
-from crfid_downlink.ihex import parse_file
+from crfid_downlink.ihex import RecordMatrix, Row, parse_file
 from crfid_downlink.reader import OperationReport, Reader, ReportResult
 from crfid_downlink.tag import Tag
 
@@ -109,6 +110,45 @@ def test_cursor_advances_exactly_on_ack(small_matrix):
         else:
             assert pos == last_sent
             prev_ack = pos
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.binary(min_size=0, max_size=32), min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=12),
+    st.booleans(),
+)
+def test_cursor_tiles_rows_at_fixed_s_p(raw_rows, s_p, bootloader):
+    # Rows 64 bytes apart never overlap, so the image is their plain union.
+    matrix = RecordMatrix([Row(0x1000 + 64 * i, d) for i, d in enumerate(raw_rows)])
+    cfg = HostConfig(variant=Variant.EX, fixed_s_p=s_p, use_bootloader=bootloader)
+    tag = Tag(start_in_bootloader=bootloader)
+    result = HostSession(cfg, matrix).run(Reader(), tag, ChannelModel(seed=1), CLEAN, AT(20.0))
+    assert result.completed
+    assert result.reached_application == bootloader
+
+    sends = [e for e in result.log.events if e.event == "send" and e.row >= 0]
+    for i, row in enumerate(matrix.rows):
+        chunks = [bytes.fromhex(e.epc_hex) for e in sends if e.row == i]
+        if not row.data:
+            assert chunks == []  # an empty row costs no extended send
+            continue
+        logged_s_p = {e.s_p for e in sends if e.row == i}
+        assert len(logged_s_p) == 1  # a fixed S_p snaps once per row
+        words = int(logged_s_p.pop())
+        # Header (checksum, length, address): consecutive, gap-free, in order.
+        address = row.address
+        for k, epc in enumerate(chunks):
+            length = epc[1]
+            assert (epc[2] << 8) | epc[3] == address
+            if k < len(chunks) - 1:
+                assert length == 2 * words
+            address += length
+        assert address == row.address + len(row.data)
+        assert [e.chunk for e in sends if e.row == i] == list(range(1, len(chunks) + 1))
+    assert [e.row for e in sends] == sorted(e.row for e in sends)
+    for address, value in matrix.flat_image().items():
+        assert tag.fram.read(address, 1)[0] == value
 
 
 def test_unreachable_tag_aborts_after_r_max_resends():

@@ -3,14 +3,12 @@ from hypothesis import given, strategies as st
 
 from crfid_downlink.ihex import (
     ChecksumMismatch,
-    EmptyRow,
     LengthMismatch,
     MalformedRecord,
     MissingEof,
     RecordMatrix,
     Row,
     UnsupportedRecordType,
-    chunk_record,
     encode,
     generate_fixture,
     parse_file,
@@ -32,10 +30,15 @@ def oracle_checksum(data: bytes) -> int:
 
 def test_checksum_golden_record_bytes():
     assert record_checksum(bytes([0x02, 0xAA, 0xDD, 0x00, 0xBB, 0xCC])) == 0xF0
+    # The extended message header over the same fields: no type byte, and
+    # since the type byte is zero the checksum is the same.
+    assert record_checksum(bytes([0x02, 0xAA, 0xDD, 0xBB, 0xCC])) == 0xF0
+    assert record_checksum(bytes([0xFF])) == oracle_checksum(bytes([0xFF])) == 0x01
 
 
 def test_checksum_empty():
     assert record_checksum(b"") == 0x00
+    assert record_checksum(bytes(8)) == 0x00
 
 
 def test_checksum_wraps_to_zero():
@@ -47,6 +50,23 @@ def test_checksum_wraps_to_zero():
 @given(st.binary(min_size=0, max_size=64))
 def test_checksum_matches_oracle(data):
     assert record_checksum(data) == oracle_checksum(data)
+
+
+@given(
+    st.binary(min_size=1, max_size=64),
+    st.data(),
+)
+def test_checksum_detects_single_byte_corruption(data, draw):
+    # An additive checksum flags every single-byte change: the sum moves by
+    # a nonzero amount mod 256.
+    c = record_checksum(data)
+    index = draw.draw(st.integers(min_value=0, max_value=len(data) - 1))
+    replacement = draw.draw(
+        st.integers(min_value=0, max_value=255).filter(lambda v: v != data[index])
+    )
+    corrupted = bytearray(data)
+    corrupted[index] = replacement
+    assert record_checksum(bytes(corrupted)) != c
 
 
 # -- parse_record -------------------------------------------------------------
@@ -142,56 +162,6 @@ def test_fixture_5120_bytes_makes_320_rows():
     assert len(matrix) == 320
     assert matrix.total_bytes() == 5120
     assert all(len(r.data) == 16 for r in matrix.rows)
-
-
-# -- chunking -----------------------------------------------------------------
-
-
-def oracle_chunks(row: Row, s_p: int):
-    # Independent sequential slicing.
-    out = []
-    stride = 2 * s_p
-    for start in range(0, len(row.data), stride):
-        out.append((row.address + start, row.data[start : start + stride]))
-    return out
-
-
-def test_chunk_sixteen_words_by_six():
-    row = Row(0x1000, bytes(range(32)))  # 16 words
-    chunks = chunk_record(row, 6)
-    assert [c.word_count() for c in chunks] == [6, 6, 4]
-    assert [(c.address, c.data) for c in chunks] == oracle_chunks(row, 6)
-
-
-def test_chunk_single_word_row():
-    row = Row(0x2000, bytes([0x11, 0x22]))
-    chunks = chunk_record(row, 16)
-    assert len(chunks) == 1
-    assert chunks[0].data == row.data
-
-
-def test_chunk_golden_row():
-    chunks = chunk_record(Row(0xAADD, bytes([0xBB, 0xCC])), 1)
-    assert len(chunks) == 1
-    assert chunks[0].address == 0xAADD
-    assert chunks[0].data == bytes([0xBB, 0xCC])
-
-
-def test_chunk_empty_row_rejected():
-    with pytest.raises(EmptyRow):
-        chunk_record(Row(0, b""), 4)
-
-
-@given(
-    st.binary(min_size=1, max_size=48),
-    st.integers(min_value=1, max_value=20),
-)
-def test_chunks_reassemble_row(data, s_p):
-    row = Row(0x4400, data)
-    chunks = chunk_record(row, s_p)
-    assert b"".join(c.data for c in chunks) == data
-    assert all(c.address == 0x4400 + 2 * s_p * i for i, c in enumerate(chunks))
-    assert all(c.word_count() == s_p for c in chunks[:-1])
 
 
 # -- encode / roundtrip -------------------------------------------------------

@@ -3,10 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from crfid_downlink.ihex import RecordMatrix, Row
+from crfid_downlink.ihex import Row
 from crfid_downlink.protocol import (
     BasicMessage,
-    MessageCursor,
     PayloadTooLarge,
     RowTooLong,
     ThrottleDirection,
@@ -15,8 +14,6 @@ from crfid_downlink.protocol import (
     build_ex_message,
     build_ladder,
     derive_r_max,
-    ex_checksum,
-    next_message,
     snap_to_ladder,
     throttle,
 )
@@ -81,48 +78,11 @@ def test_basic_messages_replay_reconstructs_row(address, data):
     assert rebuilt == {address + i: b for i, b in enumerate(data)}
 
 
-# -- extended checksum --------------------------------------------------------
+# -- extended messages --------------------------------------------------------
 
 
 def oracle_sum_complement(data: bytes) -> int:
     return (256 - (sum(data) % 256)) % 256
-
-
-def test_ex_checksum_zeros():
-    assert ex_checksum(bytes(8)) == 0x00
-
-
-def test_ex_checksum_single_ff():
-    assert ex_checksum(bytes([0xFF])) == 0x01
-    assert oracle_sum_complement(bytes([0xFF])) == 0x01
-
-
-def test_ex_checksum_golden_fields():
-    # The golden record's fields without the type byte; the type byte is
-    # zero so the value matches the record checksum.
-    data = bytes([0x02, 0xAA, 0xDD, 0xBB, 0xCC])
-    assert oracle_sum_complement(data) == 0xF0
-    assert ex_checksum(data) == 0xF0
-
-
-@given(
-    st.binary(min_size=1, max_size=64),
-    st.data(),
-)
-def test_ex_checksum_detects_single_byte_corruption(data, draw):
-    # An additive checksum flags every single-byte change: the sum moves by
-    # a nonzero amount mod 256.
-    c = ex_checksum(data)
-    index = draw.draw(st.integers(min_value=0, max_value=len(data) - 1))
-    replacement = draw.draw(
-        st.integers(min_value=0, max_value=255).filter(lambda v: v != data[index])
-    )
-    corrupted = bytearray(data)
-    corrupted[index] = replacement
-    assert ex_checksum(bytes(corrupted)) != c
-
-
-# -- extended messages --------------------------------------------------------
 
 
 def test_ex_message_golden_chunk():
@@ -157,78 +117,6 @@ def test_ex_message_odd_payload_pads_last_word():
     words = msg.to_words()
     assert len(words) == 3  # two header words plus one padded payload word
     assert words[-1] == 0xAB00
-
-
-# -- sequencing ---------------------------------------------------------------
-
-
-def three_row_matrix():
-    return RecordMatrix(
-        [
-            Row(0x100, bytes(range(8))),  # 4 words
-            Row(0x200, bytes(range(6))),  # 3 words
-            Row(0x300, bytes(range(2))),  # 1 word
-        ]
-    )
-
-
-def test_next_message_fresh_cursor_yields_first_chunk():
-    matrix = three_row_matrix()
-    chunk, cursor = next_message(MessageCursor(), matrix, 2)
-    assert chunk.address == 0x100
-    assert chunk.data == bytes(range(4))
-    assert cursor.row_index == 0 and cursor.byte_offset == 4
-
-
-def test_next_message_done_at_end():
-    matrix = three_row_matrix()
-    end = MessageCursor(row_index=3)
-    chunk, cursor = next_message(end, matrix, 2)
-    assert chunk is None
-    assert cursor == end
-
-
-def test_next_message_walk_visits_every_chunk_in_order():
-    matrix = three_row_matrix()
-    s_p = 2
-    # Independent enumeration of the expected walk.
-    expected = []
-    for row in matrix.rows:
-        for off in range(0, len(row.data), 2 * s_p):
-            expected.append((row.address + off, row.data[off : off + 2 * s_p]))
-
-    cursor = MessageCursor()
-    seen = []
-    while True:
-        chunk, cursor = next_message(cursor, matrix, s_p)
-        if chunk is None:
-            break
-        seen.append((chunk.address, chunk.data))
-    assert seen == expected
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(min_value=0, max_value=0xF000),
-                  st.binary(min_size=1, max_size=24)),
-        min_size=1,
-        max_size=8,
-    ),
-    st.integers(min_value=1, max_value=12),
-)
-def test_next_message_walk_property(raw_rows, s_p):
-    matrix = RecordMatrix([Row(a, d) for a, d in raw_rows])
-    cursor = MessageCursor()
-    pieces = []
-    steps = 0
-    while True:
-        chunk, cursor = next_message(cursor, matrix, s_p)
-        if chunk is None:
-            break
-        pieces.append(chunk.data)
-        steps += 1
-        assert steps <= sum(len(d) for _, d in raw_rows)  # walk terminates
-    assert b"".join(pieces) == b"".join(d for _, d in raw_rows)
 
 
 # -- ladder -------------------------------------------------------------------
