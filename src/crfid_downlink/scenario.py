@@ -105,7 +105,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ScenarioError(f"line {lineno}: expected 'key = value'")
+            raise ScenarioError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, val = line.partition("=")
         values[key.strip().lower()] = val.strip()
 
@@ -149,6 +149,8 @@ def parse_config_text(text: str) -> ScenarioConfig:
     cfg.seed = pop_num("seed", int, cfg.seed)
     cfg.rounds_per_sec = pop_num("rounds_per_sec", int, cfg.rounds_per_sec)
     cfg.repeats = pop_num("repeats", int, cfg.repeats)
+    if cfg.repeats < 1:
+        raise ScenarioError(f"repeats must be at least 1, got {cfg.repeats}")
     cfg.max_sim_seconds = pop_num("max_sim_seconds", float, cfg.max_sim_seconds)
     cfg.write_fault_prob = pop_num("write_fault_prob", float, cfg.write_fault_prob)
 
@@ -158,9 +160,9 @@ def parse_config_text(text: str) -> ScenarioConfig:
             if raw not in _BOOL:
                 raise ScenarioError(f"{flag} must be a boolean, got {raw!r}")
             setattr(cfg, flag, _BOOL[raw])
-    if "brownout" in values:
-        raw = values.pop("brownout").lower()
-        cfg.brownout = None if raw == "auto" else float(raw)
+    if values.get("brownout", "").lower() == "auto":
+        del values["brownout"]
+    cfg.brownout = pop_num("brownout", float, cfg.brownout)
 
     kind = values.pop("distance", "static").lower()
     if kind == "static":

@@ -1,5 +1,6 @@
 import filecmp
 import hashlib
+import re
 
 import pytest
 
@@ -68,10 +69,14 @@ def test_parse_defaults_and_comments():
         "distance = warp\n",
         "s_p = big\n",
         "distance = oscillate\nd_min_cm = 90\nd_max_cm = 20\n",
+        "brownout = abc\n",
+        "repeats = 0\n",
     ],
 )
 def test_parse_config_errors(text):
-    with pytest.raises(ScenarioError):
+    # The message names the key of the offending (last) line.
+    key = text.strip().splitlines()[-1].split("=")[0].split()[0]
+    with pytest.raises(ScenarioError, match=re.escape(key)):
         parse_config_text(text)
 
 
