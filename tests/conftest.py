@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from crfid_downlink.host import HostConfig, HostSession, Variant
 from crfid_downlink.ihex import generate_fixture, parse_file
 
 FIRMWARE_BYTES = 5387  # base firmware image size used in the transfer benchmarks
@@ -40,3 +41,27 @@ def static_distance(cm: float):
         return cm
 
     return at
+
+
+def walk_extended_chunks(matrix, s_p: int, steps: int | None = None):
+    """Walk the host's message cursor at a fixed S_p, acknowledging each chunk.
+
+    Returns ``(chunks, session)``: the ``(address, payload)`` of every extended
+    chunk in send order, read back from the words put on air, and the session
+    whose cursor now sits past the last one (or after ``steps`` chunks).
+    """
+    session = HostSession(HostConfig(variant=Variant.EX, fixed_s_p=s_p), matrix)
+    chunks = []
+    while steps is None or len(chunks) < steps:
+        flight = session._flight()
+        if flight is None:
+            break
+        raw = b"".join(w.to_bytes(2, "big") for w in flight.words)
+        chunks.append(((raw[2] << 8) | raw[3], raw[4 : 4 + raw[1]]))
+        session._advance(flight)
+    return chunks, session
+
+
+@pytest.fixture(scope="session")
+def chunk_walk():
+    return walk_extended_chunks

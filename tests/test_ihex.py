@@ -15,6 +15,7 @@ from crfid_downlink.ihex import (
     parse_record,
     record_checksum,
 )
+from crfid_downlink.protocol import build_ladder, snap_to_ladder
 
 GOLDEN_RECORD = ":02AADD00BBCCF0"
 
@@ -162,6 +163,60 @@ def test_fixture_5120_bytes_makes_320_rows():
     assert len(matrix) == 320
     assert matrix.total_bytes() == 5120
     assert all(len(r.data) == 16 for r in matrix.rows)
+
+
+# -- chunking -----------------------------------------------------------------
+# The host's message cursor cuts each row into chunks of S_p words.
+
+
+def oracle_chunks(row: Row, s_p: int):
+    # Independent sequential slicing.
+    out = []
+    stride = 2 * s_p
+    for start in range(0, len(row.data), stride):
+        out.append((row.address + start, row.data[start : start + stride]))
+    return out
+
+
+def test_chunk_sixteen_words_by_six(chunk_walk):
+    row = Row(0x1000, bytes(range(32)))  # 16 words
+    chunks, _ = chunk_walk(RecordMatrix([row]), 6)
+    assert [len(data) // 2 for _, data in chunks] == [6, 6, 4]
+    assert chunks == oracle_chunks(row, 6)
+
+
+def test_chunk_single_word_row(chunk_walk):
+    row = Row(0x2000, bytes([0x11, 0x22]))
+    chunks, _ = chunk_walk(RecordMatrix([row]), 16)
+    assert chunks == [(0x2000, row.data)]
+
+
+def test_chunk_golden_row(chunk_walk):
+    chunks, _ = chunk_walk(parse_file(GOLDEN_RECORD + "\n:00000001FF\n"), 1)
+    assert chunks == [(0xAADD, bytes([0xBB, 0xCC]))]
+
+
+def test_chunk_empty_row_rejected(chunk_walk):
+    # An empty row yields no chunk: the cursor steps over it.
+    matrix = RecordMatrix([Row(0, b""), Row(0x40, bytes([0xAB])), Row(0x80, b"")])
+    chunks, _ = chunk_walk(matrix, 4)
+    assert chunks == [(0x40, bytes([0xAB]))]
+
+
+@given(
+    st.binary(min_size=1, max_size=48),
+    st.integers(min_value=1, max_value=20),
+)
+def test_chunks_reassemble_row(chunk_walk, data, s_p):
+    row = Row(0x4400, data)
+    chunks, _ = chunk_walk(RecordMatrix([row]), s_p)
+    assert b"".join(d for _, d in chunks) == data
+    # The cursor first snaps S_p down onto the row's ladder; every chunk but
+    # the last then carries that many words.
+    width = snap_to_ladder(s_p, build_ladder(row.word_count()))
+    assert width <= s_p
+    assert all(a == 0x4400 + 2 * width * i for i, (a, _) in enumerate(chunks))
+    assert all(len(d) == 2 * width for _, d in chunks[:-1])
 
 
 # -- encode / roundtrip -------------------------------------------------------

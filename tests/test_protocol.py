@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from crfid_downlink.ihex import Row
+from crfid_downlink.ihex import RecordMatrix, Row
 from crfid_downlink.protocol import (
     BasicMessage,
     PayloadTooLarge,
@@ -85,6 +85,28 @@ def oracle_sum_complement(data: bytes) -> int:
     return (256 - (sum(data) % 256)) % 256
 
 
+def test_ex_checksum_zeros():
+    # Length, address and payload summing to 0 mod 256 give a zero checksum.
+    msg = build_ex_message(bytes(2), 0xFE00)
+    assert oracle_sum_complement(bytes([0x02, 0xFE, 0x00, 0x00, 0x00])) == 0x00
+    assert msg.checksum == 0x00
+
+
+def test_ex_checksum_single_ff():
+    msg = build_ex_message(bytes([0xFF]), 0x0000)
+    assert oracle_sum_complement(bytes([0x01, 0x00, 0x00, 0xFF])) == 0x00
+    assert msg.checksum == 0x00
+    assert build_ex_message(bytes([0xFF]), 0x00FF).checksum == 0x01
+
+
+def test_ex_checksum_golden_fields():
+    # The golden record's fields without the type byte; the type byte is
+    # zero so the value matches the record checksum.
+    data = bytes([0x02, 0xAA, 0xDD, 0xBB, 0xCC])
+    assert oracle_sum_complement(data) == 0xF0
+    assert build_ex_message(data[3:], 0xAADD).checksum == 0xF0
+
+
 def test_ex_message_golden_chunk():
     msg = build_ex_message(bytes([0xBB, 0xCC]), 0xAADD)
     assert msg.length == 2
@@ -117,6 +139,66 @@ def test_ex_message_odd_payload_pads_last_word():
     words = msg.to_words()
     assert len(words) == 3  # two header words plus one padded payload word
     assert words[-1] == 0xAB00
+
+
+# -- sequencing ---------------------------------------------------------------
+# The host's message cursor walks the matrix one chunk at a time.
+
+
+def three_row_matrix():
+    return RecordMatrix(
+        [
+            Row(0x100, bytes(range(8))),  # 4 words
+            Row(0x200, bytes(range(6))),  # 3 words
+            Row(0x300, bytes(range(2))),  # 1 word
+        ]
+    )
+
+
+def test_next_message_fresh_cursor_yields_first_chunk(chunk_walk):
+    chunks, session = chunk_walk(three_row_matrix(), 2, steps=1)
+    assert chunks == [(0x100, bytes(range(4)))]
+    assert session._row == 0 and session._pos == 4
+
+
+def test_next_message_done_at_end(chunk_walk):
+    _, session = chunk_walk(three_row_matrix(), 2)
+    assert session._row == 3
+    assert session._flight() is None
+    assert session._flight() is None  # asking again leaves the cursor at the end
+    assert session._row == 3
+
+
+def test_next_message_walk_visits_every_chunk_in_order(chunk_walk):
+    matrix = three_row_matrix()
+    s_p = 2
+    # Independent enumeration of the expected walk.
+    expected = []
+    for row in matrix.rows:
+        for off in range(0, len(row.data), 2 * s_p):
+            expected.append((row.address + off, row.data[off : off + 2 * s_p]))
+
+    chunks, _ = chunk_walk(matrix, s_p)
+    assert chunks == expected
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=0xF000),
+                  st.binary(min_size=1, max_size=24)),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(min_value=1, max_value=12),
+)
+def test_next_message_walk_property(chunk_walk, raw_rows, s_p):
+    matrix = RecordMatrix([Row(a, d) for a, d in raw_rows])
+    total = sum(len(d) for _, d in raw_rows)
+    # One step more than there are bytes would show a walk that never ends.
+    chunks, session = chunk_walk(matrix, s_p, steps=total + 1)
+    assert len(chunks) <= total
+    assert session._flight() is None
+    assert b"".join(d for _, d in chunks) == b"".join(d for _, d in raw_rows)
 
 
 # -- ladder -------------------------------------------------------------------
