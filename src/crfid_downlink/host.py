@@ -34,16 +34,12 @@ from .tag import BootEvent, Tag, TagMode
 DEFAULT_OCV = 15
 DEFAULT_N_THRESHOLD = 20
 DEFAULT_R_MAX = 3
-DEFAULT_STALL_TICKS = 120  # reportless in-flight ticks treated as one timeout
+STALL_TICKS = 120  # reportless in-flight ticks treated as one timeout
 
 
 class Variant(Enum):
     BASIC = "basic"
     EX = "ex"
-
-
-class ConfigError(ValueError):
-    pass
 
 
 class Ack(Enum):
@@ -98,6 +94,8 @@ def matrix_crc(matrix: RecordMatrix) -> int:
 
 @dataclass
 class HostConfig:
+    """Transfer settings, unchecked here: ``ScenarioConfig.validate`` checks them."""
+
     variant: Variant = Variant.EX
     ocv: int = DEFAULT_OCV
     n_threshold: int = DEFAULT_N_THRESHOLD
@@ -106,23 +104,7 @@ class HostConfig:
     fixed_s_p: int | None = None  # None enables throttling (extended variant)
     throttle_params: ThrottleParams = field(default_factory=ThrottleParams)
     use_bootloader: bool = False
-    stall_ticks: int = DEFAULT_STALL_TICKS
     max_rounds: int = 60 * 3600
-    # Escape hatch for demonstrating the flood misbehavior the bound prevents.
-    allow_unsafe_ocv: bool = False
-
-    def validate(self) -> None:
-        if self.ocv > self.n_threshold and not self.allow_unsafe_ocv:
-            raise ConfigError(
-                f"OCV {self.ocv} exceeds N_threshold {self.n_threshold}; stale-echo "
-                "floods could outlast the timeout window"
-            )
-        if self.ocv < 1 or self.n_threshold < 1 or self.r_max < 1:
-            raise ConfigError("OCV, N_threshold and R_max must be positive")
-        if self.variant is Variant.EX and self.fixed_s_p is None:
-            self.throttle_params.validate()
-        if self.fixed_s_p is not None and self.fixed_s_p < 1:
-            raise ConfigError("fixed payload size must be at least one word")
 
 
 def classify_report(expected_epc: bytes, report: OperationReport) -> Ack:
@@ -154,9 +136,6 @@ class HostSession:
     """One transfer attempt over a reader, tag and channel."""
 
     def __init__(self, config: HostConfig, matrix: RecordMatrix):
-        config.validate()
-        if not len(matrix):
-            raise ConfigError("empty record matrix")
         self.config = config
         self.matrix = matrix
         self.log = TransferLog()
@@ -321,7 +300,7 @@ class HostSession:
                         timeout = True
             else:
                 self._silent_ticks += 1
-                if self._silent_ticks >= cfg.stall_ticks:
+                if self._silent_ticks >= STALL_TICKS:
                     timeout = True
                     stall_timeout = True
 

@@ -152,15 +152,6 @@ class ThrottleParams:
     t_dl: int = -3
     m_threshold: int = 10
 
-    def validate(self) -> None:
-        # Required ordering: T_U < |T_DE| <= |T_DL|, down steps negative.
-        if self.t_de >= 0 or self.t_dl >= 0:
-            raise ValueError("down steps T_DE and T_DL must be negative")
-        if self.t_u < 1:
-            raise ValueError("up step T_U must be a positive integer")
-        if not self.t_u < abs(self.t_de) <= abs(self.t_dl):
-            raise ValueError("throttle steps must satisfy T_U < |T_DE| <= |T_DL|")
-
 
 def throttle(s_p: int, ladder: tuple[int, ...], direction: ThrottleDirection,
              params: ThrottleParams) -> int:

@@ -15,7 +15,7 @@ reports.  A grace bound keeps blocked frames from running forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .channel import ChannelModel, Delivery, miss_probability
@@ -26,56 +26,10 @@ MAX_WORD_COUNT = 32  # reader hardware ceiling
 
 NO_TAG_EPC = bytes(EPC_LENGTH)
 
-DEFAULT_LLRP_LATENCY_TICKS = 3  # delete+add+enable pipeline before first start
-DEFAULT_SWITCH_TICKS = 2  # gap between spec removal and successor's first round
-DEFAULT_DELETE_DELAY = 2  # post-delete rounds for specs without a stop trigger
-DEFAULT_DELETE_GRACE = 30  # hard bound on delete-pending operation frames
+LLRP_LATENCY_TICKS = 3  # delete+add+enable pipeline before first start
+SWITCH_TICKS = 2  # gap between spec removal and successor's first round
+DELETE_GRACE = 30  # hard bound on delete-pending operation frames
 FRAME_SLACK_ROUNDS = 2  # rounds past OCV before the reader drops the frame
-
-
-class InvalidTransition(ValueError):
-    pass
-
-
-class NoActiveSpec(RuntimeError):
-    pass
-
-
-class SpecState(Enum):
-    DISABLED = "disabled"
-    ACTIVE = "active"
-    HALT = "halt"
-
-
-class SpecEvent(Enum):
-    ADD = "add"
-    ENABLE = "enable"
-    DISABLE = "disable"
-    DELETE = "delete"
-    STOP_TRIGGER_FIRED = "stop-trigger-fired"
-
-
-_TRANSITIONS = {
-    (SpecState.DISABLED, SpecEvent.ENABLE): SpecState.ACTIVE,
-    (SpecState.DISABLED, SpecEvent.DELETE): SpecState.HALT,
-    (SpecState.ACTIVE, SpecEvent.DELETE): SpecState.HALT,
-    (SpecState.ACTIVE, SpecEvent.STOP_TRIGGER_FIRED): SpecState.HALT,
-    (SpecState.ACTIVE, SpecEvent.DISABLE): SpecState.DISABLED,
-}
-
-
-def apply_accessspec_event(state: SpecState | None, event: SpecEvent) -> SpecState:
-    """Pure AccessSpec state machine; add creates a disabled spec."""
-    if event is SpecEvent.ADD:
-        if state is not None:
-            raise InvalidTransition("add on an existing spec")
-        return SpecState.DISABLED
-    if state is None:
-        raise InvalidTransition(f"{event.value} before add")
-    try:
-        return _TRANSITIONS[(state, event)]
-    except KeyError:
-        raise InvalidTransition(f"{event.value} while {state.value}") from None
 
 
 class ReportResult(Enum):
@@ -101,7 +55,6 @@ class AccessSpec:
     words: tuple[int, ...]
     is_blockwrite: bool
     ocv: int
-    stop_trigger: bool = True
 
     def __post_init__(self):
         if len(self.words) > MAX_WORD_COUNT:
@@ -115,23 +68,23 @@ class AccessSpec:
 @dataclass
 class _RunningSpec:
     spec: AccessSpec
-    state: SpecState = SpecState.ACTIVE
     success_count: int = 0
     total_rounds: int = 0
     delete_requested_at: int | None = None
 
 
-@dataclass
 class Reader:
-    """Single-spec reader driven one round per tick."""
+    """Single-spec reader driven one round per tick.
 
-    llrp_latency: int = DEFAULT_LLRP_LATENCY_TICKS
-    switch_ticks: int = DEFAULT_SWITCH_TICKS
-    delete_delay: int = DEFAULT_DELETE_DELAY
-    delete_grace: int = DEFAULT_DELETE_GRACE
-    active: _RunningSpec | None = None
-    staged: tuple[AccessSpec, int] | None = None  # (spec, earliest start tick)
-    _removal_tick: int | None = field(default=None, repr=False)
+    A spec is staged, becomes active once the LLRP pipeline (and the gap
+    after its predecessor's removal) has passed, and is removed at its stop
+    trigger or at the delete grace bound.
+    """
+
+    def __init__(self) -> None:
+        self.active: _RunningSpec | None = None
+        self.staged: tuple[AccessSpec, int] | None = None  # (spec, earliest start tick)
+        self._removal_tick: int | None = None
 
     def stage(self, spec: AccessSpec, now: int) -> None:
         """Queue the delete-add-enable train for ``spec``.
@@ -139,7 +92,7 @@ class Reader:
         A later stage before activation replaces the pending spec, the way
         a host rebuilds its command train on resend.
         """
-        self.staged = (spec, now + self.llrp_latency)
+        self.staged = (spec, now + LLRP_LATENCY_TICKS)
 
     def request_delete(self, now: int) -> None:
         if self.active is not None and self.active.delete_requested_at is None:
@@ -161,39 +114,23 @@ class Reader:
             return
         spec, ready = self.staged
         if self._removal_tick is not None:
-            ready = max(ready, self._removal_tick + self.switch_ticks)
+            ready = max(ready, self._removal_tick + SWITCH_TICKS)
         if now >= ready:
-            state = apply_accessspec_event(None, SpecEvent.ADD)
-            state = apply_accessspec_event(state, SpecEvent.ENABLE)
-            self.active = _RunningSpec(spec, state)
+            self.active = _RunningSpec(spec)
             self.staged = None
 
     def _maybe_remove(self, now: int) -> None:
         run = self.active
-        if run is None:
-            return
         # The operation frame ends at OCV successful operations; a slightly
         # larger bound on total rounds keeps frames from dragging on when
         # operations keep failing mid-series.
-        fired = run.spec.stop_trigger and (
-            run.success_count >= run.spec.ocv
-            or run.total_rounds >= run.spec.ocv + FRAME_SLACK_ROUNDS
-        )
-        expired = False
-        if run.delete_requested_at is not None:
-            waited = now - run.delete_requested_at
-            if run.spec.stop_trigger:
-                expired = waited >= self.delete_grace
-            else:
-                expired = waited >= self.delete_delay
-        if fired:
-            run.state = apply_accessspec_event(run.state, SpecEvent.STOP_TRIGGER_FIRED)
-        elif expired:
-            run.state = apply_accessspec_event(run.state, SpecEvent.DELETE)
-        else:
-            return
-        self.active = None
-        self._removal_tick = now
+        fired = (run.success_count >= run.spec.ocv
+                 or run.total_rounds >= run.spec.ocv + FRAME_SLACK_ROUNDS)
+        expired = (run.delete_requested_at is not None
+                   and now - run.delete_requested_at >= DELETE_GRACE)
+        if fired or expired:
+            self.active = None
+            self._removal_tick = now
 
     def _inventory_report(self, now: int, tag: Tag, channel: ChannelModel) -> OperationReport | None:
         # With no access spec the reader still inventories; a visible tag
@@ -206,8 +143,6 @@ class Reader:
 
     def _execute_round(self, now: int, tag: Tag, channel: ChannelModel) -> OperationReport:
         run = self.active
-        if run is None:
-            raise NoActiveSpec("no active spec to execute")
         run.total_rounds += 1
         spec = run.spec
         epc_at_start = tag.epc if tag.powered else NO_TAG_EPC

@@ -9,6 +9,7 @@ and seed produce byte-identical outputs.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from .host import HostConfig, HostSession, SessionResult, Variant
 from .ihex import RecordMatrix, parse_file
 from .metrics import SessionMetrics, compute_metrics
 from .protocol import ThrottleParams
-from .reader import Reader
+from .reader import MAX_WORD_COUNT, Reader
 from .tag import PowerModel, Tag, distance_brownout_prob
 
 DEFAULT_ROUNDS_PER_SEC = 60
@@ -29,6 +30,11 @@ TRACE_COLUMNS = ["round", "d_cm"]
 
 class ScenarioError(ValueError):
     pass
+
+
+def _require(ok: bool, key: str, rule: str, value) -> None:
+    if not ok:
+        raise ScenarioError(f"{key} must be {rule}, got {value}")
 
 
 @dataclass
@@ -93,6 +99,52 @@ class ScenarioConfig:
             max_rounds=int(self.max_sim_seconds * self.rounds_per_sec),
         )
 
+    def validate(self) -> None:
+        """Check every setting before a run; a ScenarioError names the key."""
+        prof = self.profile
+        for key, value in (("d_ref_cm", self.d_ref_cm), ("k_miss", self.k_miss),
+                           ("max_sim_seconds", self.max_sim_seconds),
+                           ("write_fault_prob", self.write_fault_prob),
+                           ("brownout", self.brownout or 0.0), ("d_cm", prof.d_cm),
+                           ("d_min_cm", prof.min_cm), ("d_max_cm", prof.max_cm),
+                           ("speed_m_per_s", prof.speed_m_per_s)):
+            _require(math.isfinite(value), key, "finite", value)
+        for key in ("ocv", "n_threshold", "r_max", "repeats", "rounds_per_sec"):
+            _require(getattr(self, key) >= 1, key, "at least 1", getattr(self, key))
+        # Every stale echo of the old operation frame counts as a NACK, so a
+        # frame longer than the NACK window times out the message it floods.
+        _require(self.ocv <= self.n_threshold, "ocv",
+                 f"at most n_threshold = {self.n_threshold}", self.ocv)
+        _require(self.max_sim_seconds * self.rounds_per_sec >= 1, "max_sim_seconds",
+                 f"at least one round at rounds_per_sec = {self.rounds_per_sec}",
+                 self.max_sim_seconds)
+        for key in ("m_threshold", "k_miss"):
+            _require(getattr(self, key) >= 0, key, "at least 0", getattr(self, key))
+        _require(0 <= self.write_fault_prob <= 1, "write_fault_prob", "in [0, 1]",
+                 self.write_fault_prob)
+        _require(self.brownout is None or 0 <= self.brownout <= 1, "brownout",
+                 "in [0, 1] or 'auto'", self.brownout)
+        _require(self.d_ref_cm > 0, "d_ref_cm", "greater than 0", self.d_ref_cm)
+        if prof.kind == "static":
+            _require(prof.d_cm > 0, "d_cm", "greater than 0", prof.d_cm)
+        else:
+            _require(prof.min_cm > 0, "d_min_cm", "greater than 0", prof.min_cm)
+            _require(prof.min_cm < prof.max_cm, "d_max_cm",
+                     f"greater than d_min_cm = {prof.min_cm}", prof.max_cm)
+            _require(prof.speed_m_per_s >= 0, "speed_m_per_s", "at least 0",
+                     prof.speed_m_per_s)
+        # An extended message is two header words plus S_p payload words.
+        s_max_top = MAX_WORD_COUNT - 2
+        _require(1 <= self.s_max <= s_max_top, "s_max", f"in 1..{s_max_top}", self.s_max)
+        if self.s_p is not None:
+            _require(self.protocol is Variant.EX, "s_p",
+                     "'throttle' for protocol = basic, which sends one word", self.s_p)
+            _require(self.s_p >= 1, "s_p", "at least 1 or 'throttle'", self.s_p)
+        elif self.protocol is Variant.EX:
+            _require(1 <= self.t_u < -self.t_de <= -self.t_dl, "t_u, t_de, t_dl",
+                     "steps with 1 <= t_u < -t_de <= -t_dl",
+                     f"{self.t_u}, {self.t_de}, {self.t_dl}")
+
 
 _BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -149,8 +201,6 @@ def parse_config_text(text: str) -> ScenarioConfig:
     cfg.seed = pop_num("seed", int, cfg.seed)
     cfg.rounds_per_sec = pop_num("rounds_per_sec", int, cfg.rounds_per_sec)
     cfg.repeats = pop_num("repeats", int, cfg.repeats)
-    if cfg.repeats < 1:
-        raise ScenarioError(f"repeats must be at least 1, got {cfg.repeats}")
     cfg.max_sim_seconds = pop_num("max_sim_seconds", float, cfg.max_sim_seconds)
     cfg.write_fault_prob = pop_num("write_fault_prob", float, cfg.write_fault_prob)
 
@@ -173,14 +223,13 @@ def parse_config_text(text: str) -> ScenarioConfig:
         profile.min_cm = pop_num("d_min_cm", float, profile.min_cm)
         profile.max_cm = pop_num("d_max_cm", float, profile.max_cm)
         profile.speed_m_per_s = pop_num("speed_m_per_s", float, profile.speed_m_per_s)
-        if profile.min_cm >= profile.max_cm:
-            raise ScenarioError("oscillate needs d_min_cm < d_max_cm")
     else:
         raise ScenarioError(f"distance must be 'static' or 'oscillate', got {kind!r}")
     cfg.profile = profile
 
     if values:
         raise ScenarioError(f"unknown config keys: {', '.join(sorted(values))}")
+    cfg.validate()
     return cfg
 
 
@@ -243,10 +292,13 @@ def run_single(config: ScenarioConfig, matrix: RecordMatrix, run_index: int) -> 
 def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
                  matrix: RecordMatrix | None = None) -> ScenarioOutcome:
     """Run all repeats and optionally write the CSV artifacts."""
+    config.validate()
     if matrix is None:
         if not config.hex_file:
             raise ScenarioError("config does not name a hex_file")
         matrix = parse_file(Path(config.hex_file).read_text())
+    if not matrix.total_bytes():
+        raise ScenarioError(f"hex_file {config.hex_file!r} holds no data bytes")
     runs = [run_single(config, matrix, i) for i in range(config.repeats)]
     outcome = ScenarioOutcome(runs)
     if out_dir is not None:

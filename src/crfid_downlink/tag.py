@@ -9,7 +9,6 @@ messages are treated as reprogramming data.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -67,34 +66,31 @@ class FramImage:
         Path(path).write_bytes(bytes(self._bytes))
 
 
-@dataclass
+MEAN_BURST_ROUNDS = 3.0
+
+
 class PowerModel:
     """Two-state per-round power process.
 
-    Each powered round browns out with probability ``brownout_prob``; an
-    outage then lasts a geometrically distributed number of rounds with the
-    given mean.  Driven by its own RNG, so the schedule is a deterministic
-    function of the seed.
+    Each powered round browns out with the probability passed to ``step``;
+    an outage then lasts a geometrically distributed number of rounds with
+    mean ``MEAN_BURST_ROUNDS``.  Driven by its own RNG, so the schedule is a
+    deterministic function of the seed and the probabilities.
     """
 
-    seed: int
-    brownout_prob: float = 0.0
-    mean_burst_rounds: float = 3.0
-
-    def __post_init__(self):
-        self._rng = random.Random(self.seed)
+    def __init__(self, seed: int):
+        self._rng = random.Random(seed)
         self._outage_left = 0
 
-    def step(self, brownout_prob: float | None = None) -> bool:
+    def step(self, brownout_prob: float) -> bool:
         """Advance one round; returns True when the tag is powered."""
-        p = self.brownout_prob if brownout_prob is None else brownout_prob
         if self._outage_left > 0:
             self._outage_left -= 1
             return False
-        if p > 0 and self._rng.random() < p:
-            # Geometric with mean mean_burst_rounds, support {1, 2, ...}.
+        if brownout_prob > 0 and self._rng.random() < brownout_prob:
+            # Geometric with mean MEAN_BURST_ROUNDS, support {1, 2, ...}.
             u = self._rng.random()
-            q = 1.0 - 1.0 / self.mean_burst_rounds
+            q = 1.0 - 1.0 / MEAN_BURST_ROUNDS
             length = 1
             while u < q and length < 10_000:
                 u = self._rng.random()
@@ -112,7 +108,7 @@ def distance_brownout_prob(d: float) -> float:
 DEFAULT_DEPLETION_COEFF = 4.0
 
 
-def depletion_prob(d: float, coeff: float = DEFAULT_DEPLETION_COEFF) -> float:
+def depletion_prob(d: float) -> float:
     """Per-slot energy-drain hazard base during a multi-word series.
 
     While decoding back-to-back sub-commands the tag spends faster than it
@@ -120,22 +116,19 @@ def depletion_prob(d: float, coeff: float = DEFAULT_DEPLETION_COEFF) -> float:
     slot j scales as 1 - (1-p)^(j-1), so long series collapse at range
     while short ones stay viable.
     """
-    return min(0.5, coeff * d**4)
+    return min(0.5, DEFAULT_DEPLETION_COEFF * d**4)
 
 
 class Tag:
     """CRFID tag state machine driven by the reader simulation."""
 
     def __init__(self, write_fault_prob: float = 0.0, fault_seed: int = 0,
-                 start_in_bootloader: bool = False,
-                 depletion_coeff: float = DEFAULT_DEPLETION_COEFF,
-                 energy_seed: int = 0):
+                 start_in_bootloader: bool = False, energy_seed: int = 0):
         self.fram = FramImage()
         self.epc = INITIAL_EPC
         self.powered = True
         self.mode = TagMode.BOOTLOADER if start_in_bootloader else TagMode.REPROGRAM
         self.write_fault_prob = write_fault_prob
-        self.depletion_coeff = depletion_coeff
         self._fault_rng = random.Random(fault_seed)
         self._energy_rng = random.Random(energy_seed)
         # Volatile reprogram state.
@@ -208,7 +201,7 @@ class Tag:
         """
         if slot <= 1:
             return True
-        p = depletion_prob(d, self.depletion_coeff)
+        p = depletion_prob(d)
         return self._energy_rng.random() < (1.0 - p) ** (slot - 1)
 
     def series_word(self, word: int, corrupted: bool) -> None:

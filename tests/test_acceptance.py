@@ -149,8 +149,7 @@ def test_a7_flood_stays_below_threshold():
     assert safe.log.count("timeout") == 0
 
     unsafe = HostSession(
-        HostConfig(variant=Variant.EX, fixed_s_p=1, ocv=25, n_threshold=20,
-                   allow_unsafe_ocv=True), matrix
+        HostConfig(variant=Variant.EX, fixed_s_p=1, ocv=25, n_threshold=20), matrix
     ).run(Reader(), Tag(), ChannelModel(seed=3), CLEAN, AT(20.0))
     assert unsafe.log.count("timeout") > 0
     report("A7", f"OCV=15: 0 timeouts over {safe.messages_sent} messages; "

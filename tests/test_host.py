@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from crfid_downlink.channel import ChannelModel
 from crfid_downlink.host import (
     Ack,
-    ConfigError,
     HostConfig,
     HostSession,
     Variant,
@@ -13,6 +12,7 @@ from crfid_downlink.host import (
 )
 from crfid_downlink.ihex import RecordMatrix, Row, parse_file
 from crfid_downlink.reader import OperationReport, Reader, ReportResult
+from crfid_downlink.scenario import ScenarioConfig, ScenarioError, run_scenario
 from crfid_downlink.tag import Tag
 
 CLEAN = lambda r: True  # noqa: E731
@@ -49,19 +49,19 @@ def test_classify_error_report_can_ack():
 
 
 # -- config guard rails ---------------------------------------------------------
+#
+# HostConfig is unchecked; run_scenario checks a config built in code before
+# the host sees it.
 
 
-def test_ocv_above_threshold_rejected():
-    with pytest.raises(ConfigError):
-        HostConfig(ocv=25, n_threshold=20).validate()
+def test_ocv_above_threshold_rejected(small_matrix):
+    with pytest.raises(ScenarioError, match="ocv"):
+        run_scenario(ScenarioConfig(ocv=25, n_threshold=20), matrix=small_matrix)
 
 
-def test_bad_throttle_steps_rejected():
-    from crfid_downlink.protocol import ThrottleParams
-
-    cfg = HostConfig(throttle_params=ThrottleParams(t_u=5, t_de=-2, t_dl=-3))
-    with pytest.raises(ValueError):
-        cfg.validate()
+def test_bad_throttle_steps_rejected(small_matrix):
+    with pytest.raises(ScenarioError, match="t_u"):
+        run_scenario(ScenarioConfig(t_u=5, t_de=-2, t_dl=-3), matrix=small_matrix)
 
 
 # -- golden basic session --------------------------------------------------------
@@ -188,8 +188,7 @@ def test_no_timeouts_when_ocv_within_threshold(small_matrix):
 
 
 def test_flood_forces_timeouts_when_ocv_exceeds_threshold(small_matrix):
-    cfg = HostConfig(variant=Variant.EX, fixed_s_p=2, ocv=25, n_threshold=20,
-                     allow_unsafe_ocv=True)
+    cfg = HostConfig(variant=Variant.EX, fixed_s_p=2, ocv=25, n_threshold=20)
     result, _ = run_clean(cfg, small_matrix)
     assert result.completed
     assert result.log.count("timeout") > 0

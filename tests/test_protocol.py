@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from crfid_downlink.host import Variant
 from crfid_downlink.ihex import RecordMatrix, Row
 from crfid_downlink.protocol import (
     BasicMessage,
@@ -17,6 +18,7 @@ from crfid_downlink.protocol import (
     snap_to_ladder,
     throttle,
 )
+from crfid_downlink.scenario import ScenarioConfig, ScenarioError
 
 PARAMS = ThrottleParams(t_u=1, t_de=-2, t_dl=-3, m_threshold=10)
 
@@ -300,10 +302,13 @@ def test_r_max_larger_step():
 
 
 # -- parameter condition ------------------------------------------------------
+#
+# ScenarioConfig.validate checks the steps of a throttled extended config.
 
 
 def test_throttle_params_accept_defaults():
-    ThrottleParams().validate()
+    defaults = ThrottleParams()
+    ScenarioConfig(t_u=defaults.t_u, t_de=defaults.t_de, t_dl=defaults.t_dl).validate()
 
 
 @pytest.mark.parametrize(
@@ -316,8 +321,11 @@ def test_throttle_params_accept_defaults():
     ],
 )
 def test_throttle_params_reject_bad_steps(t_u, t_de, t_dl):
-    with pytest.raises(ValueError):
-        ThrottleParams(t_u=t_u, t_de=t_de, t_dl=t_dl).validate()
+    with pytest.raises(ScenarioError, match="t_u, t_de, t_dl"):
+        ScenarioConfig(t_u=t_u, t_de=t_de, t_dl=t_dl).validate()
+    # Without the throttle the steps are unused, and so unchecked.
+    ScenarioConfig(t_u=t_u, t_de=t_de, t_dl=t_dl, s_p=4).validate()
+    ScenarioConfig(t_u=t_u, t_de=t_de, t_dl=t_dl, protocol=Variant.BASIC).validate()
 
 
 def test_snap_to_ladder():

@@ -1,11 +1,14 @@
 import filecmp
 import hashlib
 import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crfid_downlink.cli import main
 from crfid_downlink.host import Variant
+from crfid_downlink.ihex import generate_fixture, parse_file
 from crfid_downlink.scenario import (
     DistanceProfile,
     ScenarioError,
@@ -71,6 +74,38 @@ def test_parse_defaults_and_comments():
         "distance = oscillate\nd_min_cm = 90\nd_max_cm = 20\n",
         "brownout = abc\n",
         "repeats = 0\n",
+        # checks of ScenarioConfig.validate
+        "t_u = 2\nt_de = -2\nt_dl = -3\n",
+        "t_u = 1\nt_de = -3\nt_dl = -2\n",
+        "t_u = 1\nt_de = 2\nt_dl = -3\n",
+        "t_u = 0\nt_de = -2\nt_dl = -3\n",
+        "t_u = 5\n",
+        "n_threshold = 20\nocv = 25\n",
+        "ocv = 0\n",
+        "n_threshold = 0\n",
+        "r_max = 0\n",
+        "s_p = 0\n",
+        "s_p = 4\nprotocol = basic\n",
+        "brownout = 2\n",
+        "brownout = -0.1\n",
+        "brownout = nan\n",
+        "write_fault_prob = -1\n",
+        "write_fault_prob = 1.5\n",
+        "k_miss = -1\n",
+        "k_miss = nan\n",
+        "m_threshold = -5\n",
+        "distance = oscillate\nspeed_m_per_s = -1\n",
+        "distance = oscillate\nd_max_cm = inf\n",
+        "rounds_per_sec = 0\n",
+        "max_sim_seconds = 0\n",
+        "max_sim_seconds = 0.001\n",
+        "max_sim_seconds = nan\n",
+        "d_cm = 0\n",
+        "d_cm = inf\n",
+        "distance = oscillate\nd_min_cm = -5\n",
+        "d_ref_cm = 0\n",
+        "s_max = 0\n",
+        "s_max = 31\n",
     ],
 )
 def test_parse_config_errors(text):
@@ -78,6 +113,40 @@ def test_parse_config_errors(text):
     key = text.strip().splitlines()[-1].split("=")[0].split()[0]
     with pytest.raises(ScenarioError, match=re.escape(key)):
         parse_config_text(text)
+
+
+# Each key draws an edge value or one that it accepts, so configs both fail
+# and get through.
+FUZZ_EDGES = ["0", "-1", "1", "30", "31", "1e9", "nan", "inf", "word"]
+FUZZ_VALID = {
+    "protocol": ["ex", "basic"], "s_p": ["throttle", "4"], "ocv": ["15"],
+    "n_threshold": ["20"], "r_max": ["3"], "m_threshold": ["10"], "t_u": ["1"],
+    "t_de": ["-2"], "t_dl": ["-3"], "s_max": ["16"], "distance": ["static", "oscillate"],
+    "d_cm": ["20", "60"], "d_min_cm": ["20"], "d_max_cm": ["90"], "speed_m_per_s": ["0.1"],
+    "d_ref_cm": ["200"], "k_miss": ["5"], "seed": ["7"], "rounds_per_sec": ["60"],
+    "repeats": ["2"], "bootloader": ["true", "false"], "brownout": ["auto", "0.05"],
+    "write_fault_prob": ["0.01"], "dump_fram": ["true"], "max_sim_seconds": ["10"],
+}
+FUZZ_ENTRY = st.sampled_from(sorted(FUZZ_VALID)).flatmap(
+    lambda key: st.tuples(st.just(key), st.one_of(st.sampled_from(FUZZ_EDGES),
+                                                  st.sampled_from(FUZZ_VALID[key])))
+)
+ONE_ROW = parse_file(generate_fixture(bytes(range(32)), record_width=32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FUZZ_ENTRY, max_size=8))
+def test_config_fuzz_rejects_or_runs(entries):
+    text = "".join(f"{key} = {value}\n" for key, value in entries)
+    try:
+        cfg = parse_config_text(text)
+    except ScenarioError:
+        return
+    cfg.repeats = 1
+    cfg.max_sim_seconds = 200 / cfg.rounds_per_sec
+    with tempfile.TemporaryDirectory() as out:
+        outcome = run_scenario(cfg, out_dir=out, matrix=ONE_ROW)
+    assert len(outcome.runs) == 1
 
 
 # -- distance profile -------------------------------------------------------------
@@ -205,6 +274,23 @@ def test_cli_simulate_config_error(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("ocv = 25\nn_threshold = 20\nhex_file = missing.hex\n")
     assert main(["simulate", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "hex_text,protocol",
+    [
+        (":00400000C0\n:00000001FF\n", "ex"),  # one zero-length record
+        (":00400000C0\n:00000001FF\n", "basic"),
+        (":00000001FF\n", "ex"),  # EOF record only
+    ],
+)
+def test_cli_simulate_rejects_image_without_data(tmp_path, capsys, hex_text, protocol):
+    hex_path = tmp_path / "empty.hex"
+    hex_path.write_text(hex_text)
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(f"hex_file = {hex_path}\nprotocol = {protocol}\n")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "hex_file" in capsys.readouterr().err
 
 
 def test_cli_model_output(capsys):

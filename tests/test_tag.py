@@ -3,6 +3,7 @@ import pytest
 from crfid_downlink.crc import crc16_ccitt
 from crfid_downlink.protocol import build_ex_message
 from crfid_downlink.tag import (
+    MEAN_BURST_ROUNDS,
     BootEvent,
     InvalidEvent,
     PowerModel,
@@ -128,16 +129,16 @@ def test_odd_length_series_honors_length_field():
 
 
 def test_power_model_never_browns_out_at_zero():
-    pm = PowerModel(seed=3, brownout_prob=0.0)
-    assert all(pm.step() for _ in range(1000))
+    pm = PowerModel(seed=3)
+    assert all(pm.step(0.0) for _ in range(1000))
 
 
 def test_power_model_outage_fraction_matches_process():
-    pm = PowerModel(seed=7, brownout_prob=0.1, mean_burst_rounds=3.0)
+    pm = PowerModel(seed=7)
     n = 20_000
-    unpowered = sum(0 if pm.step() else 1 for _ in range(n))
+    unpowered = sum(0 if pm.step(0.1) else 1 for _ in range(n))
     # Alternating renewal process: powered stretches mean 1/p, outages mean 3.
-    expected = 3.0 / (3.0 + 1.0 / 0.1)
+    expected = MEAN_BURST_ROUNDS / (MEAN_BURST_ROUNDS + 1.0 / 0.1)
     assert unpowered / n == pytest.approx(expected, abs=0.03)
 
 
