@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 from .channel import ChannelModel
 from .crc import crc16_ccitt
@@ -20,8 +21,6 @@ from .ihex import RecordMatrix
 from .protocol import (
     BasicMessage,
     HDR_REPROGRAM_INIT,
-    ThrottleDirection,
-    ThrottleParams,
     build_basic_messages,
     build_ex_message,
     build_ladder,
@@ -29,22 +28,17 @@ from .protocol import (
     throttle,
 )
 from .reader import AccessSpec, OperationReport, Reader, ReportResult
-from .tag import BootEvent, Tag, TagMode
+from .tag import Tag, TagMode
 
-DEFAULT_OCV = 15
-DEFAULT_N_THRESHOLD = 20
-DEFAULT_R_MAX = 3
+if TYPE_CHECKING:  # scenario imports this module
+    from .scenario import ScenarioConfig
+
 STALL_TICKS = 120  # reportless in-flight ticks treated as one timeout
 
 
 class Variant(Enum):
     BASIC = "basic"
     EX = "ex"
-
-
-class Ack(Enum):
-    ACK = "ack"
-    NACK = "nack"
 
 
 @dataclass(frozen=True)
@@ -92,30 +86,15 @@ def matrix_crc(matrix: RecordMatrix) -> int:
     return crc16_ccitt(bytes(image[a] for a in sorted(image)))
 
 
-@dataclass
-class HostConfig:
-    """Transfer settings, unchecked here: ``ScenarioConfig.validate`` checks them."""
-
-    variant: Variant = Variant.EX
-    ocv: int = DEFAULT_OCV
-    n_threshold: int = DEFAULT_N_THRESHOLD
-    r_max: int = DEFAULT_R_MAX
-    s_max: int = 16
-    fixed_s_p: int | None = None  # None enables throttling (extended variant)
-    throttle_params: ThrottleParams = field(default_factory=ThrottleParams)
-    use_bootloader: bool = False
-    max_rounds: int = 60 * 3600
-
-
-def classify_report(expected_epc: bytes, report: OperationReport) -> Ack:
-    """ACK iff the report's EPC prefix matches the verification data.
+def classify_report(expected_epc: bytes, report: OperationReport) -> bool:
+    """True (ACK) iff the report's EPC prefix matches the verification data.
 
     Stale echoes of the previous message and no-tag reports both come back
     as NACKs; the operation result itself is irrelevant, so a report of an
     erroneous operation can still embed an ACK.
     """
     n = len(expected_epc)
-    return Ack.ACK if report.epc[:n] == expected_epc[:n] else Ack.NACK
+    return report.epc[:n] == expected_epc[:n]
 
 
 @dataclass
@@ -133,14 +112,17 @@ _INIT = BasicMessage(HDR_REPROGRAM_INIT, 0x00)
 
 
 class HostSession:
-    """One transfer attempt over a reader, tag and channel."""
+    """One transfer attempt over a reader, tag and channel.
 
-    def __init__(self, config: HostConfig, matrix: RecordMatrix):
+    ``config`` is read as given; ``ScenarioConfig.validate`` checks it.
+    """
+
+    def __init__(self, config: ScenarioConfig, matrix: RecordMatrix):
         self.config = config
         self.matrix = matrix
         self.log = TransferLog()
         self._spec_serial = 0
-        self._basic = config.variant is Variant.BASIC
+        self._basic = config.protocol is Variant.BASIC
         # What the cursor walks in each row: the basic flavour's Write
         # messages (built up front so RowTooLong surfaces before the first
         # round) or the bytes the extended flavour cuts into chunks.
@@ -148,15 +130,15 @@ class HostSession:
             self._units = [build_basic_messages(row) for row in matrix.rows]
         else:
             self._units = [row.data for row in matrix.rows]
-        self._throttled = not self._basic and config.fixed_s_p is None
-        self._s_p = config.fixed_s_p if config.fixed_s_p is not None else config.s_max
+        self._throttled = not self._basic and config.s_p is None
+        self._s_p = config.s_p if config.s_p is not None else config.s_max
         self._m_count = 0
         self._r_count = 0
         self._ladder = (1,)
         # Cursor at the un-acked message: the bootloader init message, then
         # row plus position (message index or byte offset).  It only moves
         # on ACK, so a resend rebuilds the message at the same position.
-        self._init_pending = config.use_bootloader
+        self._init_pending = config.bootloader
         self._enter_row(0)
 
     # ------------------------------------------------------------------
@@ -169,7 +151,7 @@ class HostSession:
         self._row, self._pos, self._chunk = row, 0, 1
         if row < len(self.matrix) and self.matrix.rows[row].data:
             self._ladder = build_ladder(self.matrix.rows[row].word_count(), self.config.s_max)
-            start = self.config.fixed_s_p if self.config.fixed_s_p is not None else self._s_p
+            start = self.config.s_p if self.config.s_p is not None else self._s_p
             self._s_p = snap_to_ladder(start, self._ladder)
 
     def _flight(self) -> _InFlight | None:
@@ -199,9 +181,9 @@ class HostSession:
         else:
             self._chunk += 1
 
-    def _apply_throttle(self, flight: _InFlight, direction: ThrottleDirection) -> None:
+    def _apply_throttle(self, flight: _InFlight, step: int) -> None:
         old = self._s_p
-        self._s_p = throttle(old, self._ladder, direction, self.config.throttle_params)
+        self._s_p = throttle(old, self._ladder, step)
         if self._s_p != old:
             self.log.add(self._now, "throttle", flight.row, flight.chunk,
                          self._s_p, result=f"{old}->{self._s_p}")
@@ -241,6 +223,7 @@ class HostSession:
         and ``distance_cm(round) -> float`` the physical distance.
         """
         cfg = self.config
+        max_rounds = int(cfg.max_sim_seconds * cfg.rounds_per_sec)
         self._reader = reader
         self._m_sent = 0
         self._m_resent = 0
@@ -258,7 +241,7 @@ class HostSession:
         self._transmit(first, resend=False)
         report: OperationReport | None = None
 
-        while self._now < cfg.max_rounds:
+        while self._now < max_rounds:
             self._now += 1
             channel.set_distance_cm(distance_cm(self._now))
             tag.set_powered(power_step(self._now))
@@ -274,13 +257,13 @@ class HostSession:
                     n_total += 1
                     if report.result is ReportResult.SUCCESS:
                         n_success += 1
-                if classify_report(flight.expected_epc, report) is Ack.ACK:
+                if classify_report(flight.expected_epc, report):
                     self.log.add(self._now, "ack", flight.row, flight.chunk,
                                  flight.s_p, report.result.value, report.epc)
                     self._r_count = 0
                     if throttles:
-                        if self._m_count > cfg.throttle_params.m_threshold:
-                            self._apply_throttle(flight, ThrottleDirection.UP)
+                        if self._m_count > cfg.m_threshold:
+                            self._apply_throttle(flight, cfg.t_u)
                             self._m_count = 0
                         else:
                             self._m_count += 1
@@ -316,11 +299,7 @@ class HostSession:
                 self._r_count += 1
                 self._m_count = 0
                 if throttles:
-                    self._apply_throttle(
-                        flight,
-                        ThrottleDirection.DOWN_LOST if lost_type
-                        else ThrottleDirection.DOWN_ERROR,
-                    )
+                    self._apply_throttle(flight, cfg.t_dl if lost_type else cfg.t_de)
                 # Basic and init messages come back identical; an extended
                 # chunk is re-cut at the throttled S_p.
                 self._transmit(self._flight(), resend=True)
@@ -332,7 +311,7 @@ class HostSession:
             failure = "round budget exhausted"
 
         reached_app = False
-        if completed and cfg.use_bootloader:
+        if completed and cfg.bootloader:
             reached_app = self._finalize(tag, power_step)
         if completed:
             self.log.add(self._now, "complete")
@@ -360,5 +339,4 @@ class HostSession:
             tag.set_powered(power_step(self._now))
         if not tag.powered:
             return False
-        tag.bootloader_event(BootEvent.TRANSFER_COMPLETE, crc=crc)
-        return tag.mode is TagMode.APPLICATION
+        return tag.transfer_complete(crc) is TagMode.APPLICATION

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .ihex import Row, record_checksum
 
@@ -125,12 +124,6 @@ def build_ex_message(chunk: bytes, address: int, s_max: int = DEFAULT_S_MAX) -> 
 # Throttling
 
 
-class ThrottleDirection(Enum):
-    UP = "up"
-    DOWN_ERROR = "down-error"
-    DOWN_LOST = "down-lost"
-
-
 def build_ladder(s_r: int, s_max: int = DEFAULT_S_MAX) -> tuple[int, ...]:
     """Admissible payload sizes for a row of ``s_r`` words.
 
@@ -143,32 +136,15 @@ def build_ladder(s_r: int, s_max: int = DEFAULT_S_MAX) -> tuple[int, ...]:
     return tuple(sorted(v for v in values if v <= s_max))
 
 
-@dataclass
-class ThrottleParams:
-    """Index steps and thresholds for the adaptive payload size."""
-
-    t_u: int = 1
-    t_de: int = -2
-    t_dl: int = -3
-    m_threshold: int = 10
-
-
-def throttle(s_p: int, ladder: tuple[int, ...], direction: ThrottleDirection,
-             params: ThrottleParams) -> int:
-    """Move the payload size along the ladder by the step for ``direction``.
+def throttle(s_p: int, ladder: tuple[int, ...], step: int) -> int:
+    """Move the payload size ``step`` places along the ladder.
 
     The index is clamped at the ladder ends, so throttling up at the top or
     down at the bottom leaves the size unchanged.
     """
     if s_p not in ladder:
         raise ValueError(f"payload size {s_p} not in ladder {ladder}")
-    idx = ladder.index(s_p)  # 0-based
-    step = {
-        ThrottleDirection.UP: params.t_u,
-        ThrottleDirection.DOWN_ERROR: params.t_de,
-        ThrottleDirection.DOWN_LOST: params.t_dl,
-    }[direction]
-    new_idx = max(0, min(len(ladder) - 1, idx + step))
+    new_idx = max(0, min(len(ladder) - 1, ladder.index(s_p) + step))
     return ladder[new_idx]
 
 

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .channel import DEFAULT_D_REF_CM, DEFAULT_K_MISS, ChannelModel
-from .host import HostConfig, HostSession, SessionResult, Variant
-from .ihex import RecordMatrix, parse_file
+from .host import HostSession, SessionResult, Variant
+from .ihex import HexFileError, RecordMatrix, parse_file
 from .metrics import SessionMetrics, compute_metrics
-from .protocol import ThrottleParams
+from .protocol import RowTooLong
 from .reader import MAX_WORD_COUNT, Reader
 from .tag import PowerModel, Tag, distance_brownout_prob
 
@@ -82,22 +82,6 @@ class ScenarioConfig:
     write_fault_prob: float = 0.0
     max_sim_seconds: float = 3600.0
     dump_fram: bool = False  # write each run's memory image next to its log
-
-    def host_config(self) -> HostConfig:
-        return HostConfig(
-            variant=self.protocol,
-            ocv=self.ocv,
-            n_threshold=self.n_threshold,
-            r_max=self.r_max,
-            s_max=self.s_max,
-            fixed_s_p=self.s_p,
-            throttle_params=ThrottleParams(
-                t_u=self.t_u, t_de=self.t_de, t_dl=self.t_dl,
-                m_threshold=self.m_threshold,
-            ),
-            use_bootloader=self.bootloader,
-            max_rounds=int(self.max_sim_seconds * self.rounds_per_sec),
-        )
 
     def validate(self) -> None:
         """Check every setting before a run; a ScenarioError names the key."""
@@ -270,7 +254,7 @@ def run_single(config: ScenarioConfig, matrix: RecordMatrix, run_index: int) -> 
         start_in_bootloader=config.bootloader,
     )
     reader = Reader()
-    session = HostSession(config.host_config(), matrix)
+    session = HostSession(config, matrix)
     rps = float(config.rounds_per_sec)
     profile = config.profile
 
@@ -293,13 +277,18 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
                  matrix: RecordMatrix | None = None) -> ScenarioOutcome:
     """Run all repeats and optionally write the CSV artifacts."""
     config.validate()
-    if matrix is None:
-        if not config.hex_file:
-            raise ScenarioError("config does not name a hex_file")
-        matrix = parse_file(Path(config.hex_file).read_text())
-    if not matrix.total_bytes():
-        raise ScenarioError(f"hex_file {config.hex_file!r} holds no data bytes")
-    runs = [run_single(config, matrix, i) for i in range(config.repeats)]
+    try:
+        if matrix is None:
+            if not config.hex_file:
+                raise ScenarioError("config does not name a hex_file")
+            matrix = parse_file(Path(config.hex_file).read_text())
+        if not matrix.total_bytes():
+            raise ScenarioError(f"hex_file {config.hex_file!r} holds no data bytes")
+        runs = [run_single(config, matrix, i) for i in range(config.repeats)]
+    except (OSError, HexFileError, RowTooLong) as exc:
+        # An unreadable image, a bad record, or a row the basic flavour
+        # cannot address (raised as the host builds its messages).
+        raise ScenarioError(f"hex_file {config.hex_file!r}: {exc}") from exc
     outcome = ScenarioOutcome(runs)
     if out_dir is not None:
         write_artifacts(config, outcome, Path(out_dir))

@@ -2,8 +2,9 @@
 
 The tag's byte-addressable non-volatile memory survives power loss; its
 EPC register, address-assembly registers and any in-flight multi-word
-series do not.  The bootloader mode machine decides whether incoming
-messages are treated as reprogramming data.
+series do not.  The bootloader mode decides whether incoming messages are
+treated as reprogramming data; it is kept in non-volatile memory too, so a
+reprogram session resumes when power returns.
 """
 
 from __future__ import annotations
@@ -27,22 +28,10 @@ FRAM_SIZE = 64 * 1024
 INITIAL_EPC = bytes(EPC_LENGTH)
 
 
-class InvalidEvent(ValueError):
-    pass
-
-
 class TagMode(Enum):
     BOOTLOADER = "bootloader"
     REPROGRAM = "reprogram"
     APPLICATION = "application"
-    POWER_FAILURE = "power-failure"
-
-
-class BootEvent(Enum):
-    POWER_ON = "power-on"
-    INIT_MESSAGE = "init-message"
-    TRANSFER_COMPLETE = "transfer-complete"
-    POWER_FAILURE = "power-failure"
 
 
 class FramImage:
@@ -136,21 +125,23 @@ class Tag:
         self._addr_low: int | None = None
         self._series: list[tuple[int, bool]] = []  # (word, corrupted)
         # Persistent bootloader state: survives power loss like the image.
-        self._reprogram_latch = not start_in_bootloader
         self._written_ranges: list[tuple[int, int]] = []
 
     # -- power -------------------------------------------------------------
 
     def set_powered(self, powered: bool) -> None:
+        """Switch power; a loss clears the volatile state and keeps the mode.
+
+        A running application is the exception: the next boot lands in the
+        bootloader.
+        """
         if self.powered and not powered:
             self.epc = INITIAL_EPC
             self._addr_high = None
             self._addr_low = None
             self._series.clear()
-            if self.mode is not TagMode.POWER_FAILURE:
-                self.bootloader_event(BootEvent.POWER_FAILURE)
-        elif not self.powered and powered:
-            self.bootloader_event(BootEvent.POWER_ON)
+            if self.mode is TagMode.APPLICATION:
+                self.mode = TagMode.BOOTLOADER
         self.powered = powered
 
     # -- basic (single-word Write) handling ---------------------------------
@@ -166,8 +157,10 @@ class Tag:
         header = (word >> 8) & 0xFF
         payload = word & 0xFF
         if header == HDR_REPROGRAM_INIT:
-            if self.mode in (TagMode.BOOTLOADER, TagMode.REPROGRAM):
-                self.bootloader_event(BootEvent.INIT_MESSAGE)
+            if self.mode is not TagMode.APPLICATION:
+                # A new reprogram session forgets what the last one wrote.
+                self.mode = TagMode.REPROGRAM
+                self._written_ranges.clear()
                 self.epc = bytes([header, payload]).ljust(EPC_LENGTH, b"\x00")
             return
         if self.mode is not TagMode.REPROGRAM:
@@ -254,33 +247,16 @@ class Tag:
 
     # -- bootloader ----------------------------------------------------------
 
-    def bootloader_event(self, event: BootEvent, crc: int | None = None) -> TagMode:
-        """Apply one bootloader transition and return the new mode."""
-        if event is BootEvent.POWER_FAILURE:
-            self.mode = TagMode.POWER_FAILURE
-        elif event is BootEvent.POWER_ON:
-            if self.mode is not TagMode.POWER_FAILURE:
-                raise InvalidEvent(f"power-on while {self.mode.value}")
-            # Boot lands in the bootloader; a latched reprogram session
-            # resumes immediately so transfers survive outages.
-            self.mode = TagMode.REPROGRAM if self._reprogram_latch else TagMode.BOOTLOADER
-        elif event is BootEvent.INIT_MESSAGE:
-            if self.mode not in (TagMode.BOOTLOADER, TagMode.REPROGRAM):
-                raise InvalidEvent(f"init message while {self.mode.value}")
-            self.mode = TagMode.REPROGRAM
-            self._reprogram_latch = True
-            self._written_ranges.clear()
-        elif event is BootEvent.TRANSFER_COMPLETE:
-            if self.mode is not TagMode.REPROGRAM:
-                raise InvalidEvent(f"transfer-complete while {self.mode.value}")
-            if crc is None:
-                raise InvalidEvent("transfer-complete carries a CRC16")
-            if self.application_crc() == crc:
-                self.mode = TagMode.APPLICATION
-                self._reprogram_latch = False
-            # On mismatch the tag stays in reprogram mode awaiting retransfer.
-        else:
-            raise InvalidEvent(f"unknown event {event}")
+    def transfer_complete(self, crc: int) -> TagMode:
+        """Deliver the whole-application CRC16 and return the new mode.
+
+        In reprogram mode a CRC that matches ``application_crc`` starts the
+        application; on a mismatch the tag stays in reprogram mode awaiting
+        a retransfer.  Without power or outside reprogram mode nothing
+        changes.
+        """
+        if self.powered and self.mode is TagMode.REPROGRAM and self.application_crc() == crc:
+            self.mode = TagMode.APPLICATION
         return self.mode
 
     def application_crc(self) -> int:

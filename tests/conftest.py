@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from crfid_downlink.host import HostConfig, HostSession, Variant
+from crfid_downlink.host import HostSession, Variant
 from crfid_downlink.ihex import generate_fixture, parse_file
+from crfid_downlink.scenario import ScenarioConfig
 
 FIRMWARE_BYTES = 5387  # base firmware image size used in the transfer benchmarks
 FIRMWARE_RECORD_WIDTH = 26  # bytes per record, matching toolchain-image averages
@@ -50,7 +51,7 @@ def walk_extended_chunks(matrix, s_p: int, steps: int | None = None):
     chunk in send order, read back from the words put on air, and the session
     whose cursor now sits past the last one (or after ``steps`` chunks).
     """
-    session = HostSession(HostConfig(variant=Variant.EX, fixed_s_p=s_p), matrix)
+    session = HostSession(ScenarioConfig(protocol=Variant.EX, s_p=s_p), matrix)
     chunks = []
     while steps is None or len(chunks) < steps:
         flight = session._flight()

@@ -11,16 +11,10 @@ import random
 import pytest
 
 from crfid_downlink.channel import ChannelModel, blockwrite_throughput
-from crfid_downlink.host import HostConfig, HostSession, Variant, matrix_crc
+from crfid_downlink.host import HostSession, Variant, matrix_crc
 from crfid_downlink.ihex import generate_fixture, parse_file
 from crfid_downlink.metrics import MODEL_PARAMS, compute_metrics, model_curves
-from crfid_downlink.protocol import (
-    ThrottleDirection,
-    ThrottleParams,
-    build_ladder,
-    derive_r_max,
-    throttle,
-)
+from crfid_downlink.protocol import build_ladder, derive_r_max, throttle
 from crfid_downlink.reader import Reader
 from crfid_downlink.scenario import DistanceProfile, ScenarioConfig, run_scenario
 from crfid_downlink.tag import Tag, TagMode
@@ -72,7 +66,7 @@ def test_a1_blockwrite_throughput_crossover():
 
 def test_a2_golden_message_sequence():
     matrix = parse_file(":02AADD00BBCCF0\n:00000001FF\n")
-    session = HostSession(HostConfig(variant=Variant.BASIC), matrix)
+    session = HostSession(ScenarioConfig(protocol=Variant.BASIC), matrix)
     tag = Tag()
     result = session.run(Reader(), tag, ChannelModel(seed=1), CLEAN, AT(20.0))
     sends = [e.epc_hex[:4] for e in result.log.events if e.event == "send"]
@@ -85,13 +79,12 @@ def test_a2_golden_message_sequence():
 
 
 def test_a3_ladder_and_throttle_parameters():
-    params = ThrottleParams(t_u=1, t_de=-2, t_dl=-3)
     ladder = build_ladder(16, 16)
     assert ladder == (1, 2, 3, 4, 6, 8, 16)
     assert derive_r_max(7, -2) == 3
-    assert throttle(4, ladder, ThrottleDirection.UP, params) == 6
-    assert throttle(6, ladder, ThrottleDirection.DOWN_ERROR, params) == 3
-    assert throttle(1, ladder, ThrottleDirection.DOWN_LOST, params) == 1
+    assert throttle(4, ladder, 1) == 6  # T_U = 1
+    assert throttle(6, ladder, -2) == 3  # T_DE = -2
+    assert throttle(1, ladder, -3) == 1  # T_DL = -3
     report("A3", "ladder {1,2,3,4,6,8,16}, R_max(7,-2)=3, index walks 4->6, 6->3, 1->1")
 
 
@@ -127,7 +120,7 @@ def test_a5_mobility_comparison(mobility_outcomes):
 
 
 def test_a6_calibration(firmware_matrix):
-    session = HostSession(HostConfig(variant=Variant.EX, fixed_s_p=16), firmware_matrix)
+    session = HostSession(ScenarioConfig(protocol=Variant.EX, s_p=16), firmware_matrix)
     result = session.run(Reader(), Tag(), ChannelModel(seed=5), CLEAN, AT(20.0))
     metrics = compute_metrics(result, rounds_per_sec=60)
     assert result.completed
@@ -142,14 +135,16 @@ def test_a7_flood_stays_below_threshold():
     matrix = parse_file(generate_fixture(payload, record_width=26))
 
     safe = HostSession(
-        HostConfig(variant=Variant.EX, fixed_s_p=1, ocv=15, n_threshold=20), matrix
+        ScenarioConfig(protocol=Variant.EX, s_p=1, ocv=15, n_threshold=20), matrix
     ).run(Reader(), Tag(), ChannelModel(seed=3), CLEAN, AT(20.0))
     assert safe.completed
     assert safe.messages_sent >= 1000
     assert safe.log.count("timeout") == 0
 
+    # HostSession reads the config unchecked, so the OCV > n_threshold that
+    # validate() rejects still runs here.
     unsafe = HostSession(
-        HostConfig(variant=Variant.EX, fixed_s_p=1, ocv=25, n_threshold=20), matrix
+        ScenarioConfig(protocol=Variant.EX, s_p=1, ocv=25, n_threshold=20), matrix
     ).run(Reader(), Tag(), ChannelModel(seed=3), CLEAN, AT(20.0))
     assert unsafe.log.count("timeout") > 0
     report("A7", f"OCV=15: 0 timeouts over {safe.messages_sent} messages; "
@@ -178,15 +173,13 @@ def test_a8_power_failure_fuzz(small_matrix):
     # application mode.
     tag = Tag(start_in_bootloader=True)
     session = HostSession(
-        HostConfig(variant=Variant.EX, use_bootloader=False), small_matrix
+        ScenarioConfig(protocol=Variant.EX, bootloader=False), small_matrix
     )
     tag.handle_basic_write(0xFF00)  # enter reprogram mode
     session.run(Reader(), tag, ChannelModel(seed=77), CLEAN, AT(20.0))
     first_row = small_matrix.rows[0]
     tag.fram.write(first_row.address, bytes([tag.fram.read(first_row.address, 1)[0] ^ 0xFF]))
-    from crfid_downlink.tag import BootEvent
-
-    tag.bootloader_event(BootEvent.TRANSFER_COMPLETE, crc=crc)
+    tag.transfer_complete(crc)
     assert tag.mode is not TagMode.APPLICATION
     report("A8", f"{completed}/100 fuzzed runs completed, every image byte-identical; "
                  "mismatched CRC kept the bootloader out of application mode")

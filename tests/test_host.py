@@ -2,14 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crfid_downlink.channel import ChannelModel
-from crfid_downlink.host import (
-    Ack,
-    HostConfig,
-    HostSession,
-    Variant,
-    classify_report,
-    matrix_crc,
-)
+from crfid_downlink.host import HostSession, Variant, classify_report, matrix_crc
 from crfid_downlink.ihex import RecordMatrix, Row, parse_file
 from crfid_downlink.reader import OperationReport, Reader, ReportResult
 from crfid_downlink.scenario import ScenarioConfig, ScenarioError, run_scenario
@@ -36,22 +29,22 @@ def report(epc, result=ReportResult.SUCCESS):
 
 
 def test_classify_direct_match_is_ack():
-    assert classify_report(bytes([0xC0, 0x04]), report([0xC0, 0x04])) is Ack.ACK
+    assert classify_report(bytes([0xC0, 0x04]), report([0xC0, 0x04])) is True
 
 
 def test_classify_previous_echo_is_nack():
-    assert classify_report(bytes([0x01, 0xCC]), report([0x00, 0xBB])) is Ack.NACK
+    assert classify_report(bytes([0x01, 0xCC]), report([0x00, 0xBB])) is False
 
 
 def test_classify_error_report_can_ack():
     r = report([0xFD, 0xAA], ReportResult.ERROR)
-    assert classify_report(bytes([0xFD, 0xAA]), r) is Ack.ACK
+    assert classify_report(bytes([0xFD, 0xAA]), r) is True
 
 
 # -- config guard rails ---------------------------------------------------------
 #
-# HostConfig is unchecked; run_scenario checks a config built in code before
-# the host sees it.
+# HostSession reads its ScenarioConfig unchecked; run_scenario validates a
+# config built in code before the host sees it.
 
 
 def test_ocv_above_threshold_rejected(small_matrix):
@@ -69,7 +62,7 @@ def test_bad_throttle_steps_rejected(small_matrix):
 
 def test_basic_golden_sequence():
     matrix = parse_file(GOLDEN_FILE)
-    result, tag = run_clean(HostConfig(variant=Variant.BASIC), matrix)
+    result, tag = run_clean(ScenarioConfig(protocol=Variant.BASIC), matrix)
     assert result.completed
     sends = [e.epc_hex[:4] for e in result.log.events if e.event == "send"]
     acks = [e.epc_hex[:4] for e in result.log.events if e.event == "ack"]
@@ -82,7 +75,7 @@ def test_basic_golden_sequence():
 
 def test_ex_single_record_clean():
     matrix = parse_file(GOLDEN_FILE)
-    result, tag = run_clean(HostConfig(variant=Variant.EX), matrix)
+    result, tag = run_clean(ScenarioConfig(protocol=Variant.EX), matrix)
     assert result.completed
     assert result.messages_sent == 1  # one chunk carries the whole row
     assert tag.fram.read(0xAADD, 2) == bytes([0xBB, 0xCC])
@@ -92,7 +85,7 @@ def test_ex_single_record_clean():
 
 
 def test_cursor_advances_exactly_on_ack(small_matrix):
-    result, _ = run_clean(HostConfig(variant=Variant.EX, fixed_s_p=4), small_matrix)
+    result, _ = run_clean(ScenarioConfig(protocol=Variant.EX, s_p=4), small_matrix)
     assert result.completed
     positions = [
         (e.event, (e.row, e.chunk))
@@ -121,7 +114,7 @@ def test_cursor_advances_exactly_on_ack(small_matrix):
 def test_cursor_tiles_rows_at_fixed_s_p(raw_rows, s_p, bootloader):
     # Rows 64 bytes apart never overlap, so the image is their plain union.
     matrix = RecordMatrix([Row(0x1000 + 64 * i, d) for i, d in enumerate(raw_rows)])
-    cfg = HostConfig(variant=Variant.EX, fixed_s_p=s_p, use_bootloader=bootloader)
+    cfg = ScenarioConfig(protocol=Variant.EX, s_p=s_p, bootloader=bootloader)
     tag = Tag(start_in_bootloader=bootloader)
     result = HostSession(cfg, matrix).run(Reader(), tag, ChannelModel(seed=1), CLEAN, AT(20.0))
     assert result.completed
@@ -153,7 +146,7 @@ def test_cursor_tiles_rows_at_fixed_s_p(raw_rows, s_p, bootloader):
 
 def test_unreachable_tag_aborts_after_r_max_resends():
     matrix = parse_file(GOLDEN_FILE)
-    cfg = HostConfig(variant=Variant.EX, r_max=3)
+    cfg = ScenarioConfig(protocol=Variant.EX, r_max=3)
     session = HostSession(cfg, matrix)
     result = session.run(Reader(), Tag(), ChannelModel(seed=2), CLEAN, AT(400.0))
     assert not result.completed
@@ -164,8 +157,17 @@ def test_unreachable_tag_aborts_after_r_max_resends():
     assert result.log.count("abort") == 1
 
 
+
+def test_round_budget_ends_the_run(small_matrix):
+    # The host turns max_sim_seconds into rounds: 0.5 s at 60 rounds/s.
+    cfg = ScenarioConfig(protocol=Variant.EX, max_sim_seconds=0.5, rounds_per_sec=60)
+    result, _ = run_clean(cfg, small_matrix)
+    assert not result.completed
+    assert result.rounds == 30
+    assert result.failure_reason == "round budget exhausted"
+
 def test_no_message_sent_more_than_r_max_plus_one_times(small_matrix):
-    cfg = HostConfig(variant=Variant.EX)
+    cfg = ScenarioConfig(protocol=Variant.EX)
     session = HostSession(cfg, small_matrix)
     result = session.run(Reader(), Tag(), ChannelModel(seed=9), CLEAN, AT(85.0))
     counts = {}
@@ -180,7 +182,7 @@ def test_no_message_sent_more_than_r_max_plus_one_times(small_matrix):
 
 def test_no_timeouts_when_ocv_within_threshold(small_matrix):
     result, _ = run_clean(
-        HostConfig(variant=Variant.EX, fixed_s_p=2, ocv=15, n_threshold=20),
+        ScenarioConfig(protocol=Variant.EX, s_p=2, ocv=15, n_threshold=20),
         small_matrix,
     )
     assert result.completed
@@ -188,7 +190,7 @@ def test_no_timeouts_when_ocv_within_threshold(small_matrix):
 
 
 def test_flood_forces_timeouts_when_ocv_exceeds_threshold(small_matrix):
-    cfg = HostConfig(variant=Variant.EX, fixed_s_p=2, ocv=25, n_threshold=20)
+    cfg = ScenarioConfig(protocol=Variant.EX, s_p=2, ocv=25, n_threshold=20)
     result, _ = run_clean(cfg, small_matrix)
     assert result.completed
     assert result.log.count("timeout") > 0
@@ -198,8 +200,8 @@ def test_flood_forces_timeouts_when_ocv_exceeds_threshold(small_matrix):
 
 
 def test_basic_needs_twice_the_messages_of_single_word_ex(random_5120_matrix):
-    basic, _ = run_clean(HostConfig(variant=Variant.BASIC), random_5120_matrix)
-    ex, _ = run_clean(HostConfig(variant=Variant.EX, fixed_s_p=1), random_5120_matrix)
+    basic, _ = run_clean(ScenarioConfig(protocol=Variant.BASIC), random_5120_matrix)
+    ex, _ = run_clean(ScenarioConfig(protocol=Variant.EX, s_p=1), random_5120_matrix)
     assert basic.completed and ex.completed
     assert ex.messages_sent < basic.messages_sent
     assert basic.messages_sent >= 2 * ex.messages_sent
@@ -215,14 +217,14 @@ def assert_image_matches(tag, matrix):
 
 
 def test_image_equality_clean_ex(small_matrix):
-    result, tag = run_clean(HostConfig(variant=Variant.EX), small_matrix)
+    result, tag = run_clean(ScenarioConfig(protocol=Variant.EX), small_matrix)
     assert result.completed
     assert_image_matches(tag, small_matrix)
 
 
 def test_image_equality_over_noisy_channel(small_matrix):
     # Degraded but workable distance: resends happen, content still lands.
-    cfg = HostConfig(variant=Variant.EX)
+    cfg = ScenarioConfig(protocol=Variant.EX)
     completions = 0
     for seed in (3, 4, 5):
         session = HostSession(cfg, small_matrix)
@@ -244,7 +246,7 @@ def test_empty_data_records_are_skipped():
     )
     matrix = parse_file(text)
     assert len(matrix) == 3 and matrix.rows[1].data == b""
-    result, tag = run_clean(HostConfig(variant=Variant.EX), matrix)
+    result, tag = run_clean(ScenarioConfig(protocol=Variant.EX), matrix)
     assert result.completed
     assert result.messages_sent == 2  # the empty row costs nothing
     assert tag.fram.read(0xAADD, 2) == bytes([0xBB, 0xCC])
@@ -254,7 +256,7 @@ def test_empty_data_records_are_skipped():
 def test_all_empty_records_complete_immediately():
     text = ":00400000C0\n:00000001FF\n"
     matrix = parse_file(text)
-    result, _ = run_clean(HostConfig(variant=Variant.EX), matrix)
+    result, _ = run_clean(ScenarioConfig(protocol=Variant.EX), matrix)
     assert result.completed
     assert result.messages_sent == 0
     assert result.rounds == 0
@@ -262,13 +264,13 @@ def test_all_empty_records_complete_immediately():
 
 def test_basic_sends_address_messages_for_empty_rows():
     text = ":00400000C0\n:00000001FF\n"
-    result, _ = run_clean(HostConfig(variant=Variant.BASIC), parse_file(text))
+    result, _ = run_clean(ScenarioConfig(protocol=Variant.BASIC), parse_file(text))
     assert result.completed
     assert result.messages_sent == 2  # the two address messages
 
 
 def test_bootloader_transfer_reaches_application(small_matrix):
-    cfg = HostConfig(variant=Variant.EX, use_bootloader=True)
+    cfg = ScenarioConfig(protocol=Variant.EX, bootloader=True)
     session = HostSession(cfg, small_matrix)
     tag = Tag(start_in_bootloader=True)
     result = session.run(Reader(), tag, ChannelModel(seed=6), CLEAN, AT(20.0))

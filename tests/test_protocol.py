@@ -9,8 +9,6 @@ from crfid_downlink.protocol import (
     BasicMessage,
     PayloadTooLarge,
     RowTooLong,
-    ThrottleDirection,
-    ThrottleParams,
     build_basic_messages,
     build_ex_message,
     build_ladder,
@@ -20,7 +18,7 @@ from crfid_downlink.protocol import (
 )
 from crfid_downlink.scenario import ScenarioConfig, ScenarioError
 
-PARAMS = ThrottleParams(t_u=1, t_de=-2, t_dl=-3, m_threshold=10)
+T_U, T_DE, T_DL = 1, -2, -3  # the default index steps
 
 
 # -- basic messages -----------------------------------------------------------
@@ -240,37 +238,37 @@ LADDER16 = (1, 2, 3, 4, 6, 8, 16)
 
 
 def test_throttle_up_from_four():
-    assert throttle(4, LADDER16, ThrottleDirection.UP, PARAMS) == 6
+    assert throttle(4, LADDER16, T_U) == 6
 
 
 def test_throttle_down_error_from_six():
-    assert throttle(6, LADDER16, ThrottleDirection.DOWN_ERROR, PARAMS) == 3
+    assert throttle(6, LADDER16, T_DE) == 3
 
 
 def test_throttle_down_lost_clamps_at_min():
-    assert throttle(1, LADDER16, ThrottleDirection.DOWN_LOST, PARAMS) == 1
+    assert throttle(1, LADDER16, T_DL) == 1
 
 
 def test_throttle_up_clamps_at_max():
-    assert throttle(16, LADDER16, ThrottleDirection.UP, PARAMS) == 16
+    assert throttle(16, LADDER16, T_U) == 16
 
 
 def test_throttle_rejects_foreign_value():
     with pytest.raises(ValueError):
-        throttle(5, LADDER16, ThrottleDirection.UP, PARAMS)
+        throttle(5, LADDER16, T_U)
 
 
 @given(
     st.integers(min_value=2, max_value=64),
     st.integers(min_value=0, max_value=63),
-    st.sampled_from(list(ThrottleDirection)),
+    st.sampled_from([T_U, T_DE, T_DL]),
 )
-def test_throttle_stays_on_ladder_and_is_directional(s_r, idx, direction):
+def test_throttle_stays_on_ladder_and_is_directional(s_r, idx, step):
     ladder = build_ladder(s_r, 32)
     s_p = ladder[idx % len(ladder)]
-    new = throttle(s_p, ladder, direction, PARAMS)
+    new = throttle(s_p, ladder, step)
     assert new in ladder
-    if direction is ThrottleDirection.UP:
+    if step > 0:
         assert new > s_p or s_p == ladder[-1]
     else:
         assert new < s_p or s_p == ladder[0]
@@ -279,10 +277,10 @@ def test_throttle_stays_on_ladder_and_is_directional(s_r, idx, direction):
 def test_repeated_down_error_reaches_min_within_r_max():
     for s_r in (4, 13, 16, 33):
         ladder = build_ladder(s_r, 16)
-        budget = derive_r_max(len(ladder), PARAMS.t_de)
+        budget = derive_r_max(len(ladder), T_DE)
         s_p = ladder[-1]
         for _ in range(budget):
-            s_p = throttle(s_p, ladder, ThrottleDirection.DOWN_ERROR, PARAMS)
+            s_p = throttle(s_p, ladder, T_DE)
         assert s_p == ladder[0]
 
 
@@ -307,8 +305,9 @@ def test_r_max_larger_step():
 
 
 def test_throttle_params_accept_defaults():
-    defaults = ThrottleParams()
-    ScenarioConfig(t_u=defaults.t_u, t_de=defaults.t_de, t_dl=defaults.t_dl).validate()
+    cfg = ScenarioConfig()
+    assert (cfg.t_u, cfg.t_de, cfg.t_dl) == (T_U, T_DE, T_DL)
+    cfg.validate()
 
 
 @pytest.mark.parametrize(

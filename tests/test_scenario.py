@@ -293,6 +293,28 @@ def test_cli_simulate_rejects_image_without_data(tmp_path, capsys, hex_text, pro
     assert "hex_file" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize(
+    "hex_text,protocol,message",
+    [
+        (":28440000" + "00" * 40 + "94\n:00000001FF\n", "basic",
+         "row has 40 data bytes; offset headers stop at 0x20"),
+        (":02AADD00BBCCF1\n:00000001FF\n", "ex", "line 1: checksum 0xf1 != computed 0xf0"),
+        (None, "ex", "No such file or directory"),  # the file is never written
+    ],
+)
+def test_cli_simulate_names_hex_file_in_image_errors(tmp_path, capsys, hex_text, protocol,
+                                                     message):
+    hex_path = tmp_path / "image.hex"
+    if hex_text is not None:
+        hex_path.write_text(hex_text)
+    cfg = tmp_path / "image.cfg"
+    cfg.write_text(f"hex_file = {hex_path}\nprotocol = {protocol}\n")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"hex_file {str(hex_path)!r}" in err
+    assert message in err
+
 def test_cli_model_output(capsys):
     code = main(["model", "--distance", "20", "--words", "1"])
     out = capsys.readouterr().out

@@ -1,11 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crfid_downlink.crc import crc16_ccitt
 from crfid_downlink.protocol import build_ex_message
 from crfid_downlink.tag import (
     MEAN_BURST_ROUNDS,
-    BootEvent,
-    InvalidEvent,
     PowerModel,
     Tag,
     TagMode,
@@ -150,10 +149,11 @@ def test_power_loss_clears_volatile_keeps_fram():
     tag.series_word(msg.to_words()[0], False)  # in-flight series
     tag.set_powered(False)
     assert tag.epc == bytes(12)
-    assert tag.mode is TagMode.POWER_FAILURE
+    assert not tag.powered
+    assert tag.mode is TagMode.REPROGRAM  # the session outlives the outage
     assert tag.fram.read(0xAADD, 1) == bytes([0xBB])  # persistent
     tag.set_powered(True)
-    assert tag.mode is TagMode.REPROGRAM  # latched session resumes
+    assert tag.mode is TagMode.REPROGRAM  # the session resumes
     assert tag.series_complete() is False  # buffer did not survive
     tag.handle_basic_write(0x00BB)  # address registers did not survive either
     assert tag.epc == bytes(12)
@@ -195,7 +195,7 @@ def test_transfer_complete_with_matching_crc_starts_application():
     tag.handle_basic_write(0xFF00)
     msg = build_ex_message(bytes(range(8)), 0x4400)
     feed_series(tag, msg)
-    tag.bootloader_event(BootEvent.TRANSFER_COMPLETE, crc=crc16_ccitt(bytes(range(8))))
+    assert tag.transfer_complete(crc16_ccitt(bytes(range(8)))) is TagMode.APPLICATION
     assert tag.mode is TagMode.APPLICATION
 
 
@@ -204,16 +204,17 @@ def test_transfer_complete_with_wrong_crc_stays_in_reprogram():
     tag.handle_basic_write(0xFF00)
     msg = build_ex_message(bytes(range(8)), 0x4400)
     feed_series(tag, msg)
-    tag.bootloader_event(BootEvent.TRANSFER_COMPLETE, crc=0xBEEF)
+    assert tag.transfer_complete(0xBEEF) is TagMode.REPROGRAM
     assert tag.mode is TagMode.REPROGRAM
 
 
 def test_power_failure_returns_to_bootloader():
     tag = Tag(start_in_bootloader=True)
     tag.set_powered(False)
-    assert tag.mode is TagMode.POWER_FAILURE
+    assert not tag.powered
+    assert tag.mode is TagMode.BOOTLOADER
     tag.set_powered(True)
-    assert tag.mode is TagMode.BOOTLOADER  # no session latched yet
+    assert tag.mode is TagMode.BOOTLOADER  # no reprogram session yet
 
 
 def test_application_survives_only_until_power_failure():
@@ -221,16 +222,54 @@ def test_application_survives_only_until_power_failure():
     tag.handle_basic_write(0xFF00)
     msg = build_ex_message(bytes([0x42]), 0x100)
     feed_series(tag, msg)
-    tag.bootloader_event(BootEvent.TRANSFER_COMPLETE, crc=crc16_ccitt(bytes([0x42])))
+    tag.transfer_complete(crc16_ccitt(bytes([0x42])))
     assert tag.mode is TagMode.APPLICATION
     tag.set_powered(False)
     tag.set_powered(True)
     assert tag.mode is TagMode.BOOTLOADER
 
 
-def test_invalid_bootloader_events():
-    tag = Tag(start_in_bootloader=True)
-    with pytest.raises(InvalidEvent):
-        tag.bootloader_event(BootEvent.TRANSFER_COMPLETE, crc=0)
-    with pytest.raises(InvalidEvent):
-        tag.bootloader_event(BootEvent.POWER_ON)
+def test_transfer_complete_outside_reprogram_changes_nothing():
+    tag = Tag(start_in_bootloader=True)  # no init message yet
+    assert tag.transfer_complete(tag.application_crc()) is TagMode.BOOTLOADER
+    tag.handle_basic_write(0xFF00)
+    feed_series(tag, build_ex_message(bytes([0x42]), 0x100))
+    assert tag.transfer_complete(tag.application_crc()) is TagMode.APPLICATION
+    assert tag.transfer_complete(tag.application_crc()) is TagMode.APPLICATION
+
+
+BOOT_OPS = ("lose", "return", "init", "write", "complete", "complete-wrong")
+
+
+@settings(max_examples=300)
+@given(
+    st.booleans(),
+    st.lists(st.tuples(st.sampled_from(BOOT_OPS), st.integers(0, 255)), max_size=40),
+)
+def test_mode_follows_power_init_and_complete(start_in_bootloader, ops):
+    """REPROGRAM from an init (or from construction without the bootloader)
+    until a matching complete, then APPLICATION until the next power loss,
+    otherwise BOOTLOADER."""
+    tag = Tag(start_in_bootloader=start_in_bootloader)
+    expected = TagMode.BOOTLOADER if start_in_bootloader else TagMode.REPROGRAM
+    for op, byte in ops:
+        if op == "lose":
+            if tag.powered and expected is TagMode.APPLICATION:
+                expected = TagMode.BOOTLOADER
+            tag.set_powered(False)
+        elif op == "return":
+            tag.set_powered(True)
+        elif op == "init":
+            tag.handle_basic_write(0xFF00)
+            if tag.powered and expected is not TagMode.APPLICATION:
+                expected = TagMode.REPROGRAM
+        elif op == "write":
+            feed_series(tag, build_ex_message(bytes([byte]), 0x1000 + byte))
+        elif op == "complete":
+            tag.transfer_complete(tag.application_crc())
+            if tag.powered and expected is TagMode.REPROGRAM:
+                expected = TagMode.APPLICATION
+        else:
+            tag.transfer_complete(tag.application_crc() ^ 0x0001)
+        if tag.powered:
+            assert tag.mode is expected
