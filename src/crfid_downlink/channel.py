@@ -1,9 +1,11 @@
 """Distance-parameterized lossy channel.
 
 Bit errors follow erfc(1/d) in a dimensionless distance d; physical
-distances map through a reference scale (d = cm / d_ref_cm).  Each command
-of L payload bits plus the fixed 51-bit overhead is delivered, corrupted,
-or lost outright; losses model the tag never decoding the command at all.
+distances map through one fixed reference scale, d = cm / D_REF_CM with
+D_REF_CM = 200.  Each command of L payload bits plus the fixed 51-bit
+overhead is delivered, corrupted, or lost outright; losses model the tag
+never decoding the command at all, with probability K_MISS * erfc(1/d)
+for K_MISS = 5.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from enum import Enum
 COMMAND_OVERHEAD_BITS = 51
 WORD_BITS = 16
 
-DEFAULT_D_REF_CM = 200.0
-DEFAULT_K_MISS = 5.0
+D_REF_CM = 200.0  # cm per unit of normalized distance
+K_MISS = 5.0  # preamble-miss multiplier on the bit error rate
 
 
 class NonPositiveDistance(ValueError):
@@ -53,18 +55,13 @@ def blockwrite_throughput(length_bits: float, d: float) -> float:
     return (length_bits / total) * (1.0 - p_e) ** total
 
 
-def miss_probability(d: float, k_miss: float = DEFAULT_K_MISS) -> float:
+def miss_probability(d: float) -> float:
     """Probability the tag never decodes the command preamble."""
-    return min(k_miss * bit_error_rate(d), 0.9999)
+    return min(K_MISS * bit_error_rate(d), 0.9999)
 
 
-def delivery_outcome(
-    rng: random.Random,
-    length_bits: int,
-    d: float,
-    tag_powered: bool,
-    k_miss: float = DEFAULT_K_MISS,
-) -> Delivery:
+def delivery_outcome(rng: random.Random, length_bits: int, d: float,
+                     tag_powered: bool) -> Delivery:
     """Sample the fate of one command over the channel.
 
     An unpowered tag always misses the command.  Otherwise the command is
@@ -75,7 +72,7 @@ def delivery_outcome(
         raise NonPositiveLength(f"command length must be positive, got {length_bits}")
     if not tag_powered:
         return Delivery.LOST
-    if rng.random() < miss_probability(d, k_miss):
+    if rng.random() < miss_probability(d):
         return Delivery.LOST
     p_e = bit_error_rate(d)
     p_any_flip = 1.0 - (1.0 - p_e) ** (length_bits + COMMAND_OVERHEAD_BITS)
@@ -87,20 +84,15 @@ def delivery_outcome(
 class ChannelModel:
     """Per-simulation channel: owns its RNG and the current distance."""
 
-    def __init__(self, seed: int, d_ref_cm: float = DEFAULT_D_REF_CM,
-                 k_miss: float = DEFAULT_K_MISS):
-        if d_ref_cm <= 0:
-            raise NonPositiveDistance("d_ref_cm must be positive")
+    def __init__(self, seed: int):
         self.rng = random.Random(seed)
-        self.d_ref_cm = d_ref_cm
-        self.k_miss = k_miss
-        self.d = 20.0 / d_ref_cm
+        self.d = 20.0 / D_REF_CM
 
     def set_distance_cm(self, cm: float) -> None:
         if cm <= 0:
             raise NonPositiveDistance(f"distance must be positive, got {cm} cm")
-        self.d = cm / self.d_ref_cm
+        self.d = cm / D_REF_CM
 
     def deliver_word(self, tag_powered: bool) -> Delivery:
         """Outcome for a single one-word command."""
-        return delivery_outcome(self.rng, WORD_BITS, self.d, tag_powered, self.k_miss)
+        return delivery_outcome(self.rng, WORD_BITS, self.d, tag_powered)

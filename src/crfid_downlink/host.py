@@ -27,7 +27,7 @@ from .protocol import (
     snap_to_ladder,
     throttle,
 )
-from .reader import AccessSpec, OperationReport, Reader, ReportResult
+from .reader import ROUNDS_PER_SEC, AccessSpec, OperationReport, Reader, ReportResult
 from .tag import Tag, TagMode
 
 if TYPE_CHECKING:  # scenario imports this module
@@ -223,7 +223,7 @@ class HostSession:
         and ``distance_cm(round) -> float`` the physical distance.
         """
         cfg = self.config
-        max_rounds = int(cfg.max_sim_seconds * cfg.rounds_per_sec)
+        max_rounds = int(cfg.max_sim_seconds * ROUNDS_PER_SEC)
         self._reader = reader
         self._m_sent = 0
         self._m_resent = 0

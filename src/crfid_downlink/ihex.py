@@ -74,12 +74,6 @@ class RecordMatrix:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RecordMatrix) and self.rows == other.rows
-
     def total_bytes(self) -> int:
         return sum(len(r.data) for r in self.rows)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .host import SessionResult
+from .reader import ROUNDS_PER_SEC
 
 
 class EmptyLog(ValueError):
@@ -41,11 +42,11 @@ class SessionMetrics:
     theta: float  # throughput, bytes per second: 2 * mean_s_p * v
 
 
-def compute_metrics(result: SessionResult, rounds_per_sec: float) -> SessionMetrics:
+def compute_metrics(result: SessionResult) -> SessionMetrics:
     """Fold a finished session into the metric set."""
     if result.rounds <= 0 or result.messages_sent <= 0:
         raise EmptyLog("session produced no rounds or no messages")
-    t = result.rounds / rounds_per_sec
+    t = result.rounds / ROUNDS_PER_SEC
     m_t = result.messages_sent
     m_r = result.resends
     v = m_t / t

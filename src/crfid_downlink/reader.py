@@ -26,6 +26,7 @@ MAX_WORD_COUNT = 32  # reader hardware ceiling
 
 NO_TAG_EPC = bytes(EPC_LENGTH)
 
+ROUNDS_PER_SEC = 60  # inventory rounds per simulated second
 LLRP_LATENCY_TICKS = 3  # delete+add+enable pipeline before first start
 SWITCH_TICKS = 2  # gap between spec removal and successor's first round
 DELETE_GRACE = 30  # hard bound on delete-pending operation frames
@@ -137,7 +138,7 @@ class Reader:
         # yields a bare EPC report, an invisible one yields nothing.
         if not tag.powered:
             return None
-        if channel.rng.random() < miss_probability(channel.d, channel.k_miss):
+        if channel.rng.random() < miss_probability(channel.d):
             return None
         return OperationReport(0, ReportResult.INVENTORY, tag.epc, now)
 
@@ -153,9 +154,8 @@ class Reader:
                 return OperationReport(spec.spec_id, ReportResult.NO_TAG_SEEN, NO_TAG_EPC, now)
             if outcome is Delivery.CORRUPTED:
                 # Per-command CRC16 catches the damage; the tag stays silent.
-                tag.handle_basic_write(spec.words[0], crc_ok=False)
                 return OperationReport(spec.spec_id, ReportResult.ERROR, epc_at_start, now)
-            tag.handle_basic_write(spec.words[0], crc_ok=True)
+            tag.handle_basic_write(spec.words[0])
             run.success_count += 1
             return OperationReport(spec.spec_id, ReportResult.SUCCESS, epc_at_start, now)
 

@@ -13,15 +13,13 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .channel import DEFAULT_D_REF_CM, DEFAULT_K_MISS, ChannelModel
+from .channel import D_REF_CM, ChannelModel
 from .host import HostSession, SessionResult, Variant
 from .ihex import HexFileError, RecordMatrix, parse_file
 from .metrics import SessionMetrics, compute_metrics
 from .protocol import RowTooLong
-from .reader import MAX_WORD_COUNT, Reader
+from .reader import MAX_WORD_COUNT, ROUNDS_PER_SEC, Reader
 from .tag import PowerModel, Tag, distance_brownout_prob
-
-DEFAULT_ROUNDS_PER_SEC = 60
 
 SUMMARY_COLUMNS = ["run", "completed", "t", "m_t", "m_r", "p_r", "mean_S_p", "theta"]
 LOG_COLUMNS = ["round", "event", "i", "j", "S_p", "result", "epc"]
@@ -47,13 +45,13 @@ class DistanceProfile:
     max_cm: float = 90.0
     speed_m_per_s: float = 0.1
 
-    def at(self, round_no: int, rounds_per_sec: float) -> float:
+    def at(self, round_no: int) -> float:
         if self.kind == "static":
             return self.d_cm
         span = self.max_cm - self.min_cm
         if span <= 0:
             return self.min_cm
-        pos = (self.speed_m_per_s * 100.0) * (round_no / rounds_per_sec)
+        pos = (self.speed_m_per_s * 100.0) * (round_no / ROUNDS_PER_SEC)
         cycle = pos % (2 * span)
         return self.min_cm + (cycle if cycle <= span else 2 * span - cycle)
 
@@ -72,10 +70,7 @@ class ScenarioConfig:
     t_dl: int = -3
     s_max: int = 16
     profile: DistanceProfile = field(default_factory=DistanceProfile)
-    d_ref_cm: float = DEFAULT_D_REF_CM
-    k_miss: float = DEFAULT_K_MISS
     seed: int = 1
-    rounds_per_sec: int = DEFAULT_ROUNDS_PER_SEC
     repeats: int = 1
     bootloader: bool = False
     brownout: float | None = None  # None = derive from distance
@@ -86,29 +81,25 @@ class ScenarioConfig:
     def validate(self) -> None:
         """Check every setting before a run; a ScenarioError names the key."""
         prof = self.profile
-        for key, value in (("d_ref_cm", self.d_ref_cm), ("k_miss", self.k_miss),
-                           ("max_sim_seconds", self.max_sim_seconds),
+        for key, value in (("max_sim_seconds", self.max_sim_seconds),
                            ("write_fault_prob", self.write_fault_prob),
                            ("brownout", self.brownout or 0.0), ("d_cm", prof.d_cm),
                            ("d_min_cm", prof.min_cm), ("d_max_cm", prof.max_cm),
                            ("speed_m_per_s", prof.speed_m_per_s)):
             _require(math.isfinite(value), key, "finite", value)
-        for key in ("ocv", "n_threshold", "r_max", "repeats", "rounds_per_sec"):
+        for key in ("ocv", "n_threshold", "r_max", "repeats"):
             _require(getattr(self, key) >= 1, key, "at least 1", getattr(self, key))
         # Every stale echo of the old operation frame counts as a NACK, so a
         # frame longer than the NACK window times out the message it floods.
         _require(self.ocv <= self.n_threshold, "ocv",
                  f"at most n_threshold = {self.n_threshold}", self.ocv)
-        _require(self.max_sim_seconds * self.rounds_per_sec >= 1, "max_sim_seconds",
-                 f"at least one round at rounds_per_sec = {self.rounds_per_sec}",
-                 self.max_sim_seconds)
-        for key in ("m_threshold", "k_miss"):
-            _require(getattr(self, key) >= 0, key, "at least 0", getattr(self, key))
+        _require(self.max_sim_seconds * ROUNDS_PER_SEC >= 1, "max_sim_seconds",
+                 f"at least one round at {ROUNDS_PER_SEC} rounds/s", self.max_sim_seconds)
+        _require(self.m_threshold >= 0, "m_threshold", "at least 0", self.m_threshold)
         _require(0 <= self.write_fault_prob <= 1, "write_fault_prob", "in [0, 1]",
                  self.write_fault_prob)
         _require(self.brownout is None or 0 <= self.brownout <= 1, "brownout",
                  "in [0, 1] or 'auto'", self.brownout)
-        _require(self.d_ref_cm > 0, "d_ref_cm", "greater than 0", self.d_ref_cm)
         if prof.kind == "static":
             _require(prof.d_cm > 0, "d_cm", "greater than 0", prof.d_cm)
         else:
@@ -180,10 +171,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
     cfg.t_de = pop_num("t_de", int, cfg.t_de)
     cfg.t_dl = pop_num("t_dl", int, cfg.t_dl)
     cfg.s_max = pop_num("s_max", int, cfg.s_max)
-    cfg.d_ref_cm = pop_num("d_ref_cm", float, cfg.d_ref_cm)
-    cfg.k_miss = pop_num("k_miss", float, cfg.k_miss)
     cfg.seed = pop_num("seed", int, cfg.seed)
-    cfg.rounds_per_sec = pop_num("rounds_per_sec", int, cfg.rounds_per_sec)
     cfg.repeats = pop_num("repeats", int, cfg.repeats)
     cfg.max_sim_seconds = pop_num("max_sim_seconds", float, cfg.max_sim_seconds)
     cfg.write_fault_prob = pop_num("write_fault_prob", float, cfg.write_fault_prob)
@@ -246,7 +234,7 @@ class ScenarioOutcome:
 def run_single(config: ScenarioConfig, matrix: RecordMatrix, run_index: int) -> RunOutcome:
     """Execute one seeded repetition of the scenario."""
     base = config.seed * 1_000_003 + run_index * 7919
-    channel = ChannelModel(seed=base + 1, d_ref_cm=config.d_ref_cm, k_miss=config.k_miss)
+    channel = ChannelModel(seed=base + 1)
     power = PowerModel(seed=base + 2)
     tag = Tag(
         write_fault_prob=config.write_fault_prob,
@@ -255,21 +243,20 @@ def run_single(config: ScenarioConfig, matrix: RecordMatrix, run_index: int) -> 
     )
     reader = Reader()
     session = HostSession(config, matrix)
-    rps = float(config.rounds_per_sec)
     profile = config.profile
 
     def distance_cm(round_no: int) -> float:
-        return profile.at(round_no, rps)
+        return profile.at(round_no)
 
     def power_step(round_no: int) -> bool:
         if config.brownout is not None:
             p = config.brownout
         else:
-            p = distance_brownout_prob(distance_cm(round_no) / config.d_ref_cm)
+            p = distance_brownout_prob(distance_cm(round_no) / D_REF_CM)
         return power.step(p)
 
     result = session.run(reader, tag, channel, power_step, distance_cm)
-    metrics = compute_metrics(result, rps)
+    metrics = compute_metrics(result)
     return RunOutcome(run_index, result, metrics, tag, matrix)
 
 
@@ -329,6 +316,5 @@ def write_artifacts(config: ScenarioConfig, outcome: ScenarioOutcome, out: Path)
     with open(out / "distance_trace.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(TRACE_COLUMNS)
-        step = max(1, config.rounds_per_sec // 4)
-        for round_no in range(0, longest.result.rounds + 1, step):
-            w.writerow([round_no, _fmt(config.profile.at(round_no, config.rounds_per_sec))])
+        for round_no in range(0, longest.result.rounds + 1, ROUNDS_PER_SEC // 4):
+            w.writerow([round_no, _fmt(config.profile.at(round_no))])

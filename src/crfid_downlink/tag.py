@@ -37,11 +37,8 @@ class TagMode(Enum):
 class FramImage:
     """Persistent byte array with optional write-fault injection."""
 
-    def __init__(self, size: int = FRAM_SIZE):
-        self._bytes = bytearray(size)
-
-    def __len__(self) -> int:
-        return len(self._bytes)
+    def __init__(self):
+        self._bytes = bytearray(FRAM_SIZE)
 
     def read(self, address: int, count: int = 1) -> bytes:
         return bytes(self._bytes[address : address + count])
@@ -146,13 +143,9 @@ class Tag:
 
     # -- basic (single-word Write) handling ---------------------------------
 
-    def handle_basic_write(self, word: int, crc_ok: bool = True) -> None:
-        """Process one Write; on success the EPC echoes header and read-back.
-
-        A failed command integrity check leaves all state untouched (the
-        reader sees the missing reply, the tag stays silent).
-        """
-        if not self.powered or not crc_ok:
+    def handle_basic_write(self, word: int) -> None:
+        """Process one intact Write; on success the EPC echoes header and read-back."""
+        if not self.powered:
             return
         header = (word >> 8) & 0xFF
         payload = word & 0xFF

@@ -122,7 +122,7 @@ def test_a5_mobility_comparison(mobility_outcomes):
 def test_a6_calibration(firmware_matrix):
     session = HostSession(ScenarioConfig(protocol=Variant.EX, s_p=16), firmware_matrix)
     result = session.run(Reader(), Tag(), ChannelModel(seed=5), CLEAN, AT(20.0))
-    metrics = compute_metrics(result, rounds_per_sec=60)
+    metrics = compute_metrics(result)
     assert result.completed
     assert metrics.v == pytest.approx(3.8, abs=0.4)
     assert metrics.t == pytest.approx(54.5, abs=6.0)

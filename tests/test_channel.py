@@ -141,7 +141,7 @@ def test_delivery_is_seed_reproducible():
 
 
 def test_channel_model_distance_mapping():
-    ch = ChannelModel(seed=3, d_ref_cm=200.0)
+    ch = ChannelModel(seed=3)
     ch.set_distance_cm(90.0)
     assert ch.d == pytest.approx(0.45)
     with pytest.raises(NonPositiveDistance):

@@ -160,7 +160,7 @@ def test_unreachable_tag_aborts_after_r_max_resends():
 
 def test_round_budget_ends_the_run(small_matrix):
     # The host turns max_sim_seconds into rounds: 0.5 s at 60 rounds/s.
-    cfg = ScenarioConfig(protocol=Variant.EX, max_sim_seconds=0.5, rounds_per_sec=60)
+    cfg = ScenarioConfig(protocol=Variant.EX, max_sim_seconds=0.5)
     result, _ = run_clean(cfg, small_matrix)
     assert not result.completed
     assert result.rounds == 30

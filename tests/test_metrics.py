@@ -23,18 +23,18 @@ def result(rounds=600, m_t=40, m_r=4, sum_s_p=160.0, n_s=100, n_t=120):
 
 
 def test_sops_definition():
-    m = compute_metrics(result(rounds=600, n_s=10, n_t=10), rounds_per_sec=60)
+    m = compute_metrics(result(rounds=600, n_s=10, n_t=10))
     assert m.t == pytest.approx(10.0)
     assert m.psi_s == pytest.approx(1.0)
 
 
 def test_no_resends_means_zero_resend_rate():
-    m = compute_metrics(result(m_r=0), rounds_per_sec=60)
+    m = compute_metrics(result(m_r=0))
     assert m.p_r == 0.0
 
 
 def test_metric_identities():
-    m = compute_metrics(result(), rounds_per_sec=60)
+    m = compute_metrics(result())
     assert m.psi_s == pytest.approx(m.v * m.psi_sm, rel=1e-12)
     assert m.psi_t == pytest.approx(m.v * m.psi_tm, rel=1e-12)
     assert m.m_t == m.m_r + m.m_s
@@ -46,7 +46,7 @@ def test_metric_identities():
 
 def test_empty_session_rejected():
     with pytest.raises(EmptyLog):
-        compute_metrics(result(rounds=0, m_t=0), rounds_per_sec=60)
+        compute_metrics(result(rounds=0, m_t=0))
 
 
 # -- fitted model -----------------------------------------------------------------

@@ -17,10 +17,9 @@ from crfid_downlink.tag import Tag
 class ScriptedChannel:
     """Channel stand-in replaying a fixed outcome sequence."""
 
-    def __init__(self, outcomes, d=0.1, k_miss=0.0):
+    def __init__(self, outcomes, d=0.1):
         self.outcomes = list(outcomes)
         self.d = d
-        self.k_miss = k_miss
         self.rng = random.Random(0)
 
     def deliver_word(self, tag_powered):

@@ -2,6 +2,7 @@ import filecmp
 import hashlib
 import re
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 from crfid_downlink.cli import main
 from crfid_downlink.host import Variant
 from crfid_downlink.ihex import generate_fixture, parse_file
+from crfid_downlink.reader import ROUNDS_PER_SEC
 from crfid_downlink.scenario import (
     DistanceProfile,
     ScenarioError,
+    load_config,
     parse_config_text,
     run_scenario,
     SUMMARY_COLUMNS,
@@ -37,7 +40,6 @@ d_max_cm = 90
 speed_m_per_s = 0.1
 
 seed = 5
-rounds_per_sec = 60
 repeats = 2
 """
 
@@ -59,7 +61,7 @@ def test_parse_defaults_and_comments():
     cfg = parse_config_text("# nothing but comments\n\ns_p = 4 # fixed\n")
     assert cfg.s_p == 4
     assert cfg.profile.kind == "static"
-    assert cfg.rounds_per_sec == 60
+    assert cfg.seed == 1 and cfg.repeats == 1
 
 
 @pytest.mark.parametrize(
@@ -91,21 +93,25 @@ def test_parse_defaults_and_comments():
         "brownout = nan\n",
         "write_fault_prob = -1\n",
         "write_fault_prob = 1.5\n",
-        "k_miss = -1\n",
-        "k_miss = nan\n",
         "m_threshold = -5\n",
         "distance = oscillate\nspeed_m_per_s = -1\n",
         "distance = oscillate\nd_max_cm = inf\n",
-        "rounds_per_sec = 0\n",
         "max_sim_seconds = 0\n",
         "max_sim_seconds = 0.001\n",
         "max_sim_seconds = nan\n",
         "d_cm = 0\n",
         "d_cm = inf\n",
         "distance = oscillate\nd_min_cm = -5\n",
-        "d_ref_cm = 0\n",
         "s_max = 0\n",
         "s_max = 31\n",
+        # the round rate, distance scale and miss factor are fixed, not keys
+        "rounds_per_sec = 60\n",
+        "rounds_per_sec = 0\n",
+        "d_ref_cm = 200\n",
+        "d_ref_cm = 0\n",
+        "k_miss = 5\n",
+        "k_miss = -1\n",
+        "k_miss = nan\n",
     ],
 )
 def test_parse_config_errors(text):
@@ -113,6 +119,20 @@ def test_parse_config_errors(text):
     key = text.strip().splitlines()[-1].split("=")[0].split()[0]
     with pytest.raises(ScenarioError, match=re.escape(key)):
         parse_config_text(text)
+
+
+def test_shipped_configs_load(tmp_path):
+    repo = Path(__file__).resolve().parents[1]
+    paths = sorted(repo.glob("configs/*.cfg")) + sorted(repo.glob("benchmarks/workloads/*.cfg"))
+    assert len(paths) == 5
+    for path in paths:
+        # The benchmark workloads leave hex_file to the harness; name one here.
+        text = path.read_text()
+        if not re.search(r"^\s*hex_file\s*=", text, re.MULTILINE):
+            text += "\nhex_file = image.hex\n"
+        copy = tmp_path / path.name
+        copy.write_text(text)
+        assert load_config(copy).hex_file, path
 
 
 # Each key draws an edge value or one that it accepts, so configs both fail
@@ -123,9 +143,9 @@ FUZZ_VALID = {
     "n_threshold": ["20"], "r_max": ["3"], "m_threshold": ["10"], "t_u": ["1"],
     "t_de": ["-2"], "t_dl": ["-3"], "s_max": ["16"], "distance": ["static", "oscillate"],
     "d_cm": ["20", "60"], "d_min_cm": ["20"], "d_max_cm": ["90"], "speed_m_per_s": ["0.1"],
-    "d_ref_cm": ["200"], "k_miss": ["5"], "seed": ["7"], "rounds_per_sec": ["60"],
-    "repeats": ["2"], "bootloader": ["true", "false"], "brownout": ["auto", "0.05"],
-    "write_fault_prob": ["0.01"], "dump_fram": ["true"], "max_sim_seconds": ["10"],
+    "seed": ["7"], "repeats": ["2"], "bootloader": ["true", "false"],
+    "brownout": ["auto", "0.05"], "write_fault_prob": ["0.01"], "dump_fram": ["true"],
+    "max_sim_seconds": ["10"],
 }
 FUZZ_ENTRY = st.sampled_from(sorted(FUZZ_VALID)).flatmap(
     lambda key: st.tuples(st.just(key), st.one_of(st.sampled_from(FUZZ_EDGES),
@@ -143,7 +163,7 @@ def test_config_fuzz_rejects_or_runs(entries):
     except ScenarioError:
         return
     cfg.repeats = 1
-    cfg.max_sim_seconds = 200 / cfg.rounds_per_sec
+    cfg.max_sim_seconds = 200 / ROUNDS_PER_SEC
     with tempfile.TemporaryDirectory() as out:
         outcome = run_scenario(cfg, out_dir=out, matrix=ONE_ROW)
     assert len(outcome.runs) == 1
@@ -154,23 +174,23 @@ def test_config_fuzz_rejects_or_runs(entries):
 
 def test_static_profile():
     p = DistanceProfile(kind="static", d_cm=35.0)
-    assert p.at(0, 60) == 35.0
-    assert p.at(100_000, 60) == 35.0
+    assert p.at(0) == 35.0
+    assert p.at(100_000) == 35.0
 
 
 def test_triangle_profile_positions():
     p = DistanceProfile(kind="oscillate", min_cm=20, max_cm=90, speed_m_per_s=0.1)
-    rps = 60
-    assert p.at(0, rps) == pytest.approx(20.0)
-    assert p.at(int(3.5 * rps), rps) == pytest.approx(55.0)  # halfway up
-    assert p.at(7 * rps, rps) == pytest.approx(90.0)  # top of the sweep
-    assert p.at(int(10.5 * rps), rps) == pytest.approx(55.0)  # halfway down
-    assert p.at(14 * rps, rps) == pytest.approx(20.0)  # full period
+    rps = ROUNDS_PER_SEC
+    assert p.at(0) == pytest.approx(20.0)
+    assert p.at(int(3.5 * rps)) == pytest.approx(55.0)  # halfway up
+    assert p.at(7 * rps) == pytest.approx(90.0)  # top of the sweep
+    assert p.at(int(10.5 * rps)) == pytest.approx(55.0)  # halfway down
+    assert p.at(14 * rps) == pytest.approx(20.0)  # full period
 
 
 def test_triangle_profile_stays_in_bounds():
     p = DistanceProfile(kind="oscillate", min_cm=20, max_cm=90, speed_m_per_s=0.1)
-    values = [p.at(r, 60) for r in range(0, 3000, 7)]
+    values = [p.at(r) for r in range(0, 3000, 7)]
     assert min(values) >= 20.0 and max(values) <= 90.0
 
 

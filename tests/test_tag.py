@@ -51,12 +51,6 @@ def test_golden_sequence_writes_and_echoes():
     assert tag.epc[:2] == bytes([0x01, 0xCC])
 
 
-def test_failed_crc_changes_nothing():
-    tag = Tag()
-    tag.handle_basic_write(0xFDAA, crc_ok=False)
-    assert tag.epc == bytes(12)
-
-
 def test_data_byte_without_address_registers_is_ignored():
     tag = Tag()
     tag.handle_basic_write(0x00BB)  # no FD/FE since power-up
