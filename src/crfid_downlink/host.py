@@ -7,6 +7,10 @@ counts toward the NACK timeout, including the stale echoes that the old
 operation frame floods into the new message frame.  A timeout resends the
 current chunk (re-cut at the throttled payload size for the extended
 variant) until the resend budget is exhausted and the transfer aborts.
+
+Each inventory round the session also places the tag at the profile's
+distance and powers it by the configured brown-out probability, or for
+``auto`` by the one that distance implies.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .protocol import (
     throttle,
 )
 from .reader import ROUNDS_PER_SEC, AccessSpec, OperationReport, Reader, ReportResult
-from .tag import Tag, TagMode
+from .tag import PowerModel, Tag, TagMode, distance_brownout_prob
 
 if TYPE_CHECKING:  # scenario imports this module
     from .scenario import ScenarioConfig
@@ -49,7 +53,7 @@ class LogEvent:
     chunk: int
     s_p: float
     result: str
-    epc_hex: str
+    epc: bytes
 
 
 @dataclass
@@ -58,9 +62,7 @@ class TransferLog:
 
     def add(self, round_no: int, event: str, row: int = -1, chunk: int = 0,
             s_p: float = 0.0, result: str = "", epc: bytes = b"") -> None:
-        self.events.append(
-            LogEvent(round_no, event, row, chunk, s_p, result, epc.hex().upper())
-        )
+        self.events.append(LogEvent(round_no, event, row, chunk, s_p, result, epc))
 
     def count(self, event: str) -> int:
         return sum(1 for e in self.events if e.event == event)
@@ -215,16 +217,18 @@ class HostSession:
     # ------------------------------------------------------------------
     # main loop
 
-    def run(self, reader: Reader, tag: Tag, channel: ChannelModel,
-            power_step, distance_cm) -> SessionResult:
-        """Drive the transfer to completion, failure, or the round budget.
+    def _next_round(self, tag: Tag, channel: ChannelModel, power: PowerModel) -> None:
+        """Advance one round: place the tag at the profile's distance, then power it."""
+        self._now += 1
+        channel.set_distance_cm(self.config.profile.at(self._now))
+        p = self.config.brownout
+        tag.set_powered(power.step(distance_brownout_prob(channel.d) if p is None else p))
 
-        ``power_step(round) -> bool`` gives the tag power flag for a round
-        and ``distance_cm(round) -> float`` the physical distance.
-        """
+    def run(self, tag: Tag, channel: ChannelModel, power: PowerModel) -> SessionResult:
+        """Drive the transfer to completion, failure, or the round budget."""
         cfg = self.config
         max_rounds = int(cfg.max_sim_seconds * ROUNDS_PER_SEC)
-        self._reader = reader
+        reader = self._reader = Reader()
         self._m_sent = 0
         self._m_resent = 0
         self._sum_s_p = 0.0
@@ -242,9 +246,7 @@ class HostSession:
         report: OperationReport | None = None
 
         while self._now < max_rounds:
-            self._now += 1
-            channel.set_distance_cm(distance_cm(self._now))
-            tag.set_powered(power_step(self._now))
+            self._next_round(tag, channel, power)
 
             # 1. Consume the report produced by the previous round.
             timeout = False
@@ -312,7 +314,7 @@ class HostSession:
 
         reached_app = False
         if completed and cfg.bootloader:
-            reached_app = self._finalize(tag, power_step)
+            reached_app = self._finalize(tag, channel, power)
         if completed:
             self.log.add(self._now, "complete")
 
@@ -329,14 +331,13 @@ class HostSession:
             failure_reason=failure,
         )
 
-    def _finalize(self, tag: Tag, power_step) -> bool:
+    def _finalize(self, tag: Tag, channel: ChannelModel, power: PowerModel) -> bool:
         """Deliver the whole-application checksum once the tag has power."""
         crc = matrix_crc(self.matrix)
         waited = 0
         while not tag.powered and waited < 10_000:
-            self._now += 1
+            self._next_round(tag, channel, power)
             waited += 1
-            tag.set_powered(power_step(self._now))
         if not tag.powered:
             return False
         return tag.transfer_complete(crc) is TagMode.APPLICATION

@@ -13,13 +13,13 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .channel import D_REF_CM, ChannelModel
+from .channel import ChannelModel
 from .host import HostSession, SessionResult, Variant
 from .ihex import HexFileError, RecordMatrix, parse_file
 from .metrics import SessionMetrics, compute_metrics
 from .protocol import RowTooLong
-from .reader import MAX_WORD_COUNT, ROUNDS_PER_SEC, Reader
-from .tag import PowerModel, Tag, distance_brownout_prob
+from .reader import MAX_WORD_COUNT, ROUNDS_PER_SEC
+from .tag import PowerModel, Tag
 
 SUMMARY_COLUMNS = ["run", "completed", "t", "m_t", "m_r", "p_r", "mean_S_p", "theta"]
 LOG_COLUMNS = ["round", "event", "i", "j", "S_p", "result", "epc"]
@@ -215,7 +215,6 @@ class RunOutcome:
     result: SessionResult
     metrics: SessionMetrics
     tag: Tag
-    matrix: RecordMatrix
 
 
 @dataclass
@@ -234,30 +233,14 @@ class ScenarioOutcome:
 def run_single(config: ScenarioConfig, matrix: RecordMatrix, run_index: int) -> RunOutcome:
     """Execute one seeded repetition of the scenario."""
     base = config.seed * 1_000_003 + run_index * 7919
-    channel = ChannelModel(seed=base + 1)
-    power = PowerModel(seed=base + 2)
     tag = Tag(
         write_fault_prob=config.write_fault_prob,
         fault_seed=base + 3,
         start_in_bootloader=config.bootloader,
     )
-    reader = Reader()
     session = HostSession(config, matrix)
-    profile = config.profile
-
-    def distance_cm(round_no: int) -> float:
-        return profile.at(round_no)
-
-    def power_step(round_no: int) -> bool:
-        if config.brownout is not None:
-            p = config.brownout
-        else:
-            p = distance_brownout_prob(distance_cm(round_no) / D_REF_CM)
-        return power.step(p)
-
-    result = session.run(reader, tag, channel, power_step, distance_cm)
-    metrics = compute_metrics(result)
-    return RunOutcome(run_index, result, metrics, tag, matrix)
+    result = session.run(tag, ChannelModel(seed=base + 1), PowerModel(seed=base + 2))
+    return RunOutcome(run_index, result, compute_metrics(result), tag)
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
@@ -309,7 +292,7 @@ def write_artifacts(config: ScenarioConfig, outcome: ScenarioOutcome, out: Path)
             w.writerow(LOG_COLUMNS)
             for e in r.result.log.events:
                 w.writerow([e.round_no, e.event, e.row, e.chunk,
-                            _fmt(e.s_p), e.result, e.epc_hex])
+                            _fmt(e.s_p), e.result, e.epc.hex().upper()])
         if config.dump_fram:
             r.tag.fram.dump(out / f"run_{r.run:02d}_fram.bin")
     longest = max(outcome.runs, key=lambda r: r.result.rounds)

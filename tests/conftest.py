@@ -1,10 +1,13 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+from crfid_downlink.channel import ChannelModel
 from crfid_downlink.host import HostSession, Variant
 from crfid_downlink.ihex import generate_fixture, parse_file
-from crfid_downlink.scenario import ScenarioConfig
+from crfid_downlink.scenario import DistanceProfile, ScenarioConfig
+from crfid_downlink.tag import PowerModel, Tag
 
 FIRMWARE_BYTES = 5387  # base firmware image size used in the transfer benchmarks
 FIRMWARE_RECORD_WIDTH = 26  # bytes per record, matching toolchain-image averages
@@ -33,15 +36,22 @@ def small_matrix():
     return parse_file(generate_fixture(payload, record_width=26))
 
 
-def clean_power(_round: int) -> bool:
-    return True
+def run_clean(config, matrix, seed=1, cm=20.0, tag=None):
+    """Run one session with the tag always powered at a fixed ``cm``.
+
+    The config is copied with ``brownout = 0`` and a static profile at ``cm``.
+    ``PowerModel.step(0)`` draws nothing, so the channel seed alone decides
+    the rounds.  Returns ``(result, tag)``; ``tag`` defaults to a fresh one.
+    """
+    tag = Tag() if tag is None else tag
+    config = replace(config, brownout=0.0, profile=DistanceProfile(d_cm=cm))
+    result = HostSession(config, matrix).run(tag, ChannelModel(seed=seed), PowerModel(seed=0))
+    return result, tag
 
 
-def static_distance(cm: float):
-    def at(_round: int) -> float:
-        return cm
-
-    return at
+@pytest.fixture(scope="session")
+def clean_run():
+    return run_clean
 
 
 def walk_extended_chunks(matrix, s_p: int, steps: int | None = None):

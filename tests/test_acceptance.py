@@ -10,17 +10,13 @@ import random
 
 import pytest
 
-from crfid_downlink.channel import ChannelModel, blockwrite_throughput
-from crfid_downlink.host import HostSession, Variant, matrix_crc
+from crfid_downlink.channel import blockwrite_throughput
+from crfid_downlink.host import Variant, matrix_crc
 from crfid_downlink.ihex import generate_fixture, parse_file
 from crfid_downlink.metrics import MODEL_PARAMS, compute_metrics, model_curves
 from crfid_downlink.protocol import build_ladder, derive_r_max, throttle
-from crfid_downlink.reader import Reader
 from crfid_downlink.scenario import DistanceProfile, ScenarioConfig, run_scenario
 from crfid_downlink.tag import Tag, TagMode
-
-CLEAN = lambda r: True  # noqa: E731
-AT = lambda cm: (lambda r: cm)  # noqa: E731
 
 
 def report(name: str, detail: str) -> None:
@@ -64,13 +60,11 @@ def test_a1_blockwrite_throughput_crossover():
                  f"T(128,0.5)={far_short:.4f} > T(256,0.5)={far_long:.4f}")
 
 
-def test_a2_golden_message_sequence():
+def test_a2_golden_message_sequence(clean_run):
     matrix = parse_file(":02AADD00BBCCF0\n:00000001FF\n")
-    session = HostSession(ScenarioConfig(protocol=Variant.BASIC), matrix)
-    tag = Tag()
-    result = session.run(Reader(), tag, ChannelModel(seed=1), CLEAN, AT(20.0))
-    sends = [e.epc_hex[:4] for e in result.log.events if e.event == "send"]
-    acks = [e.epc_hex[:4] for e in result.log.events if e.event == "ack"]
+    result, tag = clean_run(ScenarioConfig(protocol=Variant.BASIC), matrix)
+    sends = [e.epc[:2].hex().upper() for e in result.log.events if e.event == "send"]
+    acks = [e.epc[:2].hex().upper() for e in result.log.events if e.event == "ack"]
     assert result.completed
     assert sends == ["FDAA", "FEDD", "00BB", "01CC"]
     assert acks == ["FDAA", "FEDD", "00BB", "01CC"]
@@ -119,9 +113,8 @@ def test_a5_mobility_comparison(mobility_outcomes):
     )
 
 
-def test_a6_calibration(firmware_matrix):
-    session = HostSession(ScenarioConfig(protocol=Variant.EX, s_p=16), firmware_matrix)
-    result = session.run(Reader(), Tag(), ChannelModel(seed=5), CLEAN, AT(20.0))
+def test_a6_calibration(firmware_matrix, clean_run):
+    result, _ = clean_run(ScenarioConfig(protocol=Variant.EX, s_p=16), firmware_matrix, seed=5)
     metrics = compute_metrics(result)
     assert result.completed
     assert metrics.v == pytest.approx(3.8, abs=0.4)
@@ -129,29 +122,29 @@ def test_a6_calibration(firmware_matrix):
     report("A6", f"clean at 20 cm: v={metrics.v:.2f} msg/s, 5387-byte transfer in {metrics.t:.1f}s")
 
 
-def test_a7_flood_stays_below_threshold():
+def test_a7_flood_stays_below_threshold(clean_run):
     rng = random.Random(7)
     payload = bytes(rng.randrange(256) for _ in range(2080))  # 1040 messages at S_p=1
     matrix = parse_file(generate_fixture(payload, record_width=26))
 
-    safe = HostSession(
-        ScenarioConfig(protocol=Variant.EX, s_p=1, ocv=15, n_threshold=20), matrix
-    ).run(Reader(), Tag(), ChannelModel(seed=3), CLEAN, AT(20.0))
+    safe, _ = clean_run(
+        ScenarioConfig(protocol=Variant.EX, s_p=1, ocv=15, n_threshold=20), matrix, seed=3
+    )
     assert safe.completed
     assert safe.messages_sent >= 1000
     assert safe.log.count("timeout") == 0
 
     # HostSession reads the config unchecked, so the OCV > n_threshold that
     # validate() rejects still runs here.
-    unsafe = HostSession(
-        ScenarioConfig(protocol=Variant.EX, s_p=1, ocv=25, n_threshold=20), matrix
-    ).run(Reader(), Tag(), ChannelModel(seed=3), CLEAN, AT(20.0))
+    unsafe, _ = clean_run(
+        ScenarioConfig(protocol=Variant.EX, s_p=1, ocv=25, n_threshold=20), matrix, seed=3
+    )
     assert unsafe.log.count("timeout") > 0
     report("A7", f"OCV=15: 0 timeouts over {safe.messages_sent} messages; "
                  f"OCV=25: {unsafe.log.count('timeout')} timeouts")
 
 
-def test_a8_power_failure_fuzz(small_matrix):
+def test_a8_power_failure_fuzz(small_matrix, clean_run):
     image = small_matrix.flat_image()
     crc = matrix_crc(small_matrix)
     completed = 0
@@ -172,11 +165,9 @@ def test_a8_power_failure_fuzz(small_matrix):
     # The only-if direction: a corrupted image keeps the bootloader out of
     # application mode.
     tag = Tag(start_in_bootloader=True)
-    session = HostSession(
-        ScenarioConfig(protocol=Variant.EX, bootloader=False), small_matrix
-    )
     tag.handle_basic_write(0xFF00)  # enter reprogram mode
-    session.run(Reader(), tag, ChannelModel(seed=77), CLEAN, AT(20.0))
+    clean_run(ScenarioConfig(protocol=Variant.EX, bootloader=False), small_matrix,
+              seed=77, tag=tag)
     first_row = small_matrix.rows[0]
     tag.fram.write(first_row.address, bytes([tag.fram.read(first_row.address, 1)[0] ^ 0xFF]))
     tag.transfer_complete(crc)

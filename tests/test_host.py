@@ -1,24 +1,15 @@
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crfid_downlink.channel import ChannelModel
-from crfid_downlink.host import HostSession, Variant, classify_report, matrix_crc
+from crfid_downlink.host import Variant, classify_report, matrix_crc
 from crfid_downlink.ihex import RecordMatrix, Row, parse_file
-from crfid_downlink.reader import OperationReport, Reader, ReportResult
-from crfid_downlink.scenario import ScenarioConfig, ScenarioError, run_scenario
+from crfid_downlink.reader import OperationReport, ReportResult
+from crfid_downlink.scenario import DistanceProfile, ScenarioConfig, ScenarioError, run_scenario
 from crfid_downlink.tag import Tag
 
-CLEAN = lambda r: True  # noqa: E731
-AT = lambda cm: (lambda r: cm)  # noqa: E731
-
 GOLDEN_FILE = ":02AADD00BBCCF0\n:00000001FF\n"
-
-
-def run_clean(config, matrix, seed=1, cm=20.0):
-    session = HostSession(config, matrix)
-    tag = Tag()
-    result = session.run(Reader(), tag, ChannelModel(seed=seed), CLEAN, AT(cm))
-    return result, tag
 
 
 # -- classification -----------------------------------------------------------
@@ -60,12 +51,12 @@ def test_bad_throttle_steps_rejected(small_matrix):
 # -- golden basic session --------------------------------------------------------
 
 
-def test_basic_golden_sequence():
+def test_basic_golden_sequence(clean_run):
     matrix = parse_file(GOLDEN_FILE)
-    result, tag = run_clean(ScenarioConfig(protocol=Variant.BASIC), matrix)
+    result, tag = clean_run(ScenarioConfig(protocol=Variant.BASIC), matrix)
     assert result.completed
-    sends = [e.epc_hex[:4] for e in result.log.events if e.event == "send"]
-    acks = [e.epc_hex[:4] for e in result.log.events if e.event == "ack"]
+    sends = [e.epc[:2].hex().upper() for e in result.log.events if e.event == "send"]
+    acks = [e.epc[:2].hex().upper() for e in result.log.events if e.event == "ack"]
     assert sends == ["FDAA", "FEDD", "00BB", "01CC"]
     assert acks == ["FDAA", "FEDD", "00BB", "01CC"]
     assert result.messages_sent == 4
@@ -73,9 +64,9 @@ def test_basic_golden_sequence():
     assert tag.fram.read(0xAADD, 2) == bytes([0xBB, 0xCC])
 
 
-def test_ex_single_record_clean():
+def test_ex_single_record_clean(clean_run):
     matrix = parse_file(GOLDEN_FILE)
-    result, tag = run_clean(ScenarioConfig(protocol=Variant.EX), matrix)
+    result, tag = clean_run(ScenarioConfig(protocol=Variant.EX), matrix)
     assert result.completed
     assert result.messages_sent == 1  # one chunk carries the whole row
     assert tag.fram.read(0xAADD, 2) == bytes([0xBB, 0xCC])
@@ -84,8 +75,8 @@ def test_ex_single_record_clean():
 # -- progress and resend bounds ---------------------------------------------------
 
 
-def test_cursor_advances_exactly_on_ack(small_matrix):
-    result, _ = run_clean(ScenarioConfig(protocol=Variant.EX, s_p=4), small_matrix)
+def test_cursor_advances_exactly_on_ack(small_matrix, clean_run):
+    result, _ = clean_run(ScenarioConfig(protocol=Variant.EX, s_p=4), small_matrix)
     assert result.completed
     positions = [
         (e.event, (e.row, e.chunk))
@@ -111,18 +102,17 @@ def test_cursor_advances_exactly_on_ack(small_matrix):
     st.integers(min_value=1, max_value=12),
     st.booleans(),
 )
-def test_cursor_tiles_rows_at_fixed_s_p(raw_rows, s_p, bootloader):
+def test_cursor_tiles_rows_at_fixed_s_p(clean_run, raw_rows, s_p, bootloader):
     # Rows 64 bytes apart never overlap, so the image is their plain union.
     matrix = RecordMatrix([Row(0x1000 + 64 * i, d) for i, d in enumerate(raw_rows)])
     cfg = ScenarioConfig(protocol=Variant.EX, s_p=s_p, bootloader=bootloader)
-    tag = Tag(start_in_bootloader=bootloader)
-    result = HostSession(cfg, matrix).run(Reader(), tag, ChannelModel(seed=1), CLEAN, AT(20.0))
+    result, tag = clean_run(cfg, matrix, tag=Tag(start_in_bootloader=bootloader))
     assert result.completed
     assert result.reached_application == bootloader
 
     sends = [e for e in result.log.events if e.event == "send" and e.row >= 0]
     for i, row in enumerate(matrix.rows):
-        chunks = [bytes.fromhex(e.epc_hex) for e in sends if e.row == i]
+        chunks = [e.epc for e in sends if e.row == i]
         if not row.data:
             assert chunks == []  # an empty row costs no extended send
             continue
@@ -144,11 +134,10 @@ def test_cursor_tiles_rows_at_fixed_s_p(raw_rows, s_p, bootloader):
         assert tag.fram.read(address, 1)[0] == value
 
 
-def test_unreachable_tag_aborts_after_r_max_resends():
+def test_unreachable_tag_aborts_after_r_max_resends(clean_run):
     matrix = parse_file(GOLDEN_FILE)
     cfg = ScenarioConfig(protocol=Variant.EX, r_max=3)
-    session = HostSession(cfg, matrix)
-    result = session.run(Reader(), Tag(), ChannelModel(seed=2), CLEAN, AT(400.0))
+    result, _ = clean_run(cfg, matrix, seed=2, cm=400.0)
     assert not result.completed
     assert result.failure_reason == "resend budget exhausted"
     transmissions = [e for e in result.log.events if e.event in ("send", "resend")]
@@ -158,18 +147,17 @@ def test_unreachable_tag_aborts_after_r_max_resends():
 
 
 
-def test_round_budget_ends_the_run(small_matrix):
+def test_round_budget_ends_the_run(small_matrix, clean_run):
     # The host turns max_sim_seconds into rounds: 0.5 s at 60 rounds/s.
     cfg = ScenarioConfig(protocol=Variant.EX, max_sim_seconds=0.5)
-    result, _ = run_clean(cfg, small_matrix)
+    result, _ = clean_run(cfg, small_matrix)
     assert not result.completed
     assert result.rounds == 30
     assert result.failure_reason == "round budget exhausted"
 
-def test_no_message_sent_more_than_r_max_plus_one_times(small_matrix):
+def test_no_message_sent_more_than_r_max_plus_one_times(small_matrix, clean_run):
     cfg = ScenarioConfig(protocol=Variant.EX)
-    session = HostSession(cfg, small_matrix)
-    result = session.run(Reader(), Tag(), ChannelModel(seed=9), CLEAN, AT(85.0))
+    result, _ = clean_run(cfg, small_matrix, seed=9, cm=85.0)
     counts = {}
     for e in result.log.events:
         if e.event in ("send", "resend"):
@@ -180,8 +168,8 @@ def test_no_message_sent_more_than_r_max_plus_one_times(small_matrix):
 # -- stale-echo flood bound --------------------------------------------------------
 
 
-def test_no_timeouts_when_ocv_within_threshold(small_matrix):
-    result, _ = run_clean(
+def test_no_timeouts_when_ocv_within_threshold(small_matrix, clean_run):
+    result, _ = clean_run(
         ScenarioConfig(protocol=Variant.EX, s_p=2, ocv=15, n_threshold=20),
         small_matrix,
     )
@@ -189,9 +177,9 @@ def test_no_timeouts_when_ocv_within_threshold(small_matrix):
     assert result.log.count("timeout") == 0
 
 
-def test_flood_forces_timeouts_when_ocv_exceeds_threshold(small_matrix):
+def test_flood_forces_timeouts_when_ocv_exceeds_threshold(small_matrix, clean_run):
     cfg = ScenarioConfig(protocol=Variant.EX, s_p=2, ocv=25, n_threshold=20)
-    result, _ = run_clean(cfg, small_matrix)
+    result, _ = clean_run(cfg, small_matrix)
     assert result.completed
     assert result.log.count("timeout") > 0
 
@@ -199,9 +187,9 @@ def test_flood_forces_timeouts_when_ocv_exceeds_threshold(small_matrix):
 # -- variant comparison -------------------------------------------------------------
 
 
-def test_basic_needs_twice_the_messages_of_single_word_ex(random_5120_matrix):
-    basic, _ = run_clean(ScenarioConfig(protocol=Variant.BASIC), random_5120_matrix)
-    ex, _ = run_clean(ScenarioConfig(protocol=Variant.EX, s_p=1), random_5120_matrix)
+def test_basic_needs_twice_the_messages_of_single_word_ex(random_5120_matrix, clean_run):
+    basic, _ = clean_run(ScenarioConfig(protocol=Variant.BASIC), random_5120_matrix)
+    ex, _ = clean_run(ScenarioConfig(protocol=Variant.EX, s_p=1), random_5120_matrix)
     assert basic.completed and ex.completed
     assert ex.messages_sent < basic.messages_sent
     assert basic.messages_sent >= 2 * ex.messages_sent
@@ -216,20 +204,19 @@ def assert_image_matches(tag, matrix):
         assert tag.fram.read(address, 1)[0] == value
 
 
-def test_image_equality_clean_ex(small_matrix):
-    result, tag = run_clean(ScenarioConfig(protocol=Variant.EX), small_matrix)
+def test_image_equality_clean_ex(small_matrix, clean_run):
+    result, tag = clean_run(ScenarioConfig(protocol=Variant.EX), small_matrix)
     assert result.completed
     assert_image_matches(tag, small_matrix)
 
 
-def test_image_equality_over_noisy_channel(small_matrix):
+def test_image_equality_over_noisy_channel(small_matrix, clean_run):
     # Degraded but workable distance: resends happen, content still lands.
     cfg = ScenarioConfig(protocol=Variant.EX)
     completions = 0
     for seed in (3, 4, 5):
-        session = HostSession(cfg, small_matrix)
-        tag = Tag(energy_seed=seed)
-        result = session.run(Reader(), tag, ChannelModel(seed=seed), CLEAN, AT(75.0))
+        result, tag = clean_run(cfg, small_matrix, seed=seed, cm=75.0,
+                                tag=Tag(energy_seed=seed))
         if result.completed:
             completions += 1
             assert result.resends > 0  # the channel did bite
@@ -237,7 +224,7 @@ def test_image_equality_over_noisy_channel(small_matrix):
     assert completions >= 2
 
 
-def test_empty_data_records_are_skipped():
+def test_empty_data_records_are_skipped(clean_run):
     text = (
         ":02AADD00BBCCF0\n"
         ":00400000C0\n"  # zero-length data record
@@ -246,34 +233,58 @@ def test_empty_data_records_are_skipped():
     )
     matrix = parse_file(text)
     assert len(matrix) == 3 and matrix.rows[1].data == b""
-    result, tag = run_clean(ScenarioConfig(protocol=Variant.EX), matrix)
+    result, tag = clean_run(ScenarioConfig(protocol=Variant.EX), matrix)
     assert result.completed
     assert result.messages_sent == 2  # the empty row costs nothing
     assert tag.fram.read(0xAADD, 2) == bytes([0xBB, 0xCC])
     assert tag.fram.read(0x1000, 2) == bytes([0x11, 0x22])
 
 
-def test_all_empty_records_complete_immediately():
+def test_all_empty_records_complete_immediately(clean_run):
     text = ":00400000C0\n:00000001FF\n"
     matrix = parse_file(text)
-    result, _ = run_clean(ScenarioConfig(protocol=Variant.EX), matrix)
+    result, _ = clean_run(ScenarioConfig(protocol=Variant.EX), matrix)
     assert result.completed
     assert result.messages_sent == 0
     assert result.rounds == 0
 
 
-def test_basic_sends_address_messages_for_empty_rows():
+def test_basic_sends_address_messages_for_empty_rows(clean_run):
     text = ":00400000C0\n:00000001FF\n"
-    result, _ = run_clean(ScenarioConfig(protocol=Variant.BASIC), parse_file(text))
+    result, _ = clean_run(ScenarioConfig(protocol=Variant.BASIC), parse_file(text))
     assert result.completed
     assert result.messages_sent == 2  # the two address messages
 
 
-def test_bootloader_transfer_reaches_application(small_matrix):
+def test_bootloader_transfer_reaches_application(small_matrix, clean_run):
     cfg = ScenarioConfig(protocol=Variant.EX, bootloader=True)
-    session = HostSession(cfg, small_matrix)
-    tag = Tag(start_in_bootloader=True)
-    result = session.run(Reader(), tag, ChannelModel(seed=6), CLEAN, AT(20.0))
+    result, tag = clean_run(cfg, small_matrix, seed=6, tag=Tag(start_in_bootloader=True))
     assert result.completed
     assert result.reached_application
     assert tag.application_crc() == matrix_crc(small_matrix)
+
+
+# -- round stepping -----------------------------------------------------------------
+
+
+@dataclass
+class CountingProfile(DistanceProfile):
+    lookups: int = 0
+
+    def at(self, round_no: int) -> float:
+        self.lookups += 1
+        return super().at(round_no)
+
+
+def test_one_distance_lookup_per_round():
+    # brownout = auto, so each round's power draw depends on its distance.  At
+    # seed 35 the tag is browned out when the last message is acknowledged,
+    # so the host steps further rounds until it can deliver the checksum.
+    profile = CountingProfile(kind="oscillate", min_cm=100, max_cm=140)
+    cfg = ScenarioConfig(seed=35, bootloader=True, profile=profile)
+    result = run_scenario(cfg, matrix=parse_file(GOLDEN_FILE)).runs[0].result
+    assert cfg.brownout is None
+    assert result.completed and result.reached_application
+    last_ack = max(e.round_no for e in result.log.events if e.event == "ack")
+    assert result.rounds > last_ack
+    assert profile.lookups == result.rounds
