@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable
 from enum import Enum
 
 COMMAND_OVERHEAD_BITS = 51
@@ -60,39 +61,50 @@ def miss_probability(d: float) -> float:
     return min(K_MISS * bit_error_rate(d), 0.9999)
 
 
-def delivery_outcome(rng: random.Random, length_bits: int, d: float,
-                     tag_powered: bool) -> Delivery:
-    """Sample the fate of one command over the channel.
-
-    An unpowered tag always misses the command.  Otherwise the command is
-    lost with the preamble-miss probability, else corrupted if any of its
-    L+H bits flipped, else delivered intact.
-    """
-    if length_bits <= 0:
-        raise NonPositiveLength(f"command length must be positive, got {length_bits}")
-    if not tag_powered:
-        return Delivery.LOST
-    if rng.random() < miss_probability(d):
-        return Delivery.LOST
-    p_e = bit_error_rate(d)
-    p_any_flip = 1.0 - (1.0 - p_e) ** (length_bits + COMMAND_OVERHEAD_BITS)
-    if rng.random() < p_any_flip:
-        return Delivery.CORRUPTED
-    return Delivery.DELIVERED
-
-
 class ChannelModel:
-    """Per-simulation channel: owns its RNG and the current distance."""
+    """Per-simulation channel: RNG, distance, and one-word command odds there.
+
+    Each command draws once for the miss and, if not missed, once for the
+    flip; the caller handles an unpowered tag, which misses everything.
+    """
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
-        self.d = 20.0 / D_REF_CM
+        self._place(20.0 / D_REF_CM)
 
     def set_distance_cm(self, cm: float) -> None:
         if cm <= 0:
             raise NonPositiveDistance(f"distance must be positive, got {cm} cm")
-        self.d = cm / D_REF_CM
+        if cm / D_REF_CM != self.d:
+            self._place(cm / D_REF_CM)
 
-    def deliver_word(self, tag_powered: bool) -> Delivery:
-        """Outcome for a single one-word command."""
-        return delivery_outcome(self.rng, WORD_BITS, self.d, tag_powered)
+    def _place(self, d: float) -> None:
+        self.d = d
+        self.miss = miss_probability(d)
+        self.flip = 1.0 - (1.0 - bit_error_rate(d)) ** (WORD_BITS + COMMAND_OVERHEAD_BITS)
+
+    def deliver_word(self) -> Delivery:
+        """Outcome of a one-word command to a powered tag."""
+        if self.rng.random() < self.miss:
+            return Delivery.LOST
+        return Delivery.CORRUPTED if self.rng.random() < self.flip else Delivery.DELIVERED
+
+    def deliver_series(self, n: int, q: float,
+                       energy_draw: Callable[[], float]) -> tuple[int, bool]:
+        """Sample a series of ``n`` one-word sub-commands to a powered tag.
+
+        Returns the replies before the first loss and whether any of them
+        was corrupted.  A sub-command the channel did not lose is still lost
+        from slot k = 2 on unless ``energy_draw() < q**(k-1)``.
+        """
+        draw = self.rng.random
+        miss, flip = self.miss, self.flip
+        corrupted = False
+        for k in range(n):
+            if draw() < miss:
+                return k, corrupted
+            if draw() < flip:
+                corrupted = True
+            if k and energy_draw() >= q ** k:
+                return k, corrupted
+        return n, corrupted

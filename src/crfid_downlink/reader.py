@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
-from .channel import ChannelModel, Delivery, miss_probability
+from .channel import ChannelModel, Delivery
 from .protocol import EPC_LENGTH
 from .tag import Tag
 
@@ -64,6 +65,11 @@ class AccessSpec:
             )
         if not self.is_blockwrite and len(self.words) != 1:
             raise ValueError("a Write carries exactly one word")
+
+    @cached_property
+    def raw(self) -> bytes:
+        """The words as big-endian bytes, as the tag receives a series."""
+        return bytes(b for w in self.words for b in ((w >> 8) & 0xFF, w & 0xFF))
 
 
 @dataclass
@@ -138,7 +144,7 @@ class Reader:
         # yields a bare EPC report, an invisible one yields nothing.
         if not tag.powered:
             return None
-        if channel.rng.random() < miss_probability(channel.d):
+        if channel.rng.random() < channel.miss:
             return None
         return OperationReport(0, ReportResult.INVENTORY, tag.epc, now)
 
@@ -146,10 +152,12 @@ class Reader:
         run = self.active
         run.total_rounds += 1
         spec = run.spec
-        epc_at_start = tag.epc if tag.powered else NO_TAG_EPC
+        if not tag.powered:
+            return OperationReport(spec.spec_id, ReportResult.NO_TAG_SEEN, NO_TAG_EPC, now)
+        epc_at_start = tag.epc
 
         if not spec.is_blockwrite:
-            outcome = channel.deliver_word(tag.powered)
+            outcome = channel.deliver_word()
             if outcome is Delivery.LOST:
                 return OperationReport(spec.spec_id, ReportResult.NO_TAG_SEEN, NO_TAG_EPC, now)
             if outcome is Delivery.CORRUPTED:
@@ -159,21 +167,14 @@ class Reader:
             run.success_count += 1
             return OperationReport(spec.spec_id, ReportResult.SUCCESS, epc_at_start, now)
 
-        # BlockWrite: one sub-command per word, no per-word CRC16, so a
-        # corrupted word is written and replied to; only a lost word stops
-        # the series.
-        tag.series_reset()
-        for index in range(len(spec.words)):
-            outcome = channel.deliver_word(tag.powered)
-            if outcome is not Delivery.LOST and not tag.series_slot_alive(index + 1, channel.d):
-                outcome = Delivery.LOST  # charge drained mid-series, no reply
-            if outcome is Delivery.LOST:
-                if index == 0:
-                    return OperationReport(
-                        spec.spec_id, ReportResult.NO_TAG_SEEN, NO_TAG_EPC, now
-                    )
-                return OperationReport(spec.spec_id, ReportResult.ERROR, epc_at_start, now)
-            tag.series_word(spec.words[index], outcome is Delivery.CORRUPTED)
-        tag.series_complete()
+        # BlockWrite: no per-word CRC16, so a corrupted word is written and
+        # replied to; only a lost word (missed preamble, drained slot) ends it.
+        replied, corrupted = channel.deliver_series(
+            len(spec.words), tag.series_survival(channel.d), tag.energy_rng.random)
+        if replied < len(spec.words):
+            if replied == 0:
+                return OperationReport(spec.spec_id, ReportResult.NO_TAG_SEEN, NO_TAG_EPC, now)
+            return OperationReport(spec.spec_id, ReportResult.ERROR, epc_at_start, now)
+        tag.series_complete(spec.raw, corrupted)
         run.success_count += 1
         return OperationReport(spec.spec_id, ReportResult.SUCCESS, epc_at_start, now)

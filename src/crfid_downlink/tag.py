@@ -1,10 +1,11 @@
 """Tag-side emulation: non-volatile image, message handling, power, bootloader.
 
 The tag's byte-addressable non-volatile memory survives power loss; its
-EPC register, address-assembly registers and any in-flight multi-word
-series do not.  The bootloader mode decides whether incoming messages are
-treated as reprogramming data; it is kept in non-volatile memory too, so a
-reprogram session resumes when power returns.
+EPC register and address-assembly registers do not.  Power changes only
+between inventory rounds, so no multi-word series straddles a loss.  The
+bootloader mode decides whether incoming messages are treated as
+reprogramming data; it is kept in non-volatile memory too, so a reprogram
+session resumes when power returns.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ def depletion_prob(d: float) -> float:
     While decoding back-to-back sub-commands the tag spends faster than it
     harvests, and the margin shrinks with distance; the hazard at series
     slot j scales as 1 - (1-p)^(j-1), so long series collapse at range
-    while short ones stay viable.
+    while short ones stay viable.  A drained slot is a within-round
+    brown-out approximated as a missed reply.
     """
     return min(0.5, DEFAULT_DEPLETION_COEFF * d**4)
 
@@ -116,11 +118,11 @@ class Tag:
         self.mode = TagMode.BOOTLOADER if start_in_bootloader else TagMode.REPROGRAM
         self.write_fault_prob = write_fault_prob
         self._fault_rng = random.Random(fault_seed)
-        self._energy_rng = random.Random(energy_seed)
+        self.energy_rng = random.Random(energy_seed)
+        self._survival = (-1.0, 1.0)  # (d, 1 - depletion_prob(d)) last asked for
         # Volatile reprogram state.
         self._addr_high: int | None = None
         self._addr_low: int | None = None
-        self._series: list[tuple[int, bool]] = []  # (word, corrupted)
         # Persistent bootloader state: survives power loss like the image.
         self._written_ranges: list[tuple[int, int]] = []
 
@@ -136,7 +138,6 @@ class Tag:
             self.epc = INITIAL_EPC
             self._addr_high = None
             self._addr_low = None
-            self._series.clear()
             if self.mode is TagMode.APPLICATION:
                 self.mode = TagMode.BOOTLOADER
         self.powered = powered
@@ -175,43 +176,29 @@ class Tag:
 
     # -- extended (BlockWrite series) handling -------------------------------
 
-    def series_reset(self) -> None:
-        self._series.clear()
+    def series_survival(self, d: float) -> float:
+        """q = 1 - depletion_prob(d): series slot k keeps charge w.p. q**(k-1).
+
+        Cached for the last distance asked for.
+        """
+        if self._survival[0] != d:
+            self._survival = (d, 1.0 - depletion_prob(d))
+        return self._survival[1]
 
     def series_slot_alive(self, slot: int, d: float) -> bool:
-        """Whether the tag still has charge to decode series slot ``slot``.
+        """Energy draw for one slot alone (``benchmarks/run.py`` reads it by name)."""
+        return slot <= 1 or self.energy_rng.random() < self.series_survival(d) ** (slot - 1)
 
-        Slot numbering is 1-based; the first sub-command never depletes.
-        A drained slot is a within-round brown-out approximated as a missed
-        reply, leaving the round-scale power process untouched.
+    def series_complete(self, raw: bytes, corrupted: bool) -> bool:
+        """Take a fully replied series, its words as big-endian ``raw`` bytes.
+
+        A ``corrupted`` series fails its checksum.  Otherwise the checksum is
+        verified before any memory write and recomputed from read-back
+        afterwards; both must pass for the EPC to acknowledge the message.
+        Returns True when the EPC was updated.
         """
-        if slot <= 1:
-            return True
-        p = depletion_prob(d)
-        return self._energy_rng.random() < (1.0 - p) ** (slot - 1)
-
-    def series_word(self, word: int, corrupted: bool) -> None:
-        """Accept one replied word of an in-flight series (volatile buffer)."""
-        if self.powered:
-            self._series.append((word, corrupted))
-
-    def series_complete(self) -> bool:
-        """Finish a fully replied series: verify, commit, update the EPC.
-
-        The checksum is verified against the received message before any
-        memory write and recomputed from read-back afterwards; both must
-        pass for the EPC to acknowledge the message.  Returns True when the
-        EPC was updated.
-        """
-        words = self._series
-        self._series = []
-        if not self.powered or len(words) < 2:
+        if not self.powered or len(raw) < 4 or corrupted:
             return False
-        if any(corrupted for _, corrupted in words):
-            return False  # received-message checksum cannot match
-        raw = bytearray()
-        for w, _ in words:
-            raw += bytes([(w >> 8) & 0xFF, w & 0xFF])
         checksum, length = raw[0], raw[1]
         address = (raw[2] << 8) | raw[3]
         payload = bytes(raw[4 : 4 + length])

@@ -1,17 +1,16 @@
-import random
-
 import pytest
 from scipy.special import erfc as scipy_erfc
 
 from crfid_downlink.channel import (
     COMMAND_OVERHEAD_BITS,
+    D_REF_CM,
+    WORD_BITS,
     ChannelModel,
     Delivery,
     NonPositiveDistance,
     NonPositiveLength,
     bit_error_rate,
     blockwrite_throughput,
-    delivery_outcome,
     miss_probability,
 )
 
@@ -106,38 +105,62 @@ def test_throughput_rejects_bad_inputs():
 # -- delivery -----------------------------------------------------------------
 
 
-def test_unpowered_is_always_lost():
-    rng = random.Random(0)
-    assert all(
-        delivery_outcome(rng, 16, 0.3, tag_powered=False) is Delivery.LOST
-        for _ in range(100)
-    )
+def channel_at(d, seed):
+    channel = ChannelModel(seed)
+    channel.set_distance_cm(d * D_REF_CM)
+    return channel
 
 
 def test_near_field_always_delivers():
-    rng = random.Random(1)
-    outcomes = {delivery_outcome(rng, 512, 0.2, True) for _ in range(10_000)}
+    channel = channel_at(0.2, seed=1)
+    outcomes = {channel.deliver_word() for _ in range(10_000)}
     assert outcomes == {Delivery.DELIVERED}
+    no_drain = float  # float() == 0.0, below every survival threshold
+    assert {channel.deliver_series(32, 1.0, no_drain) for _ in range(1000)} == {(32, False)}
 
 
 def test_monte_carlo_matches_closed_form():
-    d, length, n = 0.8, 512, 10_000
-    rng = random.Random(42)
-    outcomes = [delivery_outcome(rng, length, d, True) for _ in range(n)]
+    d, n = 0.8, 10_000
+    channel = channel_at(d, seed=42)
+    outcomes = [channel.deliver_word() for _ in range(n)]
     lost = sum(o is Delivery.LOST for o in outcomes)
     corrupted = sum(o is Delivery.CORRUPTED for o in outcomes)
     not_lost = n - lost
-    p_corrupt = 1.0 - (1.0 - float(scipy_erfc(1.0 / d))) ** (length + 51)
+    p_corrupt = 1.0 - (1.0 - float(scipy_erfc(1.0 / d))) ** (WORD_BITS + 51)
     assert corrupted / not_lost == pytest.approx(p_corrupt, abs=0.02)
     assert lost / n == pytest.approx(miss_probability(d), abs=0.02)
 
 
+def test_series_monte_carlo_matches_closed_form():
+    # Slot k replies with probability (1 - miss) * q**(k-1), independently,
+    # so a whole series of n replies with (1 - miss)**n * q**(n(n-1)/2), and
+    # it holds a corrupted word with 1 - (1 - flip)**n.
+    d, n, q, trials = 0.5, 4, 0.9, 10_000
+    channel = channel_at(d, seed=5)
+    energy = channel_at(d, seed=6).rng.random
+    samples = [channel.deliver_series(n, q, energy) for _ in range(trials)]
+    full = [corrupted for replied, corrupted in samples if replied == n]
+    miss = miss_probability(d)
+    flip = 1.0 - (1.0 - bit_error_rate(d)) ** (WORD_BITS + COMMAND_OVERHEAD_BITS)
+    assert len(full) / trials == pytest.approx((1 - miss) ** n * q ** (n * (n - 1) // 2), abs=0.02)
+    assert sum(full) / len(full) == pytest.approx(1 - (1 - flip) ** n, abs=0.02)
+    assert sum(replied == 0 for replied, _ in samples) / trials == pytest.approx(miss, abs=0.01)
+
+
 def test_delivery_is_seed_reproducible():
-    a = random.Random(7)
-    b = random.Random(7)
-    seq_a = [delivery_outcome(a, 16, 0.7, True) for _ in range(500)]
-    seq_b = [delivery_outcome(b, 16, 0.7, True) for _ in range(500)]
+    a, b = channel_at(0.7, seed=7), channel_at(0.7, seed=7)
+    seq_a = [a.deliver_word() for _ in range(500)]
+    seq_b = [b.deliver_word() for _ in range(500)]
     assert seq_a == seq_b
+
+
+def test_cached_probabilities_follow_the_distance():
+    channel = ChannelModel(seed=0)
+    for cm in (20.0, 90.0, 90.0, 140.0, 20.0):
+        channel.set_distance_cm(cm)
+        d = cm / D_REF_CM
+        assert channel.miss == miss_probability(d)
+        assert channel.flip == 1.0 - (1.0 - bit_error_rate(d)) ** (WORD_BITS + COMMAND_OVERHEAD_BITS)
 
 
 def test_channel_model_distance_mapping():

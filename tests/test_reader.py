@@ -1,13 +1,24 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from crfid_downlink.channel import ChannelModel, Delivery
+from crfid_downlink.channel import (
+    COMMAND_OVERHEAD_BITS,
+    D_REF_CM,
+    WORD_BITS,
+    ChannelModel,
+    Delivery,
+    bit_error_rate,
+    miss_probability,
+)
 from crfid_downlink.protocol import build_ex_message
 from crfid_downlink.reader import (
     DELETE_GRACE,
     LLRP_LATENCY_TICKS,
+    NO_TAG_EPC,
     AccessSpec,
+    OperationReport,
     Reader,
     ReportResult,
 )
@@ -15,19 +26,30 @@ from crfid_downlink.tag import Tag
 
 
 class ScriptedChannel:
-    """Channel stand-in replaying a fixed outcome sequence."""
+    """Channel stand-in replaying a fixed outcome sequence, one per word.
+
+    Series slots never drain: the energy stream is left untouched.
+    """
 
     def __init__(self, outcomes, d=0.1):
         self.outcomes = list(outcomes)
         self.d = d
+        self.miss = miss_probability(d)
         self.rng = random.Random(0)
 
-    def deliver_word(self, tag_powered):
-        if not tag_powered:
-            return Delivery.LOST
+    def deliver_word(self):
         if self.outcomes:
             return self.outcomes.pop(0)
         return Delivery.DELIVERED
+
+    def deliver_series(self, n, q, energy_draw):
+        corrupted = False
+        for k in range(n):
+            outcome = self.deliver_word()
+            if outcome is Delivery.LOST:
+                return k, corrupted
+            corrupted |= outcome is Delivery.CORRUPTED
+        return n, corrupted
 
 
 def write_spec(word=0xFDAA, spec_id=1, ocv=15):
@@ -192,3 +214,83 @@ def test_channel_model_drives_reader():
     report = run_reader_round(reader, ex_spec(), tag, channel)
     assert report.result is ReportResult.SUCCESS
     assert tag.fram.read(0xAADD, 2) == bytes([0xBB, 0xCC])
+
+
+def test_unpowered_round_draws_nothing():
+    # An unpowered tag misses every command: no channel or energy draw, for
+    # either flavour, and a NO_TAG_SEEN report with the all-zero EPC.
+    for spec in (write_spec(), ex_spec()):
+        reader, tag = Reader(), Tag(energy_seed=3)
+        tag.set_powered(False)
+        channel = ChannelModel(seed=4)
+        channel.set_distance_cm(60.0)
+        before = (channel.rng.getstate(), tag.energy_rng.getstate())
+        report = run_reader_round(reader, spec, tag, channel)
+        assert report.result is ReportResult.NO_TAG_SEEN
+        assert report.epc == NO_TAG_EPC
+        assert (channel.rng.getstate(), tag.energy_rng.getstate()) == before
+
+
+# -- fused series sampling versus the per-word loop -----------------------------
+
+FLIP_BITS = WORD_BITS + COMMAND_OVERHEAD_BITS
+
+
+def reference_blockwrite_round(spec, tag, rng, d, now):
+    """The per-word BlockWrite round the fused sampler replaced.
+
+    Per sub-command: the channel stream draws the miss, then the flip when
+    not missed; the energy stream then draws for slots from the second on
+    that the channel did not lose.  An unpowered tag draws nothing.
+    """
+    epc_at_start = tag.epc if tag.powered else NO_TAG_EPC
+    replied = []
+    for index, word in enumerate(spec.words):
+        lost = not tag.powered or rng.random() < miss_probability(d)
+        corrupted = not lost and rng.random() < 1.0 - (1.0 - bit_error_rate(d)) ** FLIP_BITS
+        if not lost and not tag.series_slot_alive(index + 1, d):
+            lost = True  # charge drained mid-series, no reply
+        if lost:
+            if index == 0:
+                return OperationReport(spec.spec_id, ReportResult.NO_TAG_SEEN, NO_TAG_EPC, now)
+            return OperationReport(spec.spec_id, ReportResult.ERROR, epc_at_start, now)
+        replied.append((word, corrupted))
+    raw = b"".join(bytes([(w >> 8) & 0xFF, w & 0xFF]) for w, _ in replied)
+    tag.series_complete(raw, any(c for _, c in replied))
+    return OperationReport(spec.spec_id, ReportResult.SUCCESS, epc_at_start, now)
+
+
+def valid_message_words(data):
+    return tuple(build_ex_message(data, 0x1000, s_max=30).to_words())
+
+
+series_words = st.one_of(
+    st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=32).map(tuple),
+    st.binary(min_size=1, max_size=60).map(valid_message_words),  # 3 to 32 words
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    words=series_words,
+    rounds=st.lists(st.tuples(st.floats(0.05, 0.7), st.booleans()), min_size=1, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+def test_fused_round_matches_per_word_loop(words, rounds, seed):
+    spec = AccessSpec(1, words, True, ocv=64)
+    reader = Reader()
+    reader.stage(spec, -LLRP_LATENCY_TICKS)
+    fused_tag = Tag(write_fault_prob=0.05, fault_seed=seed, energy_seed=seed + 1)
+    ref_tag = Tag(write_fault_prob=0.05, fault_seed=seed, energy_seed=seed + 1)
+    channel = ChannelModel(seed)
+    ref_rng = random.Random(seed)
+    for now, (d, powered) in enumerate(rounds):
+        channel.set_distance_cm(d * D_REF_CM)
+        fused_tag.set_powered(powered)
+        ref_tag.set_powered(powered)
+        report = reader.tick(now, fused_tag, channel)
+        assert report == reference_blockwrite_round(spec, ref_tag, ref_rng, channel.d, now)
+        assert fused_tag.epc == ref_tag.epc
+        assert fused_tag.fram.read(0x0000, 0x10000) == ref_tag.fram.read(0x0000, 0x10000)
+        assert channel.rng.getstate() == ref_rng.getstate()
+        assert fused_tag.energy_rng.getstate() == ref_tag.energy_rng.getstate()

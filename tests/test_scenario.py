@@ -367,7 +367,7 @@ def test_cli_checksum_missing_file():
 
 # -- golden CSV digests ---------------------------------------------------------------
 #
-# Pinned SHA-256 of every CSV artifact for two noisy configs on the 520-byte
+# Pinned SHA-256 of every CSV artifact for three noisy configs on the 520-byte
 # image.  A refactor of the transfer engine must leave these untouched; a
 # change that moves simulated behaviour on purpose updates them and says why.
 
@@ -378,6 +378,9 @@ GOLDEN_CONFIGS = {
     # throttle steps and re-cut resends of the extended flavour
     "ex": "protocol = ex\ns_p = throttle\nbootloader = true\ndistance = oscillate\n"
           "write_fault_prob = 0.01\nrepeats = 2\n",
+    # long BlockWrite series at a range where slots drain and resends follow
+    "long": "protocol = ex\ns_p = 16\nbrownout = auto\ndistance = static\nd_cm = 50\n"
+            "write_fault_prob = 0.01\nrepeats = 2\n",
 }
 
 GOLDEN_DIGESTS = {
@@ -385,9 +388,11 @@ GOLDEN_DIGESTS = {
     ("basic", 2): "784593af93caccbb14941d0a0d7de22f05d5ba16bc946c82f17b15afdedaf283",
     ("ex", 1): "02d248e7eff0eabc86c8cc234fb929dc1ea1589043a0a032866086c8dbb13c0c",
     ("ex", 2): "38b5720250f9e0b05d2dc2fc78f687147fb4e39bc73be91aa3101332b24a3e0e",
+    ("long", 1): "a01b46ee5de5b425bd017ecdb606d7463d84177f59798125412fe4d26572273e",
 }
 
-GOLDEN_EVENTS = {"basic": {"resend", "timeout", "abort"}, "ex": {"throttle", "resend"}}
+GOLDEN_EVENTS = {"basic": {"resend", "timeout", "abort"}, "ex": {"throttle", "resend"},
+                 "long": {"timeout", "resend"}}
 
 
 def csv_digest(out_dir) -> str:

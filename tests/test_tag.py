@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crfid_downlink.channel import ChannelModel
 from crfid_downlink.crc import crc16_ccitt
 from crfid_downlink.protocol import build_ex_message
 from crfid_downlink.tag import (
@@ -14,12 +15,14 @@ from crfid_downlink.tag import (
 
 
 def feed_series(tag, message, corrupt_index=None, drop_after=None):
-    tag.series_reset()
-    for i, word in enumerate(message.to_words()):
-        if drop_after is not None and i >= drop_after:
-            break
-        tag.series_word(word, corrupted=(i == corrupt_index))
-    return tag.series_complete()
+    """Hand the tag ``message`` as a replied series of big-endian words.
+
+    ``drop_after`` keeps only that many words; ``corrupt_index`` marks the
+    series as holding a corrupted word when that word was sent.
+    """
+    words = message.to_words()[:drop_after]
+    raw = b"".join(bytes([(w >> 8) & 0xFF, w & 0xFF]) for w in words)
+    return tag.series_complete(raw, corrupted=corrupt_index is not None and corrupt_index < len(words))
 
 
 # -- CRC ------------------------------------------------------------------------
@@ -139,8 +142,6 @@ def test_power_loss_clears_volatile_keeps_fram():
     tag = Tag()
     for word in (0xFDAA, 0xFEDD, 0x00BB):
         tag.handle_basic_write(word)
-    msg = build_ex_message(bytes([0x01]), 0x5000)
-    tag.series_word(msg.to_words()[0], False)  # in-flight series
     tag.set_powered(False)
     assert tag.epc == bytes(12)
     assert not tag.powered
@@ -148,20 +149,45 @@ def test_power_loss_clears_volatile_keeps_fram():
     assert tag.fram.read(0xAADD, 1) == bytes([0xBB])  # persistent
     tag.set_powered(True)
     assert tag.mode is TagMode.REPROGRAM  # the session resumes
-    assert tag.series_complete() is False  # buffer did not survive
     tag.handle_basic_write(0x00BB)  # address registers did not survive either
     assert tag.epc == bytes(12)
 
 
+def test_unpowered_tag_ignores_a_completed_series():
+    # Power changes only between rounds, so a series never straddles a loss;
+    # a series handed to an unpowered tag changes nothing.
+    tag = Tag()
+    msg = build_ex_message(bytes([0xBB, 0xCC]), 0xAADD)
+    tag.set_powered(False)
+    assert feed_series(tag, msg) is False
+    assert tag.fram.read(0xAADD, 2) == bytes(2)
+    assert tag.epc == bytes(12)
+    tag.set_powered(True)
+    assert feed_series(tag, msg) is True
+
+
+def slot_survives(tag, slot, d):
+    """Send a ``slot``-word series at close range, where the channel loses
+    nothing, sparing every slot before the last: whether slot ``slot`` replied."""
+    channel = ChannelModel(seed=0)  # 20 cm
+    draws = iter([0.0] * (slot - 2) + [tag.energy_rng.random()] * (slot > 1))
+    replied, _ = channel.deliver_series(slot, tag.series_survival(d), draws.__next__)
+    return replied == slot
+
+
 def test_depletion_first_slot_never_fails():
     tag = Tag(energy_seed=5)
-    assert all(tag.series_slot_alive(1, 0.6) for _ in range(100))
+    channel = ChannelModel(seed=0)  # 20 cm: no preamble misses
+    state = tag.energy_rng.getstate()
+    q = tag.series_survival(0.6)
+    assert all(channel.deliver_series(1, q, tag.energy_rng.random)[0] == 1 for _ in range(100))
+    assert tag.energy_rng.getstate() == state  # slot 1 draws no energy
 
 
 def test_depletion_hits_long_series_at_range():
     tag = Tag(energy_seed=5)
-    deep = sum(tag.series_slot_alive(18, 0.45) for _ in range(2000))
-    shallow = sum(tag.series_slot_alive(2, 0.45) for _ in range(2000))
+    deep = sum(slot_survives(tag, 18, 0.45) for _ in range(2000))
+    shallow = sum(slot_survives(tag, 2, 0.45) for _ in range(2000))
     assert deep < shallow
     expected_deep = (1 - depletion_prob(0.45)) ** 17
     assert deep / 2000 == pytest.approx(expected_deep, abs=0.04)
