@@ -14,6 +14,7 @@ import math
 import random
 from collections.abc import Callable
 from enum import Enum
+from functools import lru_cache
 
 COMMAND_OVERHEAD_BITS = 51
 WORD_BITS = 16
@@ -61,6 +62,13 @@ def miss_probability(d: float) -> float:
     return min(K_MISS * bit_error_rate(d), 0.9999)
 
 
+@lru_cache(maxsize=4096)
+def word_odds(d: float) -> tuple[float, float]:
+    """(miss, flip) of a one-word command at d, memoised across channels and runs."""
+    flip = 1.0 - (1.0 - bit_error_rate(d)) ** (WORD_BITS + COMMAND_OVERHEAD_BITS)
+    return miss_probability(d), flip
+
+
 class ChannelModel:
     """Per-simulation channel: RNG, distance, and one-word command odds there.
 
@@ -80,8 +88,7 @@ class ChannelModel:
 
     def _place(self, d: float) -> None:
         self.d = d
-        self.miss = miss_probability(d)
-        self.flip = 1.0 - (1.0 - bit_error_rate(d)) ** (WORD_BITS + COMMAND_OVERHEAD_BITS)
+        self.miss, self.flip = word_odds(d)
 
     def deliver_word(self) -> Delivery:
         """Outcome of a one-word command to a powered tag."""

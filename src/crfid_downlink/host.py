@@ -45,7 +45,7 @@ class Variant(Enum):
     EX = "ex"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LogEvent:
     round_no: int
     event: str

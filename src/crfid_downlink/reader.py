@@ -41,7 +41,7 @@ class ReportResult(Enum):
     INVENTORY = "inventory"  # idle round, no access operation attached
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class OperationReport:
     spec_id: int
     result: ReportResult

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 
 from .crc import crc16_ccitt
@@ -87,6 +88,7 @@ class PowerModel:
         return True
 
 
+@lru_cache(maxsize=4096)
 def distance_brownout_prob(d: float) -> float:
     """Default brown-out probability: negligible near, bursty far."""
     return min(0.9, 0.02 * (d / 0.6) ** 4)
@@ -95,6 +97,7 @@ def distance_brownout_prob(d: float) -> float:
 DEFAULT_DEPLETION_COEFF = 4.0
 
 
+@lru_cache(maxsize=4096)
 def depletion_prob(d: float) -> float:
     """Per-slot energy-drain hazard base during a multi-word series.
 
@@ -119,7 +122,7 @@ class Tag:
         self.write_fault_prob = write_fault_prob
         self._fault_rng = random.Random(fault_seed)
         self.energy_rng = random.Random(energy_seed)
-        self._survival = (-1.0, 1.0)  # (d, 1 - depletion_prob(d)) last asked for
+        self._verified = (None, 0, b"", b"")  # last checksummed (raw, address, payload, EPC)
         # Volatile reprogram state.
         self._addr_high: int | None = None
         self._addr_low: int | None = None
@@ -179,11 +182,9 @@ class Tag:
     def series_survival(self, d: float) -> float:
         """q = 1 - depletion_prob(d): series slot k keeps charge w.p. q**(k-1).
 
-        Cached for the last distance asked for.
+        ``depletion_prob`` is memoised per distance, shared by every tag.
         """
-        if self._survival[0] != d:
-            self._survival = (d, 1.0 - depletion_prob(d))
-        return self._survival[1]
+        return 1.0 - depletion_prob(d)
 
     def series_slot_alive(self, slot: int, d: float) -> bool:
         """Energy draw for one slot alone (``benchmarks/run.py`` reads it by name)."""
@@ -193,27 +194,29 @@ class Tag:
         """Take a fully replied series, its words as big-endian ``raw`` bytes.
 
         A ``corrupted`` series fails its checksum.  Otherwise the checksum is
-        verified before any memory write and recomputed from read-back
-        afterwards; both must pass for the EPC to acknowledge the message.
-        Returns True when the EPC was updated.
+        verified before any memory write (once per distinct ``raw``, which the
+        reader repeats) and recomputed from read-back afterwards; both must
+        pass for the EPC to acknowledge the message.  Returns True when the
+        EPC was updated.
         """
-        if not self.powered or len(raw) < 4 or corrupted:
+        if not self.powered or corrupted:
             return False
-        checksum, length = raw[0], raw[1]
-        address = (raw[2] << 8) | raw[3]
-        payload = bytes(raw[4 : 4 + length])
-        if len(payload) != length:
-            return False
-        if record_checksum(raw[1 : 4 + length]) != checksum:
-            return False
+        if raw != self._verified[0]:
+            if len(raw) < 4:
+                return False
+            length = raw[1]
+            payload = bytes(raw[4 : 4 + length])
+            if len(payload) != length or record_checksum(raw[1 : 4 + length]) != raw[0]:
+                return False
+            epc = bytes(raw[:4]).ljust(EPC_LENGTH, b"\x00")
+            self._verified = (bytes(raw), (raw[2] << 8) | raw[3], payload, epc)
+        _, address, payload, epc = self._verified
         if self.mode is not TagMode.REPROGRAM:
             return False
         self._commit(address, payload)
-        readback = self.fram.read(address, length)
-        header = bytes([checksum, length, raw[2], raw[3]])
-        if record_checksum(header[1:] + readback) != checksum:
+        if record_checksum(epc[1:4] + self.fram.read(address, len(payload))) != epc[0]:
             return False  # write fault surfaced by read-back
-        self.epc = header.ljust(EPC_LENGTH, b"\x00")
+        self.epc = epc
         return True
 
     def _commit(self, address: int, data: bytes) -> None:
@@ -223,7 +226,9 @@ class Tag:
                 if self._fault_rng.random() < self.write_fault_prob:
                     written[i] ^= 0xFF
         self.fram.write(address, bytes(written))
-        self._written_ranges.append((address, address + len(data)))
+        span = (address, address + len(data))
+        if not self._written_ranges or self._written_ranges[-1] != span:
+            self._written_ranges.append(span)  # a rewrite of the last span adds nothing
 
     # -- bootloader ----------------------------------------------------------
 

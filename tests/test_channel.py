@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import erfc as scipy_erfc
 
 from crfid_downlink.channel import (
@@ -12,7 +15,12 @@ from crfid_downlink.channel import (
     bit_error_rate,
     blockwrite_throughput,
     miss_probability,
+    word_odds,
 )
+
+# Finite positive normalized distances, subnormals and far range included.
+distances = st.floats(min_value=0.0, max_value=1e12, exclude_min=True,
+                      allow_nan=False, allow_infinity=False)
 
 
 def oracle_throughput(length_bits, d):
@@ -161,6 +169,26 @@ def test_cached_probabilities_follow_the_distance():
         d = cm / D_REF_CM
         assert channel.miss == miss_probability(d)
         assert channel.flip == 1.0 - (1.0 - bit_error_rate(d)) ** (WORD_BITS + COMMAND_OVERHEAD_BITS)
+
+
+@given(distances)
+def test_memoised_odds_equal_the_formulas_bit_for_bit(d):
+    p = math.erfc(1.0 / d)
+    direct = (min(5.0 * p, 0.9999), 1.0 - (1.0 - p) ** 67)
+    for _ in range(2):  # the first call may fill the memo, the second reads it
+        assert [x.hex() for x in word_odds(d)] == [x.hex() for x in direct]
+    assert word_odds.cache_info().maxsize is not None
+
+
+@given(distances, distances)
+def test_walk_away_and_back_matches_a_fresh_placement(a, b):
+    walked = ChannelModel(seed=0)
+    for d in (a, b, a):
+        walked.set_distance_cm(d * D_REF_CM)
+    word_odds.cache_clear()  # the fresh model computes its odds anew
+    fresh = ChannelModel(seed=0)
+    fresh.set_distance_cm(a * D_REF_CM)
+    assert (walked.d, walked.miss, walked.flip) == (fresh.d, fresh.miss, fresh.flip)
 
 
 def test_channel_model_distance_mapping():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crfid_downlink.channel import word_odds
 from crfid_downlink.cli import main
 from crfid_downlink.host import Variant
 from crfid_downlink.ihex import generate_fixture, parse_file
@@ -20,6 +21,7 @@ from crfid_downlink.scenario import (
     SUMMARY_COLUMNS,
     LOG_COLUMNS,
 )
+from crfid_downlink.tag import depletion_prob, distance_brownout_prob
 
 CONFIG_TEXT = """
 # transfer setup
@@ -409,3 +411,15 @@ def test_csv_digests_pinned(tmp_path, small_matrix, name, seed):
     events = {e.event for r in outcome.runs for e in r.result.log.events}
     assert GOLDEN_EVENTS[name] <= events  # the digest covers the paths it guards
     assert csv_digest(tmp_path) == GOLDEN_DIGESTS[name, seed]
+
+
+def test_shared_memo_does_not_leak_between_runs(tmp_path, small_matrix):
+    # The per-distance odds are memoised for the whole process; a run that
+    # fills the memo first must not move the next run's output.
+    for memo in (word_odds, depletion_prob, distance_brownout_prob):
+        memo.cache_clear()
+    for name, seed in (("long", 1), ("ex", 1)):
+        out = tmp_path / name
+        run_scenario(parse_config_text(GOLDEN_CONFIGS[name] + f"seed = {seed}\n"),
+                     out_dir=out, matrix=small_matrix)
+        assert csv_digest(out) == GOLDEN_DIGESTS[name, seed]

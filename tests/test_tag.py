@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +7,7 @@ from crfid_downlink.channel import ChannelModel
 from crfid_downlink.crc import crc16_ccitt
 from crfid_downlink.protocol import build_ex_message
 from crfid_downlink.tag import (
+    INITIAL_EPC,
     MEAN_BURST_ROUNDS,
     PowerModel,
     Tag,
@@ -14,6 +17,10 @@ from crfid_downlink.tag import (
 )
 
 
+def raw_of(message):
+    return b"".join(bytes([(w >> 8) & 0xFF, w & 0xFF]) for w in message.to_words())
+
+
 def feed_series(tag, message, corrupt_index=None, drop_after=None):
     """Hand the tag ``message`` as a replied series of big-endian words.
 
@@ -21,7 +28,7 @@ def feed_series(tag, message, corrupt_index=None, drop_after=None):
     series as holding a corrupted word when that word was sent.
     """
     words = message.to_words()[:drop_after]
-    raw = b"".join(bytes([(w >> 8) & 0xFF, w & 0xFF]) for w in words)
+    raw = raw_of(message)[: 2 * len(words)]
     return tag.series_complete(raw, corrupted=corrupt_index is not None and corrupt_index < len(words))
 
 
@@ -113,6 +120,87 @@ def test_series_checksum_recomputed_from_read_back():
     assert tag.epc == bytes(12)
 
 
+def recording_writes(tag):
+    """Record every ``(address, data)`` the tag writes to its memory."""
+    writes, write = [], tag.fram.write
+
+    def record(address, data):
+        writes.append((address, data))
+        write(address, data)
+
+    tag.fram.write = record
+    return writes
+
+
+def test_repeated_series_commits_and_draws_faults_on_every_call():
+    # The reader replays one series until its stop trigger fires; verifying
+    # its checksum once must not skip the write, the fault draws or the
+    # read-back check of any replay.
+    tag = Tag(write_fault_prob=1.0, fault_seed=4)
+    writes = recording_writes(tag)
+    msg = build_ex_message(bytes([0xBB, 0xCC]), 0xAADD)
+    raw = raw_of(msg)
+    assert [tag.series_complete(raw, False) for _ in range(15)] == [False] * 15
+    assert tag.epc == INITIAL_EPC
+    assert writes == [(0xAADD, bytes([0x44, 0x33]))] * 15  # each byte landed inverted
+    reference = random.Random(4)
+    for _ in range(15 * 2):
+        reference.random()
+    assert tag._fault_rng.getstate() == reference.getstate()
+
+
+def test_bad_checksum_stays_rejected_on_every_repeat():
+    tag = Tag()
+    good = raw_of(build_ex_message(bytes([0xBB, 0xCC]), 0xAADD))
+    bad = bytes([good[0] ^ 0x01]) + good[1:]
+    writes = recording_writes(tag)
+    assert [tag.series_complete(bad, False) for _ in range(15)] == [False] * 15
+    assert tag.series_complete(good, False) is True
+    assert [tag.series_complete(bad, False) for _ in range(15)] == [False] * 15
+    assert writes == [(0xAADD, bytes([0xBB, 0xCC]))]
+    assert tag.epc[:4] == good[:4]
+
+
+def test_new_series_bytes_are_verified_again():
+    tag = Tag()
+    first = raw_of(build_ex_message(bytes([0xBB, 0xCC]), 0xAADD))
+    assert tag.series_complete(first, False) is True
+    # Same header, other payload: the checksum no longer matches.
+    altered = first[:4] + bytes([0xBC, 0xCC])
+    assert tag.series_complete(altered, False) is False
+    assert tag.fram.read(0xAADD, 2) == bytes([0xBB, 0xCC])
+    second = build_ex_message(bytes([0x11, 0x22, 0x33]), 0x0100)
+    assert tag.series_complete(raw_of(second), False) is True
+    assert tag.fram.read(0x0100, 3) == bytes([0x11, 0x22, 0x33])
+    assert tag.epc == second.header_bytes() + bytes(8)
+
+
+def reference_application_crc(fram, ranges):
+    """The CRC over every range ever committed, repeats included."""
+    merged = []
+    for start, end in sorted(set(ranges)):
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    return crc16_ccitt(b"".join(fram.read(s, e - s) for s, e in merged))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.integers(0, 0x300), st.binary(min_size=1, max_size=32),
+                          st.integers(1, 4)), max_size=30),
+       st.sampled_from([0.0, 0.2]))
+def test_application_crc_matches_append_every_commit(commits, fault_prob):
+    tag = Tag(write_fault_prob=fault_prob, fault_seed=9)
+    ranges = []
+    for address, data, repeats in commits:
+        raw = raw_of(build_ex_message(data, address))
+        for _ in range(repeats):
+            tag.series_complete(raw, False)
+            ranges.append((address, address + len(data)))
+    assert tag.application_crc() == reference_application_crc(tag.fram, ranges)
+
+
 def test_odd_length_series_honors_length_field():
     tag = Tag()
     msg = build_ex_message(bytes([0xAB]), 0x3000)
@@ -191,6 +279,20 @@ def test_depletion_hits_long_series_at_range():
     assert deep < shallow
     expected_deep = (1 - depletion_prob(0.45)) ** 17
     assert deep / 2000 == pytest.approx(expected_deep, abs=0.04)
+
+
+distances = st.floats(min_value=0.0, max_value=1e12, exclude_min=True,
+                      allow_nan=False, allow_infinity=False)
+
+
+@given(distances)
+def test_memoised_survival_and_brownout_equal_the_formulas_bit_for_bit(d):
+    tag = Tag()
+    for _ in range(2):  # the first call may fill the memo, the second reads it
+        assert tag.series_survival(d).hex() == (1.0 - min(0.5, 4.0 * d**4)).hex()
+        assert distance_brownout_prob(d).hex() == min(0.9, 0.02 * (d / 0.6) ** 4).hex()
+    assert depletion_prob.cache_info().maxsize is not None
+    assert distance_brownout_prob.cache_info().maxsize is not None
 
 
 def test_distance_brownout_prob_shape():
