@@ -1,11 +1,13 @@
-"""Distance-parameterized lossy channel.
+"""Distance-parameterized lossy channel and everything distance does to a round.
 
 Bit errors follow erfc(1/d) in a dimensionless distance d; physical
 distances map through one fixed reference scale, d = cm / D_REF_CM with
 D_REF_CM = 200.  Each command of L payload bits plus the fixed 51-bit
 overhead is delivered, corrupted, or lost outright; losses model the tag
 never decoding the command at all, with probability K_MISS * erfc(1/d)
-for K_MISS = 5.
+for K_MISS = 5.  Distance also sets the tag's energy-drain hazard within a
+multi-word series and its default per-round brown-out probability; the
+channel's placement holds all four probabilities for its current distance.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ WORD_BITS = 16
 
 D_REF_CM = 200.0  # cm per unit of normalized distance
 K_MISS = 5.0  # preamble-miss multiplier on the bit error rate
+DEPLETION_COEFF = 4.0  # series energy-drain hazard per d**4
 
 
 class NonPositiveDistance(ValueError):
@@ -62,15 +65,36 @@ def miss_probability(d: float) -> float:
     return min(K_MISS * bit_error_rate(d), 0.9999)
 
 
+def depletion_prob(d: float) -> float:
+    """Per-slot energy-drain hazard base during a multi-word series.
+
+    While decoding back-to-back sub-commands the tag spends faster than it
+    harvests, and the margin shrinks with distance; the hazard at series
+    slot j scales as 1 - (1-p)^(j-1), so long series collapse at range
+    while short ones stay viable.  A drained slot is a within-round
+    brown-out approximated as a missed reply.
+    """
+    return min(0.5, DEPLETION_COEFF * d**4)
+
+
+def distance_brownout_prob(d: float) -> float:
+    """Default per-round brown-out probability: negligible near, bursty far."""
+    return min(0.9, 0.02 * (d / 0.6) ** 4)
+
+
 @lru_cache(maxsize=4096)
-def word_odds(d: float) -> tuple[float, float]:
-    """(miss, flip) of a one-word command at d, memoised across channels and runs."""
+def round_odds(d: float) -> tuple[float, float, float, float]:
+    """(miss, flip, survival, brownout) at d, memoised across channels and runs.
+
+    ``miss`` and ``flip`` are a one-word command's; series slot k keeps its
+    charge with probability ``survival**(k-1)``.
+    """
     flip = 1.0 - (1.0 - bit_error_rate(d)) ** (WORD_BITS + COMMAND_OVERHEAD_BITS)
-    return miss_probability(d), flip
+    return miss_probability(d), flip, 1.0 - depletion_prob(d), distance_brownout_prob(d)
 
 
 class ChannelModel:
-    """Per-simulation channel: RNG, distance, and one-word command odds there.
+    """Per-simulation channel: RNG, distance, and the round odds there.
 
     Each command draws once for the miss and, if not missed, once for the
     flip; the caller handles an unpowered tag, which misses everything.
@@ -88,7 +112,7 @@ class ChannelModel:
 
     def _place(self, d: float) -> None:
         self.d = d
-        self.miss, self.flip = word_odds(d)
+        self.miss, self.flip, self.survival, self.brownout = round_odds(d)
 
     def deliver_word(self) -> Delivery:
         """Outcome of a one-word command to a powered tag."""
@@ -96,16 +120,15 @@ class ChannelModel:
             return Delivery.LOST
         return Delivery.CORRUPTED if self.rng.random() < self.flip else Delivery.DELIVERED
 
-    def deliver_series(self, n: int, q: float,
-                       energy_draw: Callable[[], float]) -> tuple[int, bool]:
+    def deliver_series(self, n: int, energy_draw: Callable[[], float]) -> tuple[int, bool]:
         """Sample a series of ``n`` one-word sub-commands to a powered tag.
 
         Returns the replies before the first loss and whether any of them
         was corrupted.  A sub-command the channel did not lose is still lost
-        from slot k = 2 on unless ``energy_draw() < q**(k-1)``.
+        from slot k = 2 on unless ``energy_draw() < survival**(k-1)``.
         """
         draw = self.rng.random
-        miss, flip = self.miss, self.flip
+        miss, flip, q = self.miss, self.flip, self.survival
         corrupted = False
         for k in range(n):
             if draw() < miss:

@@ -1,8 +1,8 @@
 """CRC16-CCITT (polynomial 0x1021, initial value 0xFFFF)."""
 
 
-def crc16_ccitt(data: bytes, init: int = 0xFFFF) -> int:
-    crc = init
+def crc16_ccitt(data: bytes) -> int:
+    crc = 0xFFFF
     for byte in data:
         crc ^= byte << 8
         for _ in range(8):

@@ -32,7 +32,7 @@ from .protocol import (
     throttle,
 )
 from .reader import ROUNDS_PER_SEC, AccessSpec, OperationReport, Reader, ReportResult
-from .tag import PowerModel, Tag, TagMode, distance_brownout_prob
+from .tag import PowerModel, Tag, TagMode
 
 if TYPE_CHECKING:  # scenario imports this module
     from .scenario import ScenarioConfig
@@ -123,7 +123,6 @@ class HostSession:
         self.config = config
         self.matrix = matrix
         self.log = TransferLog()
-        self._spec_serial = 0
         self._basic = config.protocol is Variant.BASIC
         # What the cursor walks in each row: the basic flavour's Write
         # messages (built up front so RowTooLong surfaces before the first
@@ -194,9 +193,9 @@ class HostSession:
     # transmission
 
     def _transmit(self, flight: _InFlight, resend: bool) -> None:
-        self._spec_serial += 1
+        self._m_sent += 1
         spec = AccessSpec(
-            spec_id=self._spec_serial,
+            spec_id=self._m_sent,
             words=flight.words,
             is_blockwrite=flight.is_blockwrite,
             ocv=self.config.ocv,
@@ -207,7 +206,6 @@ class HostSession:
         self._nack_count = 0
         self._no_tag_count = 0
         self._silent_ticks = 0
-        self._m_sent += 1
         self._sum_s_p += flight.s_p
         if resend:
             self._m_resent += 1
@@ -222,7 +220,7 @@ class HostSession:
         self._now += 1
         channel.set_distance_cm(self.config.profile.at(self._now))
         p = self.config.brownout
-        tag.set_powered(power.step(distance_brownout_prob(channel.d) if p is None else p))
+        tag.set_powered(power.step(channel.brownout if p is None else p))
 
     def run(self, tag: Tag, channel: ChannelModel, power: PowerModel) -> SessionResult:
         """Drive the transfer to completion, failure, or the round budget."""

@@ -169,8 +169,7 @@ class Reader:
 
         # BlockWrite: no per-word CRC16, so a corrupted word is written and
         # replied to; only a lost word (missed preamble, drained slot) ends it.
-        replied, corrupted = channel.deliver_series(
-            len(spec.words), tag.series_survival(channel.d), tag.energy_rng.random)
+        replied, corrupted = channel.deliver_series(len(spec.words), tag.energy_rng.random)
         if replied < len(spec.words):
             if replied == 0:
                 return OperationReport(spec.spec_id, ReportResult.NO_TAG_SEEN, NO_TAG_EPC, now)

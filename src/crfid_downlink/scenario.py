@@ -114,7 +114,8 @@ class ScenarioConfig:
         if self.s_p is not None:
             _require(self.protocol is Variant.EX, "s_p",
                      "'throttle' for protocol = basic, which sends one word", self.s_p)
-            _require(self.s_p >= 1, "s_p", "at least 1 or 'throttle'", self.s_p)
+            _require(1 <= self.s_p <= self.s_max, "s_p",
+                     f"in 1..s_max = {self.s_max}, or 'throttle'", self.s_p)
         elif self.protocol is Variant.EX:
             _require(1 <= self.t_u < -self.t_de <= -self.t_dl, "t_u, t_de, t_dl",
                      "steps with 1 <= t_u < -t_de <= -t_dl",

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from functools import lru_cache
+from itertools import compress
 from pathlib import Path
 
+from .channel import depletion_prob
 from .crc import crc16_ccitt
 from .ihex import record_checksum
 from .protocol import (
@@ -88,28 +89,6 @@ class PowerModel:
         return True
 
 
-@lru_cache(maxsize=4096)
-def distance_brownout_prob(d: float) -> float:
-    """Default brown-out probability: negligible near, bursty far."""
-    return min(0.9, 0.02 * (d / 0.6) ** 4)
-
-
-DEFAULT_DEPLETION_COEFF = 4.0
-
-
-@lru_cache(maxsize=4096)
-def depletion_prob(d: float) -> float:
-    """Per-slot energy-drain hazard base during a multi-word series.
-
-    While decoding back-to-back sub-commands the tag spends faster than it
-    harvests, and the margin shrinks with distance; the hazard at series
-    slot j scales as 1 - (1-p)^(j-1), so long series collapse at range
-    while short ones stay viable.  A drained slot is a within-round
-    brown-out approximated as a missed reply.
-    """
-    return min(0.5, DEFAULT_DEPLETION_COEFF * d**4)
-
-
 class Tag:
     """CRFID tag state machine driven by the reader simulation."""
 
@@ -127,7 +106,7 @@ class Tag:
         self._addr_high: int | None = None
         self._addr_low: int | None = None
         # Persistent bootloader state: survives power loss like the image.
-        self._written_ranges: list[tuple[int, int]] = []
+        self._written = bytearray(FRAM_SIZE)  # 1 at every address written this session
 
     # -- power -------------------------------------------------------------
 
@@ -157,7 +136,7 @@ class Tag:
             if self.mode is not TagMode.APPLICATION:
                 # A new reprogram session forgets what the last one wrote.
                 self.mode = TagMode.REPROGRAM
-                self._written_ranges.clear()
+                self._written = bytearray(FRAM_SIZE)
                 self.epc = bytes([header, payload]).ljust(EPC_LENGTH, b"\x00")
             return
         if self.mode is not TagMode.REPROGRAM:
@@ -179,16 +158,9 @@ class Tag:
 
     # -- extended (BlockWrite series) handling -------------------------------
 
-    def series_survival(self, d: float) -> float:
-        """q = 1 - depletion_prob(d): series slot k keeps charge w.p. q**(k-1).
-
-        ``depletion_prob`` is memoised per distance, shared by every tag.
-        """
-        return 1.0 - depletion_prob(d)
-
     def series_slot_alive(self, slot: int, d: float) -> bool:
         """Energy draw for one slot alone (``benchmarks/run.py`` reads it by name)."""
-        return slot <= 1 or self.energy_rng.random() < self.series_survival(d) ** (slot - 1)
+        return slot <= 1 or self.energy_rng.random() < (1.0 - depletion_prob(d)) ** (slot - 1)
 
     def series_complete(self, raw: bytes, corrupted: bool) -> bool:
         """Take a fully replied series, its words as big-endian ``raw`` bytes.
@@ -226,9 +198,7 @@ class Tag:
                 if self._fault_rng.random() < self.write_fault_prob:
                     written[i] ^= 0xFF
         self.fram.write(address, bytes(written))
-        span = (address, address + len(data))
-        if not self._written_ranges or self._written_ranges[-1] != span:
-            self._written_ranges.append(span)  # a rewrite of the last span adds nothing
+        self._written[address : address + len(data)] = b"\x01" * len(data)
 
     # -- bootloader ----------------------------------------------------------
 
@@ -246,12 +216,4 @@ class Tag:
 
     def application_crc(self) -> int:
         """CRC16 over everything written during the reprogram session."""
-        ranges = sorted(set(self._written_ranges))
-        merged: list[list[int]] = []
-        for start, end in ranges:
-            if merged and start <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], end)
-            else:
-                merged.append([start, end])
-        blob = b"".join(self.fram.read(s, e - s) for s, e in merged)
-        return crc16_ccitt(blob)
+        return crc16_ccitt(bytes(compress(self.fram.read(0, FRAM_SIZE), self._written)))

@@ -15,7 +15,7 @@ from crfid_downlink.channel import (
     bit_error_rate,
     blockwrite_throughput,
     miss_probability,
-    word_odds,
+    round_odds,
 )
 
 # Finite positive normalized distances, subnormals and far range included.
@@ -124,7 +124,7 @@ def test_near_field_always_delivers():
     outcomes = {channel.deliver_word() for _ in range(10_000)}
     assert outcomes == {Delivery.DELIVERED}
     no_drain = float  # float() == 0.0, below every survival threshold
-    assert {channel.deliver_series(32, 1.0, no_drain) for _ in range(1000)} == {(32, False)}
+    assert {channel.deliver_series(32, no_drain) for _ in range(1000)} == {(32, False)}
 
 
 def test_monte_carlo_matches_closed_form():
@@ -143,10 +143,12 @@ def test_series_monte_carlo_matches_closed_form():
     # Slot k replies with probability (1 - miss) * q**(k-1), independently,
     # so a whole series of n replies with (1 - miss)**n * q**(n(n-1)/2), and
     # it holds a corrupted word with 1 - (1 - flip)**n.
-    d, n, q, trials = 0.5, 4, 0.9, 10_000
+    d, n, trials = 0.5, 4, 10_000
     channel = channel_at(d, seed=5)
+    q = 1.0 - min(0.5, 4.0 * d**4)  # survival at d: 0.75
+    assert channel.survival == q
     energy = channel_at(d, seed=6).rng.random
-    samples = [channel.deliver_series(n, q, energy) for _ in range(trials)]
+    samples = [channel.deliver_series(n, energy) for _ in range(trials)]
     full = [corrupted for replied, corrupted in samples if replied == n]
     miss = miss_probability(d)
     flip = 1.0 - (1.0 - bit_error_rate(d)) ** (WORD_BITS + COMMAND_OVERHEAD_BITS)
@@ -174,10 +176,11 @@ def test_cached_probabilities_follow_the_distance():
 @given(distances)
 def test_memoised_odds_equal_the_formulas_bit_for_bit(d):
     p = math.erfc(1.0 / d)
-    direct = (min(5.0 * p, 0.9999), 1.0 - (1.0 - p) ** 67)
+    direct = (min(5.0 * p, 0.9999), 1.0 - (1.0 - p) ** 67,
+              1.0 - min(0.5, 4.0 * d**4), min(0.9, 0.02 * (d / 0.6) ** 4))
     for _ in range(2):  # the first call may fill the memo, the second reads it
-        assert [x.hex() for x in word_odds(d)] == [x.hex() for x in direct]
-    assert word_odds.cache_info().maxsize is not None
+        assert [x.hex() for x in round_odds(d)] == [x.hex() for x in direct]
+    assert round_odds.cache_info().maxsize is not None
 
 
 @given(distances, distances)
@@ -185,10 +188,11 @@ def test_walk_away_and_back_matches_a_fresh_placement(a, b):
     walked = ChannelModel(seed=0)
     for d in (a, b, a):
         walked.set_distance_cm(d * D_REF_CM)
-    word_odds.cache_clear()  # the fresh model computes its odds anew
+    round_odds.cache_clear()  # the fresh model computes its odds anew
     fresh = ChannelModel(seed=0)
     fresh.set_distance_cm(a * D_REF_CM)
-    assert (walked.d, walked.miss, walked.flip) == (fresh.d, fresh.miss, fresh.flip)
+    placed = [(c.d, c.miss, c.flip, c.survival, c.brownout) for c in (walked, fresh)]
+    assert placed[0] == placed[1]
 
 
 def test_channel_model_distance_mapping():

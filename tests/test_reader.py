@@ -31,10 +31,9 @@ class ScriptedChannel:
     Series slots never drain: the energy stream is left untouched.
     """
 
-    def __init__(self, outcomes, d=0.1):
+    def __init__(self, outcomes):
         self.outcomes = list(outcomes)
-        self.d = d
-        self.miss = miss_probability(d)
+        self.miss = miss_probability(0.1)  # an idle inventory round at 20 cm
         self.rng = random.Random(0)
 
     def deliver_word(self):
@@ -42,7 +41,7 @@ class ScriptedChannel:
             return self.outcomes.pop(0)
         return Delivery.DELIVERED
 
-    def deliver_series(self, n, q, energy_draw):
+    def deliver_series(self, n, energy_draw):
         corrupted = False
         for k in range(n):
             outcome = self.deliver_word()

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crfid_downlink.channel import word_odds
+from crfid_downlink.channel import round_odds
 from crfid_downlink.cli import main
 from crfid_downlink.host import Variant
 from crfid_downlink.ihex import generate_fixture, parse_file
@@ -21,7 +21,6 @@ from crfid_downlink.scenario import (
     SUMMARY_COLUMNS,
     LOG_COLUMNS,
 )
-from crfid_downlink.tag import depletion_prob, distance_brownout_prob
 
 CONFIG_TEXT = """
 # transfer setup
@@ -106,6 +105,7 @@ def test_parse_defaults_and_comments():
         "distance = oscillate\nd_min_cm = -5\n",
         "s_max = 0\n",
         "s_max = 31\n",
+        "s_max = 16\ns_p = 40\n",
         # the round rate, distance scale and miss factor are fixed, not keys
         "rounds_per_sec = 60\n",
         "rounds_per_sec = 0\n",
@@ -416,8 +416,7 @@ def test_csv_digests_pinned(tmp_path, small_matrix, name, seed):
 def test_shared_memo_does_not_leak_between_runs(tmp_path, small_matrix):
     # The per-distance odds are memoised for the whole process; a run that
     # fills the memo first must not move the next run's output.
-    for memo in (word_odds, depletion_prob, distance_brownout_prob):
-        memo.cache_clear()
+    round_odds.cache_clear()
     for name, seed in (("long", 1), ("ex", 1)):
         out = tmp_path / name
         run_scenario(parse_config_text(GOLDEN_CONFIGS[name] + f"seed = {seed}\n"),

@@ -3,18 +3,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crfid_downlink.channel import ChannelModel
-from crfid_downlink.crc import crc16_ccitt
-from crfid_downlink.protocol import build_ex_message
-from crfid_downlink.tag import (
-    INITIAL_EPC,
-    MEAN_BURST_ROUNDS,
-    PowerModel,
-    Tag,
-    TagMode,
+from crfid_downlink.channel import (
+    D_REF_CM,
+    ChannelModel,
     depletion_prob,
     distance_brownout_prob,
 )
+from crfid_downlink.crc import crc16_ccitt
+from crfid_downlink.protocol import build_ex_message
+from crfid_downlink.tag import INITIAL_EPC, MEAN_BURST_ROUNDS, PowerModel, Tag, TagMode
 
 
 def raw_of(message):
@@ -254,45 +251,26 @@ def test_unpowered_tag_ignores_a_completed_series():
     assert feed_series(tag, msg) is True
 
 
-def slot_survives(tag, slot, d):
-    """Send a ``slot``-word series at close range, where the channel loses
-    nothing, sparing every slot before the last: whether slot ``slot`` replied."""
-    channel = ChannelModel(seed=0)  # 20 cm
-    draws = iter([0.0] * (slot - 2) + [tag.energy_rng.random()] * (slot > 1))
-    replied, _ = channel.deliver_series(slot, tag.series_survival(d), draws.__next__)
-    return replied == slot
-
-
 def test_depletion_first_slot_never_fails():
     tag = Tag(energy_seed=5)
-    channel = ChannelModel(seed=0)  # 20 cm: no preamble misses
+    channel = ChannelModel(seed=0)
+    channel.set_distance_cm(0.6 * D_REF_CM)  # survival 0.5 from slot 2 on
     state = tag.energy_rng.getstate()
-    q = tag.series_survival(0.6)
-    assert all(channel.deliver_series(1, q, tag.energy_rng.random)[0] == 1 for _ in range(100))
+    assert all(tag.series_slot_alive(1, 0.6) for _ in range(100))
+    # A one-word series is lost only to the channel's preamble miss.
+    replied = [channel.deliver_series(1, tag.energy_rng.random)[0] for _ in range(100)]
+    assert sum(replied) > 80
     assert tag.energy_rng.getstate() == state  # slot 1 draws no energy
 
 
 def test_depletion_hits_long_series_at_range():
+    # Whether slot k replies once every earlier slot did.
     tag = Tag(energy_seed=5)
-    deep = sum(slot_survives(tag, 18, 0.45) for _ in range(2000))
-    shallow = sum(slot_survives(tag, 2, 0.45) for _ in range(2000))
+    deep = sum(tag.series_slot_alive(18, 0.45) for _ in range(2000))
+    shallow = sum(tag.series_slot_alive(2, 0.45) for _ in range(2000))
     assert deep < shallow
     expected_deep = (1 - depletion_prob(0.45)) ** 17
     assert deep / 2000 == pytest.approx(expected_deep, abs=0.04)
-
-
-distances = st.floats(min_value=0.0, max_value=1e12, exclude_min=True,
-                      allow_nan=False, allow_infinity=False)
-
-
-@given(distances)
-def test_memoised_survival_and_brownout_equal_the_formulas_bit_for_bit(d):
-    tag = Tag()
-    for _ in range(2):  # the first call may fill the memo, the second reads it
-        assert tag.series_survival(d).hex() == (1.0 - min(0.5, 4.0 * d**4)).hex()
-        assert distance_brownout_prob(d).hex() == min(0.9, 0.02 * (d / 0.6) ** 4).hex()
-    assert depletion_prob.cache_info().maxsize is not None
-    assert distance_brownout_prob.cache_info().maxsize is not None
 
 
 def test_distance_brownout_prob_shape():
@@ -328,6 +306,15 @@ def test_transfer_complete_with_wrong_crc_stays_in_reprogram():
     feed_series(tag, msg)
     assert tag.transfer_complete(0xBEEF) is TagMode.REPROGRAM
     assert tag.mode is TagMode.REPROGRAM
+
+
+def test_init_message_forgets_the_last_sessions_writes():
+    tag = Tag(start_in_bootloader=True)
+    tag.handle_basic_write(0xFF00)
+    feed_series(tag, build_ex_message(bytes([0x42]), 0x0100))
+    tag.handle_basic_write(0xFF00)  # a new session, still in reprogram mode
+    feed_series(tag, build_ex_message(bytes([0x07, 0x08]), 0x0200))
+    assert tag.application_crc() == crc16_ccitt(bytes([0x07, 0x08]))
 
 
 def test_power_failure_returns_to_bootloader():
