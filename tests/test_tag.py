@@ -8,6 +8,7 @@ from crfid_downlink.channel import (
     ChannelModel,
     depletion_prob,
     distance_brownout_prob,
+    round_odds,
 )
 from crfid_downlink.crc import crc16_ccitt
 from crfid_downlink.protocol import build_ex_message
@@ -271,6 +272,21 @@ def test_depletion_hits_long_series_at_range():
     assert deep < shallow
     expected_deep = (1 - depletion_prob(0.45)) ** 17
     assert deep / 2000 == pytest.approx(expected_deep, abs=0.04)
+
+
+distances = st.floats(min_value=0.0, max_value=1e12, exclude_min=True,
+                      allow_nan=False, allow_infinity=False)
+
+
+@given(distances)
+def test_memoised_survival_and_brownout_equal_the_formulas_bit_for_bit(d):
+    for _ in range(2):  # the first placement may fill the memo, the second reads it
+        channel = ChannelModel(seed=0)
+        channel.set_distance_cm(d * D_REF_CM)
+        d_placed = channel.d
+        assert channel.survival.hex() == (1.0 - min(0.5, 4.0 * d_placed**4)).hex()
+        assert channel.brownout.hex() == min(0.9, 0.02 * (d_placed / 0.6) ** 4).hex()
+    assert round_odds.cache_info().maxsize is not None
 
 
 def test_distance_brownout_prob_shape():
