@@ -1,14 +1,7 @@
 """CRC16-CCITT (polynomial 0x1021, initial value 0xFFFF)."""
 
+from binascii import crc_hqx
+
 
 def crc16_ccitt(data: bytes) -> int:
-    crc = 0xFFFF
-    for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = (crc << 1) ^ 0x1021
-            else:
-                crc <<= 1
-        crc &= 0xFFFF
-    return crc
+    return crc_hqx(data, 0xFFFF)

@@ -15,6 +15,7 @@ distance and powers it by the configured brown-out probability, or for
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -182,17 +183,17 @@ class HostSession:
         else:
             self._chunk += 1
 
-    def _apply_throttle(self, flight: _InFlight, step: int) -> None:
+    def _apply_throttle(self, flight: _InFlight, step: int, now: int) -> None:
         old = self._s_p
         self._s_p = throttle(old, self._ladder, step)
         if self._s_p != old:
-            self.log.add(self._now, "throttle", flight.row, flight.chunk,
+            self.log.add(now, "throttle", flight.row, flight.chunk,
                          self._s_p, result=f"{old}->{self._s_p}")
 
     # ------------------------------------------------------------------
     # transmission
 
-    def _transmit(self, flight: _InFlight, resend: bool) -> None:
+    def _transmit(self, flight: _InFlight, resend: bool, now: int) -> None:
         self._m_sent += 1
         spec = AccessSpec(
             spec_id=self._m_sent,
@@ -200,27 +201,31 @@ class HostSession:
             is_blockwrite=flight.is_blockwrite,
             ocv=self.config.ocv,
         )
-        self._reader.request_delete(self._now)
-        self._reader.stage(spec, self._now)
-        self._in_flight = flight
-        self._nack_count = 0
-        self._no_tag_count = 0
-        self._silent_ticks = 0
+        self._reader.request_delete(now)
+        self._reader.stage(spec, now)
         self._sum_s_p += flight.s_p
         if resend:
             self._m_resent += 1
-        self.log.add(self._now, "resend" if resend else "send",
+        self.log.add(now, "resend" if resend else "send",
                      flight.row, flight.chunk, flight.s_p, epc=flight.expected_epc)
 
     # ------------------------------------------------------------------
     # main loop
 
-    def _next_round(self, tag: Tag, channel: ChannelModel, power: PowerModel) -> None:
-        """Advance one round: place the tag at the profile's distance, then power it."""
-        self._now += 1
-        channel.set_distance_cm(self.config.profile.at(self._now))
+    def _round_stepper(self, tag: Tag, channel: ChannelModel,
+                       power: PowerModel) -> Callable[[int], None]:
+        """The per-round step: place the tag at the profile's distance, then power it."""
+        at = self.config.profile.at
+        place = channel.set_distance_cm
+        step = power.step
+        set_powered = tag.set_powered
         p = self.config.brownout
-        tag.set_powered(power.step(channel.brownout if p is None else p))
+
+        def next_round(now: int) -> None:
+            place(at(now))
+            set_powered(step(channel.brownout if p is None else p))
+
+        return next_round
 
     def run(self, tag: Tag, channel: ChannelModel, power: PowerModel) -> SessionResult:
         """Drive the transfer to completion, failure, or the round budget."""
@@ -230,95 +235,101 @@ class HostSession:
         self._m_sent = 0
         self._m_resent = 0
         self._sum_s_p = 0.0
-        self._now = 0
         n_success = 0
         n_total = 0
         completed = False
         failure = ""
 
-        first = self._flight()
-        if first is None:
+        flight = self._flight()
+        if flight is None:
             self.log.add(0, "complete")
             return SessionResult(True, 0, self.log, 0, 0, 0.0, 0, 0)
-        self._transmit(first, resend=False)
+        next_round = self._round_stepper(tag, channel, power)
+        tick = reader.tick
+        log = self.log.events.append
+        now = 0
+        self._transmit(flight, False, now)
+        nacks = no_tags = silent = 0  # since the last transmission
         report: OperationReport | None = None
 
-        while self._now < max_rounds:
-            self._next_round(tag, channel, power)
+        while now < max_rounds:
+            now += 1
+            next_round(now)
 
             # 1. Consume the report produced by the previous round.
             timeout = False
-            stall_timeout = False
-            flight = self._in_flight
-            throttles = self._throttled and flight.row >= 0
             if report is not None:
-                self._silent_ticks = 0
-                if report.result is not ReportResult.INVENTORY:
+                silent = 0
+                # The log takes ``result._value_``, the member's value read
+                # without the Python-level property call ``.value`` makes.
+                result = report.result
+                if result is not ReportResult.INVENTORY:
                     n_total += 1
-                    if report.result is ReportResult.SUCCESS:
+                    if result is ReportResult.SUCCESS:
                         n_success += 1
                 if classify_report(flight.expected_epc, report):
-                    self.log.add(self._now, "ack", flight.row, flight.chunk,
-                                 flight.s_p, report.result.value, report.epc)
+                    log(LogEvent(now, "ack", flight.row, flight.chunk,
+                                 flight.s_p, result._value_, report.epc))
                     self._r_count = 0
-                    if throttles:
+                    if self._throttled and flight.row >= 0:
                         if self._m_count > cfg.m_threshold:
-                            self._apply_throttle(flight, cfg.t_u)
+                            self._apply_throttle(flight, cfg.t_u, now)
                             self._m_count = 0
                         else:
                             self._m_count += 1
                     self._advance(flight)
-                    following = self._flight()
-                    if following is None:
+                    flight = self._flight()
+                    if flight is None:
                         completed = True
                         break
-                    self._transmit(following, resend=False)
+                    self._transmit(flight, False, now)
+                    nacks = no_tags = 0
                 else:
-                    self._nack_count += 1
-                    if report.result is ReportResult.NO_TAG_SEEN:
-                        self._no_tag_count += 1
-                    self.log.add(self._now, "nack", flight.row, flight.chunk,
-                                 flight.s_p, report.result.value, report.epc)
-                    if self._nack_count >= cfg.n_threshold:
+                    nacks += 1
+                    if result is ReportResult.NO_TAG_SEEN:
+                        no_tags += 1
+                    log(LogEvent(now, "nack", flight.row, flight.chunk,
+                                 flight.s_p, result._value_, report.epc))
+                    if nacks >= cfg.n_threshold:
                         timeout = True
             else:
-                self._silent_ticks += 1
-                if self._silent_ticks >= STALL_TICKS:
-                    timeout = True
-                    stall_timeout = True
+                silent += 1
+                timeout = silent >= STALL_TICKS
 
             if timeout:
-                lost_type = stall_timeout or 2 * self._no_tag_count > self._nack_count
-                self.log.add(self._now, "timeout", flight.row, flight.chunk,
+                lost_type = silent >= STALL_TICKS or 2 * no_tags > nacks
+                self.log.add(now, "timeout", flight.row, flight.chunk,
                              flight.s_p, "lost" if lost_type else "error")
                 if self._r_count >= cfg.r_max:
                     failure = "resend budget exhausted"
-                    self.log.add(self._now, "abort", flight.row, flight.chunk,
+                    self.log.add(now, "abort", flight.row, flight.chunk,
                                  flight.s_p, failure)
                     break
                 self._r_count += 1
                 self._m_count = 0
-                if throttles:
-                    self._apply_throttle(flight, cfg.t_dl if lost_type else cfg.t_de)
+                if self._throttled and flight.row >= 0:
+                    self._apply_throttle(flight, cfg.t_dl if lost_type else cfg.t_de, now)
                 # Basic and init messages come back identical; an extended
                 # chunk is re-cut at the throttled S_p.
-                self._transmit(self._flight(), resend=True)
+                flight = self._flight()
+                self._transmit(flight, True, now)
+                nacks = no_tags = silent = 0
 
             # 2. Reader advances one inventory round.
-            report = reader.tick(self._now, tag, channel)
+            report = tick(now, tag, channel)
 
         if not completed and not failure:
             failure = "round budget exhausted"
 
         reached_app = False
         if completed and cfg.bootloader:
-            reached_app = self._finalize(tag, channel, power)
+            reached_app, now = self._finalize(tag, next_round, now)
         if completed:
-            self.log.add(self._now, "complete")
+            self.log.add(now, "complete")
 
         return SessionResult(
             completed=completed,
-            rounds=self._now,
+            rounds=now,
             log=self.log,
             messages_sent=self._m_sent,
             resends=self._m_resent,
@@ -329,13 +340,18 @@ class HostSession:
             failure_reason=failure,
         )
 
-    def _finalize(self, tag: Tag, channel: ChannelModel, power: PowerModel) -> bool:
-        """Deliver the whole-application checksum once the tag has power."""
+    def _finalize(self, tag: Tag, next_round: Callable[[int], None],
+                  now: int) -> tuple[bool, int]:
+        """Deliver the whole-application checksum once the tag has power.
+
+        Returns whether the application started, and the round count then.
+        """
         crc = matrix_crc(self.matrix)
         waited = 0
         while not tag.powered and waited < 10_000:
-            self._next_round(tag, channel, power)
+            now += 1
+            next_round(now)
             waited += 1
         if not tag.powered:
-            return False
-        return tag.transfer_complete(crc) is TagMode.APPLICATION
+            return False, now
+        return tag.transfer_complete(crc) is TagMode.APPLICATION, now

@@ -72,7 +72,7 @@ class AccessSpec:
         return bytes(b for w in self.words for b in ((w >> 8) & 0xFF, w & 0xFF))
 
 
-@dataclass
+@dataclass(slots=True)
 class _RunningSpec:
     spec: AccessSpec
     success_count: int = 0
@@ -107,37 +107,30 @@ class Reader:
 
     def tick(self, now: int, tag: Tag, channel: ChannelModel) -> OperationReport | None:
         """Advance one inventory round; returns the round's report, if any."""
-        self._maybe_activate(now)
-        if self.active is None:
+        run = self.active
+        if run is None and self.staged is not None:
+            spec, ready = self.staged
+            if self._removal_tick is not None:
+                ready = max(ready, self._removal_tick + SWITCH_TICKS)
+            if now >= ready:  # past the LLRP pipeline and the switch gap
+                run = self.active = _RunningSpec(spec)
+                self.staged = None
+        if run is None:
             return self._inventory_report(now, tag, channel)
-        report = self._execute_round(now, tag, channel)
-        self._maybe_remove(now)
+        report = self._execute_round(run, now, tag, channel)
+        # The operation frame ends at OCV successful operations; a slightly
+        # larger bound on total rounds keeps frames from dragging on when
+        # operations keep failing mid-series, and a pending delete ends it
+        # at the grace bound.
+        ocv = run.spec.ocv
+        if (run.success_count >= ocv or run.total_rounds >= ocv + FRAME_SLACK_ROUNDS
+                or (run.delete_requested_at is not None
+                    and now - run.delete_requested_at >= DELETE_GRACE)):
+            self.active = None
+            self._removal_tick = now
         return report
 
     # -- internals ----------------------------------------------------------
-
-    def _maybe_activate(self, now: int) -> None:
-        if self.active is not None or self.staged is None:
-            return
-        spec, ready = self.staged
-        if self._removal_tick is not None:
-            ready = max(ready, self._removal_tick + SWITCH_TICKS)
-        if now >= ready:
-            self.active = _RunningSpec(spec)
-            self.staged = None
-
-    def _maybe_remove(self, now: int) -> None:
-        run = self.active
-        # The operation frame ends at OCV successful operations; a slightly
-        # larger bound on total rounds keeps frames from dragging on when
-        # operations keep failing mid-series.
-        fired = (run.success_count >= run.spec.ocv
-                 or run.total_rounds >= run.spec.ocv + FRAME_SLACK_ROUNDS)
-        expired = (run.delete_requested_at is not None
-                   and now - run.delete_requested_at >= DELETE_GRACE)
-        if fired or expired:
-            self.active = None
-            self._removal_tick = now
 
     def _inventory_report(self, now: int, tag: Tag, channel: ChannelModel) -> OperationReport | None:
         # With no access spec the reader still inventories; a visible tag
@@ -148,8 +141,8 @@ class Reader:
             return None
         return OperationReport(0, ReportResult.INVENTORY, tag.epc, now)
 
-    def _execute_round(self, now: int, tag: Tag, channel: ChannelModel) -> OperationReport:
-        run = self.active
+    def _execute_round(self, run: _RunningSpec, now: int, tag: Tag,
+                       channel: ChannelModel) -> OperationReport:
         run.total_rounds += 1
         spec = run.spec
         if not tag.powered:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .channel import ChannelModel
-from .host import HostSession, SessionResult, Variant
+from .host import HostSession, LogEvent, SessionResult, Variant
 from .ihex import HexFileError, RecordMatrix, parse_file
 from .metrics import SessionMetrics, compute_metrics
 from .protocol import RowTooLong
@@ -270,6 +271,24 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
+def _log_lines(events: list[LogEvent]) -> Iterator[str]:
+    """The log rows as CSV lines, one at a time, with the text of each S_p and EPC memoised.
+
+    No field needs quoting: event names, results, numbers and hex EPCs hold
+    no comma, quote or line break.
+    """
+    s_p_text: dict[float, str] = {}
+    epc_text: dict[bytes, str] = {}
+    for e in events:
+        s_p = s_p_text.get(e.s_p)
+        if s_p is None:
+            s_p = s_p_text[e.s_p] = _fmt(e.s_p)
+        epc = epc_text.get(e.epc)
+        if epc is None:
+            epc = epc_text[e.epc] = e.epc.hex().upper()
+        yield f"{e.round_no},{e.event},{e.row},{e.chunk},{s_p},{e.result},{epc}\n"
+
+
 def write_artifacts(config: ScenarioConfig, outcome: ScenarioOutcome, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "summary.csv", "w", newline="") as fh:
@@ -289,11 +308,8 @@ def write_artifacts(config: ScenarioConfig, outcome: ScenarioOutcome, out: Path)
             ])
     for r in outcome.runs:
         with open(out / f"run_{r.run:02d}_log.csv", "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(LOG_COLUMNS)
-            for e in r.result.log.events:
-                w.writerow([e.round_no, e.event, e.row, e.chunk,
-                            _fmt(e.s_p), e.result, e.epc.hex().upper()])
+            fh.write(",".join(LOG_COLUMNS) + "\n")
+            fh.writelines(_log_lines(r.result.log.events))
         if config.dump_fram:
             r.tag.fram.dump(out / f"run_{r.run:02d}_fram.bin")
     longest = max(outcome.runs, key=lambda r: r.result.rounds)

@@ -29,6 +29,8 @@ from .protocol import (
 FRAM_SIZE = 64 * 1024
 
 INITIAL_EPC = bytes(EPC_LENGTH)
+_ECHO_PAD = bytes(EPC_LENGTH - 2)  # an echo EPC is header and payload, zero-padded
+_ONES = b"\x01" * 256  # written-mask fill; a length byte caps a commit at 255
 
 
 class TagMode(Enum):
@@ -137,24 +139,23 @@ class Tag:
                 # A new reprogram session forgets what the last one wrote.
                 self.mode = TagMode.REPROGRAM
                 self._written = bytearray(FRAM_SIZE)
-                self.epc = bytes([header, payload]).ljust(EPC_LENGTH, b"\x00")
+                self.epc = bytes((header, payload)) + _ECHO_PAD
             return
         if self.mode is not TagMode.REPROGRAM:
             return
         if header == HDR_ADDR_FIRST:
             self._addr_high = payload
             self._addr_low = None
-            self.epc = bytes([header, payload]).ljust(EPC_LENGTH, b"\x00")
+            self.epc = bytes((header, payload)) + _ECHO_PAD
         elif header == HDR_ADDR_SECOND:
             self._addr_low = payload
-            self.epc = bytes([header, payload]).ljust(EPC_LENGTH, b"\x00")
+            self.epc = bytes((header, payload)) + _ECHO_PAD
         elif header <= MAX_BASIC_OFFSET:
             if self._addr_high is None or self._addr_low is None:
                 return  # no valid base address since power-up; ignore
             address = ((self._addr_high << 8) | self._addr_low) + header
-            self._commit(address, bytes([payload]))
-            readback = self.fram.read(address, 1)
-            self.epc = bytes([header, readback[0]]).ljust(EPC_LENGTH, b"\x00")
+            self._commit(address, bytes((payload,)))
+            self.epc = bytes((header, self.fram._bytes[address])) + _ECHO_PAD  # read-back
 
     # -- extended (BlockWrite series) handling -------------------------------
 
@@ -192,13 +193,13 @@ class Tag:
         return True
 
     def _commit(self, address: int, data: bytes) -> None:
-        written = bytearray(data)
         if self.write_fault_prob > 0:
-            for i in range(len(written)):
+            data = bytearray(data)
+            for i in range(len(data)):
                 if self._fault_rng.random() < self.write_fault_prob:
-                    written[i] ^= 0xFF
-        self.fram.write(address, bytes(written))
-        self._written[address : address + len(data)] = b"\x01" * len(data)
+                    data[i] ^= 0xFF
+        self.fram.write(address, data)
+        self._written[address : address + len(data)] = _ONES[: len(data)]
 
     # -- bootloader ----------------------------------------------------------
 

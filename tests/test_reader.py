@@ -15,8 +15,10 @@ from crfid_downlink.channel import (
 from crfid_downlink.protocol import build_ex_message
 from crfid_downlink.reader import (
     DELETE_GRACE,
+    FRAME_SLACK_ROUNDS,
     LLRP_LATENCY_TICKS,
     NO_TAG_EPC,
+    SWITCH_TICKS,
     AccessSpec,
     OperationReport,
     Reader,
@@ -191,6 +193,44 @@ def test_delete_grace_bounds_blocked_frames():
         assert reader.active is not None, now
     reader.tick(1 + DELETE_GRACE, tag, channel)
     assert reader.active is None
+
+
+def test_failing_frame_ends_at_the_slack_bound():
+    # Every operation fails on a powered tag, and no delete is pending: only
+    # the OCV + FRAME_SLACK_ROUNDS bound on total rounds ends the frame.
+    ocv = 5
+    reader, tag = Reader(), Tag()
+    channel = ScriptedChannel([Delivery.CORRUPTED] * 20)
+    reader.stage(write_spec(ocv=ocv), -LLRP_LATENCY_TICKS)
+    for now in range(ocv + FRAME_SLACK_ROUNDS):
+        assert reader.tick(now, tag, channel).result is ReportResult.ERROR
+        if now < ocv + FRAME_SLACK_ROUNDS - 1:
+            assert reader.active is not None, now
+    assert reader.active is None
+    assert reader.tick(ocv + FRAME_SLACK_ROUNDS, tag, channel).result is ReportResult.INVENTORY
+
+
+@pytest.mark.parametrize("stage_at", [1, 2, 3, 4, 8])
+def test_successor_waits_for_latency_and_switch_gap(stage_at):
+    # The first spec succeeds every round, so its frame ends at round 4; the
+    # host stages the successor before the round's tick.
+    reader, tag = Reader(), Tag()
+    channel = ScriptedChannel([])
+    reader.stage(write_spec(0xFDAA, spec_id=1, ocv=5), -LLRP_LATENCY_TICKS)
+    removal = 4
+    first_round = {}
+    for now in range(16):
+        if now == stage_at:
+            reader.request_delete(now)
+            reader.stage(write_spec(0xFEBB, spec_id=2), now)
+        report = reader.tick(now, tag, channel)
+        first_round.setdefault(report.spec_id, now)
+        if now == removal:
+            assert reader.active is None
+    start = max(stage_at + LLRP_LATENCY_TICKS, removal + SWITCH_TICKS)
+    assert first_round[2] == start
+    if start > removal + 1:
+        assert first_round[0] == removal + 1  # inventory rounds fill the gap
 
 
 def test_single_word_blockwrite_matches_write_when_clean():

@@ -1,23 +1,30 @@
+import csv
 import filecmp
 import hashlib
+import io
 import re
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crfid_downlink.channel import round_odds
 from crfid_downlink.cli import main
-from crfid_downlink.host import Variant
+from crfid_downlink.host import LogEvent, SessionResult, TransferLog, Variant
 from crfid_downlink.ihex import generate_fixture, parse_file
-from crfid_downlink.reader import ROUNDS_PER_SEC
+from crfid_downlink.metrics import compute_metrics
+from crfid_downlink.reader import ROUNDS_PER_SEC, ReportResult
 from crfid_downlink.scenario import (
     DistanceProfile,
+    RunOutcome,
+    ScenarioConfig,
     ScenarioError,
+    ScenarioOutcome,
     load_config,
     parse_config_text,
     run_scenario,
+    write_artifacts,
     SUMMARY_COLUMNS,
     LOG_COLUMNS,
 )
@@ -422,3 +429,69 @@ def test_shared_memo_does_not_leak_between_runs(tmp_path, small_matrix):
         run_scenario(parse_config_text(GOLDEN_CONFIGS[name] + f"seed = {seed}\n"),
                      out_dir=out, matrix=small_matrix)
         assert csv_digest(out) == GOLDEN_DIGESTS[name, seed]
+
+
+# -- streamed log rows ---------------------------------------------------------------
+
+
+def reference_log_csv(events) -> bytes:
+    """A run log as ``csv.writer`` writes it, the way the rows were once written."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(LOG_COLUMNS)
+    for e in events:
+        w.writerow([e.round_no, e.event, e.row, e.chunk, f"{e.s_p:.6f}", e.result,
+                    e.epc.hex().upper()])
+    return buf.getvalue().encode()
+
+
+# Every event name and result text the host logs; throttle steps log "old->new".
+HOST_EVENTS = ["send", "resend", "ack", "nack", "timeout", "abort", "throttle", "complete"]
+HOST_RESULTS = ["", "lost", "error", "resend budget exhausted", "round budget exhausted",
+                *(r.value for r in ReportResult),
+                *(f"{a}->{b}" for a in range(1, 31) for b in range(1, 31) if a != b)]
+HOST_S_P = [0.0, 0.5, *range(1, 17)]
+
+
+def test_host_log_text_needs_no_csv_quoting():
+    for text in HOST_EVENTS + HOST_RESULTS:
+        assert not set(text) & set(',"\r\n'), text
+
+
+log_events = st.builds(
+    LogEvent,
+    round_no=st.integers(0, 10**6),
+    event=st.sampled_from(HOST_EVENTS),
+    row=st.integers(-1, 400),
+    chunk=st.integers(0, 400),
+    s_p=st.sampled_from(HOST_S_P),
+    result=st.sampled_from(HOST_RESULTS),
+    epc=st.one_of(st.just(b""), st.binary(min_size=2, max_size=12)),
+)
+EVERY_WORD = [LogEvent(i, HOST_EVENTS[i % len(HOST_EVENTS)], i % 7 - 1, i % 5,
+                       HOST_S_P[i % len(HOST_S_P)], result, bytes([i % 256, 0xAB])[: i % 3])
+              for i, result in enumerate(HOST_RESULTS)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(log_events, max_size=40), min_size=1, max_size=3))
+@example([EVERY_WORD, []])
+def test_streamed_log_matches_csv_writer(logs):
+    runs = []
+    for i, events in enumerate(logs):
+        result = SessionResult(True, 10, TransferLog(list(events)), 1, 0, 0.5, 1, 1)
+        runs.append(RunOutcome(i, result, compute_metrics(result), tag=None))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_artifacts(ScenarioConfig(), ScenarioOutcome(runs), Path(tmp))
+        for i, events in enumerate(logs):
+            assert (Path(tmp) / f"run_{i:02d}_log.csv").read_bytes() == reference_log_csv(events)
+
+
+@pytest.mark.parametrize("name", ["basic", "ex"])
+def test_run_logs_match_csv_writer(tmp_path, small_matrix, name):
+    cfg = parse_config_text(GOLDEN_CONFIGS[name] + "seed = 1\n")
+    outcome = run_scenario(cfg, out_dir=tmp_path, matrix=small_matrix)
+    for r in outcome.runs:
+        events = r.result.log.events
+        assert {e.result for e in events} <= set(HOST_RESULTS)
+        assert (tmp_path / f"run_{r.run:02d}_log.csv").read_bytes() == reference_log_csv(events)

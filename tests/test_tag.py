@@ -12,7 +12,14 @@ from crfid_downlink.channel import (
 )
 from crfid_downlink.crc import crc16_ccitt
 from crfid_downlink.protocol import build_ex_message
-from crfid_downlink.tag import INITIAL_EPC, MEAN_BURST_ROUNDS, PowerModel, Tag, TagMode
+from crfid_downlink.tag import (
+    FRAM_SIZE,
+    INITIAL_EPC,
+    MEAN_BURST_ROUNDS,
+    PowerModel,
+    Tag,
+    TagMode,
+)
 
 
 def raw_of(message):
@@ -39,6 +46,31 @@ def test_crc16_ccitt_check_value():
 
 def test_crc16_empty_is_init():
     assert crc16_ccitt(b"") == 0xFFFF
+
+
+def reference_crc16_ccitt(data: bytes) -> int:
+    """CRC16-CCITT one bit at a time: polynomial 0x1021, initial value 0xFFFF."""
+    crc = 0xFFFF
+    for byte in data:
+        crc ^= byte << 8
+        for _ in range(8):
+            if crc & 0x8000:
+                crc = (crc << 1) ^ 0x1021
+            else:
+                crc <<= 1
+        crc &= 0xFFFF
+    return crc
+
+
+@given(st.binary(max_size=600))
+def test_crc16_matches_the_bitwise_reference(data):
+    assert crc16_ccitt(data) == reference_crc16_ccitt(data)
+
+
+def test_crc16_matches_the_bitwise_reference_on_a_firmware_image():
+    image = random.Random(99).randbytes(5387)
+    assert crc16_ccitt(image) == reference_crc16_ccitt(image)
+    assert reference_crc16_ccitt(b"123456789") == 0x29B1
 
 
 # -- basic write handling --------------------------------------------------------
@@ -197,6 +229,33 @@ def test_application_crc_matches_append_every_commit(commits, fault_prob):
             tag.series_complete(raw, False)
             ranges.append((address, address + len(data)))
     assert tag.application_crc() == reference_application_crc(tag.fram, ranges)
+
+
+def reference_commit(tag, address, data):
+    """The commit that always copied the data before writing it."""
+    written = bytearray(data)
+    if tag.write_fault_prob > 0:
+        for i in range(len(written)):
+            if tag._fault_rng.random() < tag.write_fault_prob:
+                written[i] ^= 0xFF
+    tag.fram.write(address, bytes(written))
+    tag._written[address : address + len(data)] = b"\x01" * len(data)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.integers(0, FRAM_SIZE), st.binary(min_size=1, max_size=255)),
+                max_size=20),
+       st.sampled_from([0.0, 0.2]))
+def test_commit_matches_the_copy_always_reference(spans, fault_prob):
+    tag = Tag(write_fault_prob=fault_prob, fault_seed=9)
+    ref = Tag(write_fault_prob=fault_prob, fault_seed=9)
+    for address, data in spans:
+        address = min(address, FRAM_SIZE - len(data))
+        tag._commit(address, data)
+        reference_commit(ref, address, data)
+    assert tag.fram.read(0, FRAM_SIZE) == ref.fram.read(0, FRAM_SIZE)
+    assert tag._written == ref._written
+    assert tag._fault_rng.getstate() == ref._fault_rng.getstate()
 
 
 def test_odd_length_series_honors_length_field():
