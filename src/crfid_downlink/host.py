@@ -7,6 +7,8 @@ counts toward the NACK timeout, including the stale echoes that the old
 operation frame floods into the new message frame.  A timeout resends the
 current chunk (re-cut at the throttled payload size for the extended
 variant) until the resend budget is exhausted and the transfer aborts.
+Both go through one transmit point, and the transfer completes there once
+the cursor has nothing left to send.
 
 Each inventory round the session also places the tag at the profile's
 distance and powers it by the configured brown-out probability, or for
@@ -23,15 +25,8 @@ from typing import TYPE_CHECKING
 from .channel import ChannelModel
 from .crc import crc16_ccitt
 from .ihex import RecordMatrix
-from .protocol import (
-    BasicMessage,
-    HDR_REPROGRAM_INIT,
-    build_basic_messages,
-    build_ex_message,
-    build_ladder,
-    snap_to_ladder,
-    throttle,
-)
+from .protocol import (BasicMessage, HDR_REPROGRAM_INIT, build_basic_messages, build_ex_message,
+                       build_ladder, snap_to_ladder, throttle)
 from .reader import ROUNDS_PER_SEC, AccessSpec, OperationReport, Reader, ReportResult
 from .tag import PowerModel, Tag, TagMode
 
@@ -60,10 +55,6 @@ class LogEvent:
 @dataclass
 class TransferLog:
     events: list[LogEvent] = field(default_factory=list)
-
-    def add(self, round_no: int, event: str, row: int = -1, chunk: int = 0,
-            s_p: float = 0.0, result: str = "", epc: bytes = b"") -> None:
-        self.events.append(LogEvent(round_no, event, row, chunk, s_p, result, epc))
 
     def count(self, event: str) -> int:
         return sum(1 for e in self.events if e.event == event)
@@ -117,7 +108,8 @@ _INIT = BasicMessage(HDR_REPROGRAM_INIT, 0x00)
 class HostSession:
     """One transfer attempt over a reader, tag and channel.
 
-    ``config`` is read as given; ``ScenarioConfig.validate`` checks it.
+    ``config`` is read as given; ``ScenarioConfig.validate`` checks it.  The
+    session holds the message cursor; the counts of a run live in ``run``.
     """
 
     def __init__(self, config: ScenarioConfig, matrix: RecordMatrix):
@@ -132,10 +124,7 @@ class HostSession:
             self._units = [build_basic_messages(row) for row in matrix.rows]
         else:
             self._units = [row.data for row in matrix.rows]
-        self._throttled = not self._basic and config.s_p is None
         self._s_p = config.s_p if config.s_p is not None else config.s_max
-        self._m_count = 0
-        self._r_count = 0
         self._ladder = (1,)
         # Cursor at the un-acked message: the bootloader init message, then
         # row plus position (message index or byte offset).  It only moves
@@ -147,11 +136,15 @@ class HostSession:
     # cursor
 
     def _enter_row(self, row: int) -> None:
-        """Start of the first row from ``row`` on that has anything to send."""
+        """Start of the first row from ``row`` on that has anything to send.
+
+        An extended row also sets the S_p ladder and snaps S_p onto it; the
+        basic flavour sends one word per message and reads neither.
+        """
         while row < len(self._units) and not self._units[row]:
             row += 1
         self._row, self._pos, self._chunk = row, 0, 1
-        if row < len(self.matrix) and self.matrix.rows[row].data:
+        if not self._basic and row < len(self._units):
             self._ladder = build_ladder(self.matrix.rows[row].word_count(), self.config.s_max)
             start = self.config.s_p if self.config.s_p is not None else self._s_p
             self._s_p = snap_to_ladder(start, self._ladder)
@@ -187,76 +180,69 @@ class HostSession:
         old = self._s_p
         self._s_p = throttle(old, self._ladder, step)
         if self._s_p != old:
-            self.log.add(now, "throttle", flight.row, flight.chunk,
-                         self._s_p, result=f"{old}->{self._s_p}")
-
-    # ------------------------------------------------------------------
-    # transmission
-
-    def _transmit(self, flight: _InFlight, resend: bool, now: int) -> None:
-        self._m_sent += 1
-        spec = AccessSpec(
-            spec_id=self._m_sent,
-            words=flight.words,
-            is_blockwrite=flight.is_blockwrite,
-            ocv=self.config.ocv,
-        )
-        self._reader.request_delete(now)
-        self._reader.stage(spec, now)
-        self._sum_s_p += flight.s_p
-        if resend:
-            self._m_resent += 1
-        self.log.add(now, "resend" if resend else "send",
-                     flight.row, flight.chunk, flight.s_p, epc=flight.expected_epc)
+            self.log.events.append(LogEvent(now, "throttle", flight.row, flight.chunk,
+                                            self._s_p, f"{old}->{self._s_p}", b""))
 
     # ------------------------------------------------------------------
     # main loop
 
-    def _round_stepper(self, tag: Tag, channel: ChannelModel,
-                       power: PowerModel) -> Callable[[int], None]:
-        """The per-round step: place the tag at the profile's distance, then power it."""
-        at = self.config.profile.at
+    def run(self, tag: Tag, channel: ChannelModel, power: PowerModel) -> SessionResult:
+        """Drive the transfer to completion, failure, or the round budget.
+
+        Round k places and powers the tag, consumes the report of round k - 1,
+        puts any message on air, then ticks the reader; round 0 only sends.
+        """
+        cfg = self.config
+        max_rounds = int(cfg.max_sim_seconds * ROUNDS_PER_SEC)
+        throttled = not self._basic and cfg.s_p is None
+        reader = Reader()
+        tick = reader.tick
+        log = self.log.events.append
+        at = cfg.profile.at
         place = channel.set_distance_cm
         step = power.step
         set_powered = tag.set_powered
-        p = self.config.brownout
+        p = cfg.brownout
 
         def next_round(now: int) -> None:
+            """Place the tag at the profile's distance, then power it."""
             place(at(now))
             set_powered(step(channel.brownout if p is None else p))
 
-        return next_round
-
-    def run(self, tag: Tag, channel: ChannelModel, power: PowerModel) -> SessionResult:
-        """Drive the transfer to completion, failure, or the round budget."""
-        cfg = self.config
-        max_rounds = int(cfg.max_sim_seconds * ROUNDS_PER_SEC)
-        reader = self._reader = Reader()
-        self._m_sent = 0
-        self._m_resent = 0
-        self._sum_s_p = 0.0
-        n_success = 0
-        n_total = 0
+        sent = resent = m_count = r_count = n_success = n_total = 0
+        sum_s_p = 0.0
         completed = False
         failure = ""
-
-        flight = self._flight()
-        if flight is None:
-            self.log.add(0, "complete")
-            return SessionResult(True, 0, self.log, 0, 0, 0.0, 0, 0)
-        next_round = self._round_stepper(tag, channel, power)
-        tick = reader.tick
-        log = self.log.events.append
         now = 0
-        self._transmit(flight, False, now)
-        nacks = no_tags = silent = 0  # since the last transmission
+        action = "send"  # what the transmit point puts on air: "send", "resend" or nothing
         report: OperationReport | None = None
 
-        while now < max_rounds:
+        while True:
+            if action:
+                # The one transmit point; a cursor with nothing left completes.
+                flight = self._flight()
+                if flight is None:
+                    completed = True
+                    break
+                sent += 1
+                if action == "resend":
+                    resent += 1
+                sum_s_p += flight.s_p
+                reader.request_delete(now)
+                reader.stage(AccessSpec(sent, flight.words, flight.is_blockwrite, cfg.ocv), now)
+                log(LogEvent(now, action, flight.row, flight.chunk, flight.s_p, "",
+                             flight.expected_epc))
+                nacks = no_tags = silent = 0  # since the last transmission
+                action = ""
+            if now:  # round 0 only stages the first message
+                report = tick(now, tag, channel)
+            if now >= max_rounds:
+                failure = "round budget exhausted"
+                break
             now += 1
             next_round(now)
 
-            # 1. Consume the report produced by the previous round.
+            # Consume the report produced by the previous round.
             timeout = False
             if report is not None:
                 silent = 0
@@ -270,75 +256,51 @@ class HostSession:
                 if classify_report(flight.expected_epc, report):
                     log(LogEvent(now, "ack", flight.row, flight.chunk,
                                  flight.s_p, result._value_, report.epc))
-                    self._r_count = 0
-                    if self._throttled and flight.row >= 0:
-                        if self._m_count > cfg.m_threshold:
+                    r_count = 0
+                    if throttled and flight.row >= 0:
+                        if m_count > cfg.m_threshold:
                             self._apply_throttle(flight, cfg.t_u, now)
-                            self._m_count = 0
+                            m_count = 0
                         else:
-                            self._m_count += 1
+                            m_count += 1
                     self._advance(flight)
-                    flight = self._flight()
-                    if flight is None:
-                        completed = True
-                        break
-                    self._transmit(flight, False, now)
-                    nacks = no_tags = 0
+                    action = "send"
                 else:
                     nacks += 1
                     if result is ReportResult.NO_TAG_SEEN:
                         no_tags += 1
                     log(LogEvent(now, "nack", flight.row, flight.chunk,
                                  flight.s_p, result._value_, report.epc))
-                    if nacks >= cfg.n_threshold:
-                        timeout = True
+                    timeout = nacks >= cfg.n_threshold
             else:
                 silent += 1
                 timeout = silent >= STALL_TICKS
 
             if timeout:
                 lost_type = silent >= STALL_TICKS or 2 * no_tags > nacks
-                self.log.add(now, "timeout", flight.row, flight.chunk,
-                             flight.s_p, "lost" if lost_type else "error")
-                if self._r_count >= cfg.r_max:
+                log(LogEvent(now, "timeout", flight.row, flight.chunk,
+                             flight.s_p, "lost" if lost_type else "error", b""))
+                if r_count >= cfg.r_max:
                     failure = "resend budget exhausted"
-                    self.log.add(now, "abort", flight.row, flight.chunk,
-                                 flight.s_p, failure)
+                    log(LogEvent(now, "abort", flight.row, flight.chunk, flight.s_p, failure, b""))
                     break
-                self._r_count += 1
-                self._m_count = 0
-                if self._throttled and flight.row >= 0:
+                r_count += 1
+                m_count = 0
+                if throttled and flight.row >= 0:
                     self._apply_throttle(flight, cfg.t_dl if lost_type else cfg.t_de, now)
                 # Basic and init messages come back identical; an extended
                 # chunk is re-cut at the throttled S_p.
-                flight = self._flight()
-                self._transmit(flight, True, now)
-                nacks = no_tags = silent = 0
-
-            # 2. Reader advances one inventory round.
-            report = tick(now, tag, channel)
-
-        if not completed and not failure:
-            failure = "round budget exhausted"
+                action = "resend"
 
         reached_app = False
-        if completed and cfg.bootloader:
-            reached_app, now = self._finalize(tag, next_round, now)
         if completed:
-            self.log.add(now, "complete")
+            if cfg.bootloader:
+                reached_app, now = self._finalize(tag, next_round, now)
+            log(LogEvent(now, "complete", -1, 0, 0.0, "", b""))
 
-        return SessionResult(
-            completed=completed,
-            rounds=now,
-            log=self.log,
-            messages_sent=self._m_sent,
-            resends=self._m_resent,
-            sum_s_p=self._sum_s_p,
-            op_success=n_success,
-            op_total=n_total,
-            reached_application=reached_app,
-            failure_reason=failure,
-        )
+        return SessionResult(completed, now, self.log, messages_sent=sent, resends=resent,
+                             sum_s_p=sum_s_p, op_success=n_success, op_total=n_total,
+                             reached_application=reached_app, failure_reason=failure)
 
     def _finalize(self, tag: Tag, next_round: Callable[[int], None],
                   now: int) -> tuple[bool, int]:

@@ -166,10 +166,5 @@ def generate_fixture(data: bytes, record_width: int, base_address: int = 0x4400)
     """
     if record_width < 1:
         raise ValueError("record width must be positive")
-    lines = []
-    for off in range(0, len(data), record_width):
-        lines.append(
-            encode_record(base_address + off, TYPE_DATA, data[off : off + record_width])
-        )
-    lines.append(encode_record(0, TYPE_EOF, b""))
-    return "\n".join(lines) + "\n"
+    return encode(RecordMatrix([Row(base_address + off, data[off : off + record_width])
+                                for off in range(0, len(data), record_width)]))

@@ -103,13 +103,15 @@ class ModelPoint:
 
 
 def model_curves(d_cm: int, x: float) -> ModelPoint:
-    """Evaluate the fitted curves at word count ``x`` for a known distance."""
-    try:
-        p = MODEL_PARAMS[int(d_cm)]
-    except (KeyError, ValueError):
+    """Evaluate the fitted curves at word count ``x`` for a known distance.
+
+    ``d_cm`` must equal one of the fitted distances: 20 and 20.0 do, 20.9 does not.
+    """
+    p = MODEL_PARAMS.get(d_cm)
+    if p is None:
         raise UnknownDistance(
             f"no model parameters for d = {d_cm} cm; known: {sorted(MODEL_PARAMS)}"
-        ) from None
+        )
     if not 1 <= x <= 32:
         raise ValueError(f"word count {x} outside the modeled range 1..32")
     psi_t = p.a2 / (x ** p.b2) + p.c2

@@ -8,7 +8,6 @@ and seed produce byte-identical outputs.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -129,6 +128,7 @@ _BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0":
 def parse_config_text(text: str) -> ScenarioConfig:
     """Parse the flat ``key = value`` config format ('#' starts a comment)."""
     values: dict[str, str] = {}
+    key_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -136,7 +136,11 @@ def parse_config_text(text: str) -> ScenarioConfig:
         if "=" not in line:
             raise ScenarioError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, val = line.partition("=")
-        values[key.strip().lower()] = val.strip()
+        key = key.strip().lower()
+        if key in key_line:
+            raise ScenarioError(f"line {lineno}: {key} is given twice, first on line {key_line[key]}")
+        key_line[key] = lineno
+        values[key] = val.strip()
 
     cfg = ScenarioConfig()
     profile = DistanceProfile()
@@ -290,22 +294,14 @@ def _log_lines(events: list[LogEvent]) -> Iterator[str]:
 
 
 def write_artifacts(config: ScenarioConfig, outcome: ScenarioOutcome, out: Path) -> None:
+    """Write ``summary.csv``, each run's log and the distance trace as plain CSV lines."""
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "summary.csv", "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(SUMMARY_COLUMNS)
+        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
         for r in sorted(outcome.runs, key=lambda r: r.run):
             m = r.metrics
-            w.writerow([
-                r.run,
-                int(r.result.completed),
-                _fmt(m.t),
-                m.m_t,
-                m.m_r,
-                _fmt(m.p_r),
-                _fmt(m.mean_s_p),
-                _fmt(m.theta),
-            ])
+            fh.write(f"{r.run},{int(r.result.completed)},{_fmt(m.t)},{m.m_t},{m.m_r},"
+                     f"{_fmt(m.p_r)},{_fmt(m.mean_s_p)},{_fmt(m.theta)}\n")
     for r in outcome.runs:
         with open(out / f"run_{r.run:02d}_log.csv", "w", newline="") as fh:
             fh.write(",".join(LOG_COLUMNS) + "\n")
@@ -314,7 +310,6 @@ def write_artifacts(config: ScenarioConfig, outcome: ScenarioOutcome, out: Path)
             r.tag.fram.dump(out / f"run_{r.run:02d}_fram.bin")
     longest = max(outcome.runs, key=lambda r: r.result.rounds)
     with open(out / "distance_trace.csv", "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(TRACE_COLUMNS)
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
         for round_no in range(0, longest.result.rounds + 1, ROUNDS_PER_SEC // 4):
-            w.writerow([round_no, _fmt(config.profile.at(round_no))])
+            fh.write(f"{round_no},{_fmt(config.profile.at(round_no))}\n")

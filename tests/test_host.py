@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crfid_downlink.host import Variant, classify_report, matrix_crc
-from crfid_downlink.ihex import RecordMatrix, Row, parse_file
-from crfid_downlink.reader import OperationReport, ReportResult
+from crfid_downlink.ihex import RecordMatrix, Row, generate_fixture, parse_file
+from crfid_downlink.reader import ROUNDS_PER_SEC, OperationReport, ReportResult
 from crfid_downlink.scenario import DistanceProfile, ScenarioConfig, ScenarioError, run_scenario
 from crfid_downlink.tag import Tag
 
@@ -146,7 +146,6 @@ def test_unreachable_tag_aborts_after_r_max_resends(clean_run):
     assert result.log.count("abort") == 1
 
 
-
 def test_round_budget_ends_the_run(small_matrix, clean_run):
     # The host turns max_sim_seconds into rounds: 0.5 s at 60 rounds/s.
     cfg = ScenarioConfig(protocol=Variant.EX, max_sim_seconds=0.5)
@@ -154,6 +153,7 @@ def test_round_budget_ends_the_run(small_matrix, clean_run):
     assert not result.completed
     assert result.rounds == 30
     assert result.failure_reason == "round budget exhausted"
+
 
 def test_no_message_sent_more_than_r_max_plus_one_times(small_matrix, clean_run):
     cfg = ScenarioConfig(protocol=Variant.EX)
@@ -247,6 +247,7 @@ def test_all_empty_records_complete_immediately(clean_run):
     assert result.completed
     assert result.messages_sent == 0
     assert result.rounds == 0
+    assert [(e.round_no, e.event) for e in result.log.events] == [(0, "complete")]
 
 
 def test_basic_sends_address_messages_for_empty_rows(clean_run):
@@ -288,3 +289,55 @@ def test_one_distance_lookup_per_round():
     last_ack = max(e.round_no for e in result.log.events if e.event == "ack")
     assert result.rounds > last_ack
     assert profile.lookups == result.rounds
+
+
+# -- round budget edges ---------------------------------------------------------------
+#
+# Each case cuts the round budget at a round an unbudgeted run of the same
+# seed reached, so the cut run replays it up to that round.
+
+TWO_ROWS = parse_file(generate_fixture(bytes(range(1, 41)), record_width=20))
+FLAVOURS = [(protocol, boot) for protocol in Variant for boot in (False, True)]
+
+
+def budget_run(clean_run, protocol, bootloader, rounds=None, **kwargs):
+    """``clean_run`` of the two-row image, cut after ``rounds`` rounds if given."""
+    cfg = ScenarioConfig(protocol=protocol, bootloader=bootloader, r_max=kwargs.pop("r_max", 3))
+    if rounds is not None:
+        cfg.max_sim_seconds = (rounds + 0.5) / ROUNDS_PER_SEC
+    result, _ = clean_run(cfg, TWO_ROWS, tag=Tag(start_in_bootloader=bootloader), **kwargs)
+    return result
+
+
+@pytest.mark.parametrize("protocol, bootloader", FLAVOURS)
+def test_budget_ending_on_the_last_ack_completes(clean_run, protocol, bootloader):
+    full = budget_run(clean_run, protocol, bootloader)
+    assert full.completed
+    last_ack = max(e.round_no for e in full.log.events if e.event == "ack")
+
+    exact = budget_run(clean_run, protocol, bootloader, rounds=last_ack)
+    assert exact.completed and exact.failure_reason == ""
+    assert exact.rounds == last_ack
+    assert exact.reached_application == bootloader
+    assert exact.log.events == full.log.events
+
+    short = budget_run(clean_run, protocol, bootloader, rounds=last_ack - 1)
+    assert not short.completed
+    assert short.failure_reason == "round budget exhausted"
+    assert short.rounds == last_ack - 1
+    assert short.log.events[-1].event == "nack"
+
+
+@pytest.mark.parametrize("protocol, bootloader", FLAVOURS)
+def test_budget_ending_on_a_timeout_still_resends(clean_run, protocol, bootloader):
+    full = budget_run(clean_run, protocol, bootloader, r_max=1, cm=400.0)
+    assert full.failure_reason == "resend budget exhausted"
+    first_timeout = next(e.round_no for e in full.log.events if e.event == "timeout")
+
+    cut = budget_run(clean_run, protocol, bootloader, rounds=first_timeout, r_max=1, cm=400.0)
+    assert not cut.completed
+    assert cut.failure_reason == "round budget exhausted"
+    assert cut.rounds == first_timeout
+    assert (cut.messages_sent, cut.resends) == (2, 1)
+    # A throttled extended chunk logs its step down between the two.
+    assert [e.event for e in cut.log.events if e.event != "throttle"][-2:] == ["timeout", "resend"]

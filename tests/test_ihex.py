@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from crfid_downlink.ihex import (
     ChecksumMismatch,
@@ -225,6 +225,16 @@ def test_chunks_reassemble_row(chunk_walk, data, s_p):
 def test_encode_golden_record():
     matrix = RecordMatrix([Row(0xAADD, bytes([0xBB, 0xCC]))])
     assert encode(matrix).splitlines()[0] == GOLDEN_RECORD
+
+
+@given(st.binary(min_size=0, max_size=80), st.integers(min_value=1, max_value=32),
+       st.integers(min_value=0, max_value=0x4000))
+@example(bytes(range(45)), 20, 0x4400)  # two full records and a short one
+def test_fixture_holds_the_data_at_consecutive_addresses(data, width, base):
+    matrix = parse_file(generate_fixture(data, width, base))
+    assert [r.address for r in matrix.rows] == list(range(base, base + len(data), width))
+    assert b"".join(r.data for r in matrix.rows) == data
+    assert all(0 < len(r.data) <= width for r in matrix.rows)
 
 
 rows_strategy = st.lists(

@@ -86,6 +86,12 @@ def test_model_unknown_distance():
         model_curves(45, 4)
 
 
+def test_model_rejects_a_non_integer_distance():
+    with pytest.raises(UnknownDistance):
+        model_curves(20.9, 1)
+    assert model_curves(20.0, 1) == model_curves(20, 1)
+
+
 def test_model_word_count_range():
     with pytest.raises(ValueError):
         model_curves(20, 0)

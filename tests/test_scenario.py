@@ -77,6 +77,8 @@ def test_parse_defaults_and_comments():
     [
         "mystery_key = 1\n",
         "ocv fifteen\n",
+        "ocv = 5\nocv = 7\n",
+        "OCV = 5\nocv = 7\n",
         "ocv = fifteen\n",
         "protocol = turbo\n",
         "distance = warp\n",
@@ -128,6 +130,12 @@ def test_parse_config_errors(text):
     key = text.strip().splitlines()[-1].split("=")[0].split()[0]
     with pytest.raises(ScenarioError, match=re.escape(key)):
         parse_config_text(text)
+
+
+def test_repeated_key_names_both_lines():
+    # Keys are lower-cased before they are compared, so the case does not matter.
+    with pytest.raises(ScenarioError, match=r"line 4: r_max is given twice, first on line 2"):
+        parse_config_text("ocv = 5\nR_max = 2\n# r_max = 9\nr_max = 3\n")
 
 
 def test_shipped_configs_load(tmp_path):
