@@ -17,8 +17,10 @@ distance and powers it by the configured brown-out probability, or for
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from array import array
+from collections import Counter
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -52,12 +54,50 @@ class LogEvent:
     epc: bytes
 
 
-@dataclass
 class TransferLog:
-    events: list[LogEvent] = field(default_factory=list)
+    """A run's log rows in two typed columns: the round, and an index into ``kinds``.
+
+    A kind is one distinct ``(event, row, chunk, s_p, result, epc)`` tuple.
+    Stale-echo rounds repeat a handful of kinds per message, so a row costs
+    twelve bytes instead of an object; ``events`` rebuilds the rows on demand.
+    """
+
+    __slots__ = ("rounds", "kind_ids", "kinds")
+
+    def __init__(self, events: Iterable[LogEvent] = ()):
+        self.rounds = array("q")
+        self.kind_ids = array("I")
+        self.kinds: list[tuple] = []
+        append = self._appender()
+        for e in events:
+            append(e.round_no, (e.event, e.row, e.chunk, e.s_p, e.result, e.epc))
+
+    def _appender(self) -> Callable[[int, tuple], None]:
+        """A function appending one row, round and kind; it interns the kinds.
+
+        Its intern dict lives as long as the function, not as long as the log.
+        """
+        rounds, kind_ids, kinds = self.rounds.append, self.kind_ids.append, self.kinds
+        ids = {kind: k for k, kind in enumerate(kinds)}
+
+        def append(round_no: int, kind: tuple) -> None:
+            k = ids.get(kind)
+            if k is None:
+                k = ids[kind] = len(kinds)
+                kinds.append(kind)
+            rounds(round_no)
+            kind_ids(k)
+
+        return append
+
+    @property
+    def events(self) -> list[LogEvent]:
+        kinds = self.kinds
+        return [LogEvent(r, *kinds[k]) for r, k in zip(self.rounds, self.kind_ids)]
 
     def count(self, event: str) -> int:
-        return sum(1 for e in self.events if e.event == event)
+        per_kind = Counter(self.kind_ids)
+        return sum(n for k, n in per_kind.items() if self.kinds[k][0] == event)
 
 
 @dataclass
@@ -176,12 +216,11 @@ class HostSession:
         else:
             self._chunk += 1
 
-    def _apply_throttle(self, flight: _InFlight, step: int, now: int) -> None:
+    def _throttle(self, step: int) -> str:
+        """Step S_p along the ladder; returns the ``old->new`` text, or "" if it stayed."""
         old = self._s_p
         self._s_p = throttle(old, self._ladder, step)
-        if self._s_p != old:
-            self.log.events.append(LogEvent(now, "throttle", flight.row, flight.chunk,
-                                            self._s_p, f"{old}->{self._s_p}", b""))
+        return f"{old}->{self._s_p}" if self._s_p != old else ""
 
     # ------------------------------------------------------------------
     # main loop
@@ -197,7 +236,7 @@ class HostSession:
         throttled = not self._basic and cfg.s_p is None
         reader = Reader()
         tick = reader.tick
-        log = self.log.events.append
+        log = self.log._appender()
         at = cfg.profile.at
         place = channel.set_distance_cm
         step = power.step
@@ -230,8 +269,7 @@ class HostSession:
                 sum_s_p += flight.s_p
                 reader.request_delete(now)
                 reader.stage(AccessSpec(sent, flight.words, flight.is_blockwrite, cfg.ocv), now)
-                log(LogEvent(now, action, flight.row, flight.chunk, flight.s_p, "",
-                             flight.expected_epc))
+                log(now, (action, flight.row, flight.chunk, flight.s_p, "", flight.expected_epc))
                 nacks = no_tags = silent = 0  # since the last transmission
                 action = ""
             if now:  # round 0 only stages the first message
@@ -254,12 +292,14 @@ class HostSession:
                     if result is ReportResult.SUCCESS:
                         n_success += 1
                 if classify_report(flight.expected_epc, report):
-                    log(LogEvent(now, "ack", flight.row, flight.chunk,
-                                 flight.s_p, result._value_, report.epc))
+                    log(now, ("ack", flight.row, flight.chunk, flight.s_p, result._value_,
+                              report.epc))
                     r_count = 0
                     if throttled and flight.row >= 0:
                         if m_count > cfg.m_threshold:
-                            self._apply_throttle(flight, cfg.t_u, now)
+                            if step_text := self._throttle(cfg.t_u):
+                                log(now, ("throttle", flight.row, flight.chunk, self._s_p,
+                                          step_text, b""))
                             m_count = 0
                         else:
                             m_count += 1
@@ -269,8 +309,8 @@ class HostSession:
                     nacks += 1
                     if result is ReportResult.NO_TAG_SEEN:
                         no_tags += 1
-                    log(LogEvent(now, "nack", flight.row, flight.chunk,
-                                 flight.s_p, result._value_, report.epc))
+                    log(now, ("nack", flight.row, flight.chunk, flight.s_p, result._value_,
+                              report.epc))
                     timeout = nacks >= cfg.n_threshold
             else:
                 silent += 1
@@ -278,42 +318,35 @@ class HostSession:
 
             if timeout:
                 lost_type = silent >= STALL_TICKS or 2 * no_tags > nacks
-                log(LogEvent(now, "timeout", flight.row, flight.chunk,
-                             flight.s_p, "lost" if lost_type else "error", b""))
+                log(now, ("timeout", flight.row, flight.chunk, flight.s_p,
+                          "lost" if lost_type else "error", b""))
                 if r_count >= cfg.r_max:
                     failure = "resend budget exhausted"
-                    log(LogEvent(now, "abort", flight.row, flight.chunk, flight.s_p, failure, b""))
+                    log(now, ("abort", flight.row, flight.chunk, flight.s_p, failure, b""))
                     break
                 r_count += 1
                 m_count = 0
                 if throttled and flight.row >= 0:
-                    self._apply_throttle(flight, cfg.t_dl if lost_type else cfg.t_de, now)
+                    if step_text := self._throttle(cfg.t_dl if lost_type else cfg.t_de):
+                        log(now, ("throttle", flight.row, flight.chunk, self._s_p, step_text, b""))
                 # Basic and init messages come back identical; an extended
                 # chunk is re-cut at the throttled S_p.
                 action = "resend"
 
         reached_app = False
+        if completed and cfg.bootloader:
+            # Deliver the whole-application checksum once the tag has power,
+            # within the round budget.
+            while not tag.powered and now < max_rounds:
+                now += 1
+                next_round(now)
+            if tag.powered:
+                reached_app = tag.transfer_complete(matrix_crc(self.matrix)) is TagMode.APPLICATION
+            else:
+                completed, failure = False, "round budget exhausted"
         if completed:
-            if cfg.bootloader:
-                reached_app, now = self._finalize(tag, next_round, now)
-            log(LogEvent(now, "complete", -1, 0, 0.0, "", b""))
+            log(now, ("complete", -1, 0, 0.0, "", b""))
 
         return SessionResult(completed, now, self.log, messages_sent=sent, resends=resent,
                              sum_s_p=sum_s_p, op_success=n_success, op_total=n_total,
                              reached_application=reached_app, failure_reason=failure)
-
-    def _finalize(self, tag: Tag, next_round: Callable[[int], None],
-                  now: int) -> tuple[bool, int]:
-        """Deliver the whole-application checksum once the tag has power.
-
-        Returns whether the application started, and the round count then.
-        """
-        crc = matrix_crc(self.matrix)
-        waited = 0
-        while not tag.powered and waited < 10_000:
-            now += 1
-            next_round(now)
-            waited += 1
-        if not tag.powered:
-            return False, now
-        return tag.transfer_complete(crc) is TagMode.APPLICATION, now

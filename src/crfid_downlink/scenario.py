@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .channel import ChannelModel
-from .host import HostSession, LogEvent, SessionResult, Variant
+from .host import HostSession, SessionResult, TransferLog, Variant
 from .ihex import HexFileError, RecordMatrix, parse_file
 from .metrics import SessionMetrics, compute_metrics
 from .protocol import RowTooLong
@@ -275,22 +275,16 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _log_lines(events: list[LogEvent]) -> Iterator[str]:
-    """The log rows as CSV lines, one at a time, with the text of each S_p and EPC memoised.
+def _log_lines(log: TransferLog) -> Iterator[str]:
+    """The log rows as CSV lines, one at a time; each kind's text is rendered once.
 
     No field needs quoting: event names, results, numbers and hex EPCs hold
     no comma, quote or line break.
     """
-    s_p_text: dict[float, str] = {}
-    epc_text: dict[bytes, str] = {}
-    for e in events:
-        s_p = s_p_text.get(e.s_p)
-        if s_p is None:
-            s_p = s_p_text[e.s_p] = _fmt(e.s_p)
-        epc = epc_text.get(e.epc)
-        if epc is None:
-            epc = epc_text[e.epc] = e.epc.hex().upper()
-        yield f"{e.round_no},{e.event},{e.row},{e.chunk},{s_p},{e.result},{epc}\n"
+    texts = [f"{event},{row},{chunk},{_fmt(s_p)},{result},{epc.hex().upper()}\n"
+             for event, row, chunk, s_p, result, epc in log.kinds]
+    for round_no, k in zip(log.rounds, log.kind_ids):
+        yield f"{round_no},{texts[k]}"
 
 
 def write_artifacts(config: ScenarioConfig, outcome: ScenarioOutcome, out: Path) -> None:
@@ -305,7 +299,7 @@ def write_artifacts(config: ScenarioConfig, outcome: ScenarioOutcome, out: Path)
     for r in outcome.runs:
         with open(out / f"run_{r.run:02d}_log.csv", "w", newline="") as fh:
             fh.write(",".join(LOG_COLUMNS) + "\n")
-            fh.writelines(_log_lines(r.result.log.events))
+            fh.writelines(_log_lines(r.result.log))
         if config.dump_fram:
             r.tag.fram.dump(out / f"run_{r.run:02d}_fram.bin")
     longest = max(outcome.runs, key=lambda r: r.result.rounds)

@@ -104,6 +104,9 @@ class Tag:
         self._fault_rng = random.Random(fault_seed)
         self.energy_rng = random.Random(energy_seed)
         self._verified = (None, 0, b"", b"")  # last checksummed (raw, address, payload, EPC)
+        # True while the memory holds that payload from the last commit, which
+        # drew no write faults; any commit and any INIT clear it.
+        self._stored = False
         # Volatile reprogram state.
         self._addr_high: int | None = None
         self._addr_low: int | None = None
@@ -139,6 +142,7 @@ class Tag:
                 # A new reprogram session forgets what the last one wrote.
                 self.mode = TagMode.REPROGRAM
                 self._written = bytearray(FRAM_SIZE)
+                self._stored = False
                 self.epc = bytes((header, payload)) + _ECHO_PAD
             return
         if self.mode is not TagMode.REPROGRAM:
@@ -169,8 +173,10 @@ class Tag:
         A ``corrupted`` series fails its checksum.  Otherwise the checksum is
         verified before any memory write (once per distinct ``raw``, which the
         reader repeats) and recomputed from read-back afterwards; both must
-        pass for the EPC to acknowledge the message.  Returns True when the
-        EPC was updated.
+        pass for the EPC to acknowledge the message.  Without write faults a
+        repeat of the series the memory still holds from its last commit (no
+        commit and no INIT since) only sets the EPC: rewriting it would store
+        the same bytes.  Returns True when the EPC was updated.
         """
         if not self.powered or corrupted:
             return False
@@ -183,16 +189,20 @@ class Tag:
                 return False
             epc = bytes(raw[:4]).ljust(EPC_LENGTH, b"\x00")
             self._verified = (bytes(raw), (raw[2] << 8) | raw[3], payload, epc)
+            self._stored = False
         _, address, payload, epc = self._verified
         if self.mode is not TagMode.REPROGRAM:
             return False
-        self._commit(address, payload)
-        if record_checksum(epc[1:4] + self.fram.read(address, len(payload))) != epc[0]:
-            return False  # write fault surfaced by read-back
+        if not self._stored:
+            self._commit(address, payload)
+            if record_checksum(epc[1:4] + self.fram.read(address, len(payload))) != epc[0]:
+                return False  # write fault surfaced by read-back
+            self._stored = self.write_fault_prob == 0
         self.epc = epc
         return True
 
     def _commit(self, address: int, data: bytes) -> None:
+        self._stored = False
         if self.write_fault_prob > 0:
             data = bytearray(data)
             for i in range(len(data)):

@@ -1,13 +1,16 @@
+import gc
+import tracemalloc
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crfid_downlink.host import Variant, classify_report, matrix_crc
+from crfid_downlink.host import TransferLog, Variant, classify_report, matrix_crc
 from crfid_downlink.ihex import RecordMatrix, Row, generate_fixture, parse_file
 from crfid_downlink.reader import ROUNDS_PER_SEC, OperationReport, ReportResult
 from crfid_downlink.scenario import DistanceProfile, ScenarioConfig, ScenarioError, run_scenario
 from crfid_downlink.tag import Tag
+from test_scenario import HOST_EVENTS, log_events
 
 GOLDEN_FILE = ":02AADD00BBCCF0\n:00000001FF\n"
 
@@ -30,6 +33,39 @@ def test_classify_previous_echo_is_nack():
 def test_classify_error_report_can_ack():
     r = report([0xFD, 0xAA], ReportResult.ERROR)
     assert classify_report(bytes([0xFD, 0xAA]), r) is True
+
+
+# -- log storage ------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(log_events, max_size=60))
+def test_log_rebuilds_the_events_it_was_built_from(events):
+    log = TransferLog(events)
+    assert log.events == events
+    assert len(log.kinds) == len({(e.event, e.row, e.chunk, e.s_p, e.result, e.epc)
+                                  for e in events})
+    for event in HOST_EVENTS:
+        assert log.count(event) == sum(e.event == event for e in events)
+
+
+def test_log_row_costs_a_fraction_of_an_object(firmware_matrix, clean_run):
+    # A row is a round and a kind id; a kind is shared by the stale-echo rows
+    # of one message.  One LogEvent per row retained about 130 B here.
+    cfg = ScenarioConfig(protocol=Variant.EX, s_p=16)
+    tracemalloc.start()
+    try:
+        log = clean_run(cfg, firmware_matrix)[0].log
+        gc.collect()
+        with_log = tracemalloc.get_traced_memory()[0]
+        rows = len(log.rounds)
+        del log
+        gc.collect()
+        without_log = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert rows > 3000
+    assert (with_log - without_log) / rows < 48
 
 
 # -- config guard rails ---------------------------------------------------------
@@ -289,6 +325,21 @@ def test_one_distance_lookup_per_round():
     last_ack = max(e.round_no for e in result.log.events if e.event == "ack")
     assert result.rounds > last_ack
     assert profile.lookups == result.rounds
+
+
+def test_waiting_for_power_to_finish_stays_within_the_round_budget():
+    # The same seed and profile as above, cut at the round of the last ACK:
+    # the tag is browned out then, and the budget ends before it can take the
+    # application checksum.
+    profile = DistanceProfile(kind="oscillate", min_cm=100, max_cm=140)
+    cfg = ScenarioConfig(seed=35, bootloader=True, profile=profile,
+                         max_sim_seconds=32.5 / ROUNDS_PER_SEC)
+    result = run_scenario(cfg, matrix=parse_file(GOLDEN_FILE)).runs[0].result
+    assert max(e.round_no for e in result.log.events if e.event == "ack") == 32
+    assert not result.completed and not result.reached_application
+    assert result.failure_reason == "round budget exhausted"
+    assert result.rounds == 32
+    assert result.log.count("complete") == 0
 
 
 # -- round budget edges ---------------------------------------------------------------

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crfid_downlink.channel import (
     D_REF_CM,
@@ -11,7 +11,8 @@ from crfid_downlink.channel import (
     round_odds,
 )
 from crfid_downlink.crc import crc16_ccitt
-from crfid_downlink.protocol import build_ex_message
+from crfid_downlink.ihex import record_checksum
+from crfid_downlink.protocol import EPC_LENGTH, build_ex_message
 from crfid_downlink.tag import (
     FRAM_SIZE,
     INITIAL_EPC,
@@ -179,6 +180,25 @@ def test_repeated_series_commits_and_draws_faults_on_every_call():
     assert tag._fault_rng.getstate() == reference.getstate()
 
 
+def test_repeat_of_the_stored_series_only_sets_the_epc():
+    # Without write faults a repeat would store the same bytes again.
+    tag = Tag()
+    writes = recording_writes(tag)
+    msg = build_ex_message(bytes([0xBB, 0xCC]), 0xAADD)
+    raw = raw_of(msg)
+    assert [tag.series_complete(raw, False) for _ in range(15)] == [True] * 15
+    tag.set_powered(False)
+    tag.set_powered(True)
+    assert tag.epc == INITIAL_EPC
+    assert tag.series_complete(raw, False) is True  # memory outlives the power loss
+    assert tag.epc == msg.header_bytes() + bytes(8)
+    assert writes == [(0xAADD, bytes([0xBB, 0xCC]))]
+    tag.handle_basic_write(0xFF00)  # INIT forgets what the session wrote
+    assert tag.series_complete(raw, False) is True
+    assert len(writes) == 2
+    assert tag.application_crc() == crc16_ccitt(bytes([0xBB, 0xCC]))
+
+
 def test_bad_checksum_stays_rejected_on_every_repeat():
     tag = Tag()
     good = raw_of(build_ex_message(bytes([0xBB, 0xCC]), 0xAADD))
@@ -256,6 +276,79 @@ def test_commit_matches_the_copy_always_reference(spans, fault_prob):
     assert tag.fram.read(0, FRAM_SIZE) == ref.fram.read(0, FRAM_SIZE)
     assert tag._written == ref._written
     assert tag._fault_rng.getstate() == ref._fault_rng.getstate()
+
+
+class AlwaysCommitTag(Tag):
+    """The tag whose every accepted series commits, checks the read-back and sets the EPC."""
+
+    def series_complete(self, raw, corrupted):
+        if not self.powered or corrupted:
+            return False
+        if raw != self._verified[0]:
+            if len(raw) < 4:
+                return False
+            length = raw[1]
+            payload = bytes(raw[4 : 4 + length])
+            if len(payload) != length or record_checksum(raw[1 : 4 + length]) != raw[0]:
+                return False
+            epc = bytes(raw[:4]).ljust(EPC_LENGTH, b"\x00")
+            self._verified = (bytes(raw), (raw[2] << 8) | raw[3], payload, epc)
+        _, address, payload, epc = self._verified
+        if self.mode is not TagMode.REPROGRAM:
+            return False
+        self._commit(address, payload)
+        if record_checksum(epc[1:4] + self.fram.read(address, len(payload))) != epc[0]:
+            return False
+        self.epc = epc
+        return True
+
+
+# Overlapping series, one with a bad checksum; basic Writes that address the
+# same bytes (0x0100 and 0x0101), and INIT.
+SERIES = [raw_of(build_ex_message(bytes([0x11, 0x22, 0x33]), 0x0100)),
+          raw_of(build_ex_message(bytes([0x44, 0x55]), 0x0101)),
+          raw_of(build_ex_message(bytes([0x66]), 0x0100))]
+SERIES.append(bytes([SERIES[0][0] ^ 0x01]) + SERIES[0][1:])
+A, B = ("series", 0), ("series", 1)
+INIT, LOSE, RETURN, COMPLETE = ("basic", 0xFF00), ("lose", 0), ("return", 0), ("complete", 0)
+WRITE_0x0100 = [("basic", 0xFD01), ("basic", 0xFE00), ("basic", 0x0077)]
+SERIES_OPS = [*(("series", i) for i in range(len(SERIES))), ("corrupted", 0)]
+OTHER_OPS = [*WRITE_0x0100, ("basic", 0x0199), INIT, LOSE, RETURN, COMPLETE, ("complete", 1)]
+
+
+def apply_tag_op(tag, op, arg, crc):
+    if op == "series":
+        return tag.series_complete(SERIES[arg], False)
+    if op == "corrupted":
+        return tag.series_complete(SERIES[arg], True)
+    if op == "basic":
+        return tag.handle_basic_write(arg)
+    if op == "lose":
+        return tag.set_powered(False)
+    if op == "return":
+        return tag.set_powered(True)
+    return tag.transfer_complete(crc ^ arg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), st.sampled_from([0.0, 0.2]),
+       st.lists(st.one_of(st.sampled_from(SERIES_OPS), st.sampled_from(OTHER_OPS)), max_size=40))
+# The verified series switches to B without a commit (the tag runs the
+# application), then INIT starts a new session: A must be written again, and
+# its repeat acknowledged with A's EPC.
+@example(False, 0.0, [A, A, COMPLETE, B, LOSE, RETURN, INIT, A, A])
+@example(False, 0.0, [A, A, INIT, A])  # INIT forgets what A wrote
+@example(False, 0.0, [A, *WRITE_0x0100, A])  # a basic Write overwrites part of A
+def test_repeated_series_match_the_always_commit_reference(start_in_bootloader, fault_prob, ops):
+    tag = Tag(fault_prob, fault_seed=9, start_in_bootloader=start_in_bootloader)
+    ref = AlwaysCommitTag(fault_prob, fault_seed=9, start_in_bootloader=start_in_bootloader)
+    for op, arg in ops:
+        crc = ref.application_crc() if op == "complete" else 0
+        assert apply_tag_op(tag, op, arg, crc) == apply_tag_op(ref, op, arg, crc)
+        assert tag.fram.read(0, FRAM_SIZE) == ref.fram.read(0, FRAM_SIZE)
+        assert tag._written == ref._written
+        assert (tag.epc, tag.mode, tag.powered) == (ref.epc, ref.mode, ref.powered)
+        assert tag._fault_rng.getstate() == ref._fault_rng.getstate()
 
 
 def test_odd_length_series_honors_length_field():
