@@ -127,8 +127,7 @@ def classify_report(expected_epc: bytes, report: OperationReport) -> bool:
     as NACKs; the operation result itself is irrelevant, so a report of an
     erroneous operation can still embed an ACK.
     """
-    n = len(expected_epc)
-    return report.epc[:n] == expected_epc[:n]
+    return report.epc.startswith(expected_epc)
 
 
 @dataclass
@@ -242,11 +241,8 @@ class HostSession:
         step = power.step
         set_powered = tag.set_powered
         p = cfg.brownout
-
-        def next_round(now: int) -> None:
-            """Place the tag at the profile's distance, then power it."""
-            place(at(now))
-            set_powered(step(channel.brownout if p is None else p))
+        # The results a round tests, as locals: an enum-class lookup costs each round.
+        success, _, no_tag, inventory = ReportResult
 
         sent = resent = m_count = r_count = n_success = n_total = 0
         sum_s_p = 0.0
@@ -277,8 +273,9 @@ class HostSession:
             if now >= max_rounds:
                 failure = "round budget exhausted"
                 break
-            now += 1
-            next_round(now)
+            now += 1  # the next round places the tag at the profile's distance, then powers it
+            place(at(now))
+            set_powered(step(channel.brownout if p is None else p))
 
             # Consume the report produced by the previous round.
             timeout = False
@@ -287,9 +284,9 @@ class HostSession:
                 # The log takes ``result._value_``, the member's value read
                 # without the Python-level property call ``.value`` makes.
                 result = report.result
-                if result is not ReportResult.INVENTORY:
+                if result is not inventory:
                     n_total += 1
-                    if result is ReportResult.SUCCESS:
+                    if result is success:
                         n_success += 1
                 if classify_report(flight.expected_epc, report):
                     log(now, ("ack", flight.row, flight.chunk, flight.s_p, result._value_,
@@ -307,7 +304,7 @@ class HostSession:
                     action = "send"
                 else:
                     nacks += 1
-                    if result is ReportResult.NO_TAG_SEEN:
+                    if result is no_tag:
                         no_tags += 1
                     log(now, ("nack", flight.row, flight.chunk, flight.s_p, result._value_,
                               report.epc))
@@ -339,7 +336,8 @@ class HostSession:
             # within the round budget.
             while not tag.powered and now < max_rounds:
                 now += 1
-                next_round(now)
+                place(at(now))
+                set_powered(step(channel.brownout if p is None else p))
             if tag.powered:
                 reached_app = tag.transfer_complete(matrix_crc(self.matrix)) is TagMode.APPLICATION
             else:

@@ -115,6 +115,8 @@ def parse_record(line: str) -> HexRecord:
         )
     if record_type not in (TYPE_DATA, TYPE_EOF):
         raise UnsupportedRecordType(f"record type {record_type:#04x} not supported")
+    if record_type == TYPE_DATA and address + byte_count > 0x10000:  # no wrap-around
+        raise MalformedRecord(f"{byte_count} data bytes at {address:#06x} run past 0xFFFF")
     return HexRecord(byte_count, address, record_type, data, checksum)
 
 

@@ -41,6 +41,11 @@ class ReportResult(Enum):
     INVENTORY = "inventory"  # idle round, no access operation attached
 
 
+# The members a round tests, as module names: an enum-class lookup costs each round.
+_SUCCESS, _ERROR, _NO_TAG_SEEN, _INVENTORY = ReportResult
+_LOST, _CORRUPTED = Delivery.LOST, Delivery.CORRUPTED
+
+
 @dataclass(slots=True)
 class OperationReport:
     spec_id: int
@@ -116,57 +121,46 @@ class Reader:
                 run = self.active = _RunningSpec(spec)
                 self.staged = None
         if run is None:
-            return self._inventory_report(now, tag, channel)
-        report = self._execute_round(run, now, tag, channel)
+            # With no access spec the reader still inventories; a visible tag
+            # yields a bare EPC report, an invisible one yields nothing.
+            if not tag.powered or channel.rng.random() < channel.miss:
+                return None
+            return OperationReport(0, _INVENTORY, tag.epc, now)
+        run.total_rounds += 1
+        spec = run.spec
+        result, epc = _NO_TAG_SEEN, NO_TAG_EPC  # unpowered, or nothing decoded
+        if tag.powered and not spec.is_blockwrite:
+            # Per-command CRC16 catches a corrupted word; the tag stays silent.
+            outcome = channel.deliver_word()
+            if outcome is not _LOST:
+                epc = tag.epc  # the echo the tag backscatters at the round's start
+                if outcome is _CORRUPTED:
+                    result = _ERROR
+                else:
+                    tag.handle_basic_write(spec.words[0])
+                    run.success_count += 1
+                    result = _SUCCESS
+        elif tag.powered:
+            # BlockWrite: no per-word CRC16, so a corrupted word is written and
+            # replied to; only a lost word (missed preamble, drained slot) ends it.
+            n = len(spec.words)
+            replied, corrupted = channel.deliver_series(n, tag.energy_rng.random)
+            if replied:
+                epc = tag.epc
+                if replied < n:
+                    result = _ERROR
+                else:
+                    tag.series_complete(spec.raw, corrupted)
+                    run.success_count += 1
+                    result = _SUCCESS
         # The operation frame ends at OCV successful operations; a slightly
         # larger bound on total rounds keeps frames from dragging on when
         # operations keep failing mid-series, and a pending delete ends it
         # at the grace bound.
-        ocv = run.spec.ocv
+        ocv = spec.ocv
         if (run.success_count >= ocv or run.total_rounds >= ocv + FRAME_SLACK_ROUNDS
                 or (run.delete_requested_at is not None
                     and now - run.delete_requested_at >= DELETE_GRACE)):
             self.active = None
             self._removal_tick = now
-        return report
-
-    # -- internals ----------------------------------------------------------
-
-    def _inventory_report(self, now: int, tag: Tag, channel: ChannelModel) -> OperationReport | None:
-        # With no access spec the reader still inventories; a visible tag
-        # yields a bare EPC report, an invisible one yields nothing.
-        if not tag.powered:
-            return None
-        if channel.rng.random() < channel.miss:
-            return None
-        return OperationReport(0, ReportResult.INVENTORY, tag.epc, now)
-
-    def _execute_round(self, run: _RunningSpec, now: int, tag: Tag,
-                       channel: ChannelModel) -> OperationReport:
-        run.total_rounds += 1
-        spec = run.spec
-        if not tag.powered:
-            return OperationReport(spec.spec_id, ReportResult.NO_TAG_SEEN, NO_TAG_EPC, now)
-        epc_at_start = tag.epc
-
-        if not spec.is_blockwrite:
-            outcome = channel.deliver_word()
-            if outcome is Delivery.LOST:
-                return OperationReport(spec.spec_id, ReportResult.NO_TAG_SEEN, NO_TAG_EPC, now)
-            if outcome is Delivery.CORRUPTED:
-                # Per-command CRC16 catches the damage; the tag stays silent.
-                return OperationReport(spec.spec_id, ReportResult.ERROR, epc_at_start, now)
-            tag.handle_basic_write(spec.words[0])
-            run.success_count += 1
-            return OperationReport(spec.spec_id, ReportResult.SUCCESS, epc_at_start, now)
-
-        # BlockWrite: no per-word CRC16, so a corrupted word is written and
-        # replied to; only a lost word (missed preamble, drained slot) ends it.
-        replied, corrupted = channel.deliver_series(len(spec.words), tag.energy_rng.random)
-        if replied < len(spec.words):
-            if replied == 0:
-                return OperationReport(spec.spec_id, ReportResult.NO_TAG_SEEN, NO_TAG_EPC, now)
-            return OperationReport(spec.spec_id, ReportResult.ERROR, epc_at_start, now)
-        tag.series_complete(spec.raw, corrupted)
-        run.success_count += 1
-        return OperationReport(spec.spec_id, ReportResult.SUCCESS, epc_at_start, now)
+        return OperationReport(spec.spec_id, result, epc, now)

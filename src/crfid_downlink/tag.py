@@ -26,17 +26,19 @@ from .protocol import (
     MAX_BASIC_OFFSET,
 )
 
-FRAM_SIZE = 64 * 1024
-
-INITIAL_EPC = bytes(EPC_LENGTH)
-_ECHO_PAD = bytes(EPC_LENGTH - 2)  # an echo EPC is header and payload, zero-padded
-_ONES = b"\x01" * 256  # written-mask fill; a length byte caps a commit at 255
-
 
 class TagMode(Enum):
     BOOTLOADER = "bootloader"
     REPROGRAM = "reprogram"
     APPLICATION = "application"
+
+
+FRAM_SIZE = 64 * 1024
+
+INITIAL_EPC = bytes(EPC_LENGTH)
+_ECHO_PAD = bytes(EPC_LENGTH - 2)  # an echo EPC is header and payload, zero-padded
+_BYTE = [bytes((b,)) for b in range(256)]  # a basic Write's one-byte commit
+_REPROGRAM = TagMode.REPROGRAM  # the round path's test, without an enum-class lookup
 
 
 class FramImage:
@@ -49,9 +51,10 @@ class FramImage:
         return bytes(self._bytes[address : address + count])
 
     def write(self, address: int, data: bytes) -> None:
-        if address < 0 or address + len(data) > len(self._bytes):
+        end = address + len(data)
+        if address < 0 or end > FRAM_SIZE:
             raise ValueError(f"write of {len(data)} bytes at {address:#06x} out of range")
-        self._bytes[address : address + len(data)] = data
+        self._bytes[address:end] = data
 
     def dump(self, path: str | Path) -> None:
         Path(path).write_bytes(bytes(self._bytes))
@@ -145,7 +148,7 @@ class Tag:
                 self._stored = False
                 self.epc = bytes((header, payload)) + _ECHO_PAD
             return
-        if self.mode is not TagMode.REPROGRAM:
+        if self.mode is not _REPROGRAM:
             return
         if header == HDR_ADDR_FIRST:
             self._addr_high = payload
@@ -157,8 +160,13 @@ class Tag:
         elif header <= MAX_BASIC_OFFSET:
             if self._addr_high is None or self._addr_low is None:
                 return  # no valid base address since power-up; ignore
+            # ``_commit`` for one byte: one fault draw, the write, one mask byte.
             address = ((self._addr_high << 8) | self._addr_low) + header
-            self._commit(address, bytes((payload,)))
+            self._stored = False
+            if self.write_fault_prob > 0 and self._fault_rng.random() < self.write_fault_prob:
+                payload ^= 0xFF
+            self.fram.write(address, _BYTE[payload])
+            self._written[address] = 1
             self.epc = bytes((header, self.fram._bytes[address])) + _ECHO_PAD  # read-back
 
     # -- extended (BlockWrite series) handling -------------------------------
@@ -191,7 +199,7 @@ class Tag:
             self._verified = (bytes(raw), (raw[2] << 8) | raw[3], payload, epc)
             self._stored = False
         _, address, payload, epc = self._verified
-        if self.mode is not TagMode.REPROGRAM:
+        if self.mode is not _REPROGRAM:
             return False
         if not self._stored:
             self._commit(address, payload)
@@ -209,7 +217,7 @@ class Tag:
                 if self._fault_rng.random() < self.write_fault_prob:
                     data[i] ^= 0xFF
         self.fram.write(address, data)
-        self._written[address : address + len(data)] = _ONES[: len(data)]
+        self._written[address : address + len(data)] = b"\x01" * len(data)
 
     # -- bootloader ----------------------------------------------------------
 

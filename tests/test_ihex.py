@@ -157,6 +157,18 @@ def test_parse_file_error_carries_line_number():
         parse_file(GOLDEN_RECORD + "\n:02AADD00BBCCF1\n:00000001FF\n")
 
 
+def test_parse_file_rejects_a_data_record_past_0xffff():
+    # 26 bytes from 0xFFF0 would end at 0x1000A; the tag's memory has no wrap-around.
+    text = GOLDEN_RECORD + "\n" + generate_fixture(bytes(range(1, 27)), 26, 0xFFF0)
+    with pytest.raises(MalformedRecord, match=r"line 2: 26 data bytes at 0xfff0 run past 0xFFFF"):
+        parse_file(text)
+
+
+def test_parse_file_accepts_a_data_record_ending_at_0xffff():
+    matrix = parse_file(generate_fixture(bytes(range(1, 17)), 16, 0xFFF0))
+    assert matrix.rows == [Row(0xFFF0, bytes(range(1, 17)))]
+
+
 def test_fixture_5120_bytes_makes_320_rows():
     payload = bytes(range(256)) * 20  # 5120 bytes
     matrix = parse_file(generate_fixture(payload, record_width=16))

@@ -85,6 +85,11 @@ def test_write_is_single_word():
 # -- round execution ----------------------------------------------------------
 
 
+def test_report_results_keep_their_order():
+    # The reader's round path and the host loop unpack the members by position.
+    assert [r.name for r in ReportResult] == ["SUCCESS", "ERROR", "NO_TAG_SEEN", "INVENTORY"]
+
+
 def test_clean_write_succeeds_and_counts():
     reader, tag = Reader(), Tag()
     report = run_reader_round(reader, write_spec(), tag, ScriptedChannel([]))

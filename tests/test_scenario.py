@@ -28,6 +28,7 @@ from crfid_downlink.scenario import (
     SUMMARY_COLUMNS,
     LOG_COLUMNS,
 )
+from crfid_downlink.tag import FRAM_SIZE
 
 CONFIG_TEXT = """
 # transfer setup
@@ -352,6 +353,22 @@ def test_cli_simulate_names_hex_file_in_image_errors(tmp_path, capsys, hex_text,
     assert f"hex_file {str(hex_path)!r}" in err
     assert message in err
 
+@pytest.mark.parametrize("protocol", ["ex", "basic"])
+def test_image_past_0xffff_is_rejected_before_the_first_round(tmp_path, capsys, protocol):
+    # Without the check, the extended flavour failed mid-run writing 26 bytes
+    # at 0xFFF0, the basic one writing the byte at 0x10000.
+    hex_path = tmp_path / "image.hex"
+    hex_path.write_text(generate_fixture(bytes(range(1, 27)), 26, 0xFFF0))
+    assert main(["checksum", str(hex_path)]) == 1
+    assert "line 1: 26 data bytes at 0xfff0 run past 0xFFFF" in capsys.readouterr().err
+    cfg = tmp_path / "image.cfg"
+    cfg.write_text(f"hex_file = {hex_path}\nprotocol = {protocol}\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "run past 0xFFFF" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_model_output(capsys):
     code = main(["model", "--distance", "20", "--words", "1"])
     out = capsys.readouterr().out
@@ -426,6 +443,34 @@ def test_csv_digests_pinned(tmp_path, small_matrix, name, seed):
     events = {e.event for r in outcome.runs for e in r.result.log.events}
     assert GOLDEN_EVENTS[name] <= events  # the digest covers the paths it guards
     assert csv_digest(tmp_path) == GOLDEN_DIGESTS[name, seed]
+
+
+# The CSVs show neither the tag's write-fault stream nor its energy stream, nor
+# the memory a run leaves behind.  One digest per golden run covers all three:
+# each run's memory and written mask, then the ``getstate()`` of both streams.
+GOLDEN_TAG_STATES = {
+    ("basic", 1): "1501065f93f0392dc7c4291e6bd57af449cd85316fc18becb4294cbd0f9cc77b",
+    ("basic", 2): "dfb37280016aa185373cf413c73c971fe33014e4b538e63ba6b8c0f35c983dc8",
+    ("ex", 1): "e2e5cc268a2b73f82cd6776fb6ad367f1634d1d44a90c52b7871b210f2d0bad5",
+    ("ex", 2): "970663f98802d7471cc839f4dc7ea27a62170ed78208e6cc0e18ccb5c7182730",
+    ("long", 1): "07e974ca0d6c1c7d1d51740b9f1a699b1d8663f4ec8d6779183c9b5c28da8e91",
+}
+
+
+def tag_state_digest(outcome) -> str:
+    h = hashlib.sha256()
+    for r in sorted(outcome.runs, key=lambda r: r.run):
+        h.update(r.tag.fram.read(0, FRAM_SIZE) + bytes(r.tag._written))
+        h.update(repr(r.tag._fault_rng.getstate()).encode())
+        h.update(repr(r.tag.energy_rng.getstate()).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name,seed", sorted(GOLDEN_TAG_STATES))
+def test_tag_state_digests_pinned(small_matrix, name, seed):
+    cfg = parse_config_text(GOLDEN_CONFIGS[name] + f"seed = {seed}\n")
+    outcome = run_scenario(cfg, matrix=small_matrix)
+    assert tag_state_digest(outcome) == GOLDEN_TAG_STATES[name, seed]
 
 
 def test_shared_memo_does_not_leak_between_runs(tmp_path, small_matrix):

@@ -12,7 +12,13 @@ from crfid_downlink.channel import (
 )
 from crfid_downlink.crc import crc16_ccitt
 from crfid_downlink.ihex import record_checksum
-from crfid_downlink.protocol import EPC_LENGTH, build_ex_message
+from crfid_downlink.protocol import (
+    EPC_LENGTH,
+    HDR_ADDR_FIRST,
+    HDR_ADDR_SECOND,
+    MAX_BASIC_OFFSET,
+    build_ex_message,
+)
 from crfid_downlink.tag import (
     FRAM_SIZE,
     INITIAL_EPC,
@@ -273,6 +279,28 @@ def test_commit_matches_the_copy_always_reference(spans, fault_prob):
         address = min(address, FRAM_SIZE - len(data))
         tag._commit(address, data)
         reference_commit(ref, address, data)
+    assert tag.fram.read(0, FRAM_SIZE) == ref.fram.read(0, FRAM_SIZE)
+    assert tag._written == ref._written
+    assert tag._fault_rng.getstate() == ref._fault_rng.getstate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0.0, 0.2]),
+       st.lists(st.tuples(st.integers(0, FRAM_SIZE - 1 - MAX_BASIC_OFFSET),
+                          st.lists(st.tuples(st.integers(0, MAX_BASIC_OFFSET),
+                                             st.integers(0, 0xFF)), max_size=12)),
+                max_size=8))
+@example(0.2, [(0x4400, [(0x05, 0xAA)] * 16)])  # one Write re-executed, as stale rounds do
+def test_basic_writes_match_the_copy_always_reference(fault_prob, rows):
+    tag = Tag(write_fault_prob=fault_prob, fault_seed=9)
+    ref = Tag(write_fault_prob=fault_prob, fault_seed=9)
+    for base, writes in rows:
+        tag.handle_basic_write((HDR_ADDR_FIRST << 8) | (base >> 8))
+        tag.handle_basic_write((HDR_ADDR_SECOND << 8) | (base & 0xFF))
+        for offset, payload in writes:
+            tag.handle_basic_write((offset << 8) | payload)
+            reference_commit(ref, base + offset, bytes([payload]))
+            assert tag.epc == bytes([offset, *ref.fram.read(base + offset)]).ljust(EPC_LENGTH, b"\0")
     assert tag.fram.read(0, FRAM_SIZE) == ref.fram.read(0, FRAM_SIZE)
     assert tag._written == ref._written
     assert tag._fault_rng.getstate() == ref._fault_rng.getstate()
