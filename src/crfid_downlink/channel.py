@@ -7,13 +7,15 @@ overhead is delivered, corrupted, or lost outright; losses model the tag
 never decoding the command at all, with probability K_MISS * erfc(1/d)
 for K_MISS = 5.  Distance also sets the tag's energy-drain hazard within a
 multi-word series and its default per-round brown-out probability; the
-channel's placement holds all four probabilities for its current distance.
+channel's placement holds all four probabilities for its current distance,
+and the survival powers a series reads slot by slot.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections.abc import Callable
 from enum import Enum
 from functools import lru_cache
@@ -24,6 +26,7 @@ WORD_BITS = 16
 D_REF_CM = 200.0  # cm per unit of normalized distance
 K_MISS = 5.0  # preamble-miss multiplier on the bit error rate
 DEPLETION_COEFF = 4.0  # series energy-drain hazard per d**4
+SERIES_SLOTS = 32  # the longest series, the reader's word-count ceiling
 
 
 class NonPositiveDistance(ValueError):
@@ -40,10 +43,14 @@ class Delivery(Enum):
     LOST = "lost"
 
 
+# The outcomes as module names: an enum-class lookup costs each command.
+_DELIVERED, _CORRUPTED, _LOST = Delivery
+
+
 def bit_error_rate(d: float) -> float:
     """Per-bit error probability at normalized distance d: erfc(1/d)."""
-    if d <= 0:
-        raise NonPositiveDistance(f"normalized distance must be positive, got {d}")
+    if not 0 < d < math.inf:
+        raise NonPositiveDistance(f"normalized distance must be positive and finite, got {d}")
     return math.erfc(1.0 / d)
 
 
@@ -83,14 +90,18 @@ def distance_brownout_prob(d: float) -> float:
 
 
 @lru_cache(maxsize=4096)
-def round_odds(d: float) -> tuple[float, float, float, float]:
-    """(miss, flip, survival, brownout) at d, memoised across channels and runs.
+def round_odds(d: float) -> tuple[float, float, float, float, array]:
+    """(miss, flip, survival, brownout, powers) at d, memoised across channels and runs.
 
     ``miss`` and ``flip`` are a one-word command's; series slot k keeps its
-    charge with probability ``survival**(k-1)``.
+    charge with probability ``survival**(k-1)``, and ``powers[k]`` is
+    ``survival**k`` for k < SERIES_SLOTS.  An ``array('d')`` holds the powers
+    in a third of a float tuple's memory, which counts at 4096 entries.
     """
     flip = 1.0 - (1.0 - bit_error_rate(d)) ** (WORD_BITS + COMMAND_OVERHEAD_BITS)
-    return miss_probability(d), flip, 1.0 - depletion_prob(d), distance_brownout_prob(d)
+    survival = 1.0 - depletion_prob(d)
+    powers = array("d", map(survival.__pow__, range(SERIES_SLOTS)))
+    return miss_probability(d), flip, survival, distance_brownout_prob(d), powers
 
 
 class ChannelModel:
@@ -105,36 +116,45 @@ class ChannelModel:
         self._place(20.0 / D_REF_CM)
 
     def set_distance_cm(self, cm: float) -> None:
-        if cm <= 0:
-            raise NonPositiveDistance(f"distance must be positive, got {cm} cm")
-        if cm / D_REF_CM != self.d:
-            self._place(cm / D_REF_CM)
+        # The placed distance is positive and finite, so a distance that is
+        # not (NaN included, which equals nothing) always reaches the check.
+        d = cm / D_REF_CM
+        if d != self.d:
+            if not 0 < d < math.inf:
+                raise NonPositiveDistance(f"distance must be positive and finite, got {cm} cm")
+            self._place(d)
 
     def _place(self, d: float) -> None:
         self.d = d
-        self.miss, self.flip, self.survival, self.brownout = round_odds(d)
+        self.miss, self.flip, self.survival, self.brownout, self._powers = round_odds(d)
 
     def deliver_word(self) -> Delivery:
         """Outcome of a one-word command to a powered tag."""
         if self.rng.random() < self.miss:
-            return Delivery.LOST
-        return Delivery.CORRUPTED if self.rng.random() < self.flip else Delivery.DELIVERED
+            return _LOST
+        return _CORRUPTED if self.rng.random() < self.flip else _DELIVERED
 
     def deliver_series(self, n: int, energy_draw: Callable[[], float]) -> tuple[int, bool]:
         """Sample a series of ``n`` one-word sub-commands to a powered tag.
 
         Returns the replies before the first loss and whether any of them
         was corrupted.  A sub-command the channel did not lose is still lost
-        from slot k = 2 on unless ``energy_draw() < survival**(k-1)``.
+        from slot k = 2 on unless ``energy_draw() < survival**(k-1)``.  Per
+        slot the draws are the miss, the flip, then the energy; slot 1 draws
+        no energy, and ``n`` is at most SERIES_SLOTS.
         """
         draw = self.rng.random
-        miss, flip, q = self.miss, self.flip, self.survival
-        corrupted = False
-        for k in range(n):
+        miss = self.miss
+        if draw() < miss:
+            return 0, False
+        flip = self.flip
+        corrupted = draw() < flip
+        powers = self._powers
+        for k in range(1, n):
             if draw() < miss:
                 return k, corrupted
             if draw() < flip:
                 corrupted = True
-            if k and energy_draw() >= q ** k:
+            if energy_draw() >= powers[k]:
                 return k, corrupted
         return n, corrupted

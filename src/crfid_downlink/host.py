@@ -72,21 +72,24 @@ class TransferLog:
         for e in events:
             append(e.round_no, (e.event, e.row, e.chunk, e.s_p, e.result, e.epc))
 
-    def _appender(self) -> Callable[[int, tuple], None]:
-        """A function appending one row, round and kind; it interns the kinds.
+    def _appender(self) -> Callable[[int, tuple], int]:
+        """A function appending one row, round and kind, that returns the kind's id.
 
-        Its intern dict lives as long as the function, not as long as the log.
+        It interns the kinds; its intern dict lives as long as the function,
+        not as long as the log.  A caller that knows a row repeats a kind can
+        append the round and that id to the two columns itself.
         """
         rounds, kind_ids, kinds = self.rounds.append, self.kind_ids.append, self.kinds
         ids = {kind: k for k, kind in enumerate(kinds)}
 
-        def append(round_no: int, kind: tuple) -> None:
+        def append(round_no: int, kind: tuple) -> int:
             k = ids.get(kind)
             if k is None:
                 k = ids[kind] = len(kinds)
                 kinds.append(kind)
             rounds(round_no)
             kind_ids(k)
+            return k
 
         return append
 
@@ -236,6 +239,7 @@ class HostSession:
         reader = Reader()
         tick = reader.tick
         log = self.log._appender()
+        log_round, log_kind = self.log.rounds.append, self.log.kind_ids.append
         at = cfg.profile.at
         place = channel.set_distance_cm
         step = power.step
@@ -267,6 +271,7 @@ class HostSession:
                 reader.stage(AccessSpec(sent, flight.words, flight.is_blockwrite, cfg.ocv), now)
                 log(now, (action, flight.row, flight.chunk, flight.s_p, "", flight.expected_epc))
                 nacks = no_tags = silent = 0  # since the last transmission
+                nack_result = None  # the result, EPC and kind id of its last NACK row
                 action = ""
             if now:  # round 0 only stages the first message
                 report = tick(now, tag, channel)
@@ -275,7 +280,9 @@ class HostSession:
                 break
             now += 1  # the next round places the tag at the profile's distance, then powers it
             place(at(now))
-            set_powered(step(channel.brownout if p is None else p))
+            powered = step(channel.brownout if p is None else p)
+            if powered is not tag.powered:  # only a flip changes the tag
+                set_powered(powered)
 
             # Consume the report produced by the previous round.
             timeout = False
@@ -306,8 +313,15 @@ class HostSession:
                     nacks += 1
                     if result is no_tag:
                         no_tags += 1
-                    log(now, ("nack", flight.row, flight.chunk, flight.s_p, result._value_,
-                              report.epc))
+                    epc = report.epc
+                    if result is nack_result and epc == nack_epc:
+                        # The same kind as the flight's last NACK row, by its id.
+                        log_round(now)
+                        log_kind(nack_kind)
+                    else:
+                        nack_result, nack_epc = result, epc
+                        nack_kind = log(now, ("nack", flight.row, flight.chunk, flight.s_p,
+                                              result._value_, epc))
                     timeout = nacks >= cfg.n_threshold
             else:
                 silent += 1
@@ -337,7 +351,9 @@ class HostSession:
             while not tag.powered and now < max_rounds:
                 now += 1
                 place(at(now))
-                set_powered(step(channel.brownout if p is None else p))
+                powered = step(channel.brownout if p is None else p)
+                if powered is not tag.powered:
+                    set_powered(powered)
             if tag.powered:
                 reached_app = tag.transfer_complete(matrix_crc(self.matrix)) is TagMode.APPLICATION
             else:

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .channel import ChannelModel, Delivery
+from .channel import SERIES_SLOTS, ChannelModel, Delivery
 from .protocol import EPC_LENGTH
 from .tag import Tag
 
-MAX_WORD_COUNT = 32  # reader hardware ceiling
+MAX_WORD_COUNT = SERIES_SLOTS  # reader hardware ceiling, which the channel's odds cover
 
 NO_TAG_EPC = bytes(EPC_LENGTH)
 

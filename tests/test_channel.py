@@ -1,12 +1,15 @@
 import math
+import random
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.special import erfc as scipy_erfc
 
 from crfid_downlink.channel import (
     COMMAND_OVERHEAD_BITS,
     D_REF_CM,
+    SERIES_SLOTS,
     WORD_BITS,
     ChannelModel,
     Delivery,
@@ -54,6 +57,20 @@ def test_bit_error_rate_rejects_nonpositive():
         bit_error_rate(0.0)
     with pytest.raises(NonPositiveDistance):
         bit_error_rate(-1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_distance_is_rejected(bad):
+    with pytest.raises(NonPositiveDistance, match=re.escape(f"got {bad}")):
+        bit_error_rate(bad)
+    channel = ChannelModel(seed=0)
+    placed = (channel.d, channel.miss, channel.flip, channel.survival, channel.brownout)
+    entries = round_odds.cache_info().currsize
+    with pytest.raises(NonPositiveDistance, match=re.escape(f"got {bad} cm")):
+        channel.set_distance_cm(bad)
+    # The placement stays where it was, and the memo gains no entry.
+    assert (channel.d, channel.miss, channel.flip, channel.survival, channel.brownout) == placed
+    assert round_odds.cache_info().currsize == entries
 
 
 # -- throughput ---------------------------------------------------------------
@@ -157,6 +174,41 @@ def test_series_monte_carlo_matches_closed_form():
     assert sum(replied == 0 for replied, _ in samples) / trials == pytest.approx(miss, abs=0.01)
 
 
+def reference_deliver_series(channel, n, energy_draw):
+    """The per-slot loop the table-driven series kernel replaced: one ``pow`` per slot."""
+    draw = channel.rng.random
+    miss, flip, q = channel.miss, channel.flip, channel.survival
+    corrupted = False
+    for k in range(n):
+        if draw() < miss:
+            return k, corrupted
+        if draw() < flip:
+            corrupted = True
+        if k and energy_draw() >= q ** k:
+            return k, corrupted
+    return n, corrupted
+
+
+# Normalized distances from the near field to past the depletion clamp at
+# d = 8**-0.25 (about 0.59), and every series length the reader sends.
+series_runs = st.lists(st.tuples(st.floats(0.05, 1.5), st.integers(1, 32)), min_size=1,
+                       max_size=12)
+
+
+@settings(deadline=None)
+@given(series_runs, st.integers(0, 2**32 - 1))
+def test_series_kernel_matches_the_per_slot_loop(runs, seed):
+    kernel, reference = ChannelModel(seed), ChannelModel(seed)
+    kernel_energy, reference_energy = random.Random(seed + 1), random.Random(seed + 1)
+    for d, n in runs:
+        kernel.set_distance_cm(d * D_REF_CM)
+        reference.set_distance_cm(d * D_REF_CM)
+        assert (kernel.deliver_series(n, kernel_energy.random)
+                == reference_deliver_series(reference, n, reference_energy.random))
+    assert kernel.rng.getstate() == reference.rng.getstate()
+    assert kernel_energy.getstate() == reference_energy.getstate()
+
+
 def test_delivery_is_seed_reproducible():
     a, b = channel_at(0.7, seed=7), channel_at(0.7, seed=7)
     seq_a = [a.deliver_word() for _ in range(500)]
@@ -178,8 +230,12 @@ def test_memoised_odds_equal_the_formulas_bit_for_bit(d):
     p = math.erfc(1.0 / d)
     direct = (min(5.0 * p, 0.9999), 1.0 - (1.0 - p) ** 67,
               1.0 - min(0.5, 4.0 * d**4), min(0.9, 0.02 * (d / 0.6) ** 4))
+    q = direct[2]
     for _ in range(2):  # the first call may fill the memo, the second reads it
-        assert [x.hex() for x in round_odds(d)] == [x.hex() for x in direct]
+        *odds, powers = round_odds(d)
+        assert [x.hex() for x in odds] == [x.hex() for x in direct]
+        assert len(powers) == SERIES_SLOTS == 32
+        assert [powers[k].hex() for k in range(32)] == [(q ** k).hex() for k in range(32)]
     assert round_odds.cache_info().maxsize is not None
 
 

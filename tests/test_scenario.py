@@ -14,7 +14,7 @@ from crfid_downlink.cli import main
 from crfid_downlink.host import LogEvent, SessionResult, TransferLog, Variant
 from crfid_downlink.ihex import generate_fixture, parse_file
 from crfid_downlink.metrics import compute_metrics
-from crfid_downlink.reader import ROUNDS_PER_SEC, ReportResult
+from crfid_downlink.reader import ROUNDS_PER_SEC, Reader, ReportResult
 from crfid_downlink.scenario import (
     DistanceProfile,
     RunOutcome,
@@ -548,3 +548,56 @@ def test_run_logs_match_csv_writer(tmp_path, small_matrix, name):
         events = r.result.log.events
         assert {e.result for e in events} <= set(HOST_RESULTS)
         assert (tmp_path / f"run_{r.run:02d}_log.csv").read_bytes() == reference_log_csv(events)
+
+
+# -- repeated NACK rows --------------------------------------------------------------
+
+# The golden basic and EX configs, and an EX run at 50 cm whose brown-outs make
+# no-tag and success NACKs alternate, and the success ones change EPC in a flight.
+REPEAT_NACK_CONFIGS = {
+    "basic": GOLDEN_CONFIGS["basic"],
+    "ex": GOLDEN_CONFIGS["ex"],
+    "ex_50cm_brownouts": "protocol = ex\ns_p = throttle\nbrownout = 0.2\ndistance = static\n"
+                         "d_cm = 50\nrepeats = 2\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEAT_NACK_CONFIGS))
+def test_repeated_nack_rows_log_the_report_they_consume(monkeypatch, small_matrix, name):
+    """A NACK row that reuses its flight's last kind id must still log its own report.
+
+    Every NACK row must carry the result and EPC of the report the round before
+    it produced, and the row, chunk and S_p of the last transmission; the log
+    must rebuild from its events id for id, with no kind interned twice.
+    """
+    ticks = []  # per reader, in run order: its reports by round
+    tick = Reader.tick
+
+    def recording_tick(self, now, tag, channel):
+        if not ticks or ticks[-1][0] is not self:
+            ticks.append((self, {}))
+        report = tick(self, now, tag, channel)
+        if report is not None:
+            ticks[-1][1][now] = report
+        return report
+
+    monkeypatch.setattr(Reader, "tick", recording_tick)
+    outcome = run_scenario(parse_config_text(REPEAT_NACK_CONFIGS[name] + "seed = 1\n"),
+                           matrix=small_matrix)
+    assert len(ticks) == len(outcome.runs)
+    for r, (_, reports) in zip(outcome.runs, ticks):
+        log = r.result.log
+        flight = None
+        for e in log.events:
+            if e.event in ("send", "resend"):
+                flight = (e.row, e.chunk, e.s_p)
+            elif e.event == "nack":
+                report = reports[e.round_no - 1]
+                assert (e.result, e.epc) == (report.result.value, report.epc)
+                assert (e.row, e.chunk, e.s_p) == flight
+        rebuilt = TransferLog(log.events)
+        assert rebuilt.rounds == log.rounds
+        assert rebuilt.kind_ids == log.kind_ids
+        assert rebuilt.kinds == log.kinds
+        assert len(set(log.kinds)) == len(log.kinds)
+        assert log.count("nack") > len({k for k in log.kinds if k[0] == "nack"})
