@@ -17,6 +17,7 @@ distance and powers it by the configured brown-out probability, or for
 
 from __future__ import annotations
 
+import struct
 from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable
@@ -167,7 +168,7 @@ class HostSession:
         else:
             self._units = [row.data for row in matrix.rows]
         self._s_p = config.s_p if config.s_p is not None else config.s_max
-        self._ladder = (1,)
+        self._ladder, self._ladder_words = (1,), 0  # the ladder and the row width it is for
         # Cursor at the un-acked message: the bootloader init message, then
         # row plus position (message index or byte offset).  It only moves
         # on ACK, so a resend rebuilds the message at the same position.
@@ -180,14 +181,17 @@ class HostSession:
     def _enter_row(self, row: int) -> None:
         """Start of the first row from ``row`` on that has anything to send.
 
-        An extended row also sets the S_p ladder and snaps S_p onto it; the
+        An extended row also sets the S_p ladder, rebuilt only when the row's
+        word count differs from the last one, and snaps S_p onto it; the
         basic flavour sends one word per message and reads neither.
         """
         while row < len(self._units) and not self._units[row]:
             row += 1
         self._row, self._pos, self._chunk = row, 0, 1
         if not self._basic and row < len(self._units):
-            self._ladder = build_ladder(self.matrix.rows[row].word_count(), self.config.s_max)
+            words = self.matrix.rows[row].word_count()
+            if words != self._ladder_words:
+                self._ladder, self._ladder_words = build_ladder(words, self.config.s_max), words
             start = self.config.s_p if self.config.s_p is not None else self._s_p
             self._s_p = snap_to_ladder(start, self._ladder)
 
@@ -203,8 +207,8 @@ class HostSession:
                              self._row, self._chunk, 0.5, 1)
         row = self.matrix.rows[self._row]
         data = row.data[self._pos : self._pos + 2 * self._s_p]
-        message = build_ex_message(data, row.address + self._pos, self.config.s_max)
-        return _InFlight(message.expected_epc()[:4], tuple(message.to_words()), True,
+        raw = build_ex_message(data, row.address + self._pos, self.config.s_max).raw
+        return _InFlight(raw[:4], struct.unpack(f">{len(raw) >> 1}H", raw), True,
                          self._row, self._chunk, self._s_p, len(data))
 
     def _advance(self, flight: _InFlight) -> None:

@@ -11,7 +11,8 @@ steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 
 from .ihex import Row, record_checksum
 
@@ -63,31 +64,33 @@ class BasicMessage:
 
 @dataclass(frozen=True)
 class ExMessage:
-    """One BlockWrite: (checksum, length, address) header plus payload."""
+    """One BlockWrite: (checksum, length, address) header plus payload.
+
+    ``raw`` is its wire image, built once: the four header bytes, the
+    payload and, for an odd payload byte count, a zero pad byte that fills
+    the final word's low byte (the length field tells the receiver how
+    many bytes are valid).
+    """
 
     checksum: int
     length: int
     address: int
     data: bytes
+    raw: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        raw = struct.pack(">BBH", self.checksum, self.length, self.address & 0xFFFF) + self.data
+        object.__setattr__(self, "raw", raw + b"\x00" if len(raw) & 1 else raw)
 
     def header_bytes(self) -> bytes:
-        return bytes(
-            [self.checksum, self.length, (self.address >> 8) & 0xFF, self.address & 0xFF]
-        )
+        return self.raw[:4]
 
     def expected_epc(self) -> bytes:
         return self.header_bytes().ljust(EPC_LENGTH, b"\x00")
 
     def to_words(self) -> list[int]:
-        """Word sequence as issued on air: header words then payload words.
-
-        An odd payload byte count pads the final word's low byte with zero;
-        the length field tells the receiver how many bytes are valid.
-        """
-        raw = self.header_bytes() + self.data
-        if len(raw) % 2:
-            raw += b"\x00"
-        return [(raw[i] << 8) | raw[i + 1] for i in range(0, len(raw), 2)]
+        """Word sequence as issued on air: header words then payload words."""
+        return list(struct.unpack(f">{len(self.raw) >> 1}H", self.raw))
 
 
 def build_basic_messages(row: Row) -> list[BasicMessage]:

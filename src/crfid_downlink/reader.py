@@ -15,9 +15,9 @@ reports.  A grace bound keeps blocked frames from running forever.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 from .channel import SERIES_SLOTS, ChannelModel, Delivery
 from .protocol import EPC_LENGTH
@@ -26,6 +26,9 @@ from .tag import Tag
 MAX_WORD_COUNT = SERIES_SLOTS  # reader hardware ceiling, which the channel's odds cover
 
 NO_TAG_EPC = bytes(EPC_LENGTH)
+
+# Big-endian word packers by word count, compiled once for every count a spec may hold.
+_PACK_WORDS = tuple(struct.Struct(f">{n}H").pack for n in range(MAX_WORD_COUNT + 1))
 
 ROUNDS_PER_SEC = 60  # inventory rounds per simulated second
 LLRP_LATENCY_TICKS = 3  # delete+add+enable pipeline before first start
@@ -56,12 +59,17 @@ class OperationReport:
 
 @dataclass
 class AccessSpec:
-    """A Write (single word, CRC-protected) or BlockWrite (word series)."""
+    """A Write (single word, CRC-protected) or BlockWrite (word series).
+
+    ``raw`` holds the words as big-endian bytes, as the tag receives a
+    series; packing them also checks that each is a 16-bit word.
+    """
 
     spec_id: int
     words: tuple[int, ...]
     is_blockwrite: bool
     ocv: int
+    raw: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.words) > MAX_WORD_COUNT:
@@ -70,11 +78,12 @@ class AccessSpec:
             )
         if not self.is_blockwrite and len(self.words) != 1:
             raise ValueError("a Write carries exactly one word")
-
-    @cached_property
-    def raw(self) -> bytes:
-        """The words as big-endian bytes, as the tag receives a series."""
-        return bytes(b for w in self.words for b in ((w >> 8) & 0xFF, w & 0xFF))
+        try:
+            self.raw = _PACK_WORDS[len(self.words)](*self.words)
+        except struct.error:
+            i, w = next((i, w) for i, w in enumerate(self.words)
+                        if not (isinstance(w, int) and 0 <= w <= 0xFFFF))
+            raise ValueError(f"word {i} is {w!r}, outside 0..0xFFFF") from None
 
 
 @dataclass(slots=True)

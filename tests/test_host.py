@@ -5,8 +5,9 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crfid_downlink.host import TransferLog, Variant, classify_report, matrix_crc
+from crfid_downlink.host import HostSession, TransferLog, Variant, classify_report, matrix_crc
 from crfid_downlink.ihex import RecordMatrix, Row, generate_fixture, parse_file
+from crfid_downlink.protocol import build_ladder, snap_to_ladder
 from crfid_downlink.reader import ROUNDS_PER_SEC, OperationReport, ReportResult
 from crfid_downlink.scenario import DistanceProfile, ScenarioConfig, ScenarioError, run_scenario
 from crfid_downlink.tag import Tag
@@ -168,6 +169,29 @@ def test_cursor_tiles_rows_at_fixed_s_p(clean_run, raw_rows, s_p, bootloader):
     assert [e.row for e in sends] == sorted(e.row for e in sends)
     for address, value in matrix.flat_image().items():
         assert tag.fram.read(address, 1)[0] == value
+
+
+@pytest.mark.parametrize("s_p", [None, 5, 16])  # throttled, and two fixed sizes
+def test_each_row_gets_its_own_ladder(s_p):
+    # Widths 26, 26, 7, 26 and 1 bytes: a repeat, a short odd row, a return to
+    # full width and a one-word row.  A session keeps its ladder only while
+    # the row's word count repeats.
+    widths = (26, 26, 7, 26, 1)
+    matrix = RecordMatrix([Row(0x1000 + 32 * i, bytes(range(n))) for i, n in enumerate(widths)])
+    session = HostSession(ScenarioConfig(protocol=Variant.EX, s_max=16, s_p=s_p), matrix)
+    start = 16 if s_p is None else s_p  # a throttled session starts at S_max
+    for row in range(len(widths)):
+        assert session._row == row
+        ladder = build_ladder(matrix.rows[row].word_count(), 16)
+        assert session._ladder == ladder
+        assert session._s_p == snap_to_ladder(start, ladder)
+        while session._row == row:
+            flight = session._flight()
+            if s_p is None:
+                session._throttle(-1)  # a throttled S_p moves while the row is sent
+                start = session._s_p
+            session._advance(flight)
+    assert session._flight() is None
 
 
 def test_unreachable_tag_aborts_after_r_max_resends(clean_run):

@@ -1,9 +1,9 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from crfid_downlink.host import Variant
+from crfid_downlink.host import HostSession, Variant
 from crfid_downlink.ihex import RecordMatrix, Row
 from crfid_downlink.protocol import (
     BasicMessage,
@@ -16,6 +16,7 @@ from crfid_downlink.protocol import (
     snap_to_ladder,
     throttle,
 )
+from crfid_downlink.reader import AccessSpec
 from crfid_downlink.scenario import ScenarioConfig, ScenarioError
 
 T_U, T_DE, T_DL = 1, -2, -3  # the default index steps
@@ -139,6 +140,49 @@ def test_ex_message_odd_payload_pads_last_word():
     words = msg.to_words()
     assert len(words) == 3  # two header words plus one padded payload word
     assert words[-1] == 0xAB00
+
+
+def reference_to_words(msg) -> list[int]:
+    """The per-byte word split the message once used, over its fields alone."""
+    raw = bytes([msg.checksum, msg.length, (msg.address >> 8) & 0xFF, msg.address & 0xFF])
+    raw += msg.data
+    if len(raw) % 2:
+        raw += b"\x00"
+    return [(raw[i] << 8) | raw[i + 1] for i in range(0, len(raw), 2)]
+
+
+def reference_spec_raw(words) -> bytes:
+    """The per-byte big-endian packing the reader's spec once used."""
+    return bytes(b for w in words for b in ((w >> 8) & 0xFF, w & 0xFF))
+
+
+@st.composite
+def ex_chunks(draw):
+    s_max = draw(st.integers(min_value=1, max_value=30))
+    chunk = draw(st.binary(min_size=1, max_size=2 * s_max))
+    address = draw(st.integers(min_value=0, max_value=0x10000 - len(chunk)))
+    return s_max, chunk, address
+
+
+@settings(max_examples=300, deadline=None)
+@given(ex_chunks())
+def test_wire_image_matches_the_per_byte_reference(drawn):
+    s_max, chunk, address = drawn
+    msg = build_ex_message(chunk, address, s_max)
+    words = reference_to_words(msg)
+    raw = reference_spec_raw(words)
+    header = bytes([msg.checksum, len(chunk), address >> 8, address & 0xFF])
+    assert type(msg.to_words()) is list and msg.to_words() == words
+    assert len(words) == (4 + len(chunk) + 1) // 2  # an odd chunk gets one pad byte
+    assert msg.raw == raw
+    assert AccessSpec(1, tuple(words), True, 15).raw == raw
+    assert msg.expected_epc()[:4] == raw[:4] == header
+    assert msg.expected_epc() == header + bytes(8)
+    # The host puts the same words on air and expects the same EPC prefix.
+    config = ScenarioConfig(protocol=Variant.EX, s_max=s_max, s_p=s_max)
+    flight = HostSession(config, RecordMatrix([Row(address, chunk)]))._flight()
+    assert flight.words == tuple(words)
+    assert flight.expected_epc == header
 
 
 # -- sequencing ---------------------------------------------------------------

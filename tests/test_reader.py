@@ -82,6 +82,16 @@ def test_write_is_single_word():
         AccessSpec(1, (1, 2), False, 15)
 
 
+@pytest.mark.parametrize("word", [-1, 0x10000, 0x1FF00])
+@pytest.mark.parametrize("is_blockwrite", [False, True])
+def test_word_outside_sixteen_bits_is_rejected(word, is_blockwrite):
+    # 0x1FF00 masked to 16 bits would reach the tag as the reprogram INIT.
+    words = (word,) if not is_blockwrite else (0x1234, 0xFFFF, word, 0x0000)
+    index = words.index(word)
+    with pytest.raises(ValueError, match=rf"word {index} is {word}, outside 0\.\.0xFFFF"):
+        AccessSpec(1, words, is_blockwrite, 15)
+
+
 # -- round execution ----------------------------------------------------------
 
 
