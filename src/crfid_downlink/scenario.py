@@ -37,7 +37,11 @@ def _require(ok: bool, key: str, rule: str, value) -> None:
 
 @dataclass
 class DistanceProfile:
-    """Static position or a triangle-wave oscillation between two bounds."""
+    """Static position or a triangle-wave oscillation between two bounds.
+
+    The fields are fixed once the profile is built: ``__post_init__`` derives
+    the oscillation's cycle from them.
+    """
 
     kind: str = "static"  # "static" | "oscillate"
     d_cm: float = 20.0
@@ -45,12 +49,26 @@ class DistanceProfile:
     max_cm: float = 90.0
     speed_m_per_s: float = 0.1
 
+    def __post_init__(self):
+        # Rounds per up-and-down cycle when that is a whole number, else 0.
+        # ``at`` reduces the round number by it, so every cycle repeats the
+        # first one's distances bit for bit instead of drifting in the last
+        # bits as the float position grows.
+        self._cycle_rounds = 0
+        span, rate = self.max_cm - self.min_cm, self.speed_m_per_s * 100.0
+        if span > 0 and rate > 0:
+            n = 2 * span * ROUNDS_PER_SEC / rate
+            if math.isfinite(n) and abs(n - round(n)) <= 1e-9 * n:
+                self._cycle_rounds = round(n)
+
     def at(self, round_no: int) -> float:
         if self.kind == "static":
             return self.d_cm
         span = self.max_cm - self.min_cm
         if span <= 0:
             return self.min_cm
+        if self._cycle_rounds:
+            round_no %= self._cycle_rounds
         pos = (self.speed_m_per_s * 100.0) * (round_no / ROUNDS_PER_SEC)
         cycle = pos % (2 * span)
         return self.min_cm + (cycle if cycle <= span else 2 * span - cycle)
@@ -143,7 +161,6 @@ def parse_config_text(text: str) -> ScenarioConfig:
         values[key] = val.strip()
 
     cfg = ScenarioConfig()
-    profile = DistanceProfile()
 
     def pop_num(key: str, cast, default):
         if key not in values:
@@ -193,17 +210,17 @@ def parse_config_text(text: str) -> ScenarioConfig:
     cfg.brownout = pop_num("brownout", float, cfg.brownout)
 
     kind = values.pop("distance", "static").lower()
+    default = DistanceProfile()
     if kind == "static":
-        profile.kind = "static"
-        profile.d_cm = pop_num("d_cm", float, profile.d_cm)
+        cfg.profile = DistanceProfile(d_cm=pop_num("d_cm", float, default.d_cm))
     elif kind == "oscillate":
-        profile.kind = "oscillate"
-        profile.min_cm = pop_num("d_min_cm", float, profile.min_cm)
-        profile.max_cm = pop_num("d_max_cm", float, profile.max_cm)
-        profile.speed_m_per_s = pop_num("speed_m_per_s", float, profile.speed_m_per_s)
+        cfg.profile = DistanceProfile(
+            kind="oscillate",
+            min_cm=pop_num("d_min_cm", float, default.min_cm),
+            max_cm=pop_num("d_max_cm", float, default.max_cm),
+            speed_m_per_s=pop_num("speed_m_per_s", float, default.speed_m_per_s))
     else:
         raise ScenarioError(f"distance must be 'static' or 'oscillate', got {kind!r}")
-    cfg.profile = profile
 
     if values:
         raise ScenarioError(f"unknown config keys: {', '.join(sorted(values))}")

@@ -212,6 +212,15 @@ def test_triangle_profile_stays_in_bounds():
     assert min(values) >= 20.0 and max(values) <= 90.0
 
 
+def test_triangle_profile_repeats_its_first_cycle_bit_for_bit():
+    # 20-90 cm at 0.1 m/s is an 840-round cycle.  A later cycle that drifts
+    # in the last bits gives one position several distances, each a separate
+    # entry in the per-distance odds memo.
+    p = DistanceProfile(kind="oscillate", min_cm=20, max_cm=90, speed_m_per_s=0.1)
+    for k in (1, 10, 257):
+        assert [p.at(r + k * 840) for r in range(840)] == [p.at(r) for r in range(840)]
+
+
 # -- scenario runs and artifacts ----------------------------------------------------
 
 
