@@ -358,10 +358,13 @@ class HostSession:
                 powered = step(channel.brownout if p is None else p)
                 if powered is not tag.powered:
                     set_powered(powered)
-            if tag.powered:
-                reached_app = tag.transfer_complete(matrix_crc(self.matrix)) is TagMode.APPLICATION
-            else:
+            if not tag.powered:
                 completed, failure = False, "round budget exhausted"
+            elif tag.transfer_complete(matrix_crc(self.matrix)) is TagMode.APPLICATION:
+                reached_app = True
+            else:
+                # Every message was ACKed, but the tag does not hold the image.
+                completed, failure = False, "application CRC mismatch"
         if completed:
             log(now, ("complete", -1, 0, 0.0, "", b""))
 

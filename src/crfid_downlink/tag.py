@@ -108,7 +108,7 @@ class Tag:
         self.energy_rng = random.Random(energy_seed)
         self._verified = (None, 0, b"", b"")  # last checksummed (raw, address, payload, EPC)
         # True while the memory holds that payload from the last commit, which
-        # drew no write faults; any commit and any INIT clear it.
+        # passed its read-back check; any commit and any INIT clear it.
         self._stored = False
         # Volatile reprogram state.
         self._addr_high: int | None = None
@@ -160,8 +160,13 @@ class Tag:
         elif header <= MAX_BASIC_OFFSET:
             if self._addr_high is None or self._addr_low is None:
                 return  # no valid base address since power-up; ignore
-            # ``_commit`` for one byte: one fault draw, the write, one mask byte.
             address = ((self._addr_high << 8) | self._addr_low) + header
+            if self._written[address] and self.fram._bytes[address] == payload:
+                # A repeat of a Write this session already stored reads, not
+                # rewrites: no fault draw can corrupt a byte the host saw ACKed.
+                self.epc = bytes((header, payload)) + _ECHO_PAD
+                return
+            # ``_commit`` for one byte: one fault draw, the write, one mask byte.
             self._stored = False
             if self.write_fault_prob > 0 and self._fault_rng.random() < self.write_fault_prob:
                 payload ^= 0xFF
@@ -180,11 +185,13 @@ class Tag:
 
         A ``corrupted`` series fails its checksum.  Otherwise the checksum is
         verified before any memory write (once per distinct ``raw``, which the
-        reader repeats) and recomputed from read-back afterwards; both must
-        pass for the EPC to acknowledge the message.  Without write faults a
-        repeat of the series the memory still holds from its last commit (no
-        commit and no INIT since) only sets the EPC: rewriting it would store
-        the same bytes.  Returns True when the EPC was updated.
+        reader repeats), and the memory read back after the write must equal
+        the payload for the EPC to acknowledge the message.  A read-back, not
+        a checksum over it: two inverted bytes can leave the checksum intact.
+        A repeat of the series whose last commit passed that read-back (no
+        commit and no INIT since) only sets the EPC: rewriting it would draw
+        new write faults into bytes the host may already have seen
+        acknowledged.  Returns True when the EPC was updated.
         """
         if not self.powered or corrupted:
             return False
@@ -203,9 +210,9 @@ class Tag:
             return False
         if not self._stored:
             self._commit(address, payload)
-            if record_checksum(epc[1:4] + self.fram.read(address, len(payload))) != epc[0]:
+            if self.fram.read(address, len(payload)) != payload:
                 return False  # write fault surfaced by read-back
-            self._stored = self.write_fault_prob == 0
+            self._stored = True
         self.epc = epc
         return True
 

@@ -5,12 +5,14 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crfid_downlink import scenario
+from crfid_downlink.cli import main
 from crfid_downlink.host import HostSession, TransferLog, Variant, classify_report, matrix_crc
 from crfid_downlink.ihex import RecordMatrix, Row, generate_fixture, parse_file
 from crfid_downlink.protocol import build_ladder, snap_to_ladder
 from crfid_downlink.reader import ROUNDS_PER_SEC, OperationReport, ReportResult
 from crfid_downlink.scenario import DistanceProfile, ScenarioConfig, ScenarioError, run_scenario
-from crfid_downlink.tag import Tag
+from crfid_downlink.tag import Tag, TagMode
 from test_scenario import HOST_EVENTS, log_events
 
 GOLDEN_FILE = ":02AADD00BBCCF0\n:00000001FF\n"
@@ -364,6 +366,37 @@ def test_waiting_for_power_to_finish_stays_within_the_round_budget():
     assert result.failure_reason == "round budget exhausted"
     assert result.rounds == 32
     assert result.log.count("complete") == 0
+
+
+class ByteLostBeforeChecksum(Tag):
+    """A tag whose memory loses the first stored byte just before the application CRC."""
+
+    def transfer_complete(self, crc):
+        address = self._written.index(1)
+        self.fram.write(address, bytes([self.fram.read(address)[0] ^ 0xFF]))
+        return super().transfer_complete(crc)
+
+
+@pytest.mark.parametrize("protocol", list(Variant))
+def test_a_run_whose_application_crc_fails_is_not_completed(clean_run, protocol):
+    cfg = ScenarioConfig(protocol=protocol, bootloader=True)
+    tag = ByteLostBeforeChecksum(start_in_bootloader=True)
+    result, _ = clean_run(cfg, parse_file(GOLDEN_FILE), tag=tag)
+    assert result.log.count("ack") > 0 and result.log.count("abort") == 0
+    assert not result.completed and not result.reached_application
+    assert result.failure_reason == "application CRC mismatch"
+    assert result.log.count("complete") == 0
+    assert tag.mode is TagMode.REPROGRAM
+
+
+def test_simulate_fails_a_run_whose_application_crc_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(scenario, "Tag", ByteLostBeforeChecksum)
+    (tmp_path / "image.hex").write_text(GOLDEN_FILE)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"hex_file = {tmp_path / 'image.hex'}\nbootloader = true\nbrownout = 0\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    assert [row.split(",")[1] for row in summary] == ["completed", "0"]
 
 
 # -- round budget edges ---------------------------------------------------------------

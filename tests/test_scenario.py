@@ -427,11 +427,11 @@ GOLDEN_CONFIGS = {
 }
 
 GOLDEN_DIGESTS = {
-    ("basic", 1): "909bad579630f812c7662f59eaae436c573151fb9d5d8b38f1aded1ea362dadb",
-    ("basic", 2): "784593af93caccbb14941d0a0d7de22f05d5ba16bc946c82f17b15afdedaf283",
-    ("ex", 1): "02d248e7eff0eabc86c8cc234fb929dc1ea1589043a0a032866086c8dbb13c0c",
-    ("ex", 2): "38b5720250f9e0b05d2dc2fc78f687147fb4e39bc73be91aa3101332b24a3e0e",
-    ("long", 1): "a01b46ee5de5b425bd017ecdb606d7463d84177f59798125412fe4d26572273e",
+    ("basic", 1): "08ebca9a550b600531d43d96541c67bb3bc9ecf78265cdf06ce42e8c1500b946",
+    ("basic", 2): "a694fc08d9d5bf31d412b7b955c65fd06ad68e819da077e19ecf889753faf171",
+    ("ex", 1): "55b2268831ff925896d5555fe6c51c509985a624ae025d333804bb9718890b38",
+    ("ex", 2): "6d5cc65614b9a712b1d4bd6dcb6abbbfeba471492e1ee72c0d02ffc68496fb09",
+    ("long", 1): "13f75d375b46f2a65102235f450f13929d312a0f2f7eadd422a73e77c8b8a742",
 }
 
 GOLDEN_EVENTS = {"basic": {"resend", "timeout", "abort"}, "ex": {"throttle", "resend"},
@@ -458,11 +458,11 @@ def test_csv_digests_pinned(tmp_path, small_matrix, name, seed):
 # the memory a run leaves behind.  One digest per golden run covers all three:
 # each run's memory and written mask, then the ``getstate()`` of both streams.
 GOLDEN_TAG_STATES = {
-    ("basic", 1): "1501065f93f0392dc7c4291e6bd57af449cd85316fc18becb4294cbd0f9cc77b",
-    ("basic", 2): "dfb37280016aa185373cf413c73c971fe33014e4b538e63ba6b8c0f35c983dc8",
-    ("ex", 1): "e2e5cc268a2b73f82cd6776fb6ad367f1634d1d44a90c52b7871b210f2d0bad5",
-    ("ex", 2): "970663f98802d7471cc839f4dc7ea27a62170ed78208e6cc0e18ccb5c7182730",
-    ("long", 1): "07e974ca0d6c1c7d1d51740b9f1a699b1d8663f4ec8d6779183c9b5c28da8e91",
+    ("basic", 1): "c8c7056635930bfbb796dad2eddc6cca96bff9796ace4949cf0b55a009c1b555",
+    ("basic", 2): "81fdbb87b0f9fb13954cf02a63fee0b85031fc6f534730034dd457443923cff0",
+    ("ex", 1): "3fdf135eb742dc60c1514488310bdfe11b36cecc41374a53e8cf33e8a611d620",
+    ("ex", 2): "ec8d105470dad8270420db4689f3ed4092cef2697246382c680947b5d96b9317",
+    ("long", 1): "77233f64f35364fd8c33c4753fc3d476253e68bba45dd47be1071833f500edd1",
 }
 
 
@@ -480,6 +480,30 @@ def test_tag_state_digests_pinned(small_matrix, name, seed):
     cfg = parse_config_text(GOLDEN_CONFIGS[name] + f"seed = {seed}\n")
     outcome = run_scenario(cfg, matrix=small_matrix)
     assert tag_state_digest(outcome) == GOLDEN_TAG_STATES[name, seed]
+
+
+# -- a completed run holds the image ------------------------------------------------
+
+WRITE_FAULT_RATES = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05)
+SETTINGS = [(protocol, boot) for protocol in Variant for boot in (False, True)]
+
+
+def test_a_completed_run_holds_the_image_and_runs_it(small_matrix):
+    # Seed s runs setting s % 4 at rate WRITE_FAULT_RATES[s // 4 % 6], so each
+    # flavour, with the bootloader off and on, meets every write-fault rate,
+    # at 20 cm with distance-derived brown-outs.
+    completed = dict.fromkeys(SETTINGS, 0)
+    for seed in range(80):
+        protocol, bootloader = SETTINGS[seed % 4]
+        cfg = ScenarioConfig(protocol=protocol, bootloader=bootloader, seed=seed,
+                             write_fault_prob=WRITE_FAULT_RATES[seed // 4 % 6])
+        run = run_scenario(cfg, matrix=small_matrix).runs[0]
+        if run.result.completed:
+            completed[protocol, bootloader] += 1
+            for row in small_matrix.rows:
+                assert run.tag.fram.read(row.address, len(row.data)) == row.data, seed
+            assert run.result.reached_application is bootloader, seed
+    assert min(completed.values()) >= 10, completed  # the property is not vacuous
 
 
 def test_shared_memo_does_not_leak_between_runs(tmp_path, small_matrix):

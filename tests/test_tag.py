@@ -157,6 +157,16 @@ def test_series_checksum_recomputed_from_read_back():
     assert tag.epc == bytes(12)
 
 
+def test_read_back_catches_faults_the_checksum_misses():
+    # Both bytes land inverted: 0x00 + 0x7F and 0xFF + 0x80 share the low byte
+    # of their sum, so a checksum over the read-back would pass.
+    tag = Tag(write_fault_prob=1.0)
+    msg = build_ex_message(bytes([0x00, 0x7F]), 0x2000)
+    assert feed_series(tag, msg) is False
+    assert tag.fram.read(0x2000, 2) == bytes([0xFF, 0x80])
+    assert tag.epc == INITIAL_EPC
+
+
 def recording_writes(tag):
     """Record every ``(address, data)`` the tag writes to its memory."""
     writes, write = [], tag.fram.write
@@ -284,14 +294,28 @@ def test_commit_matches_the_copy_always_reference(spans, fault_prob):
     assert tag._fault_rng.getstate() == ref._fault_rng.getstate()
 
 
+def reference_basic_write(tag, address, payload):
+    """A data Write read before it is rewritten.
+
+    A byte this session already wrote that holds ``payload`` is only read
+    back; any other byte is committed as ``reference_commit`` does, so a
+    first write that landed corrupt is drawn and written again.
+    """
+    if not tag._written[address] or tag.fram.read(address) != bytes([payload]):
+        reference_commit(tag, address, bytes([payload]))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([0.0, 0.2]),
        st.lists(st.tuples(st.integers(0, FRAM_SIZE - 1 - MAX_BASIC_OFFSET),
                           st.lists(st.tuples(st.integers(0, MAX_BASIC_OFFSET),
                                              st.integers(0, 0xFF)), max_size=12)),
                 max_size=8))
-@example(0.2, [(0x4400, [(0x05, 0xAA)] * 16)])  # one Write re-executed, as stale rounds do
-def test_basic_writes_match_the_copy_always_reference(fault_prob, rows):
+# Two Writes, then one re-executed as stale rounds do: its first write draws
+# a fault (the third draw of fault seed 9), its repeat writes it again, and
+# from then on it is only read.
+@example(0.2, [(0x4400, [(0x03, 0x11), (0x04, 0x22), *[(0x05, 0xAA)] * 16])])
+def test_basic_writes_match_the_read_before_rewrite_reference(fault_prob, rows):
     tag = Tag(write_fault_prob=fault_prob, fault_seed=9)
     ref = Tag(write_fault_prob=fault_prob, fault_seed=9)
     for base, writes in rows:
@@ -299,34 +323,45 @@ def test_basic_writes_match_the_copy_always_reference(fault_prob, rows):
         tag.handle_basic_write((HDR_ADDR_SECOND << 8) | (base & 0xFF))
         for offset, payload in writes:
             tag.handle_basic_write((offset << 8) | payload)
-            reference_commit(ref, base + offset, bytes([payload]))
+            reference_basic_write(ref, base + offset, payload)
             assert tag.epc == bytes([offset, *ref.fram.read(base + offset)]).ljust(EPC_LENGTH, b"\0")
     assert tag.fram.read(0, FRAM_SIZE) == ref.fram.read(0, FRAM_SIZE)
     assert tag._written == ref._written
     assert tag._fault_rng.getstate() == ref._fault_rng.getstate()
 
 
-class AlwaysCommitTag(Tag):
-    """The tag whose every accepted series commits, checks the read-back and sets the EPC."""
+class VerifyOnceTag(Tag):
+    """The tag whose accepted series commits and reads the payload back, unless
+    it repeats the series whose last commit passed that check with nothing
+    written since: then it only sets the EPC.
+
+    "Nothing written since" is read off the state a write changes: the memory,
+    the written mask and, with faults on, the fault stream.  A write without
+    faults that stores the bytes already there changes none of them, and
+    skipping it is invisible.
+    """
+
+    _good = None  # (raw, memory, mask, fault-stream state) after the last verified commit
+
+    def _snapshot(self, raw):
+        return (raw, bytes(self.fram._bytes), bytes(self._written), self._fault_rng.getstate())
 
     def series_complete(self, raw, corrupted):
-        if not self.powered or corrupted:
+        if not self.powered or corrupted or len(raw) < 4:
             return False
-        if raw != self._verified[0]:
-            if len(raw) < 4:
-                return False
-            length = raw[1]
-            payload = bytes(raw[4 : 4 + length])
-            if len(payload) != length or record_checksum(raw[1 : 4 + length]) != raw[0]:
-                return False
-            epc = bytes(raw[:4]).ljust(EPC_LENGTH, b"\x00")
-            self._verified = (bytes(raw), (raw[2] << 8) | raw[3], payload, epc)
-        _, address, payload, epc = self._verified
+        length = raw[1]
+        payload = bytes(raw[4 : 4 + length])
+        if len(payload) != length or record_checksum(raw[1 : 4 + length]) != raw[0]:
+            return False
+        address = (raw[2] << 8) | raw[3]
+        epc = bytes(raw[:4]).ljust(EPC_LENGTH, b"\x00")
         if self.mode is not TagMode.REPROGRAM:
             return False
-        self._commit(address, payload)
-        if record_checksum(epc[1:4] + self.fram.read(address, len(payload))) != epc[0]:
-            return False
+        if self._good != self._snapshot(raw):
+            self._commit(address, payload)
+            if self.fram.read(address, len(payload)) != payload:
+                return False
+            self._good = self._snapshot(raw)
         self.epc = epc
         return True
 
@@ -367,9 +402,13 @@ def apply_tag_op(tag, op, arg, crc):
 @example(False, 0.0, [A, A, COMPLETE, B, LOSE, RETURN, INIT, A, A])
 @example(False, 0.0, [A, A, INIT, A])  # INIT forgets what A wrote
 @example(False, 0.0, [A, *WRITE_0x0100, A])  # a basic Write overwrites part of A
-def test_repeated_series_match_the_always_commit_reference(start_in_bootloader, fault_prob, ops):
+# Stale rounds replay A: once a commit passes its read-back check, the replays
+# draw no faults.  INIT and a basic Write over A each make A's next repeat
+# commit again.
+@example(False, 0.2, [A] * 8 + [INIT] + [A] * 8 + WRITE_0x0100 + [A] * 8)
+def test_repeated_series_match_the_verify_once_reference(start_in_bootloader, fault_prob, ops):
     tag = Tag(fault_prob, fault_seed=9, start_in_bootloader=start_in_bootloader)
-    ref = AlwaysCommitTag(fault_prob, fault_seed=9, start_in_bootloader=start_in_bootloader)
+    ref = VerifyOnceTag(fault_prob, fault_seed=9, start_in_bootloader=start_in_bootloader)
     for op, arg in ops:
         crc = ref.application_crc() if op == "complete" else 0
         assert apply_tag_op(tag, op, arg, crc) == apply_tag_op(ref, op, arg, crc)
