@@ -17,7 +17,6 @@ distance and powers it by the configured brown-out probability, or for
 
 from __future__ import annotations
 
-import struct
 from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable
@@ -136,16 +135,14 @@ def classify_report(expected_epc: bytes, report: OperationReport) -> bool:
 
 @dataclass
 class _InFlight:
-    expected_epc: bytes
-    words: tuple[int, ...]
-    is_blockwrite: bool
+    raw: bytes  # wire image; its first four bytes (a Write's two) come back as the echo
     row: int
     chunk: int
     s_p: float
     step: int  # cursor advance on ACK: payload bytes (extended) or one message (basic)
 
 
-_INIT = BasicMessage(HDR_REPROGRAM_INIT, 0x00)
+_INIT = BasicMessage(HDR_REPROGRAM_INIT, 0x00).raw
 
 
 class HostSession:
@@ -160,11 +157,12 @@ class HostSession:
         self.matrix = matrix
         self.log = TransferLog()
         self._basic = config.protocol is Variant.BASIC
-        # What the cursor walks in each row: the basic flavour's Write
-        # messages (built up front so RowTooLong surfaces before the first
-        # round) or the bytes the extended flavour cuts into chunks.
+        # What the cursor walks in each row: the wire images of the basic
+        # flavour's Write messages (built up front so RowTooLong surfaces
+        # before the first round) or the bytes the extended flavour cuts into
+        # chunks.
         if self._basic:
-            self._units = [build_basic_messages(row) for row in matrix.rows]
+            self._units = [[m.raw for m in build_basic_messages(row)] for row in matrix.rows]
         else:
             self._units = [row.data for row in matrix.rows]
         self._s_p = config.s_p if config.s_p is not None else config.s_max
@@ -198,18 +196,15 @@ class HostSession:
     def _flight(self) -> _InFlight | None:
         """The message at the cursor, cut at the current S_p; None when done."""
         if self._init_pending:
-            return _InFlight(_INIT.expected_epc()[:2], (_INIT.word,), False, -1, 0, 0.5, 0)
+            return _InFlight(_INIT, -1, 0, 0.5, 0)
         if self._row >= len(self._units):
             return None
         if self._basic:
-            msg = self._units[self._row][self._pos]
-            return _InFlight(msg.expected_epc()[:2], (msg.word,), False,
-                             self._row, self._chunk, 0.5, 1)
+            return _InFlight(self._units[self._row][self._pos], self._row, self._chunk, 0.5, 1)
         row = self.matrix.rows[self._row]
         data = row.data[self._pos : self._pos + 2 * self._s_p]
         raw = build_ex_message(data, row.address + self._pos, self.config.s_max).raw
-        return _InFlight(raw[:4], struct.unpack(f">{len(raw) >> 1}H", raw), True,
-                         self._row, self._chunk, self._s_p, len(data))
+        return _InFlight(raw, self._row, self._chunk, self._s_p, len(data))
 
     def _advance(self, flight: _InFlight) -> None:
         """Move the cursor past the acknowledged message."""
@@ -271,9 +266,12 @@ class HostSession:
                 if action == "resend":
                     resent += 1
                 sum_s_p += flight.s_p
+                raw = flight.raw
+                expected = raw[:4]
                 reader.request_delete(now)
-                reader.stage(AccessSpec(sent, flight.words, flight.is_blockwrite, cfg.ocv), now)
-                log(now, (action, flight.row, flight.chunk, flight.s_p, "", flight.expected_epc))
+                # A one-word image is a Write; an extended message holds three words or more.
+                reader.stage(AccessSpec(sent, raw, len(raw) > 2, cfg.ocv), now)
+                log(now, (action, flight.row, flight.chunk, flight.s_p, "", expected))
                 nacks = no_tags = silent = 0  # since the last transmission
                 nack_result = None  # the result, EPC and kind id of its last NACK row
                 action = ""
@@ -299,7 +297,7 @@ class HostSession:
                     n_total += 1
                     if result is success:
                         n_success += 1
-                if classify_report(flight.expected_epc, report):
+                if classify_report(expected, report):
                     log(now, ("ack", flight.row, flight.chunk, flight.s_p, result._value_,
                               report.epc))
                     r_count = 0

@@ -39,10 +39,11 @@ class PayloadTooLarge(ValueError):
 
 @dataclass(frozen=True)
 class BasicMessage:
-    """One Write: header byte plus payload byte."""
+    """One Write: header byte plus payload byte, ``raw`` their two-byte wire image."""
 
     header: int
     payload: int
+    raw: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ok = self.header <= MAX_BASIC_OFFSET or self.header in (
@@ -52,14 +53,11 @@ class BasicMessage:
         )
         if not ok:
             raise ValueError(f"invalid basic header {self.header:#04x}")
-
-    @property
-    def word(self) -> int:
-        return (self.header << 8) | self.payload
+        object.__setattr__(self, "raw", bytes((self.header, self.payload)))
 
     def expected_epc(self) -> bytes:
         """The echo is a copy of the message itself, zero-padded."""
-        return bytes([self.header, self.payload]).ljust(EPC_LENGTH, b"\x00")
+        return self.raw.ljust(EPC_LENGTH, b"\x00")
 
 
 @dataclass(frozen=True)
@@ -82,11 +80,8 @@ class ExMessage:
         raw = struct.pack(">BBH", self.checksum, self.length, self.address & 0xFFFF) + self.data
         object.__setattr__(self, "raw", raw + b"\x00" if len(raw) & 1 else raw)
 
-    def header_bytes(self) -> bytes:
-        return self.raw[:4]
-
     def expected_epc(self) -> bytes:
-        return self.header_bytes().ljust(EPC_LENGTH, b"\x00")
+        return self.raw[:4].ljust(EPC_LENGTH, b"\x00")
 
     def to_words(self) -> list[int]:
         """Word sequence as issued on air: header words then payload words."""

@@ -15,8 +15,7 @@ reports.  A grace bound keeps blocked frames from running forever.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .channel import SERIES_SLOTS, ChannelModel, Delivery
@@ -26,9 +25,6 @@ from .tag import Tag
 MAX_WORD_COUNT = SERIES_SLOTS  # reader hardware ceiling, which the channel's odds cover
 
 NO_TAG_EPC = bytes(EPC_LENGTH)
-
-# Big-endian word packers by word count, compiled once for every count a spec may hold.
-_PACK_WORDS = tuple(struct.Struct(f">{n}H").pack for n in range(MAX_WORD_COUNT + 1))
 
 ROUNDS_PER_SEC = 60  # inventory rounds per simulated second
 LLRP_LATENCY_TICKS = 3  # delete+add+enable pipeline before first start
@@ -61,29 +57,27 @@ class OperationReport:
 class AccessSpec:
     """A Write (single word, CRC-protected) or BlockWrite (word series).
 
-    ``raw`` holds the words as big-endian bytes, as the tag receives a
-    series; packing them also checks that each is a 16-bit word.
+    ``raw`` is the wire image: the words as big-endian bytes, as the tag
+    receives them.
     """
 
     spec_id: int
-    words: tuple[int, ...]
+    raw: bytes
     is_blockwrite: bool
     ocv: int
-    raw: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.words) > MAX_WORD_COUNT:
+        if not isinstance(self.raw, bytes):
+            raise TypeError(f"raw must be bytes, not {type(self.raw).__name__}")
+        size = len(self.raw)
+        if size & 1:
+            raise ValueError(f"raw has an odd byte count, {size}: not a whole number of words")
+        if not 1 <= size >> 1 <= MAX_WORD_COUNT:
             raise ValueError(
-                f"word count {len(self.words)} exceeds reader ceiling {MAX_WORD_COUNT}"
+                f"word count {size >> 1} outside 1..{MAX_WORD_COUNT}, the reader ceiling"
             )
-        if not self.is_blockwrite and len(self.words) != 1:
+        if not self.is_blockwrite and size != 2:
             raise ValueError("a Write carries exactly one word")
-        try:
-            self.raw = _PACK_WORDS[len(self.words)](*self.words)
-        except struct.error:
-            i, w = next((i, w) for i, w in enumerate(self.words)
-                        if not (isinstance(w, int) and 0 <= w <= 0xFFFF))
-            raise ValueError(f"word {i} is {w!r}, outside 0..0xFFFF") from None
 
 
 @dataclass(slots=True)
@@ -146,13 +140,13 @@ class Reader:
                 if outcome is _CORRUPTED:
                     result = _ERROR
                 else:
-                    tag.handle_basic_write(spec.words[0])
+                    tag.handle_basic_write(spec.raw)
                     run.success_count += 1
                     result = _SUCCESS
         elif tag.powered:
             # BlockWrite: no per-word CRC16, so a corrupted word is written and
             # replied to; only a lost word (missed preamble, drained slot) ends it.
-            n = len(spec.words)
+            n = len(spec.raw) >> 1
             replied, corrupted = channel.deliver_series(n, tag.energy_rng.random)
             if replied:
                 epc = tag.epc

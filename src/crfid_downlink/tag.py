@@ -134,29 +134,31 @@ class Tag:
 
     # -- basic (single-word Write) handling ---------------------------------
 
-    def handle_basic_write(self, word: int) -> None:
-        """Process one intact Write; on success the EPC echoes header and read-back."""
+    def handle_basic_write(self, raw: bytes) -> None:
+        """Process one intact Write, its header and payload byte as ``raw``.
+
+        On success the EPC echoes the header and the payload read back.
+        """
         if not self.powered:
             return
-        header = (word >> 8) & 0xFF
-        payload = word & 0xFF
+        header, payload = raw
         if header == HDR_REPROGRAM_INIT:
             if self.mode is not TagMode.APPLICATION:
                 # A new reprogram session forgets what the last one wrote.
                 self.mode = TagMode.REPROGRAM
                 self._written = bytearray(FRAM_SIZE)
                 self._stored = False
-                self.epc = bytes((header, payload)) + _ECHO_PAD
+                self.epc = raw + _ECHO_PAD
             return
         if self.mode is not _REPROGRAM:
             return
         if header == HDR_ADDR_FIRST:
             self._addr_high = payload
             self._addr_low = None
-            self.epc = bytes((header, payload)) + _ECHO_PAD
+            self.epc = raw + _ECHO_PAD
         elif header == HDR_ADDR_SECOND:
             self._addr_low = payload
-            self.epc = bytes((header, payload)) + _ECHO_PAD
+            self.epc = raw + _ECHO_PAD
         elif header <= MAX_BASIC_OFFSET:
             if self._addr_high is None or self._addr_low is None:
                 return  # no valid base address since power-up; ignore
@@ -164,7 +166,7 @@ class Tag:
             if self._written[address] and self.fram._bytes[address] == payload:
                 # A repeat of a Write this session already stored reads, not
                 # rewrites: no fault draw can corrupt a byte the host saw ACKed.
-                self.epc = bytes((header, payload)) + _ECHO_PAD
+                self.epc = raw + _ECHO_PAD
                 return
             # ``_commit`` for one byte: one fault draw, the write, one mask byte.
             self._stored = False

@@ -58,7 +58,7 @@ def walk_extended_chunks(matrix, s_p: int, steps: int | None = None):
     """Walk the host's message cursor at a fixed S_p, acknowledging each chunk.
 
     Returns ``(chunks, session)``: the ``(address, payload)`` of every extended
-    chunk in send order, read back from the words put on air, and the session
+    chunk in send order, read back from the image put on air, and the session
     whose cursor now sits past the last one (or after ``steps`` chunks).
     """
     session = HostSession(ScenarioConfig(protocol=Variant.EX, s_p=s_p), matrix)
@@ -67,7 +67,7 @@ def walk_extended_chunks(matrix, s_p: int, steps: int | None = None):
         flight = session._flight()
         if flight is None:
             break
-        raw = b"".join(w.to_bytes(2, "big") for w in flight.words)
+        raw = flight.raw
         chunks.append(((raw[2] << 8) | raw[3], raw[4 : 4 + raw[1]]))
         session._advance(flight)
     return chunks, session

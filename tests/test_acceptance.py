@@ -165,7 +165,7 @@ def test_a8_power_failure_fuzz(small_matrix, clean_run):
     # The only-if direction: a corrupted image keeps the bootloader out of
     # application mode.
     tag = Tag(start_in_bootloader=True)
-    tag.handle_basic_write(0xFF00)  # enter reprogram mode
+    tag.handle_basic_write(b"\xFF\x00")  # enter reprogram mode
     clean_run(ScenarioConfig(protocol=Variant.EX, bootloader=False), small_matrix,
               seed=77, tag=tag)
     first_row = small_matrix.rows[0]

@@ -6,6 +6,10 @@ from hypothesis import given, settings, strategies as st
 from crfid_downlink.host import HostSession, Variant
 from crfid_downlink.ihex import RecordMatrix, Row
 from crfid_downlink.protocol import (
+    HDR_ADDR_FIRST,
+    HDR_ADDR_SECOND,
+    HDR_REPROGRAM_INIT,
+    MAX_BASIC_OFFSET,
     BasicMessage,
     PayloadTooLarge,
     RowTooLong,
@@ -27,17 +31,17 @@ T_U, T_DE, T_DL = 1, -2, -3  # the default index steps
 
 def test_basic_messages_golden_row():
     msgs = build_basic_messages(Row(0xAADD, bytes([0xBB, 0xCC])))
-    assert [m.word for m in msgs] == [0xFDAA, 0xFEDD, 0x00BB, 0x01CC]
+    assert [m.raw for m in msgs] == [b"\xFD\xAA", b"\xFE\xDD", b"\x00\xBB", b"\x01\xCC"]
 
 
 def test_basic_messages_address_only():
     msgs = build_basic_messages(Row(0x0000, b""))
-    assert [m.word for m in msgs] == [0xFD00, 0xFE00]
+    assert [m.raw for m in msgs] == [b"\xFD\x00", b"\xFE\x00"]
 
 
 def test_basic_messages_single_byte():
     msgs = build_basic_messages(Row(0x1234, bytes([0xAA])))
-    assert [m.word for m in msgs] == [0xFD12, 0xFE34, 0x00AA]
+    assert [m.raw for m in msgs] == [b"\xFD\x12", b"\xFE\x34", b"\x00\xAA"]
 
 
 def test_basic_messages_row_too_long():
@@ -114,8 +118,8 @@ def test_ex_message_golden_chunk():
     assert msg.address == 0xAADD
     assert msg.data == bytes([0xBB, 0xCC])
     assert msg.checksum == oracle_sum_complement(bytes([0x02, 0xAA, 0xDD, 0xBB, 0xCC]))
-    assert msg.header_bytes() == bytes([msg.checksum, 0x02, 0xAA, 0xDD])
-    assert msg.expected_epc() == msg.header_bytes() + bytes(8)
+    assert msg.raw[:4] == bytes([msg.checksum, 0x02, 0xAA, 0xDD])
+    assert msg.expected_epc() == msg.raw[:4] + bytes(8)
 
 
 def test_ex_message_minimal():
@@ -175,14 +179,31 @@ def test_wire_image_matches_the_per_byte_reference(drawn):
     assert type(msg.to_words()) is list and msg.to_words() == words
     assert len(words) == (4 + len(chunk) + 1) // 2  # an odd chunk gets one pad byte
     assert msg.raw == raw
-    assert AccessSpec(1, tuple(words), True, 15).raw == raw
+    assert AccessSpec(1, msg.raw, True, 15).raw == raw
     assert msg.expected_epc()[:4] == raw[:4] == header
     assert msg.expected_epc() == header + bytes(8)
-    # The host puts the same words on air and expects the same EPC prefix.
-    config = ScenarioConfig(protocol=Variant.EX, s_max=s_max, s_p=s_max)
-    flight = HostSession(config, RecordMatrix([Row(address, chunk)]))._flight()
-    assert flight.words == tuple(words)
-    assert flight.expected_epc == header
+    # The host puts the same image on air, after the INIT Write, and expects
+    # its first four bytes back.
+    init = bytes([HDR_REPROGRAM_INIT, 0x00])
+    config = ScenarioConfig(protocol=Variant.EX, s_max=s_max, s_p=s_max, bootloader=True)
+    assert sent_images(config, Row(address, chunk))[:2] == [init, raw]
+    # A basic Write's image is its header byte then its payload byte.
+    row = Row(address, chunk[: MAX_BASIC_OFFSET + 1])
+    config = ScenarioConfig(protocol=Variant.BASIC, bootloader=True)
+    basic = [init, bytes([HDR_ADDR_FIRST, address >> 8]), bytes([HDR_ADDR_SECOND, address & 0xFF])]
+    basic += [bytes([offset, b]) for offset, b in enumerate(row.data)]
+    assert sent_images(config, row) == basic
+    assert [BasicMessage(HDR_REPROGRAM_INIT, 0).raw] + [m.raw for m in build_basic_messages(row)] == basic
+    assert all(AccessSpec(1, r, False, 15).raw == r for r in basic)
+
+
+def sent_images(config, row):
+    """Every ``raw`` the host's cursor puts on air for one row, each one acknowledged."""
+    session, images = HostSession(config, RecordMatrix([row])), []
+    while (flight := session._flight()) is not None:
+        images.append(flight.raw)
+        session._advance(flight)
+    return images
 
 
 # -- sequencing ---------------------------------------------------------------

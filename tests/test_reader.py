@@ -53,14 +53,13 @@ class ScriptedChannel:
         return n, corrupted
 
 
-def write_spec(word=0xFDAA, spec_id=1, ocv=15):
-    return AccessSpec(spec_id=spec_id, words=(word,), is_blockwrite=False, ocv=ocv)
+def write_spec(raw=b"\xFD\xAA", spec_id=1, ocv=15):
+    return AccessSpec(spec_id=spec_id, raw=raw, is_blockwrite=False, ocv=ocv)
 
 
 def ex_spec(data=bytes([0xBB, 0xCC]), address=0xAADD, spec_id=1, ocv=15):
     msg = build_ex_message(data, address)
-    return AccessSpec(spec_id=spec_id, words=tuple(msg.to_words()),
-                      is_blockwrite=True, ocv=ocv)
+    return AccessSpec(spec_id=spec_id, raw=msg.raw, is_blockwrite=True, ocv=ocv)
 
 
 def run_reader_round(reader, spec, tag, channel, now=0):
@@ -72,24 +71,32 @@ def run_reader_round(reader, spec, tag, channel, now=0):
 
 
 def test_word_count_ceiling():
-    AccessSpec(1, tuple(range(32)), True, 15)
+    AccessSpec(1, bytes(64), True, 15)
     with pytest.raises(ValueError):
-        AccessSpec(1, tuple(range(33)), True, 15)
+        AccessSpec(1, bytes(66), True, 15)
 
 
 def test_write_is_single_word():
     with pytest.raises(ValueError):
-        AccessSpec(1, (1, 2), False, 15)
+        AccessSpec(1, bytes(4), False, 15)
 
 
-@pytest.mark.parametrize("word", [-1, 0x10000, 0x1FF00])
-@pytest.mark.parametrize("is_blockwrite", [False, True])
-def test_word_outside_sixteen_bits_is_rejected(word, is_blockwrite):
-    # 0x1FF00 masked to 16 bits would reach the tag as the reprogram INIT.
-    words = (word,) if not is_blockwrite else (0x1234, 0xFFFF, word, 0x0000)
-    index = words.index(word)
-    with pytest.raises(ValueError, match=rf"word {index} is {word}, outside 0\.\.0xFFFF"):
-        AccessSpec(1, words, is_blockwrite, 15)
+@pytest.mark.parametrize("raw,is_blockwrite,error,match", [
+    # An old-style words tuple, and the mutable or text forms of the image.
+    ((0xFDAA,), False, TypeError, "raw must be bytes, not tuple"),
+    ((0x1234, 0x0000, 0xFFFF), True, TypeError, "raw must be bytes, not tuple"),
+    (bytearray(b"\xFD\xAA"), False, TypeError, "not bytearray"),
+    ("\xFD\xAA", False, TypeError, "not str"),
+    (b"\xFD", False, ValueError, "odd byte count, 1:"),
+    (bytes(7), True, ValueError, "odd byte count, 7:"),
+    (b"", False, ValueError, r"word count 0 outside 1\.\.32"),
+    (b"", True, ValueError, r"word count 0 outside 1\.\.32"),
+    (bytes(66), True, ValueError, r"word count 33 outside 1\.\.32"),
+    (bytes(4), False, ValueError, "a Write carries exactly one word"),
+])
+def test_raw_shape_is_checked(raw, is_blockwrite, error, match):
+    with pytest.raises(error, match=match):
+        AccessSpec(1, raw, is_blockwrite, 15)
 
 
 # -- round execution ----------------------------------------------------------
@@ -162,7 +169,7 @@ def test_blockwrite_corrupted_word_still_counts_at_reader():
 def test_report_epc_reflects_previous_round():
     reader, tag = Reader(), Tag()
     channel = ScriptedChannel([])
-    reader.stage(write_spec(0xFDAA), -10)
+    reader.stage(write_spec(b"\xFD\xAA"), -10)
     first = reader.tick(0, tag, channel)
     second = reader.tick(1, tag, channel)
     assert first.epc == bytes(12)  # initial EPC, message not yet handled
@@ -172,7 +179,7 @@ def test_report_epc_reflects_previous_round():
 def test_error_report_still_carries_epc():
     reader, tag = Reader(), Tag()
     channel = ScriptedChannel([Delivery.DELIVERED, Delivery.CORRUPTED])
-    reader.stage(write_spec(0xFDAA), -10)
+    reader.stage(write_spec(b"\xFD\xAA"), -10)
     reader.tick(0, tag, channel)
     report = reader.tick(1, tag, channel)
     assert report.result is ReportResult.ERROR
@@ -231,13 +238,13 @@ def test_successor_waits_for_latency_and_switch_gap(stage_at):
     # host stages the successor before the round's tick.
     reader, tag = Reader(), Tag()
     channel = ScriptedChannel([])
-    reader.stage(write_spec(0xFDAA, spec_id=1, ocv=5), -LLRP_LATENCY_TICKS)
+    reader.stage(write_spec(b"\xFD\xAA", spec_id=1, ocv=5), -LLRP_LATENCY_TICKS)
     removal = 4
     first_round = {}
     for now in range(16):
         if now == stage_at:
             reader.request_delete(now)
-            reader.stage(write_spec(0xFEBB, spec_id=2), now)
+            reader.stage(write_spec(b"\xFE\xBB", spec_id=2), now)
         report = reader.tick(now, tag, channel)
         first_round.setdefault(report.spec_id, now)
         if now == removal:
@@ -250,12 +257,12 @@ def test_successor_waits_for_latency_and_switch_gap(stage_at):
 
 def test_single_word_blockwrite_matches_write_when_clean():
     reader_a, tag_a = Reader(), Tag()
-    run_reader_round(reader_a, write_spec(0x00BB), tag_a, ScriptedChannel([]))
+    run_reader_round(reader_a, write_spec(b"\x00\xBB"), tag_a, ScriptedChannel([]))
     reader_b, tag_b = Reader(), Tag()
     msg = build_ex_message(bytes([0xBB, 0xCC]), 0xAADD)
     # Same write path, no CRC: a clean one-word series behaves like a Write
     # except the tag-side framing; compare reader-visible outcomes instead.
-    spec = AccessSpec(1, (msg.to_words()[0],), True, ocv=15)
+    spec = AccessSpec(1, msg.raw[:2], True, ocv=15)
     report = run_reader_round(reader_b, spec, tag_b, ScriptedChannel([]))
     assert report.result is ReportResult.SUCCESS
 
@@ -299,7 +306,7 @@ def reference_blockwrite_round(spec, tag, rng, d, now):
     """
     epc_at_start = tag.epc if tag.powered else NO_TAG_EPC
     replied = []
-    for index, word in enumerate(spec.words):
+    for index in range(len(spec.raw) >> 1):
         lost = not tag.powered or rng.random() < miss_probability(d)
         corrupted = not lost and rng.random() < 1.0 - (1.0 - bit_error_rate(d)) ** FLIP_BITS
         if not lost and not tag.series_slot_alive(index + 1, d):
@@ -308,30 +315,29 @@ def reference_blockwrite_round(spec, tag, rng, d, now):
             if index == 0:
                 return OperationReport(spec.spec_id, ReportResult.NO_TAG_SEEN, NO_TAG_EPC, now)
             return OperationReport(spec.spec_id, ReportResult.ERROR, epc_at_start, now)
-        replied.append((word, corrupted))
-    raw = b"".join(bytes([(w >> 8) & 0xFF, w & 0xFF]) for w, _ in replied)
-    tag.series_complete(raw, any(c for _, c in replied))
+        replied.append(corrupted)
+    tag.series_complete(spec.raw, any(replied))
     return OperationReport(spec.spec_id, ReportResult.SUCCESS, epc_at_start, now)
 
 
-def valid_message_words(data):
-    return tuple(build_ex_message(data, 0x1000, s_max=30).to_words())
+def valid_message_raw(data):
+    return build_ex_message(data, 0x1000, s_max=30).raw
 
 
-series_words = st.one_of(
-    st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=32).map(tuple),
-    st.binary(min_size=1, max_size=60).map(valid_message_words),  # 3 to 32 words
+series_raw = st.one_of(
+    st.lists(st.binary(min_size=2, max_size=2), min_size=1, max_size=32).map(b"".join),
+    st.binary(min_size=1, max_size=60).map(valid_message_raw),  # 3 to 32 words
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    words=series_words,
+    raw=series_raw,
     rounds=st.lists(st.tuples(st.floats(0.05, 0.7), st.booleans()), min_size=1, max_size=4),
     seed=st.integers(0, 2**16),
 )
-def test_fused_round_matches_per_word_loop(words, rounds, seed):
-    spec = AccessSpec(1, words, True, ocv=64)
+def test_fused_round_matches_per_word_loop(raw, rounds, seed):
+    spec = AccessSpec(1, raw, True, ocv=64)
     reader = Reader()
     reader.stage(spec, -LLRP_LATENCY_TICKS)
     fused_tag = Tag(write_fault_prob=0.05, fault_seed=seed, energy_seed=seed + 1)

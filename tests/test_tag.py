@@ -85,30 +85,30 @@ def test_crc16_matches_the_bitwise_reference_on_a_firmware_image():
 
 def test_address_first_byte_sets_register_and_epc():
     tag = Tag()
-    tag.handle_basic_write(0xFDAA)
+    tag.handle_basic_write(b"\xFD\xAA")
     assert tag.epc[:2] == bytes([0xFD, 0xAA])
     assert tag.epc[2:] == bytes(10)
 
 
 def test_golden_sequence_writes_and_echoes():
     tag = Tag()
-    for word in (0xFDAA, 0xFEDD, 0x00BB, 0x01CC):
-        tag.handle_basic_write(word)
+    for raw in (b"\xFD\xAA", b"\xFE\xDD", b"\x00\xBB", b"\x01\xCC"):
+        tag.handle_basic_write(raw)
     assert tag.fram.read(0xAADD, 2) == bytes([0xBB, 0xCC])
     assert tag.epc[:2] == bytes([0x01, 0xCC])
 
 
 def test_data_byte_without_address_registers_is_ignored():
     tag = Tag()
-    tag.handle_basic_write(0x00BB)  # no FD/FE since power-up
+    tag.handle_basic_write(b"\x00\xBB")  # no FD/FE since power-up
     assert tag.epc == bytes(12)
     assert tag.fram.read(0, 4) == bytes(4)
 
 
 def test_epc_echoes_read_back_byte():
     tag = Tag(write_fault_prob=1.0, fault_seed=1)  # every write lands inverted
-    for word in (0xFD00, 0xFE10, 0x00AB):
-        tag.handle_basic_write(word)
+    for raw in (b"\xFD\x00", b"\xFE\x10", b"\x00\xAB"):
+        tag.handle_basic_write(raw)
     assert tag.fram.read(0x0010, 1) == bytes([0xAB ^ 0xFF])
     assert tag.epc[:2] == bytes([0x00, 0xAB ^ 0xFF])  # echo carries the read-back
 
@@ -121,7 +121,7 @@ def test_complete_series_commits_and_sets_header_epc():
     msg = build_ex_message(bytes([0xBB, 0xCC]), 0xAADD)
     assert feed_series(tag, msg) is True
     assert tag.fram.read(0xAADD, 2) == bytes([0xBB, 0xCC])
-    assert tag.epc == msg.header_bytes() + bytes(8)
+    assert tag.epc == msg.raw[:4] + bytes(8)
 
 
 def test_partial_series_commits_nothing():
@@ -207,9 +207,9 @@ def test_repeat_of_the_stored_series_only_sets_the_epc():
     tag.set_powered(True)
     assert tag.epc == INITIAL_EPC
     assert tag.series_complete(raw, False) is True  # memory outlives the power loss
-    assert tag.epc == msg.header_bytes() + bytes(8)
+    assert tag.epc == msg.raw[:4] + bytes(8)
     assert writes == [(0xAADD, bytes([0xBB, 0xCC]))]
-    tag.handle_basic_write(0xFF00)  # INIT forgets what the session wrote
+    tag.handle_basic_write(b"\xFF\x00")  # INIT forgets what the session wrote
     assert tag.series_complete(raw, False) is True
     assert len(writes) == 2
     assert tag.application_crc() == crc16_ccitt(bytes([0xBB, 0xCC]))
@@ -238,7 +238,7 @@ def test_new_series_bytes_are_verified_again():
     second = build_ex_message(bytes([0x11, 0x22, 0x33]), 0x0100)
     assert tag.series_complete(raw_of(second), False) is True
     assert tag.fram.read(0x0100, 3) == bytes([0x11, 0x22, 0x33])
-    assert tag.epc == second.header_bytes() + bytes(8)
+    assert tag.epc == second.raw[:4] + bytes(8)
 
 
 def reference_application_crc(fram, ranges):
@@ -319,10 +319,10 @@ def test_basic_writes_match_the_read_before_rewrite_reference(fault_prob, rows):
     tag = Tag(write_fault_prob=fault_prob, fault_seed=9)
     ref = Tag(write_fault_prob=fault_prob, fault_seed=9)
     for base, writes in rows:
-        tag.handle_basic_write((HDR_ADDR_FIRST << 8) | (base >> 8))
-        tag.handle_basic_write((HDR_ADDR_SECOND << 8) | (base & 0xFF))
+        tag.handle_basic_write(bytes([HDR_ADDR_FIRST, base >> 8]))
+        tag.handle_basic_write(bytes([HDR_ADDR_SECOND, base & 0xFF]))
         for offset, payload in writes:
-            tag.handle_basic_write((offset << 8) | payload)
+            tag.handle_basic_write(bytes([offset, payload]))
             reference_basic_write(ref, base + offset, payload)
             assert tag.epc == bytes([offset, *ref.fram.read(base + offset)]).ljust(EPC_LENGTH, b"\0")
     assert tag.fram.read(0, FRAM_SIZE) == ref.fram.read(0, FRAM_SIZE)
@@ -373,10 +373,10 @@ SERIES = [raw_of(build_ex_message(bytes([0x11, 0x22, 0x33]), 0x0100)),
           raw_of(build_ex_message(bytes([0x66]), 0x0100))]
 SERIES.append(bytes([SERIES[0][0] ^ 0x01]) + SERIES[0][1:])
 A, B = ("series", 0), ("series", 1)
-INIT, LOSE, RETURN, COMPLETE = ("basic", 0xFF00), ("lose", 0), ("return", 0), ("complete", 0)
-WRITE_0x0100 = [("basic", 0xFD01), ("basic", 0xFE00), ("basic", 0x0077)]
+INIT, LOSE, RETURN, COMPLETE = ("basic", b"\xFF\x00"), ("lose", 0), ("return", 0), ("complete", 0)
+WRITE_0x0100 = [("basic", b"\xFD\x01"), ("basic", b"\xFE\x00"), ("basic", b"\x00\x77")]
 SERIES_OPS = [*(("series", i) for i in range(len(SERIES))), ("corrupted", 0)]
-OTHER_OPS = [*WRITE_0x0100, ("basic", 0x0199), INIT, LOSE, RETURN, COMPLETE, ("complete", 1)]
+OTHER_OPS = [*WRITE_0x0100, ("basic", b"\x01\x99"), INIT, LOSE, RETURN, COMPLETE, ("complete", 1)]
 
 
 def apply_tag_op(tag, op, arg, crc):
@@ -423,7 +423,7 @@ def test_odd_length_series_honors_length_field():
     msg = build_ex_message(bytes([0xAB]), 0x3000)
     assert feed_series(tag, msg) is True
     assert tag.fram.read(0x3000, 2) == bytes([0xAB, 0x00])
-    assert tag.epc[:4] == msg.header_bytes()
+    assert tag.epc[:4] == msg.raw[:4]
 
 
 # -- power ------------------------------------------------------------------------
@@ -445,8 +445,8 @@ def test_power_model_outage_fraction_matches_process():
 
 def test_power_loss_clears_volatile_keeps_fram():
     tag = Tag()
-    for word in (0xFDAA, 0xFEDD, 0x00BB):
-        tag.handle_basic_write(word)
+    for raw in (b"\xFD\xAA", b"\xFE\xDD", b"\x00\xBB"):
+        tag.handle_basic_write(raw)
     tag.set_powered(False)
     assert tag.epc == bytes(12)
     assert not tag.powered
@@ -454,7 +454,7 @@ def test_power_loss_clears_volatile_keeps_fram():
     assert tag.fram.read(0xAADD, 1) == bytes([0xBB])  # persistent
     tag.set_powered(True)
     assert tag.mode is TagMode.REPROGRAM  # the session resumes
-    tag.handle_basic_write(0x00BB)  # address registers did not survive either
+    tag.handle_basic_write(b"\x00\xBB")  # address registers did not survive either
     assert tag.epc == bytes(12)
 
 
@@ -520,14 +520,14 @@ def test_distance_brownout_prob_shape():
 def test_bootloader_init_enters_reprogram():
     tag = Tag(start_in_bootloader=True)
     assert tag.mode is TagMode.BOOTLOADER
-    tag.handle_basic_write(0xFF00)
+    tag.handle_basic_write(b"\xFF\x00")
     assert tag.mode is TagMode.REPROGRAM
     assert tag.epc[:2] == bytes([0xFF, 0x00])
 
 
 def test_transfer_complete_with_matching_crc_starts_application():
     tag = Tag(start_in_bootloader=True)
-    tag.handle_basic_write(0xFF00)
+    tag.handle_basic_write(b"\xFF\x00")
     msg = build_ex_message(bytes(range(8)), 0x4400)
     feed_series(tag, msg)
     assert tag.transfer_complete(crc16_ccitt(bytes(range(8)))) is TagMode.APPLICATION
@@ -536,7 +536,7 @@ def test_transfer_complete_with_matching_crc_starts_application():
 
 def test_transfer_complete_with_wrong_crc_stays_in_reprogram():
     tag = Tag(start_in_bootloader=True)
-    tag.handle_basic_write(0xFF00)
+    tag.handle_basic_write(b"\xFF\x00")
     msg = build_ex_message(bytes(range(8)), 0x4400)
     feed_series(tag, msg)
     assert tag.transfer_complete(0xBEEF) is TagMode.REPROGRAM
@@ -545,9 +545,9 @@ def test_transfer_complete_with_wrong_crc_stays_in_reprogram():
 
 def test_init_message_forgets_the_last_sessions_writes():
     tag = Tag(start_in_bootloader=True)
-    tag.handle_basic_write(0xFF00)
+    tag.handle_basic_write(b"\xFF\x00")
     feed_series(tag, build_ex_message(bytes([0x42]), 0x0100))
-    tag.handle_basic_write(0xFF00)  # a new session, still in reprogram mode
+    tag.handle_basic_write(b"\xFF\x00")  # a new session, still in reprogram mode
     feed_series(tag, build_ex_message(bytes([0x07, 0x08]), 0x0200))
     assert tag.application_crc() == crc16_ccitt(bytes([0x07, 0x08]))
 
@@ -563,7 +563,7 @@ def test_power_failure_returns_to_bootloader():
 
 def test_application_survives_only_until_power_failure():
     tag = Tag(start_in_bootloader=True)
-    tag.handle_basic_write(0xFF00)
+    tag.handle_basic_write(b"\xFF\x00")
     msg = build_ex_message(bytes([0x42]), 0x100)
     feed_series(tag, msg)
     tag.transfer_complete(crc16_ccitt(bytes([0x42])))
@@ -576,7 +576,7 @@ def test_application_survives_only_until_power_failure():
 def test_transfer_complete_outside_reprogram_changes_nothing():
     tag = Tag(start_in_bootloader=True)  # no init message yet
     assert tag.transfer_complete(tag.application_crc()) is TagMode.BOOTLOADER
-    tag.handle_basic_write(0xFF00)
+    tag.handle_basic_write(b"\xFF\x00")
     feed_series(tag, build_ex_message(bytes([0x42]), 0x100))
     assert tag.transfer_complete(tag.application_crc()) is TagMode.APPLICATION
     assert tag.transfer_complete(tag.application_crc()) is TagMode.APPLICATION
@@ -604,7 +604,7 @@ def test_mode_follows_power_init_and_complete(start_in_bootloader, ops):
         elif op == "return":
             tag.set_powered(True)
         elif op == "init":
-            tag.handle_basic_write(0xFF00)
+            tag.handle_basic_write(b"\xFF\x00")
             if tag.powered and expected is not TagMode.APPLICATION:
                 expected = TagMode.REPROGRAM
         elif op == "write":
