@@ -260,6 +260,7 @@ def run_single(config: ScenarioConfig, matrix: RecordMatrix, run_index: int) -> 
         write_fault_prob=config.write_fault_prob,
         fault_seed=base + 3,
         start_in_bootloader=config.bootloader,
+        energy_seed=base + 4,
     )
     session = HostSession(config, matrix)
     result = session.run(tag, ChannelModel(seed=base + 1), PowerModel(seed=base + 2))

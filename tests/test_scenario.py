@@ -4,12 +4,14 @@ import hashlib
 import io
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from crfid_downlink.channel import round_odds
+import crfid_downlink.scenario as scenario
 from crfid_downlink.cli import main
 from crfid_downlink.host import LogEvent, SessionResult, TransferLog, Variant
 from crfid_downlink.ihex import generate_fixture, parse_file
@@ -292,6 +294,50 @@ def test_seed_changes_change_noisy_outcomes(tmp_path, small_matrix):
     assert out_a.runs[0].result.rounds != out_b.runs[0].result.rounds
 
 
+STREAMS = ("channel", "power", "fault", "energy")
+
+
+def stream_states(monkeypatch, config, matrix):
+    """The ``getstate()`` of every random stream each repeat builds, by stream name."""
+    built = []
+
+    class RecordingChannel(scenario.ChannelModel):
+        def __init__(self, seed):
+            super().__init__(seed)
+            built.append(("channel", self.rng.getstate()))
+
+    class RecordingPower(scenario.PowerModel):
+        def __init__(self, seed):
+            super().__init__(seed)
+            built.append(("power", self._rng.getstate()))
+
+    class RecordingTag(scenario.Tag):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.extend([("fault", self._fault_rng.getstate()),
+                          ("energy", self.energy_rng.getstate())])
+
+    monkeypatch.setattr(scenario, "ChannelModel", RecordingChannel)
+    monkeypatch.setattr(scenario, "PowerModel", RecordingPower)
+    monkeypatch.setattr(scenario, "Tag", RecordingTag)
+    run_scenario(config, matrix=matrix)
+    assert len(built) == len(STREAMS) * config.repeats
+    return [dict(built[i : i + len(STREAMS)]) for i in range(0, len(built), len(STREAMS))]
+
+
+def test_every_random_stream_derives_from_the_master_seed(monkeypatch, small_matrix):
+    config = ScenarioConfig(seed=5, repeats=2, s_p=16, profile=DistanceProfile(d_cm=20.0))
+    first = stream_states(monkeypatch, config, small_matrix)
+    assert stream_states(monkeypatch, config, small_matrix) == first  # same config, same streams
+    other_seed = stream_states(monkeypatch, replace(config, seed=6), small_matrix)
+    for run in first:
+        assert sorted(run) == sorted(STREAMS)
+        assert len(set(run.values())) == len(STREAMS)  # no two streams of a run coincide
+    for name in STREAMS:
+        assert first[0][name] != first[1][name], name  # two repeats of one seed
+        assert first[0][name] != other_seed[0][name], name
+
+
 # -- CLI ------------------------------------------------------------------------------
 
 
@@ -429,9 +475,9 @@ GOLDEN_CONFIGS = {
 GOLDEN_DIGESTS = {
     ("basic", 1): "08ebca9a550b600531d43d96541c67bb3bc9ecf78265cdf06ce42e8c1500b946",
     ("basic", 2): "a694fc08d9d5bf31d412b7b955c65fd06ad68e819da077e19ecf889753faf171",
-    ("ex", 1): "55b2268831ff925896d5555fe6c51c509985a624ae025d333804bb9718890b38",
-    ("ex", 2): "6d5cc65614b9a712b1d4bd6dcb6abbbfeba471492e1ee72c0d02ffc68496fb09",
-    ("long", 1): "13f75d375b46f2a65102235f450f13929d312a0f2f7eadd422a73e77c8b8a742",
+    ("ex", 1): "b75d7b2b32ce0af155baf70ed4287104e076755e936f6861822b88c1f8dc1856",
+    ("ex", 2): "abfd1fb0e3d16b9ad0a0b231230d9a4dbcee82f6ddf5b1ecef7b3d9f8dc405e5",
+    ("long", 1): "b6b0498c190d846eea7b46ce3cb47e1ca0e074d183112f5bc593ef5da99baf27",
 }
 
 GOLDEN_EVENTS = {"basic": {"resend", "timeout", "abort"}, "ex": {"throttle", "resend"},
@@ -458,11 +504,11 @@ def test_csv_digests_pinned(tmp_path, small_matrix, name, seed):
 # the memory a run leaves behind.  One digest per golden run covers all three:
 # each run's memory and written mask, then the ``getstate()`` of both streams.
 GOLDEN_TAG_STATES = {
-    ("basic", 1): "c8c7056635930bfbb796dad2eddc6cca96bff9796ace4949cf0b55a009c1b555",
-    ("basic", 2): "81fdbb87b0f9fb13954cf02a63fee0b85031fc6f534730034dd457443923cff0",
-    ("ex", 1): "3fdf135eb742dc60c1514488310bdfe11b36cecc41374a53e8cf33e8a611d620",
-    ("ex", 2): "ec8d105470dad8270420db4689f3ed4092cef2697246382c680947b5d96b9317",
-    ("long", 1): "77233f64f35364fd8c33c4753fc3d476253e68bba45dd47be1071833f500edd1",
+    ("basic", 1): "f81eac41b8dabdd2d54c0b735be310dce75b9f5961bb65bfcf6f0d95e5e9c6c0",
+    ("basic", 2): "ac18fd2157eef49049d4cc63f738aa969adb062902d5981e73aafe38cc62f8b4",
+    ("ex", 1): "461554df8a967f1ff06a6b16a8d0302131f9374f9e79103868ad66828c9e0560",
+    ("ex", 2): "e46408699c6420ca4ef264627e6a331e3c51bf404cbb5239bfb940d9ef4992c6",
+    ("long", 1): "aab959f4d586faf5a2c7de76ccaa133c83807f8e2d008e277860e64201bd0bd7",
 }
 
 
