@@ -157,10 +157,9 @@ class HostSession:
         self.matrix = matrix
         self.log = TransferLog()
         self._basic = config.protocol is Variant.BASIC
-        # What the cursor walks in each row: the wire images of the basic
-        # flavour's Write messages (built up front so RowTooLong surfaces
-        # before the first round) or the bytes the extended flavour cuts into
-        # chunks.
+        # What the cursor walks in each row: the basic flavour's Write images
+        # (built up front so RowTooLong surfaces before the first round) or
+        # the bytes the extended flavour cuts into chunks.
         if self._basic:
             self._units = [[m.raw for m in build_basic_messages(row)] for row in matrix.rows]
         else:

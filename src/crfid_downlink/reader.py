@@ -73,9 +73,7 @@ class AccessSpec:
         if size & 1:
             raise ValueError(f"raw has an odd byte count, {size}: not a whole number of words")
         if not 1 <= size >> 1 <= MAX_WORD_COUNT:
-            raise ValueError(
-                f"word count {size >> 1} outside 1..{MAX_WORD_COUNT}, the reader ceiling"
-            )
+            raise ValueError(f"word count {size >> 1} outside 1..{MAX_WORD_COUNT}")
         if not self.is_blockwrite and size != 2:
             raise ValueError("a Write carries exactly one word")
 

@@ -135,10 +135,7 @@ class Tag:
     # -- basic (single-word Write) handling ---------------------------------
 
     def handle_basic_write(self, raw: bytes) -> None:
-        """Process one intact Write, its header and payload byte as ``raw``.
-
-        On success the EPC echoes the header and the payload read back.
-        """
+        """Process one intact Write, header and payload; the EPC echoes header and read-back."""
         if not self.powered:
             return
         header, payload = raw

@@ -193,7 +193,8 @@ def test_wire_image_matches_the_per_byte_reference(drawn):
     basic = [init, bytes([HDR_ADDR_FIRST, address >> 8]), bytes([HDR_ADDR_SECOND, address & 0xFF])]
     basic += [bytes([offset, b]) for offset, b in enumerate(row.data)]
     assert sent_images(config, row) == basic
-    assert [BasicMessage(HDR_REPROGRAM_INIT, 0).raw] + [m.raw for m in build_basic_messages(row)] == basic
+    assert BasicMessage(HDR_REPROGRAM_INIT, 0).raw == init
+    assert [m.raw for m in build_basic_messages(row)] == basic[1:]
     assert all(AccessSpec(1, r, False, 15).raw == r for r in basic)
 
 

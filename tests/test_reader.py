@@ -83,16 +83,18 @@ def test_write_is_single_word():
 
 @pytest.mark.parametrize("raw,is_blockwrite,error,match", [
     # An old-style words tuple, and the mutable or text forms of the image.
-    ((0xFDAA,), False, TypeError, "raw must be bytes, not tuple"),
-    ((0x1234, 0x0000, 0xFFFF), True, TypeError, "raw must be bytes, not tuple"),
-    (bytearray(b"\xFD\xAA"), False, TypeError, "not bytearray"),
-    ("\xFD\xAA", False, TypeError, "not str"),
-    (b"\xFD", False, ValueError, "odd byte count, 1:"),
-    (bytes(7), True, ValueError, "odd byte count, 7:"),
-    (b"", False, ValueError, r"word count 0 outside 1\.\.32"),
-    (b"", True, ValueError, r"word count 0 outside 1\.\.32"),
-    (bytes(66), True, ValueError, r"word count 33 outside 1\.\.32"),
-    (bytes(4), False, ValueError, "a Write carries exactly one word"),
+    pytest.param((0xFDAA,), False, TypeError, "raw must be bytes, not tuple", id="words-write"),
+    pytest.param((0x1234, 0x0000, 0xFFFF), True, TypeError, "raw must be bytes, not tuple",
+                 id="words-blockwrite"),
+    pytest.param(bytearray(b"\xFD\xAA"), False, TypeError, "not bytearray", id="bytearray"),
+    pytest.param("\xFD\xAA", False, TypeError, "not str", id="str"),
+    pytest.param(b"\xFD", False, ValueError, "odd byte count, 1:", id="one-byte"),
+    pytest.param(bytes(7), True, ValueError, "odd byte count, 7:", id="seven-bytes"),
+    pytest.param(b"", False, ValueError, r"word count 0 outside 1\.\.32", id="empty-write"),
+    pytest.param(b"", True, ValueError, r"word count 0 outside 1\.\.32", id="empty-blockwrite"),
+    pytest.param(bytes(66), True, ValueError, r"word count 33 outside 1\.\.32", id="33-words"),
+    pytest.param(bytes(4), False, ValueError, "a Write carries exactly one word",
+                 id="two-word-write"),
 ])
 def test_raw_shape_is_checked(raw, is_blockwrite, error, match):
     with pytest.raises(error, match=match):
