@@ -268,8 +268,7 @@ class HostSession:
                 raw = flight.raw
                 expected = raw[:4]
                 reader.request_delete(now)
-                # A one-word image is a Write; an extended message holds three words or more.
-                reader.stage(AccessSpec(sent, raw, len(raw) > 2, cfg.ocv), now)
+                reader.stage(AccessSpec(sent, raw, cfg.ocv), now)
                 log(now, (action, flight.row, flight.chunk, flight.s_p, "", expected))
                 nacks = no_tags = silent = 0  # since the last transmission
                 nack_result = None  # the result, EPC and kind id of its last NACK row

@@ -58,12 +58,11 @@ class AccessSpec:
     """A Write (single word, CRC-protected) or BlockWrite (word series).
 
     ``raw`` is the wire image: the words as big-endian bytes, as the tag
-    receives them.
+    receives them.  One word makes the command a Write, more a BlockWrite.
     """
 
     spec_id: int
     raw: bytes
-    is_blockwrite: bool
     ocv: int
 
     def __post_init__(self):
@@ -74,8 +73,6 @@ class AccessSpec:
             raise ValueError(f"raw has an odd byte count, {size}: not a whole number of words")
         if not 1 <= size >> 1 <= MAX_WORD_COUNT:
             raise ValueError(f"word count {size >> 1} outside 1..{MAX_WORD_COUNT}")
-        if not self.is_blockwrite and size != 2:
-            raise ValueError("a Write carries exactly one word")
 
 
 @dataclass(slots=True)
@@ -129,8 +126,9 @@ class Reader:
             return OperationReport(0, _INVENTORY, tag.epc, now)
         run.total_rounds += 1
         spec = run.spec
+        raw = spec.raw
         result, epc = _NO_TAG_SEEN, NO_TAG_EPC  # unpowered, or nothing decoded
-        if tag.powered and not spec.is_blockwrite:
+        if tag.powered and len(raw) == 2:
             # Per-command CRC16 catches a corrupted word; the tag stays silent.
             outcome = channel.deliver_word()
             if outcome is not _LOST:
@@ -138,20 +136,20 @@ class Reader:
                 if outcome is _CORRUPTED:
                     result = _ERROR
                 else:
-                    tag.handle_basic_write(spec.raw)
+                    tag.handle_basic_write(raw)
                     run.success_count += 1
                     result = _SUCCESS
         elif tag.powered:
             # BlockWrite: no per-word CRC16, so a corrupted word is written and
             # replied to; only a lost word (missed preamble, drained slot) ends it.
-            n = len(spec.raw) >> 1
+            n = len(raw) >> 1
             replied, corrupted = channel.deliver_series(n, tag.energy_rng.random)
             if replied:
                 epc = tag.epc
                 if replied < n:
                     result = _ERROR
                 else:
-                    tag.series_complete(spec.raw, corrupted)
+                    tag.series_complete(raw, corrupted)
                     run.success_count += 1
                     result = _SUCCESS
         # The operation frame ends at OCV successful operations; a slightly

@@ -37,7 +37,6 @@ FRAM_SIZE = 64 * 1024
 
 INITIAL_EPC = bytes(EPC_LENGTH)
 _ECHO_PAD = bytes(EPC_LENGTH - 2)  # an echo EPC is header and payload, zero-padded
-_BYTE = [bytes((b,)) for b in range(256)]  # a basic Write's one-byte commit
 _REPROGRAM = TagMode.REPROGRAM  # the round path's test, without an enum-class lookup
 
 
@@ -140,38 +139,29 @@ class Tag:
             return
         header, payload = raw
         if header == HDR_REPROGRAM_INIT:
-            if self.mode is not TagMode.APPLICATION:
-                # A new reprogram session forgets what the last one wrote.
-                self.mode = TagMode.REPROGRAM
-                self._written = bytearray(FRAM_SIZE)
-                self._stored = False
-                self.epc = raw + _ECHO_PAD
+            if self.mode is TagMode.APPLICATION:
+                return
+            # A new reprogram session forgets what the last one wrote.
+            self.mode = TagMode.REPROGRAM
+            self._written = bytearray(FRAM_SIZE)
+            self._stored = False
+        elif self.mode is not _REPROGRAM:
             return
-        if self.mode is not _REPROGRAM:
-            return
-        if header == HDR_ADDR_FIRST:
+        elif header == HDR_ADDR_FIRST:
             self._addr_high = payload
             self._addr_low = None
-            self.epc = raw + _ECHO_PAD
         elif header == HDR_ADDR_SECOND:
             self._addr_low = payload
-            self.epc = raw + _ECHO_PAD
-        elif header <= MAX_BASIC_OFFSET:
-            if self._addr_high is None or self._addr_low is None:
-                return  # no valid base address since power-up; ignore
+        elif header > MAX_BASIC_OFFSET or self._addr_high is None or self._addr_low is None:
+            return  # no such header, or no valid base address since power-up; ignore
+        else:
             address = ((self._addr_high << 8) | self._addr_low) + header
-            if self._written[address] and self.fram._bytes[address] == payload:
-                # A repeat of a Write this session already stored reads, not
-                # rewrites: no fault draw can corrupt a byte the host saw ACKed.
-                self.epc = raw + _ECHO_PAD
-                return
-            # ``_commit`` for one byte: one fault draw, the write, one mask byte.
-            self._stored = False
-            if self.write_fault_prob > 0 and self._fault_rng.random() < self.write_fault_prob:
-                payload ^= 0xFF
-            self.fram.write(address, _BYTE[payload])
-            self._written[address] = 1
-            self.epc = bytes((header, self.fram._bytes[address])) + _ECHO_PAD  # read-back
+            # A repeat of a Write this session already stored reads, not
+            # rewrites: no fault draw can corrupt a byte the host saw ACKed.
+            if not (self._written[address] and self.fram._bytes[address] == payload):
+                self._commit(address, raw[1:])
+                raw = bytes((header, self.fram._bytes[address]))  # read-back
+        self.epc = raw + _ECHO_PAD
 
     # -- extended (BlockWrite series) handling -------------------------------
 

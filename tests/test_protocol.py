@@ -179,7 +179,7 @@ def test_wire_image_matches_the_per_byte_reference(drawn):
     assert type(msg.to_words()) is list and msg.to_words() == words
     assert len(words) == (4 + len(chunk) + 1) // 2  # an odd chunk gets one pad byte
     assert msg.raw == raw
-    assert AccessSpec(1, msg.raw, True, 15).raw == raw
+    assert AccessSpec(1, msg.raw, 15).raw == raw
     assert msg.expected_epc()[:4] == raw[:4] == header
     assert msg.expected_epc() == header + bytes(8)
     # The host puts the same image on air, after the INIT Write, and expects
@@ -195,7 +195,7 @@ def test_wire_image_matches_the_per_byte_reference(drawn):
     assert sent_images(config, row) == basic
     assert BasicMessage(HDR_REPROGRAM_INIT, 0).raw == init
     assert [m.raw for m in build_basic_messages(row)] == basic[1:]
-    assert all(AccessSpec(1, r, False, 15).raw == r for r in basic)
+    assert all(AccessSpec(1, r, 15).raw == r for r in basic)
 
 
 def sent_images(config, row):

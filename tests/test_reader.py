@@ -54,12 +54,12 @@ class ScriptedChannel:
 
 
 def write_spec(raw=b"\xFD\xAA", spec_id=1, ocv=15):
-    return AccessSpec(spec_id=spec_id, raw=raw, is_blockwrite=False, ocv=ocv)
+    return AccessSpec(spec_id=spec_id, raw=raw, ocv=ocv)
 
 
 def ex_spec(data=bytes([0xBB, 0xCC]), address=0xAADD, spec_id=1, ocv=15):
     msg = build_ex_message(data, address)
-    return AccessSpec(spec_id=spec_id, raw=msg.raw, is_blockwrite=True, ocv=ocv)
+    return AccessSpec(spec_id=spec_id, raw=msg.raw, ocv=ocv)
 
 
 def run_reader_round(reader, spec, tag, channel, now=0):
@@ -71,34 +71,42 @@ def run_reader_round(reader, spec, tag, channel, now=0):
 
 
 def test_word_count_ceiling():
-    AccessSpec(1, bytes(64), True, 15)
+    AccessSpec(1, bytes(64), 15)
     with pytest.raises(ValueError):
-        AccessSpec(1, bytes(66), True, 15)
+        AccessSpec(1, bytes(66), 15)
 
 
 def test_write_is_single_word():
-    with pytest.raises(ValueError):
-        AccessSpec(1, bytes(4), False, 15)
+    # The length of ``raw`` picks the command.  One word is a Write, which the
+    # tag takes as header and payload; two words are a BlockWrite, a series
+    # the tag checksums (this one fails it and sets no register).
+    write, blockwrite = b"\xFD\xAA", b"\xFD\xAA\x00\x00"
+    for raw, addr_high in ((write, 0xAA), (blockwrite, None)):
+        tag = Tag()
+        report = run_reader_round(Reader(), write_spec(raw), tag, ScriptedChannel([]))
+        assert report.result is ReportResult.SUCCESS
+        assert tag._addr_high == addr_high
+    # A Write's CRC16 keeps a corrupted word from the tag; a BlockWrite replies to it.
+    for raw, result in ((write, ReportResult.ERROR), (blockwrite, ReportResult.SUCCESS)):
+        channel = ScriptedChannel([Delivery.CORRUPTED])
+        assert run_reader_round(Reader(), write_spec(raw), Tag(), channel).result is result
 
 
-@pytest.mark.parametrize("raw,is_blockwrite,error,match", [
-    # An old-style words tuple, and the mutable or text forms of the image.
-    pytest.param((0xFDAA,), False, TypeError, "raw must be bytes, not tuple", id="words-write"),
-    pytest.param((0x1234, 0x0000, 0xFFFF), True, TypeError, "raw must be bytes, not tuple",
+@pytest.mark.parametrize("raw,error,match", [
+    # Old-style words tuples, and the mutable or text forms of the image.
+    pytest.param((0xFDAA,), TypeError, "raw must be bytes, not tuple", id="words-write"),
+    pytest.param((0x1234, 0x0000, 0xFFFF), TypeError, "raw must be bytes, not tuple",
                  id="words-blockwrite"),
-    pytest.param(bytearray(b"\xFD\xAA"), False, TypeError, "not bytearray", id="bytearray"),
-    pytest.param("\xFD\xAA", False, TypeError, "not str", id="str"),
-    pytest.param(b"\xFD", False, ValueError, "odd byte count, 1:", id="one-byte"),
-    pytest.param(bytes(7), True, ValueError, "odd byte count, 7:", id="seven-bytes"),
-    pytest.param(b"", False, ValueError, r"word count 0 outside 1\.\.32", id="empty-write"),
-    pytest.param(b"", True, ValueError, r"word count 0 outside 1\.\.32", id="empty-blockwrite"),
-    pytest.param(bytes(66), True, ValueError, r"word count 33 outside 1\.\.32", id="33-words"),
-    pytest.param(bytes(4), False, ValueError, "a Write carries exactly one word",
-                 id="two-word-write"),
+    pytest.param(bytearray(b"\xFD\xAA"), TypeError, "not bytearray", id="bytearray"),
+    pytest.param("\xFD\xAA", TypeError, "not str", id="str"),
+    pytest.param(b"\xFD", ValueError, "odd byte count, 1:", id="one-byte"),
+    pytest.param(bytes(7), ValueError, "odd byte count, 7:", id="seven-bytes"),
+    pytest.param(b"", ValueError, r"word count 0 outside 1\.\.32", id="empty"),
+    pytest.param(bytes(66), ValueError, r"word count 33 outside 1\.\.32", id="33-words"),
 ])
-def test_raw_shape_is_checked(raw, is_blockwrite, error, match):
+def test_raw_shape_is_checked(raw, error, match):
     with pytest.raises(error, match=match):
-        AccessSpec(1, raw, is_blockwrite, 15)
+        AccessSpec(1, raw, 15)
 
 
 # -- round execution ----------------------------------------------------------
@@ -257,18 +265,6 @@ def test_successor_waits_for_latency_and_switch_gap(stage_at):
         assert first_round[0] == removal + 1  # inventory rounds fill the gap
 
 
-def test_single_word_blockwrite_matches_write_when_clean():
-    reader_a, tag_a = Reader(), Tag()
-    run_reader_round(reader_a, write_spec(b"\x00\xBB"), tag_a, ScriptedChannel([]))
-    reader_b, tag_b = Reader(), Tag()
-    msg = build_ex_message(bytes([0xBB, 0xCC]), 0xAADD)
-    # Same write path, no CRC: a clean one-word series behaves like a Write
-    # except the tag-side framing; compare reader-visible outcomes instead.
-    spec = AccessSpec(1, msg.raw[:2], True, ocv=15)
-    report = run_reader_round(reader_b, spec, tag_b, ScriptedChannel([]))
-    assert report.result is ReportResult.SUCCESS
-
-
 def test_channel_model_drives_reader():
     # End to end with the real channel at close range: everything succeeds.
     reader, tag = Reader(), Tag()
@@ -327,7 +323,7 @@ def valid_message_raw(data):
 
 
 series_raw = st.one_of(
-    st.lists(st.binary(min_size=2, max_size=2), min_size=1, max_size=32).map(b"".join),
+    st.lists(st.binary(min_size=2, max_size=2), min_size=2, max_size=32).map(b"".join),
     st.binary(min_size=1, max_size=60).map(valid_message_raw),  # 3 to 32 words
 )
 
@@ -339,7 +335,7 @@ series_raw = st.one_of(
     seed=st.integers(0, 2**16),
 )
 def test_fused_round_matches_per_word_loop(raw, rounds, seed):
-    spec = AccessSpec(1, raw, True, ocv=64)
+    spec = AccessSpec(1, raw, ocv=64)
     reader = Reader()
     reader.stage(spec, -LLRP_LATENCY_TICKS)
     fused_tag = Tag(write_fault_prob=0.05, fault_seed=seed, energy_seed=seed + 1)

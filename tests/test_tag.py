@@ -16,7 +16,9 @@ from crfid_downlink.protocol import (
     EPC_LENGTH,
     HDR_ADDR_FIRST,
     HDR_ADDR_SECOND,
+    HDR_REPROGRAM_INIT,
     MAX_BASIC_OFFSET,
+    BasicMessage,
     build_ex_message,
 )
 from crfid_downlink.tag import (
@@ -590,10 +592,13 @@ BOOT_OPS = ("lose", "return", "init", "write", "complete", "complete-wrong")
     st.booleans(),
     st.lists(st.tuples(st.sampled_from(BOOT_OPS), st.integers(0, 255)), max_size=40),
 )
+@example(False, [("write", 7), ("complete", 0), ("init", 0)])  # INIT to a running application
 def test_mode_follows_power_init_and_complete(start_in_bootloader, ops):
     """REPROGRAM from an init (or from construction without the bootloader)
     until a matching complete, then APPLICATION until the next power loss,
-    otherwise BOOTLOADER."""
+    otherwise BOOTLOADER.  An init the tag takes echoes; one it ignores
+    leaves the EPC as it was."""
+    init_echo = BasicMessage(HDR_REPROGRAM_INIT, 0x00).expected_epc()
     tag = Tag(start_in_bootloader=start_in_bootloader)
     expected = TagMode.BOOTLOADER if start_in_bootloader else TagMode.REPROGRAM
     for op, byte in ops:
@@ -604,9 +609,13 @@ def test_mode_follows_power_init_and_complete(start_in_bootloader, ops):
         elif op == "return":
             tag.set_powered(True)
         elif op == "init":
+            epc = tag.epc
             tag.handle_basic_write(b"\xFF\x00")
             if tag.powered and expected is not TagMode.APPLICATION:
                 expected = TagMode.REPROGRAM
+                assert tag.epc == init_echo
+            else:
+                assert tag.epc == epc
         elif op == "write":
             feed_series(tag, build_ex_message(bytes([byte]), 0x1000 + byte))
         elif op == "complete":
