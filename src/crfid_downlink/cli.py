@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 from .ihex import HexFileError, parse_file
-from .metrics import UnknownDistance, model_curves
-from .scenario import ScenarioError, load_config, run_scenario
+from .metrics import model_curves
+from .scenario import load_config, run_scenario
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -27,7 +27,7 @@ def _cmd_simulate(args) -> int:
         if args.seed is not None:
             config.seed = args.seed
         outcome = run_scenario(config, out_dir=args.out)
-    except (ScenarioError, HexFileError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     for r in outcome.runs:
@@ -44,7 +44,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_model(args) -> int:
     try:
         point = model_curves(args.distance, args.words)
-    except (UnknownDistance, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"psi_t = {point.psi_t:.4f} ops/s")

@@ -50,7 +50,6 @@ class OperationReport:
     spec_id: int
     result: ReportResult
     epc: bytes
-    round_no: int
 
 
 @dataclass
@@ -123,7 +122,7 @@ class Reader:
             # yields a bare EPC report, an invisible one yields nothing.
             if not tag.powered or channel.rng.random() < channel.miss:
                 return None
-            return OperationReport(0, _INVENTORY, tag.epc, now)
+            return OperationReport(0, _INVENTORY, tag.epc)
         run.total_rounds += 1
         spec = run.spec
         raw = spec.raw
@@ -162,4 +161,4 @@ class Reader:
                     and now - run.delete_requested_at >= DELETE_GRACE)):
             self.active = None
             self._removal_tick = now
-        return OperationReport(spec.spec_id, result, epc, now)
+        return OperationReport(spec.spec_id, result, epc)

@@ -22,7 +22,7 @@ GOLDEN_FILE = ":02AADD00BBCCF0\n:00000001FF\n"
 
 
 def report(epc, result=ReportResult.SUCCESS):
-    return OperationReport(1, result, bytes(epc).ljust(12, b"\x00"), 0)
+    return OperationReport(1, result, bytes(epc).ljust(12, b"\x00"))
 
 
 def test_classify_direct_match_is_ack():

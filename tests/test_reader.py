@@ -295,7 +295,7 @@ def test_unpowered_round_draws_nothing():
 FLIP_BITS = WORD_BITS + COMMAND_OVERHEAD_BITS
 
 
-def reference_blockwrite_round(spec, tag, rng, d, now):
+def reference_blockwrite_round(spec, tag, rng, d):
     """The per-word BlockWrite round the fused sampler replaced.
 
     Per sub-command: the channel stream draws the miss, then the flip when
@@ -311,11 +311,11 @@ def reference_blockwrite_round(spec, tag, rng, d, now):
             lost = True  # charge drained mid-series, no reply
         if lost:
             if index == 0:
-                return OperationReport(spec.spec_id, ReportResult.NO_TAG_SEEN, NO_TAG_EPC, now)
-            return OperationReport(spec.spec_id, ReportResult.ERROR, epc_at_start, now)
+                return OperationReport(spec.spec_id, ReportResult.NO_TAG_SEEN, NO_TAG_EPC)
+            return OperationReport(spec.spec_id, ReportResult.ERROR, epc_at_start)
         replied.append(corrupted)
     tag.series_complete(spec.raw, any(replied))
-    return OperationReport(spec.spec_id, ReportResult.SUCCESS, epc_at_start, now)
+    return OperationReport(spec.spec_id, ReportResult.SUCCESS, epc_at_start)
 
 
 def valid_message_raw(data):
@@ -347,7 +347,7 @@ def test_fused_round_matches_per_word_loop(raw, rounds, seed):
         fused_tag.set_powered(powered)
         ref_tag.set_powered(powered)
         report = reader.tick(now, fused_tag, channel)
-        assert report == reference_blockwrite_round(spec, ref_tag, ref_rng, channel.d, now)
+        assert report == reference_blockwrite_round(spec, ref_tag, ref_rng, channel.d)
         assert fused_tag.epc == ref_tag.epc
         assert fused_tag.fram.read(0x0000, 0x10000) == ref_tag.fram.read(0x0000, 0x10000)
         assert channel.rng.getstate() == ref_rng.getstate()
