@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING
 from .channel import ChannelModel
 from .crc import crc16_ccitt
 from .ihex import RecordMatrix
-from .protocol import (BasicMessage, HDR_REPROGRAM_INIT, build_basic_messages, build_ex_message,
-                       build_ladder, snap_to_ladder, throttle)
+from .protocol import (HDR_REPROGRAM_INIT, WRITE_ECHO_MARK, BasicMessage, build_basic_messages,
+                       build_ex_message, build_ladder, snap_to_ladder, throttle)
 from .reader import ROUNDS_PER_SEC, AccessSpec, OperationReport, Reader, ReportResult
 from .tag import PowerModel, Tag, TagMode
 
@@ -135,7 +135,7 @@ def classify_report(expected_epc: bytes, report: OperationReport) -> bool:
 
 @dataclass
 class _InFlight:
-    raw: bytes  # wire image; its first four bytes (a Write's two) come back as the echo
+    raw: bytes  # wire image; its first four bytes (a Write's two and the mark) come back as the echo
     row: int
     chunk: int
     s_p: float
@@ -266,7 +266,7 @@ class HostSession:
                     resent += 1
                 sum_s_p += flight.s_p
                 raw = flight.raw
-                expected = raw[:4]
+                expected = raw + WRITE_ECHO_MARK if len(raw) == 2 else raw[:4]
                 reader.request_delete(now)
                 reader.stage(AccessSpec(sent, raw, cfg.ocv), now)
                 log(now, (action, flight.row, flight.chunk, flight.s_p, "", expected))

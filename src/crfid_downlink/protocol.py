@@ -26,6 +26,11 @@ MAX_BASIC_OFFSET = 0x20
 
 EPC_LENGTH = 12
 
+# A Write's echo is its header, its payload (read back) and this mark, so no
+# echo is all zero like the EPC of a reset tag or of a round that saw no tag.
+# An extended echo needs none: its length byte is at least 1.
+WRITE_ECHO_MARK = b"\x01"
+
 DEFAULT_S_MAX = 16
 
 
@@ -56,8 +61,8 @@ class BasicMessage:
         object.__setattr__(self, "raw", bytes((self.header, self.payload)))
 
     def expected_epc(self) -> bytes:
-        """The echo is a copy of the message itself, zero-padded."""
-        return self.raw.ljust(EPC_LENGTH, b"\x00")
+        """The echo is a copy of the message itself and the mark, zero-padded."""
+        return (self.raw + WRITE_ECHO_MARK).ljust(EPC_LENGTH, b"\x00")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .protocol import (
     HDR_ADDR_SECOND,
     HDR_REPROGRAM_INIT,
     MAX_BASIC_OFFSET,
+    WRITE_ECHO_MARK,
 )
 
 
@@ -36,7 +37,7 @@ class TagMode(Enum):
 FRAM_SIZE = 64 * 1024
 
 INITIAL_EPC = bytes(EPC_LENGTH)
-_ECHO_PAD = bytes(EPC_LENGTH - 2)  # an echo EPC is header and payload, zero-padded
+_ECHO_PAD = WRITE_ECHO_MARK.ljust(EPC_LENGTH - 2, b"\x00")  # follows a Write's header and payload
 _REPROGRAM = TagMode.REPROGRAM  # the round path's test, without an enum-class lookup
 
 

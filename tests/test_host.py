@@ -38,6 +38,18 @@ def test_classify_error_report_can_ack():
     assert classify_report(bytes([0xFD, 0xAA]), r) is True
 
 
+def test_no_ack_carries_the_all_zero_epc(small_matrix):
+    # Each row starts with data byte 0x00, so its first data Write is 00 00.
+    # A reset tag and a round that saw no tag both report the all-zero EPC;
+    # the Write echo mark keeps that EPC from acknowledging the Write.
+    matrix = RecordMatrix([Row(r.address, b"\x00" + r.data[1:]) for r in small_matrix.rows])
+    for seed in range(40):
+        cfg = ScenarioConfig(protocol=Variant.BASIC, profile=DistanceProfile(d_cm=40.0),
+                             seed=seed)
+        log = run_scenario(cfg, matrix=matrix).runs[0].result.log
+        assert all(e.epc != bytes(12) for e in log.events if e.event == "ack"), seed
+
+
 # -- log storage ------------------------------------------------------------------
 
 

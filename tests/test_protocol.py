@@ -58,8 +58,10 @@ def test_basic_message_header_validation():
 
 
 def test_basic_message_epc_echo_is_message_copy():
+    # Header, payload, then the Write echo mark 0x01: never the all-zero EPC.
     msg = BasicMessage(0xFD, 0xAA)
-    assert msg.expected_epc() == bytes([0xFD, 0xAA]) + bytes(10)
+    assert msg.expected_epc() == bytes([0xFD, 0xAA, 0x01]) + bytes(9)
+    assert BasicMessage(0x00, 0x00).expected_epc() == bytes([0x00, 0x00, 0x01]) + bytes(9)
 
 
 @given(

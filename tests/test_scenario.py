@@ -473,10 +473,10 @@ GOLDEN_CONFIGS = {
 }
 
 GOLDEN_DIGESTS = {
-    ("basic", 1): "08ebca9a550b600531d43d96541c67bb3bc9ecf78265cdf06ce42e8c1500b946",
-    ("basic", 2): "a694fc08d9d5bf31d412b7b955c65fd06ad68e819da077e19ecf889753faf171",
-    ("ex", 1): "b75d7b2b32ce0af155baf70ed4287104e076755e936f6861822b88c1f8dc1856",
-    ("ex", 2): "abfd1fb0e3d16b9ad0a0b231230d9a4dbcee82f6ddf5b1ecef7b3d9f8dc405e5",
+    ("basic", 1): "ab266133f6c1ccacb912a2c92269b32e96330ea6baca9d3842ce7a1caa7b9502",
+    ("basic", 2): "8342e16b2411f6d8ac25f9766809f30227e0c5c4e74ad6372842ba16b83ac49b",
+    ("ex", 1): "0811b4e93921a463f7db67cdf72a9c9ad4c2ece68ce87f143578b7c65eed7499",
+    ("ex", 2): "7d7cdf7a441c48f99c8db1e1169223a208fa39d901a5ff6605fd246ab3412f81",
     ("long", 1): "b6b0498c190d846eea7b46ce3cb47e1ca0e074d183112f5bc593ef5da99baf27",
 }
 

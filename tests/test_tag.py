@@ -89,7 +89,7 @@ def test_address_first_byte_sets_register_and_epc():
     tag = Tag()
     tag.handle_basic_write(b"\xFD\xAA")
     assert tag.epc[:2] == bytes([0xFD, 0xAA])
-    assert tag.epc[2:] == bytes(10)
+    assert tag.epc[2:] == b"\x01" + bytes(9)  # the Write echo mark, then zeros
 
 
 def test_golden_sequence_writes_and_echoes():
@@ -326,7 +326,8 @@ def test_basic_writes_match_the_read_before_rewrite_reference(fault_prob, rows):
         for offset, payload in writes:
             tag.handle_basic_write(bytes([offset, payload]))
             reference_basic_write(ref, base + offset, payload)
-            assert tag.epc == bytes([offset, *ref.fram.read(base + offset)]).ljust(EPC_LENGTH, b"\0")
+            echo = bytes([offset, *ref.fram.read(base + offset), 0x01])  # 0x01: the echo mark
+            assert tag.epc == echo.ljust(EPC_LENGTH, b"\0")
     assert tag.fram.read(0, FRAM_SIZE) == ref.fram.read(0, FRAM_SIZE)
     assert tag._written == ref._written
     assert tag._fault_rng.getstate() == ref._fault_rng.getstate()
