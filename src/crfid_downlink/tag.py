@@ -135,7 +135,7 @@ class Tag:
     # -- basic (single-word Write) handling ---------------------------------
 
     def handle_basic_write(self, raw: bytes) -> None:
-        """Process one intact Write, header and payload; the EPC echoes header and read-back."""
+        """Process one intact Write, header and payload; the EPC echoes header, read-back and mark."""
         if not self.powered:
             return
         header, payload = raw
