@@ -101,7 +101,10 @@ def test_write_is_single_word():
     pytest.param("\xFD\xAA", TypeError, "not str", id="str"),
     pytest.param(b"\xFD", ValueError, "odd byte count, 1:", id="one-byte"),
     pytest.param(bytes(7), ValueError, "odd byte count, 7:", id="seven-bytes"),
-    pytest.param(b"", ValueError, r"word count 0 outside 1\.\.32", id="empty"),
+    # The empty image, named for both commands it could have been meant as: with
+    # the command taken from the length, both spell the same input.
+    pytest.param(b"", ValueError, r"word count 0 outside 1\.\.32", id="empty-write"),
+    pytest.param(b"", ValueError, r"word count 0 outside 1\.\.32", id="empty-blockwrite"),
     pytest.param(bytes(66), ValueError, r"word count 33 outside 1\.\.32", id="33-words"),
 ])
 def test_raw_shape_is_checked(raw, error, match):
