@@ -12,7 +12,8 @@ the cursor has nothing left to send.
 
 Each inventory round the session also places the tag at the profile's
 distance and powers it by the configured brown-out probability, or for
-``auto`` by the one that distance implies.
+``auto`` by the one that distance implies.  A static profile has one
+distance, so the tag is placed there once, before round 0.
 """
 
 from __future__ import annotations
@@ -228,7 +229,8 @@ class HostSession:
     def run(self, tag: Tag, channel: ChannelModel, power: PowerModel) -> SessionResult:
         """Drive the transfer to completion, failure, or the round budget.
 
-        Round k places and powers the tag, consumes the report of round k - 1,
+        Round k places the tag (a moving one; a static one stays where it was
+        placed before round 0) and powers it, consumes the report of round k - 1,
         puts any message on air, then ticks the reader; round 0 only sends.
         """
         cfg = self.config
@@ -240,6 +242,9 @@ class HostSession:
         log_round, log_kind = self.log.rounds.append, self.log.kind_ids.append
         at = cfg.profile.at
         place = channel.set_distance_cm
+        moving = cfg.profile.kind != "static"
+        if not moving:  # one distance: place the tag there once
+            place(at(0))
         step = power.step
         set_powered = tag.set_powered
         p = cfg.brownout
@@ -278,8 +283,9 @@ class HostSession:
             if now >= max_rounds:
                 failure = "round budget exhausted"
                 break
-            now += 1  # the next round places the tag at the profile's distance, then powers it
-            place(at(now))
+            now += 1  # the next round places a moving tag at the profile's distance, then powers it
+            if moving:
+                place(at(now))
             powered = step(channel.brownout if p is None else p)
             if powered is not tag.powered:  # only a flip changes the tag
                 set_powered(powered)
@@ -350,7 +356,8 @@ class HostSession:
             # within the round budget.
             while not tag.powered and now < max_rounds:
                 now += 1
-                place(at(now))
+                if moving:
+                    place(at(now))
                 powered = step(channel.brownout if p is None else p)
                 if powered is not tag.powered:
                     set_powered(powered)

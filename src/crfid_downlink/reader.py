@@ -47,6 +47,9 @@ _LOST, _CORRUPTED = Delivery.LOST, Delivery.CORRUPTED
 
 @dataclass(slots=True)
 class OperationReport:
+    """One round's report.  Never mutated once returned: ``Reader.tick``
+    returns the same object again for an access round that repeats it."""
+
     spec_id: int
     result: ReportResult
     epc: bytes
@@ -94,6 +97,8 @@ class Reader:
         self.active: _RunningSpec | None = None
         self.staged: tuple[AccessSpec, int] | None = None  # (spec, earliest start tick)
         self._removal_tick: int | None = None
+        # The last access-round report; the first, with an empty EPC, matches no round.
+        self._last = OperationReport(-1, _INVENTORY, b"")
 
     def stage(self, spec: AccessSpec, now: int) -> None:
         """Queue the delete-add-enable train for ``spec``.
@@ -108,7 +113,11 @@ class Reader:
             self.active.delete_requested_at = now
 
     def tick(self, now: int, tag: Tag, channel: ChannelModel) -> OperationReport | None:
-        """Advance one inventory round; returns the round's report, if any."""
+        """Advance one inventory round; returns the round's report, if any.
+
+        An access round whose spec id, result and EPC equal the last access
+        round's returns that round's report object again.
+        """
         run = self.active
         if run is None and self.staged is not None:
             spec, ready = self.staged
@@ -161,4 +170,8 @@ class Reader:
                     and now - run.delete_requested_at >= DELETE_GRACE)):
             self.active = None
             self._removal_tick = now
-        return OperationReport(spec.spec_id, result, epc)
+        last = self._last
+        if last.epc == epc and last.result is result and last.spec_id == spec.spec_id:
+            return last
+        self._last = last = OperationReport(spec.spec_id, result, epc)
+        return last

@@ -138,8 +138,17 @@ class Tag:
         """Process one intact Write, header and payload; the EPC echoes header, read-back and mark."""
         if not self.powered:
             return
-        header, payload = raw
-        if header == HDR_REPROGRAM_INIT:
+        header = raw[0]
+        if header <= MAX_BASIC_OFFSET:  # a data byte, the common case, is tested first
+            if self.mode is not _REPROGRAM or self._addr_high is None or self._addr_low is None:
+                return  # no valid base address since power-up; ignore
+            address = ((self._addr_high << 8) | self._addr_low) + header
+            # A repeat of a Write this session already stored reads, not
+            # rewrites: no fault draw can corrupt a byte the host saw ACKed.
+            if not (self._written[address] and self.fram._bytes[address] == raw[1]):
+                self._commit(address, raw[1:])
+                raw = bytes((header, self.fram._bytes[address]))  # read-back
+        elif header == HDR_REPROGRAM_INIT:
             if self.mode is TagMode.APPLICATION:
                 return
             # A new reprogram session forgets what the last one wrote.
@@ -149,19 +158,12 @@ class Tag:
         elif self.mode is not _REPROGRAM:
             return
         elif header == HDR_ADDR_FIRST:
-            self._addr_high = payload
+            self._addr_high = raw[1]
             self._addr_low = None
         elif header == HDR_ADDR_SECOND:
-            self._addr_low = payload
-        elif header > MAX_BASIC_OFFSET or self._addr_high is None or self._addr_low is None:
-            return  # no such header, or no valid base address since power-up; ignore
+            self._addr_low = raw[1]
         else:
-            address = ((self._addr_high << 8) | self._addr_low) + header
-            # A repeat of a Write this session already stored reads, not
-            # rewrites: no fault draw can corrupt a byte the host saw ACKed.
-            if not (self._written[address] and self.fram._bytes[address] == payload):
-                self._commit(address, raw[1:])
-                raw = bytes((header, self.fram._bytes[address]))  # read-back
+            return  # no such header (0x21-0xFC); ignore
         self.epc = raw + _ECHO_PAD
 
     # -- extended (BlockWrite series) handling -------------------------------

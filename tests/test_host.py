@@ -365,6 +365,18 @@ def test_one_distance_lookup_per_round():
     assert profile.lookups == result.rounds
 
 
+def test_a_static_distance_is_looked_up_once_per_run():
+    # At seed 2 the tag is browned out when the last message is acknowledged,
+    # so the wait for power before the checksum steps rounds as well.
+    profile = CountingProfile(kind="static", d_cm=100)
+    cfg = ScenarioConfig(seed=2, bootloader=True, profile=profile, repeats=2)
+    runs = run_scenario(cfg, matrix=parse_file(GOLDEN_FILE)).runs
+    result = runs[0].result
+    assert result.completed and result.reached_application
+    assert result.rounds > max(e.round_no for e in result.log.events if e.event == "ack")
+    assert profile.lookups == len(runs) == 2
+
+
 def test_waiting_for_power_to_finish_stays_within_the_round_budget():
     # The same seed and profile as above, cut at the round of the last ACK:
     # the tag is browned out then, and the budget ends before it can take the

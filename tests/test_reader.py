@@ -293,6 +293,38 @@ def test_unpowered_round_draws_nothing():
         assert (channel.rng.getstate(), tag.energy_rng.getstate()) == before
 
 
+def test_a_repeated_report_is_the_same_object_and_never_changes():
+    # Writes and a BlockWrite at 70 cm with random power flips, so rounds
+    # succeed, fail on a corrupted word, lose the word and find the tag
+    # unpowered.  Each report is compared after the last round with the
+    # fields it had when it was returned.
+    reader, tag, channel = Reader(), Tag(), ChannelModel(seed=5)
+    channel.set_distance_cm(70.0)
+    power = random.Random(6)
+    specs = [write_spec(raw, spec_id) for spec_id, raw in
+             enumerate((b"\xFD\x12", b"\xFE\x34", b"\x00\x56", b"\x01\x78"), 1)]
+    specs.append(ex_spec(address=0x1235, spec_id=5))
+    returned = []
+    now = 0
+    for spec in specs:
+        reader.request_delete(now)
+        reader.stage(spec, now)
+        for _ in range(40):
+            now += 1
+            tag.set_powered(power.random() < 0.8)
+            report = reader.tick(now, tag, channel)
+            if report is not None:
+                returned.append((report, (report.spec_id, report.result, report.epc)))
+    assert all((r.spec_id, r.result, r.epc) == fields for r, fields in returned)
+    assert {fields[1] for _, fields in returned} == set(ReportResult)
+    # An access round repeating the one before it returns that report object;
+    # any change builds a new one.  Idle inventory rounds (spec id 0) always do.
+    access = [(r, fields) for r, fields in returned if fields[0]]
+    pairs = list(zip(access, access[1:]))
+    assert all((a is b) == (fa == fb) for (a, fa), (b, fb) in pairs)
+    assert sum(a is b for (a, _), (b, _) in pairs) > len(pairs) // 2
+
+
 # -- fused series sampling versus the per-word loop -----------------------------
 
 FLIP_BITS = WORD_BITS + COMMAND_OVERHEAD_BITS

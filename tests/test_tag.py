@@ -18,6 +18,7 @@ from crfid_downlink.protocol import (
     HDR_ADDR_SECOND,
     HDR_REPROGRAM_INIT,
     MAX_BASIC_OFFSET,
+    WRITE_ECHO_MARK,
     BasicMessage,
     build_ex_message,
 )
@@ -331,6 +332,86 @@ def test_basic_writes_match_the_read_before_rewrite_reference(fault_prob, rows):
     assert tag.fram.read(0, FRAM_SIZE) == ref.fram.read(0, FRAM_SIZE)
     assert tag._written == ref._written
     assert tag._fault_rng.getstate() == ref._fault_rng.getstate()
+
+
+class HeaderOrderTag(Tag):
+    """The tag whose Write handling tests INIT, the mode and the two address
+    headers before it takes a data byte, as it once did."""
+
+    def handle_basic_write(self, raw):
+        if not self.powered:
+            return
+        header, payload = raw
+        if header == HDR_REPROGRAM_INIT:
+            if self.mode is TagMode.APPLICATION:
+                return
+            self.mode = TagMode.REPROGRAM
+            self._written = bytearray(FRAM_SIZE)
+            self._stored = False
+        elif self.mode is not TagMode.REPROGRAM:
+            return
+        elif header == HDR_ADDR_FIRST:
+            self._addr_high = payload
+            self._addr_low = None
+        elif header == HDR_ADDR_SECOND:
+            self._addr_low = payload
+        elif header > MAX_BASIC_OFFSET or self._addr_high is None or self._addr_low is None:
+            return
+        else:
+            address = ((self._addr_high << 8) | self._addr_low) + header
+            if not (self._written[address] and self.fram._bytes[address] == payload):
+                self._commit(address, raw[1:])
+                raw = bytes((header, self.fram._bytes[address]))
+        self.epc = raw + WRITE_ECHO_MARK.ljust(EPC_LENGTH - 2, b"\x00")
+
+
+def apply_write_op(tag, op, arg):
+    """One step of a Write stream; an out-of-range address raises in both tags alike."""
+    try:
+        if op == "write":
+            tag.handle_basic_write(arg)
+        elif op == "lose":
+            tag.set_powered(False)
+        elif op == "return":
+            tag.set_powered(True)
+        else:  # "complete": the matching application CRC, or one bit off it
+            tag.transfer_complete(tag.application_crc() ^ arg)
+    except IndexError as exc:
+        return str(exc)
+    return None
+
+
+# Any header, with the address headers, INIT and the header boundaries drawn
+# often; payloads from a small set as well, so stale repeats of one Write occur.
+WRITE_HEADERS = st.one_of(st.integers(0, 0xFF), st.sampled_from(
+    [HDR_ADDR_FIRST, HDR_ADDR_SECOND, HDR_REPROGRAM_INIT, 0x00, MAX_BASIC_OFFSET,
+     MAX_BASIC_OFFSET + 1, HDR_ADDR_FIRST - 1]))
+WRITE_PAYLOADS = st.one_of(st.integers(0, 0xFF), st.sampled_from([0x00, 0x12, 0xFF]))
+WRITE_OPS = st.one_of(
+    st.tuples(st.just("write"), st.builds(lambda h, p: bytes((h, p)), WRITE_HEADERS,
+                                          WRITE_PAYLOADS)),
+    st.sampled_from([("lose", 0), ("return", 0), ("complete", 0), ("complete", 1)]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.booleans(), st.sampled_from([0.0, 0.2]), st.lists(WRITE_OPS, max_size=60))
+# Every header once, after a base address: data bytes at 0x00-0x20, nothing
+# at 0x21-0xFC, and the two address headers and INIT at 0xFD-0xFF.
+@example(False, 0.2, [("write", b"\xFD\x12"), ("write", b"\xFE\x34"),
+                      *(("write", bytes((h, h))) for h in range(256))])
+# A data byte at the top of memory runs past its end in both tags.
+@example(False, 0.0, [("write", b"\xFD\xFF"), ("write", b"\xFE\xFF"), ("write", b"\x20\x01")])
+def test_basic_writes_match_the_header_order_reference(start_in_bootloader, fault_prob, ops):
+    tag = Tag(fault_prob, fault_seed=9, start_in_bootloader=start_in_bootloader)
+    ref = HeaderOrderTag(fault_prob, fault_seed=9, start_in_bootloader=start_in_bootloader)
+    for op, arg in ops:
+        assert apply_write_op(tag, op, arg) == apply_write_op(ref, op, arg)
+        assert (tag.epc, tag.mode, tag.powered) == (ref.epc, ref.mode, ref.powered)
+        assert (tag._addr_high, tag._addr_low, tag._stored) == (
+            ref._addr_high, ref._addr_low, ref._stored)
+        assert tag.fram.read(0, FRAM_SIZE) == ref.fram.read(0, FRAM_SIZE)
+        assert tag._written == ref._written
+        assert tag._fault_rng.getstate() == ref._fault_rng.getstate()
 
 
 class VerifyOnceTag(Tag):
