@@ -6,9 +6,10 @@ verification data acknowledges the in-flight message, and everything else
 counts toward the NACK timeout, including the stale echoes that the old
 operation frame floods into the new message frame.  A timeout resends the
 current chunk (re-cut at the throttled payload size for the extended
-variant) until the resend budget is exhausted and the transfer aborts.
-Both go through one transmit point, and the transfer completes there once
-the cursor has nothing left to send.
+variant; a basic data byte after its row's address pair, which a brown-out
+may have cleared) until the resend budget is exhausted and the transfer
+aborts.  Both go through one transmit point, and the transfer completes
+there once the cursor has nothing left to send.
 
 Each inventory round the session also places the tag at the profile's
 distance and powers it by the configured brown-out probability, or for
@@ -171,6 +172,7 @@ class HostSession:
         # row plus position (message index or byte offset).  It only moves
         # on ACK, so a resend rebuilds the message at the same position.
         self._init_pending = config.bootloader
+        self._resume = 0  # basic: the data byte to go on to once the address pair is back
         self._enter_row(0)
 
     # ------------------------------------------------------------------
@@ -212,10 +214,23 @@ class HostSession:
             self._init_pending = False
             return
         self._pos += flight.step
-        if self._pos >= len(self._units[self._row]):
+        if self._pos == 2 and self._resume:  # the address pair is back: on to the data byte
+            self._pos, self._chunk, self._resume = self._resume, self._resume + 1, 0
+        elif self._pos >= len(self._units[self._row]):
             self._enter_row(self._row + 1)
         else:
             self._chunk += 1
+
+    def _readdress(self) -> None:
+        """Back to the row's address pair before a basic data byte goes out again.
+
+        A brown-out clears the tag's address registers, and the tag then
+        ignores every data byte until the pair comes again; a reset tag still
+        answers with its all-zero EPC, so the host cannot tell a brown-out from
+        other failures and readdresses on every data-byte timeout.
+        """
+        if self._basic and not self._init_pending and self._pos >= 2:
+            self._resume, self._pos, self._chunk = self._pos, 0, 1
 
     def _throttle(self, step: int) -> str:
         """Step S_p along the ladder; returns the ``old->new`` text, or "" if it stayed."""
@@ -304,7 +319,8 @@ class HostSession:
                 if classify_report(expected, report):
                     log(now, ("ack", flight.row, flight.chunk, flight.s_p, result._value_,
                               report.epc))
-                    r_count = 0
+                    if not self._resume:  # an address pair put back spends the byte's budget
+                        r_count = 0
                     if throttled and flight.row >= 0:
                         if m_count > cfg.m_threshold:
                             if step_text := self._throttle(cfg.t_u):
@@ -346,8 +362,10 @@ class HostSession:
                 if throttled and flight.row >= 0:
                     if step_text := self._throttle(cfg.t_dl if lost_type else cfg.t_de):
                         log(now, ("throttle", flight.row, flight.chunk, self._s_p, step_text, b""))
-                # Basic and init messages come back identical; an extended
-                # chunk is re-cut at the throttled S_p.
+                # Basic and init messages come back identical, a basic data
+                # byte after its row's address pair; an extended chunk is
+                # re-cut at the throttled S_p.
+                self._readdress()
                 action = "resend"
 
         reached_app = False

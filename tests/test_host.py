@@ -239,6 +239,53 @@ def test_no_message_sent_more_than_r_max_plus_one_times(small_matrix, clean_run)
     assert max(counts.values()) <= cfg.r_max + 1
 
 
+class ResetBeforeSecondByte(Tag):
+    """A tag that loses its address registers, as a brown-out does, just
+    before it first takes the data byte at offset 1."""
+
+    reset = False
+
+    def handle_basic_write(self, raw):
+        if raw[0] == 0x01 and not self.reset:
+            self.reset = True
+            self.set_powered(False)
+            self.set_powered(True)
+        super().handle_basic_write(raw)
+
+
+def transmissions(result):
+    return [(e.event, e.chunk, e.epc[:2].hex().upper()) for e in result.log.events
+            if e.event in ("send", "resend")]
+
+
+def test_a_basic_data_byte_times_out_then_follows_its_address_pair(clean_run):
+    # The reset tag ignores 01CC and answers with its all-zero EPC: an "error"
+    # timeout.  The host puts the row's address pair on air again, then 01CC.
+    result, tag = clean_run(ScenarioConfig(protocol=Variant.BASIC), parse_file(GOLDEN_FILE),
+                            tag=ResetBeforeSecondByte())
+    assert result.completed
+    assert transmissions(result) == [
+        ("send", 1, "FDAA"), ("send", 2, "FEDD"), ("send", 3, "00BB"), ("send", 4, "01CC"),
+        ("resend", 1, "FDAA"), ("send", 2, "FEDD"), ("send", 4, "01CC")]
+    assert [e.result for e in result.log.events if e.event == "timeout"] == ["error"]
+    assert (result.messages_sent, result.resends) == (7, 1)
+    assert tag.fram.read(0xAADD, 2) == bytes([0xBB, 0xCC])
+
+
+def test_a_basic_data_byte_spends_one_resend_budget_through_its_address_pairs(clean_run):
+    # Every write lands inverted, so 00BB never echoes back and times out
+    # each time.  The address pairs between its resends are acknowledged, and
+    # still the byte gets the initial send plus R_max resends, then the abort.
+    cfg = ScenarioConfig(protocol=Variant.BASIC, r_max=3)
+    result, _ = clean_run(cfg, parse_file(GOLDEN_FILE), tag=Tag(write_fault_prob=1.0))
+    assert result.failure_reason == "resend budget exhausted"
+    detour = [("resend", 1, "FDAA"), ("send", 2, "FEDD"), ("send", 3, "00BB")]
+    assert transmissions(result) == [("send", 1, "FDAA"), ("send", 2, "FEDD"),
+                                     ("send", 3, "00BB"), *detour * cfg.r_max]
+    assert result.log.count("timeout") == cfg.r_max + 1
+    assert result.log.count("abort") == 1
+
+
 # -- stale-echo flood bound --------------------------------------------------------
 
 

@@ -461,9 +461,12 @@ def test_cli_checksum_missing_file():
 # change that moves simulated behaviour on purpose updates them and says why.
 
 GOLDEN_CONFIGS = {
-    # NACK timeouts, resends and aborts of the single-word flavour
+    # NACK timeouts of the single-word flavour, each resend after the row's address pair
     "basic": "protocol = basic\nbootloader = true\nbrownout = auto\n"
              "distance = static\nd_cm = 40\nwrite_fault_prob = 0.01\nrepeats = 2\n",
+    # aborts of the single-word flavour, at a range where address messages fail too
+    "far": "protocol = basic\nbootloader = true\nbrownout = auto\n"
+           "distance = static\nd_cm = 120\nwrite_fault_prob = 0.01\nrepeats = 2\n",
     # throttle steps and re-cut resends of the extended flavour
     "ex": "protocol = ex\ns_p = throttle\nbootloader = true\ndistance = oscillate\n"
           "write_fault_prob = 0.01\nrepeats = 2\n",
@@ -473,15 +476,18 @@ GOLDEN_CONFIGS = {
 }
 
 GOLDEN_DIGESTS = {
-    ("basic", 1): "ab266133f6c1ccacb912a2c92269b32e96330ea6baca9d3842ce7a1caa7b9502",
-    ("basic", 2): "8342e16b2411f6d8ac25f9766809f30227e0c5c4e74ad6372842ba16b83ac49b",
+    # basic re-pinned when a timed-out data byte began to follow its row's address
+    # pair: the second run of seed 1 and both runs of seed 2 now complete.
+    ("basic", 1): "2d6e260618b977c04532f36a1cea13f71ff260b4cb28e2318ccf2e9173238955",
+    ("basic", 2): "0bd6e59816c23d101f37cd46e0a695dd072a86cabcb1e643fce87be0fa5c7e7d",
+    ("far", 1): "3b4df96506bf3fc83465998f930741201055c4fb536726fe6026e8966eb03416",
     ("ex", 1): "0811b4e93921a463f7db67cdf72a9c9ad4c2ece68ce87f143578b7c65eed7499",
     ("ex", 2): "7d7cdf7a441c48f99c8db1e1169223a208fa39d901a5ff6605fd246ab3412f81",
     ("long", 1): "b6b0498c190d846eea7b46ce3cb47e1ca0e074d183112f5bc593ef5da99baf27",
 }
 
-GOLDEN_EVENTS = {"basic": {"resend", "timeout", "abort"}, "ex": {"throttle", "resend"},
-                 "long": {"timeout", "resend"}}
+GOLDEN_EVENTS = {"basic": {"resend", "timeout", "complete"}, "far": {"resend", "timeout", "abort"},
+                 "ex": {"throttle", "resend"}, "long": {"timeout", "resend"}}
 
 
 def csv_digest(out_dir) -> str:
@@ -504,8 +510,9 @@ def test_csv_digests_pinned(tmp_path, small_matrix, name, seed):
 # the memory a run leaves behind.  One digest per golden run covers all three:
 # each run's memory and written mask, then the ``getstate()`` of both streams.
 GOLDEN_TAG_STATES = {
-    ("basic", 1): "f81eac41b8dabdd2d54c0b735be310dce75b9f5961bb65bfcf6f0d95e5e9c6c0",
-    ("basic", 2): "ac18fd2157eef49049d4cc63f738aa969adb062902d5981e73aafe38cc62f8b4",
+    ("basic", 1): "1a6d3c4765681caf832bb893fec8061094589614cfaf188d2cbe6c0e151a2a0d",
+    ("basic", 2): "10a23660d5a1f0ef3b1847509ead0d50d579a92c5c77ec42d2d1d2e1b0067f43",
+    ("far", 1): "20b9109fcd1e22314b6c94c93f44541eecd0895391ff06113d5993d33c0d4aed",
     ("ex", 1): "461554df8a967f1ff06a6b16a8d0302131f9374f9e79103868ad66828c9e0560",
     ("ex", 2): "e46408699c6420ca4ef264627e6a331e3c51bf404cbb5239bfb940d9ef4992c6",
     ("long", 1): "aab959f4d586faf5a2c7de76ccaa133c83807f8e2d008e277860e64201bd0bd7",
@@ -550,6 +557,26 @@ def test_a_completed_run_holds_the_image_and_runs_it(small_matrix):
                 assert run.tag.fram.read(row.address, len(row.data)) == row.data, seed
             assert run.result.reached_application is bootloader, seed
     assert min(completed.values()) >= 10, completed  # the property is not vacuous
+
+
+def test_basic_transfers_survive_brownouts_at_40_cm():
+    # Each brown-out clears the tag's address registers; the host puts the
+    # row's address pair on air again before it resends a data byte.
+    demo = Path(__file__).resolve().parents[1] / "configs" / "demo.hex"
+    matrix = parse_file(demo.read_text())
+    completed = timeouts = 0
+    for seed in range(10):
+        cfg = ScenarioConfig(protocol=Variant.BASIC, profile=DistanceProfile(d_cm=40),
+                             seed=seed)
+        assert cfg.brownout is None  # auto: the brown-out odds follow the distance
+        run = run_scenario(cfg, matrix=matrix).runs[0]
+        timeouts += run.result.log.count("timeout")
+        if run.result.completed:
+            completed += 1
+            for row in matrix.rows:
+                assert run.tag.fram.read(row.address, len(row.data)) == row.data, seed
+    assert completed >= 8
+    assert timeouts > 0  # brown-outs did strike
 
 
 def test_shared_memo_does_not_leak_between_runs(tmp_path, small_matrix):
