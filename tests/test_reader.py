@@ -293,6 +293,25 @@ def test_unpowered_round_draws_nothing():
         assert (channel.rng.getstate(), tag.energy_rng.getstate()) == before
 
 
+def test_a_report_is_returned_again_only_while_every_field_repeats():
+    reader, tag, channel = Reader(), Tag(), ScriptedChannel([])
+    tag.set_powered(False)  # each access round: NO_TAG_SEEN with the all-zero EPC
+    reader.stage(write_spec(spec_id=1, ocv=1), -LLRP_LATENCY_TICKS)
+    first = [reader.tick(now, tag, channel) for now in range(1 + FRAME_SLACK_ROUNDS)]
+    assert first[0] is first[1] is first[2] and reader.active is None
+    reader.stage(write_spec(spec_id=2), 0)
+    assert reader.tick(3, tag, channel) is None  # the switch gap; nothing seen
+    by_id = reader.tick(4, tag, channel)  # a new spec id
+    tag.set_powered(True)
+    by_result = reader.tick(5, tag, channel)  # SUCCESS; the tag's EPC is still all-zero
+    by_epc, again = reader.tick(6, tag, channel), reader.tick(7, tag, channel)  # the echo
+    assert [(r.spec_id, r.result, r.epc[:2]) for r in (first[0], by_id, by_result, by_epc)] == [
+        (1, ReportResult.NO_TAG_SEEN, b"\0\0"), (2, ReportResult.NO_TAG_SEEN, b"\0\0"),
+        (2, ReportResult.SUCCESS, b"\0\0"), (2, ReportResult.SUCCESS, b"\xFD\xAA")]
+    assert len({id(r) for r in (first[0], by_id, by_result, by_epc)}) == 4
+    assert again is by_epc
+
+
 def test_a_repeated_report_is_the_same_object_and_never_changes():
     # Writes and a BlockWrite at 70 cm with random power flips, so rounds
     # succeed, fail on a corrupted word, lose the word and find the tag

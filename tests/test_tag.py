@@ -399,6 +399,9 @@ WRITE_OPS = st.one_of(
 # at 0x21-0xFC, and the two address headers and INIT at 0xFD-0xFF.
 @example(False, 0.2, [("write", b"\xFD\x12"), ("write", b"\xFE\x34"),
                       *(("write", bytes((h, h))) for h in range(256))])
+# A running application keeps the address pair it was sent, and ignores a data byte.
+@example(False, 0.0, [("write", b"\xFD\x12"), ("write", b"\xFE\x34"), ("complete", 0),
+                      ("write", b"\x00\x56")])
 # A data byte at the top of memory runs past its end in both tags.
 @example(False, 0.0, [("write", b"\xFD\xFF"), ("write", b"\xFE\xFF"), ("write", b"\x20\x01")])
 def test_basic_writes_match_the_header_order_reference(start_in_bootloader, fault_prob, ops):
