@@ -38,6 +38,7 @@ if TYPE_CHECKING:  # scenario imports this module
     from .scenario import ScenarioConfig
 
 STALL_TICKS = 120  # reportless in-flight ticks treated as one timeout
+_ADDRESS_PAIR = 2  # a basic row's first two messages, which set the tag's base address
 
 
 class Variant(Enum):
@@ -214,7 +215,7 @@ class HostSession:
             self._init_pending = False
             return
         self._pos += flight.step
-        if self._pos == 2 and self._resume:  # the address pair is back: on to the data byte
+        if self._pos == _ADDRESS_PAIR and self._resume:  # the pair is back: on to the data byte
             self._pos, self._chunk, self._resume = self._resume, self._resume + 1, 0
         elif self._pos >= len(self._units[self._row]):
             self._enter_row(self._row + 1)
@@ -229,7 +230,7 @@ class HostSession:
         answers with its all-zero EPC, so the host cannot tell a brown-out from
         other failures and readdresses on every data-byte timeout.
         """
-        if self._basic and not self._init_pending and self._pos >= 2:
+        if self._basic and not self._init_pending and self._pos >= _ADDRESS_PAIR:
             self._resume, self._pos, self._chunk = self._pos, 0, 1
 
     def _throttle(self, step: int) -> str:
@@ -298,7 +299,7 @@ class HostSession:
             if now >= max_rounds:
                 failure = "round budget exhausted"
                 break
-            now += 1  # the next round places a moving tag at the profile's distance, then powers it
+            now += 1  # the next round places a moving tag, then powers it
             if moving:
                 place(at(now))
             powered = step(channel.brownout if p is None else p)
