@@ -27,6 +27,7 @@ D_REF_CM = 200.0  # cm per unit of normalized distance
 K_MISS = 5.0  # preamble-miss multiplier on the bit error rate
 DEPLETION_COEFF = 4.0  # series energy-drain hazard per d**4
 SERIES_SLOTS = 32  # the longest series, the reader's word-count ceiling
+ODDS_MEMO_SIZE = 4096  # distances whose round odds the process keeps
 
 
 class NonPositiveDistance(ValueError):
@@ -79,17 +80,27 @@ def depletion_prob(d: float) -> float:
     harvests, and the margin shrinks with distance; the hazard at series
     slot j scales as 1 - (1-p)^(j-1), so long series collapse at range
     while short ones stay viable.  A drained slot is a within-round
-    brown-out approximated as a missed reply.
+    brown-out approximated as a missed reply.  Past the float range of
+    ``d**4`` (d above about 1.3e77) the hazard stays at its cap.
     """
-    return min(0.5, DEPLETION_COEFF * d**4)
+    try:
+        return min(0.5, DEPLETION_COEFF * d**4)
+    except OverflowError:
+        return 0.5
 
 
 def distance_brownout_prob(d: float) -> float:
-    """Default per-round brown-out probability: negligible near, bursty far."""
-    return min(0.9, 0.02 * (d / 0.6) ** 4)
+    """Default per-round brown-out probability: negligible near, bursty far.
+
+    Like the depletion hazard, it stays at its cap past the float range.
+    """
+    try:
+        return min(0.9, 0.02 * (d / 0.6) ** 4)
+    except OverflowError:
+        return 0.9
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=ODDS_MEMO_SIZE)
 def round_odds(d: float) -> tuple[float, float, float, float, array]:
     """(miss, flip, survival, brownout, powers) at d, memoised across channels and runs.
 
@@ -127,6 +138,14 @@ class ChannelModel:
     def _place(self, d: float) -> None:
         self.d = d
         self.miss, self.flip, self.survival, self.brownout, self._powers = round_odds(d)
+
+    def placement(self) -> tuple:
+        """The placed distance and its odds, as ``restore`` takes them back."""
+        return self.d, self.miss, self.flip, self.survival, self.brownout, self._powers
+
+    def restore(self, placement: tuple) -> None:
+        """Put back a ``placement`` taken earlier: no distance check, no memo lookup."""
+        self.d, self.miss, self.flip, self.survival, self.brownout, self._powers = placement
 
     def deliver_word(self) -> Delivery:
         """Outcome of a one-word command to a powered tag."""

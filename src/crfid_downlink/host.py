@@ -13,8 +13,10 @@ there once the cursor has nothing left to send.
 
 Each inventory round the session also places the tag at the profile's
 distance and powers it by the configured brown-out probability, or for
-``auto`` by the one that distance implies.  A static profile has one
-distance, so the tag is placed there once, before round 0.
+``auto`` by the one that distance implies.  A profile with one distance
+is placed once, before round 0.  One that repeats every ``period`` rounds
+is placed through the profile in its first cycle only; each later round
+puts back the placement its cycle position had.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .channel import ChannelModel
+from .channel import ODDS_MEMO_SIZE, ChannelModel
 from .crc import crc16_ccitt
 from .ihex import RecordMatrix
 from .protocol import (HDR_REPROGRAM_INIT, WRITE_ECHO_MARK, BasicMessage, build_basic_messages,
@@ -242,12 +244,44 @@ class HostSession:
     # ------------------------------------------------------------------
     # main loop
 
+    def _placement(self, channel: ChannelModel,
+                   max_rounds: int) -> Callable[[int], None] | None:
+        """Place the tag for round 0; returns what places it in round k >= 1.
+
+        None means the tag stays: the profile has one distance.  A profile
+        that repeats every ``period`` rounds goes through ``at`` and
+        ``set_distance_cm`` in its first cycle only, and each later round
+        puts back the placement its cycle position had.  A cycle the run
+        cannot repeat, or one whose placements would keep more distances
+        alive than the odds memo holds, is placed every round.
+        """
+        profile = self.config.profile
+        at, place = profile.at, channel.set_distance_cm
+        period = profile.period
+        if period == 1:
+            place(at(0))
+            return None
+        if not period or period > min(max_rounds, ODDS_MEMO_SIZE):
+            return lambda now: place(at(now))
+        placed: list = [None] * period  # by cycle position, filled in the first cycle
+        snapshot, restore = channel.placement, channel.restore
+
+        def place_round(now: int) -> None:
+            if now > period:
+                restore(placed[now % period])
+            else:
+                place(at(now))
+                placed[now % period] = snapshot()
+
+        return place_round
+
     def run(self, tag: Tag, channel: ChannelModel, power: PowerModel) -> SessionResult:
         """Drive the transfer to completion, failure, or the round budget.
 
-        Round k places the tag (a moving one; a static one stays where it was
-        placed before round 0) and powers it, consumes the report of round k - 1,
-        puts any message on air, then ticks the reader; round 0 only sends.
+        Round k places the tag (one with a single distance stays where it was
+        placed before round 0) and powers it, consumes the report of round
+        k - 1, puts any message on air, then ticks the reader; round 0 only
+        sends.
         """
         cfg = self.config
         max_rounds = int(cfg.max_sim_seconds * ROUNDS_PER_SEC)
@@ -256,11 +290,7 @@ class HostSession:
         tick = reader.tick
         log = self.log._appender()
         log_round, log_kind = self.log.rounds.append, self.log.kind_ids.append
-        at = cfg.profile.at
-        place = channel.set_distance_cm
-        moving = cfg.profile.kind != "static"
-        if not moving:  # one distance: place the tag there once
-            place(at(0))
+        place_round = self._placement(channel, max_rounds)
         step = power.step
         set_powered = tag.set_powered
         p = cfg.brownout
@@ -299,9 +329,9 @@ class HostSession:
             if now >= max_rounds:
                 failure = "round budget exhausted"
                 break
-            now += 1  # the next round places a moving tag, then powers it
-            if moving:
-                place(at(now))
+            now += 1  # the next round places the tag, then powers it
+            if place_round:
+                place_round(now)
             powered = step(channel.brownout if p is None else p)
             if powered is not tag.powered:  # only a flip changes the tag
                 set_powered(powered)
@@ -375,8 +405,8 @@ class HostSession:
             # within the round budget.
             while not tag.powered and now < max_rounds:
                 now += 1
-                if moving:
-                    place(at(now))
+                if place_round:
+                    place_round(now)
                 powered = step(channel.brownout if p is None else p)
                 if powered is not tag.powered:
                     set_powered(powered)

@@ -40,7 +40,9 @@ class DistanceProfile:
     """Static position or a triangle-wave oscillation between two bounds.
 
     The fields are fixed once the profile is built: ``__post_init__`` derives
-    the oscillation's cycle from them.
+    ``period`` from them, the rounds after which ``at`` repeats bit for bit.
+    It is 1 for one distance (a static profile, a speed of 0), the up-and-down
+    cycle when that is a whole number of rounds, and 0 otherwise.
     """
 
     kind: str = "static"  # "static" | "oscillate"
@@ -50,16 +52,17 @@ class DistanceProfile:
     speed_m_per_s: float = 0.1
 
     def __post_init__(self):
-        # Rounds per up-and-down cycle when that is a whole number, else 0.
-        # ``at`` reduces the round number by it, so every cycle repeats the
-        # first one's distances bit for bit instead of drifting in the last
-        # bits as the float position grows.
-        self._cycle_rounds = 0
+        # ``at`` reduces the round number by the period, so every cycle
+        # repeats the first one's distances bit for bit instead of drifting
+        # in the last bits as the float position grows.
+        self.period = 0
         span, rate = self.max_cm - self.min_cm, self.speed_m_per_s * 100.0
-        if span > 0 and rate > 0:
+        if self.kind == "static" or span <= 0 or rate == 0:
+            self.period = 1
+        elif rate > 0:
             n = 2 * span * ROUNDS_PER_SEC / rate
             if math.isfinite(n) and abs(n - round(n)) <= 1e-9 * n:
-                self._cycle_rounds = round(n)
+                self.period = round(n)
 
     def at(self, round_no: int) -> float:
         if self.kind == "static":
@@ -67,8 +70,8 @@ class DistanceProfile:
         span = self.max_cm - self.min_cm
         if span <= 0:
             return self.min_cm
-        if self._cycle_rounds:
-            round_no %= self._cycle_rounds
+        if self.period:
+            round_no %= self.period
         pos = (self.speed_m_per_s * 100.0) * (round_no / ROUNDS_PER_SEC)
         cycle = pos % (2 * span)
         return self.min_cm + (cycle if cycle <= span else 2 * span - cycle)

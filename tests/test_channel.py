@@ -17,6 +17,8 @@ from crfid_downlink.channel import (
     NonPositiveLength,
     bit_error_rate,
     blockwrite_throughput,
+    depletion_prob,
+    distance_brownout_prob,
     miss_probability,
     round_odds,
 )
@@ -262,3 +264,15 @@ def test_channel_model_distance_mapping():
 def test_miss_probability_clamped():
     assert 0.0 <= miss_probability(50.0) < 1.0
     assert miss_probability(0.2) == pytest.approx(5 * float(scipy_erfc(5.0)), rel=1e-9)
+
+
+@pytest.mark.parametrize("d", [1e76, 1.3e77, 5e97, 1e300, math.inf])
+def test_distance_odds_saturate_past_the_float_range(d):
+    # d**4 overflows a float above about 1.3e77; below that the formulas stand.
+    try:
+        expected = (min(0.5, 4.0 * d**4), min(0.9, 0.02 * (d / 0.6) ** 4))
+    except OverflowError:
+        expected = (0.5, 0.9)
+    assert (depletion_prob(d), distance_brownout_prob(d)) == expected == (0.5, 0.9)
+    if d < math.inf:
+        assert round_odds(d)[2:4] == (0.5, 0.9)

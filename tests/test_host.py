@@ -1,6 +1,6 @@
 import gc
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +13,7 @@ from crfid_downlink.protocol import build_ladder, snap_to_ladder
 from crfid_downlink.reader import ROUNDS_PER_SEC, OperationReport, ReportResult
 from crfid_downlink.scenario import DistanceProfile, ScenarioConfig, ScenarioError, run_scenario
 from crfid_downlink.tag import Tag, TagMode
-from test_scenario import HOST_EVENTS, log_events
+from test_scenario import HOST_EVENTS, log_events, tag_state_digest
 
 GOLDEN_FILE = ":02AADD00BBCCF0\n:00000001FF\n"
 
@@ -391,25 +391,37 @@ def test_bootloader_transfer_reaches_application(small_matrix, clean_run):
 
 @dataclass
 class CountingProfile(DistanceProfile):
-    lookups: int = 0
+    """A profile that records the round number of every lookup."""
+
+    looked_up: list[int] = field(default_factory=list)
+
+    @property
+    def lookups(self) -> int:
+        return len(self.looked_up)
 
     def at(self, round_no: int) -> float:
-        self.lookups += 1
+        self.looked_up.append(round_no)
         return super().at(round_no)
 
 
-def test_one_distance_lookup_per_round():
+@pytest.mark.parametrize("speed_m_per_s,seed", [(0.1, 33), (4.0, 277)])
+def test_a_distance_is_looked_up_at_most_once_per_cycle_position(speed_m_per_s, seed):
     # brownout = auto, so each round's power draw depends on its distance.  At
-    # seed 33 the tag is browned out when the last message is acknowledged,
-    # so the host steps further rounds until it can deliver the checksum.
-    profile = CountingProfile(kind="oscillate", min_cm=100, max_cm=140)
-    cfg = ScenarioConfig(seed=33, bootloader=True, profile=profile)
+    # these seeds the tag is browned out when the last message is acknowledged,
+    # so the host steps further rounds until it can deliver the checksum.  The
+    # 480-round cycle outlasts the run; the 12-round one repeats seven times,
+    # the wait for power included.
+    profile = CountingProfile(kind="oscillate", min_cm=100, max_cm=140,
+                              speed_m_per_s=speed_m_per_s)
+    cfg = ScenarioConfig(seed=seed, bootloader=True, profile=profile)
     result = run_scenario(cfg, matrix=parse_file(GOLDEN_FILE)).runs[0].result
     assert cfg.brownout is None
     assert result.completed and result.reached_application
     last_ack = max(e.round_no for e in result.log.events if e.event == "ack")
     assert result.rounds > last_ack
-    assert profile.lookups == result.rounds
+    positions = [round_no % profile.period for round_no in profile.looked_up]
+    assert len(set(positions)) == len(positions)
+    assert len(positions) <= result.rounds
 
 
 def test_a_static_distance_is_looked_up_once_per_run():
@@ -422,6 +434,56 @@ def test_a_static_distance_is_looked_up_once_per_run():
     assert result.completed and result.reached_application
     assert result.rounds > max(e.round_no for e in result.log.events if e.event == "ack")
     assert profile.lookups == len(runs) == 2
+
+
+class PerRoundPlacementHost(HostSession):
+    """The host that places a moving tag through the profile every round, as
+    it did before it kept a per-cycle placement table."""
+
+    def _placement(self, channel, max_rounds):
+        at, place = self.config.profile.at, channel.set_distance_cm
+        if self.config.profile.kind == "static":
+            place(at(0))
+            return None
+        return lambda now: place(at(now))
+
+
+# 20-90 cm oscillations: (speed, max_sim_seconds, the period the host sees).
+PLACEMENT_CASES = {
+    "whole-cycle": (0.1, 3600.0, 840),
+    "fractional-cycle": (0.13, 3600.0, 0),
+    "still": (0.0, 3600.0, 1),
+    "cycle-past-the-budget": (0.1, 10.0, 840),  # a 600-round budget
+    "cycle-past-the-memo": (0.01, 3600.0, 8400),
+}
+
+
+@pytest.mark.parametrize("brownout", [None, 0.05], ids=["auto", "fixed"])
+@pytest.mark.parametrize("case", sorted(PLACEMENT_CASES))
+def test_placement_table_matches_the_per_round_reference(tmp_path, monkeypatch, small_matrix,
+                                                          case, brownout):
+    speed, seconds, period = PLACEMENT_CASES[case]
+    profile = DistanceProfile(kind="oscillate", min_cm=20, max_cm=90, speed_m_per_s=speed)
+    assert profile.period == period
+    longest = 0
+    for seed in (0, 1, 2):
+        cfg = ScenarioConfig(seed=seed, profile=profile, brownout=brownout, bootloader=True,
+                             max_sim_seconds=seconds, repeats=2)
+        table = run_scenario(cfg, tmp_path / f"table{seed}", matrix=small_matrix)
+        with monkeypatch.context() as m:
+            m.setattr(scenario, "HostSession", PerRoundPlacementHost)
+            ref = run_scenario(cfg, tmp_path / f"ref{seed}", matrix=small_matrix)
+        files = sorted(f.name for f in (tmp_path / f"ref{seed}").iterdir())
+        assert "summary.csv" in files and "run_01_log.csv" in files
+        for name in files:
+            assert ((tmp_path / f"table{seed}" / name).read_bytes()
+                    == (tmp_path / f"ref{seed}" / name).read_bytes()), (seed, name)
+        assert tag_state_digest(table) == tag_state_digest(ref)
+        assert [(r.tag.epc, r.tag.mode, r.tag.powered) for r in table.runs] == [
+            (r.tag.epc, r.tag.mode, r.tag.powered) for r in ref.runs]
+        longest = max(longest, *(r.result.rounds for r in table.runs))
+    # The runs outlast the cycle, so later cycles put placements back.
+    assert case != "whole-cycle" or longest > period
 
 
 def test_waiting_for_power_to_finish_stays_within_the_round_budget():

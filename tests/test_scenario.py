@@ -157,7 +157,7 @@ def test_shipped_configs_load(tmp_path):
 
 # Each key draws an edge value or one that it accepts, so configs both fail
 # and get through.
-FUZZ_EDGES = ["0", "-1", "1", "30", "31", "1e9", "nan", "inf", "word"]
+FUZZ_EDGES = ["0", "-1", "1", "30", "31", "1e9", "1e100", "nan", "inf", "word"]
 FUZZ_VALID = {
     "protocol": ["ex", "basic"], "s_p": ["throttle", "4"], "ocv": ["15"],
     "n_threshold": ["20"], "r_max": ["3"], "m_threshold": ["10"], "t_u": ["1"],
@@ -187,6 +187,19 @@ def test_config_fuzz_rejects_or_runs(entries):
     with tempfile.TemporaryDirectory() as out:
         outcome = run_scenario(cfg, out_dir=out, matrix=ONE_ROW)
     assert len(outcome.runs) == 1
+
+
+def test_a_distance_past_the_float_range_runs_or_names_d_cm(tmp_path):
+    # d_cm**4 overflows a float; the run must not end in a raw OverflowError.
+    text = "distance = static\nd_cm = 1e100\nmax_sim_seconds = 10\n"
+    try:
+        cfg = parse_config_text(text)
+    except ScenarioError as exc:
+        assert "d_cm" in str(exc)
+        return
+    outcome = run_scenario(cfg, out_dir=tmp_path, matrix=ONE_ROW)
+    assert len(outcome.runs) == 1 and not outcome.all_completed
+    assert (tmp_path / "summary.csv").is_file()
 
 
 # -- distance profile -------------------------------------------------------------
