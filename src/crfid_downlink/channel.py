@@ -139,13 +139,13 @@ class ChannelModel:
         self.d = d
         self.miss, self.flip, self.survival, self.brownout, self._powers = round_odds(d)
 
-    def placement(self) -> tuple:
-        """The placed distance and its odds, as ``restore`` takes them back."""
-        return self.d, self.miss, self.flip, self.survival, self.brownout, self._powers
+    def placement(self) -> tuple[float, tuple]:
+        """The placed distance and its odds, the memo's own tuple, for ``restore``."""
+        return self.d, round_odds(self.d)
 
-    def restore(self, placement: tuple) -> None:
+    def restore(self, placement: tuple[float, tuple]) -> None:
         """Put back a ``placement`` taken earlier: no distance check, no memo lookup."""
-        self.d, self.miss, self.flip, self.survival, self.brownout, self._powers = placement
+        self.d, (self.miss, self.flip, self.survival, self.brownout, self._powers) = placement
 
     def deliver_word(self) -> Delivery:
         """Outcome of a one-word command to a powered tag."""

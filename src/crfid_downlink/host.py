@@ -13,10 +13,7 @@ there once the cursor has nothing left to send.
 
 Each inventory round the session also places the tag at the profile's
 distance and powers it by the configured brown-out probability, or for
-``auto`` by the one that distance implies.  A profile with one distance
-is placed once, before round 0.  One that repeats every ``period`` rounds
-is placed through the profile in its first cycle only; each later round
-puts back the placement its cycle position had.
+``auto`` by the one that distance implies (see ``HostSession._placement``).
 """
 
 from __future__ import annotations
@@ -250,10 +247,10 @@ class HostSession:
 
         None means the tag stays: the profile has one distance.  A profile
         that repeats every ``period`` rounds goes through ``at`` and
-        ``set_distance_cm`` in its first cycle only, and each later round
-        puts back the placement its cycle position had.  A cycle the run
-        cannot repeat, or one whose placements would keep more distances
-        alive than the odds memo holds, is placed every round.
+        ``set_distance_cm`` in its first cycle only; each later round puts
+        back the placement its cycle position had.  A cycle longer than the
+        round budget, or than the odds memo (the table would keep its
+        distances alive), is placed every round.
         """
         profile = self.config.profile
         at, place = profile.at, channel.set_distance_cm
