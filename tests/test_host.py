@@ -487,7 +487,7 @@ def test_placement_table_matches_the_per_round_reference(tmp_path, monkeypatch, 
 
 
 def test_waiting_for_power_to_finish_stays_within_the_round_budget():
-    # The same seed and profile as above, cut at the round of the last ACK:
+    # The lookup test's seed-33 case, cut at the round of the last ACK:
     # the tag is browned out then, and the budget ends before it can take the
     # application checksum.
     profile = DistanceProfile(kind="oscillate", min_cm=100, max_cm=140)
