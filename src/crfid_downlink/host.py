@@ -1,15 +1,16 @@
 """Host engine: message dispatch, ACK/NACK classification, resend, throttling.
 
-The host walks the record matrix one message at a time.  After sending it
-watches the report stream: a report whose EPC prefix matches the expected
-verification data acknowledges the in-flight message, and everything else
-counts toward the NACK timeout, including the stale echoes that the old
-operation frame floods into the new message frame.  A timeout resends the
-current chunk (re-cut at the throttled payload size for the extended
-variant; a basic data byte after its row's address pair, which a brown-out
-may have cleared) until the resend budget is exhausted and the transfer
-aborts.  Both go through one transmit point, and the transfer completes
-there once the cursor has nothing left to send.
+The host walks the record matrix one message at a time, in the order
+``HostSession._flights`` yields them.  After sending it watches the report
+stream: a report whose EPC prefix matches the expected verification data
+acknowledges the in-flight message, and everything else counts toward the
+NACK timeout, including the stale echoes that the old operation frame floods
+into the new message frame.  A timeout resends the current chunk (re-cut at
+the throttled payload size for the extended variant; a basic data byte after
+its row's address pair, which a brown-out may have cleared) until the resend
+budget is exhausted and the transfer aborts.  Both go through one transmit
+point, and the transfer completes there once the cursor has nothing left to
+send.
 
 Each inventory round the session also places the tag at the profile's
 distance and powers it by the configured brown-out probability, or for
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Generator, Iterable
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -135,15 +136,6 @@ def classify_report(expected_epc: bytes, report: OperationReport) -> bool:
     return report.epc.startswith(expected_epc)
 
 
-@dataclass
-class _InFlight:
-    raw: bytes  # wire image; its first four bytes (a Write's two and the mark) come back as the echo
-    row: int
-    chunk: int
-    s_p: float
-    step: int  # cursor advance on ACK: payload bytes (extended) or one message (basic)
-
-
 _INIT = BasicMessage(HDR_REPROGRAM_INIT, 0x00).raw
 
 
@@ -151,7 +143,7 @@ class HostSession:
     """One transfer attempt over a reader, tag and channel.
 
     ``config`` is read as given; ``ScenarioConfig.validate`` checks it.  The
-    session holds the message cursor; the counts of a run live in ``run``.
+    transfer order lives in ``_flights``, the counts of a run in ``run``.
     """
 
     def __init__(self, config: ScenarioConfig, matrix: RecordMatrix):
@@ -159,78 +151,58 @@ class HostSession:
         self.matrix = matrix
         self.log = TransferLog()
         self._basic = config.protocol is Variant.BASIC
-        # What the cursor walks in each row: the basic flavour's Write images
-        # (built up front so RowTooLong surfaces before the first round) or
-        # the bytes the extended flavour cuts into chunks.
-        if self._basic:
-            self._units = [[m.raw for m in build_basic_messages(row)] for row in matrix.rows]
-        else:
-            self._units = [row.data for row in matrix.rows]
         self._s_p = config.s_p if config.s_p is not None else config.s_max
-        self._ladder, self._ladder_words = (1,), 0  # the ladder and the row width it is for
-        # Cursor at the un-acked message: the bootloader init message, then
-        # row plus position (message index or byte offset).  It only moves
-        # on ACK, so a resend rebuilds the message at the same position.
-        self._init_pending = config.bootloader
-        self._resume = 0  # basic: the data byte to go on to once the address pair is back
-        self._enter_row(0)
+        self._ladder = (1,)  # the current extended row's S_p ladder
 
     # ------------------------------------------------------------------
-    # cursor
+    # message cursor
 
-    def _enter_row(self, row: int) -> None:
-        """Start of the first row from ``row`` on that has anything to send.
+    def _flights(self) -> Generator[tuple[bytes, int, int, float, bool], bool, None]:
+        """Every transmission in send order, as ``(raw, row, chunk, S_p, fresh)``.
 
-        An extended row also sets the S_p ladder, rebuilt only when the row's
-        word count differs from the last one, and snaps S_p onto it; the
-        basic flavour sends one word per message and reads neither.
+        ``run`` sends back True after an ACK and False after a timeout; a
+        message goes out again until it is ACKed.  ``fresh`` is False only for
+        a basic row's address pair put back after a data byte's timeout: a
+        brown-out clears the tag's address registers, and the tag then ignores
+        every data byte until the pair comes again.  A reset tag still answers
+        with its all-zero EPC, so the host cannot tell a brown-out from other
+        failures and readdresses on every data-byte timeout.
+
+        An extended row sets the S_p ladder, rebuilt only when the row's word
+        count differs from the last one, and snaps S_p onto it; each chunk is
+        cut at S_p as it is sent, so a resend is re-cut at the throttled size.
         """
-        while row < len(self._units) and not self._units[row]:
-            row += 1
-        self._row, self._pos, self._chunk = row, 0, 1
-        if not self._basic and row < len(self._units):
-            words = self.matrix.rows[row].word_count()
-            if words != self._ladder_words:
-                self._ladder, self._ladder_words = build_ladder(words, self.config.s_max), words
-            start = self.config.s_p if self.config.s_p is not None else self._s_p
-            self._s_p = snap_to_ladder(start, self._ladder)
-
-    def _flight(self) -> _InFlight | None:
-        """The message at the cursor, cut at the current S_p; None when done."""
-        if self._init_pending:
-            return _InFlight(_INIT, -1, 0, 0.5, 0)
-        if self._row >= len(self._units):
-            return None
+        cfg, rows = self.config, self.matrix.rows
+        if self._basic:  # built up front, so RowTooLong surfaces before the first send
+            writes = [[m.raw for m in build_basic_messages(row)] for row in rows]
+        if cfg.bootloader:
+            while not (yield _INIT, -1, 0, 0.5, True):
+                pass
         if self._basic:
-            return _InFlight(self._units[self._row][self._pos], self._row, self._chunk, 0.5, 1)
-        row = self.matrix.rows[self._row]
-        data = row.data[self._pos : self._pos + 2 * self._s_p]
-        raw = build_ex_message(data, row.address + self._pos, self.config.s_max).raw
-        return _InFlight(raw, self._row, self._chunk, self._s_p, len(data))
-
-    def _advance(self, flight: _InFlight) -> None:
-        """Move the cursor past the acknowledged message."""
-        if self._init_pending:
-            self._init_pending = False
+            for r, row_writes in enumerate(writes):
+                k = 0
+                while k < len(row_writes):
+                    if (yield row_writes[k], r, k + 1, 0.5, True):
+                        k += 1
+                    elif k >= _ADDRESS_PAIR:
+                        for a in range(_ADDRESS_PAIR):
+                            while not (yield row_writes[a], r, a + 1, 0.5, False):
+                                pass
             return
-        self._pos += flight.step
-        if self._pos == _ADDRESS_PAIR and self._resume:  # the pair is back: on to the data byte
-            self._pos, self._chunk, self._resume = self._resume, self._resume + 1, 0
-        elif self._pos >= len(self._units[self._row]):
-            self._enter_row(self._row + 1)
-        else:
-            self._chunk += 1
-
-    def _readdress(self) -> None:
-        """Back to the row's address pair before a basic data byte goes out again.
-
-        A brown-out clears the tag's address registers, and the tag then
-        ignores every data byte until the pair comes again; a reset tag still
-        answers with its all-zero EPC, so the host cannot tell a brown-out from
-        other failures and readdresses on every data-byte timeout.
-        """
-        if self._basic and not self._init_pending and self._pos >= _ADDRESS_PAIR:
-            self._resume, self._pos, self._chunk = self._pos, 0, 1
+        ladder_words = 0
+        for r, row in enumerate(rows):
+            if not row.data:
+                continue
+            if (words := row.word_count()) != ladder_words:
+                self._ladder, ladder_words = build_ladder(words, cfg.s_max), words
+            start = cfg.s_p if cfg.s_p is not None else self._s_p
+            self._s_p = snap_to_ladder(start, self._ladder)
+            pos, chunk = 0, 1
+            while pos < len(row.data):
+                data = row.data[pos : pos + 2 * self._s_p]
+                raw = build_ex_message(data, row.address + pos, cfg.s_max).raw
+                if (yield raw, r, chunk, self._s_p, True):
+                    pos, chunk = pos + len(data), chunk + 1
 
     def _throttle(self, step: int) -> str:
         """Step S_p along the ladder; returns the ``old->new`` text, or "" if it stayed."""
@@ -301,23 +273,25 @@ class HostSession:
         now = 0
         action = "send"  # what the transmit point puts on air: "send", "resend" or nothing
         report: OperationReport | None = None
+        flights = self._flights()
 
         while True:
             if action:
-                # The one transmit point; a cursor with nothing left completes.
-                flight = self._flight()
-                if flight is None:
+                # The one transmit point: it tells the cursor whether the last
+                # message was ACKed, and a cursor with nothing left completes.
+                try:
+                    raw, row, chunk, s_p, fresh = flights.send(action == "send" if sent else None)
+                except StopIteration:
                     completed = True
                     break
                 sent += 1
                 if action == "resend":
                     resent += 1
-                sum_s_p += flight.s_p
-                raw = flight.raw
+                sum_s_p += s_p
                 expected = raw + WRITE_ECHO_MARK if len(raw) == 2 else raw[:4]
                 reader.request_delete(now)
                 reader.stage(AccessSpec(sent, raw, cfg.ocv), now)
-                log(now, (action, flight.row, flight.chunk, flight.s_p, "", expected))
+                log(now, (action, row, chunk, s_p, "", expected))
                 nacks = no_tags = silent = 0  # since the last transmission
                 nack_result = None  # the result, EPC and kind id of its last NACK row
                 action = ""
@@ -345,19 +319,16 @@ class HostSession:
                     if result is success:
                         n_success += 1
                 if classify_report(expected, report):
-                    log(now, ("ack", flight.row, flight.chunk, flight.s_p, result._value_,
-                              report.epc))
-                    if not self._resume:  # an address pair put back spends the byte's budget
+                    log(now, ("ack", row, chunk, s_p, result._value_, report.epc))
+                    if fresh:  # an address pair put back spends the byte's budget
                         r_count = 0
-                    if throttled and flight.row >= 0:
+                    if throttled and row >= 0:
                         if m_count > cfg.m_threshold:
                             if step_text := self._throttle(cfg.t_u):
-                                log(now, ("throttle", flight.row, flight.chunk, self._s_p,
-                                          step_text, b""))
+                                log(now, ("throttle", row, chunk, self._s_p, step_text, b""))
                             m_count = 0
                         else:
                             m_count += 1
-                    self._advance(flight)
                     action = "send"
                 else:
                     nacks += 1
@@ -370,8 +341,7 @@ class HostSession:
                         log_kind(nack_kind)
                     else:
                         nack_result, nack_epc = result, epc
-                        nack_kind = log(now, ("nack", flight.row, flight.chunk, flight.s_p,
-                                              result._value_, epc))
+                        nack_kind = log(now, ("nack", row, chunk, s_p, result._value_, epc))
                     timeout = nacks >= cfg.n_threshold
             else:
                 silent += 1
@@ -379,21 +349,16 @@ class HostSession:
 
             if timeout:
                 lost_type = silent >= STALL_TICKS or 2 * no_tags > nacks
-                log(now, ("timeout", flight.row, flight.chunk, flight.s_p,
-                          "lost" if lost_type else "error", b""))
+                log(now, ("timeout", row, chunk, s_p, "lost" if lost_type else "error", b""))
                 if r_count >= cfg.r_max:
                     failure = "resend budget exhausted"
-                    log(now, ("abort", flight.row, flight.chunk, flight.s_p, failure, b""))
+                    log(now, ("abort", row, chunk, s_p, failure, b""))
                     break
                 r_count += 1
                 m_count = 0
-                if throttled and flight.row >= 0:
+                if throttled and row >= 0:
                     if step_text := self._throttle(cfg.t_dl if lost_type else cfg.t_de):
-                        log(now, ("throttle", flight.row, flight.chunk, self._s_p, step_text, b""))
-                # Basic and init messages come back identical, a basic data
-                # byte after its row's address pair; an extended chunk is
-                # re-cut at the throttled S_p.
-                self._readdress()
+                        log(now, ("throttle", row, chunk, self._s_p, step_text, b""))
                 action = "resend"
 
         reached_app = False

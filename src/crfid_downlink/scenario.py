@@ -9,6 +9,7 @@ and seed produce byte-identical outputs.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -114,8 +115,10 @@ class ScenarioConfig:
         # frame longer than the NACK window times out the message it floods.
         _require(self.ocv <= self.n_threshold, "ocv",
                  f"at most n_threshold = {self.n_threshold}", self.ocv)
-        _require(self.max_sim_seconds * ROUNDS_PER_SEC >= 1, "max_sim_seconds",
-                 f"at least one round at {ROUNDS_PER_SEC} rounds/s", self.max_sim_seconds)
+        # The host takes int(max_sim_seconds * ROUNDS_PER_SEC) as its round budget.
+        _require(1 <= self.max_sim_seconds * ROUNDS_PER_SEC < math.inf, "max_sim_seconds",
+                 f"between one round and {sys.float_info.max / ROUNDS_PER_SEC:g} s at "
+                 f"{ROUNDS_PER_SEC} rounds/s", self.max_sim_seconds)
         _require(self.m_threshold >= 0, "m_threshold", "at least 0", self.m_threshold)
         _require(0 <= self.write_fault_prob <= 1, "write_fault_prob", "in [0, 1]",
                  self.write_fault_prob)
@@ -129,6 +132,10 @@ class ScenarioConfig:
                      f"greater than d_min_cm = {prof.min_cm}", prof.max_cm)
             _require(prof.speed_m_per_s >= 0, "speed_m_per_s", "at least 0",
                      prof.speed_m_per_s)
+            # ``at`` walks the tag speed * 100 cm/s times the elapsed seconds.
+            _require(math.isfinite(prof.speed_m_per_s * 100.0 * self.max_sim_seconds),
+                     "speed_m_per_s", f"small enough that the path walked in max_sim_seconds = "
+                     f"{self.max_sim_seconds:g} s is finite", prof.speed_m_per_s)
         # An extended message is two header words plus S_p payload words.
         s_max_top = MAX_WORD_COUNT - 2
         _require(1 <= self.s_max <= s_max_top, "s_max", f"in 1..{s_max_top}", self.s_max)

@@ -54,23 +54,40 @@ def clean_run():
     return run_clean
 
 
+def walk_flights(flights, steps: int | None = None):
+    """Drive a host's ``_flights()`` cursor, acknowledging every transmission.
+
+    Returns ``(sent, after)``: the ``(raw, row, chunk, S_p, fresh)`` tuples in
+    send order (at most ``steps`` of them), and what the cursor yields once
+    they are all ACKed: the next transmission, or None when it has nothing left.
+    """
+    sent, acked = [], None  # a fresh generator takes None, then True for each ACK
+    while True:
+        try:
+            flight = flights.send(acked)
+        except StopIteration:
+            return sent, None
+        if len(sent) == steps:
+            return sent, flight
+        sent.append(flight)
+        acked = True
+
+
+@pytest.fixture(scope="session")
+def flight_walk():
+    return walk_flights
+
+
 def walk_extended_chunks(matrix, s_p: int, steps: int | None = None):
     """Walk the host's message cursor at a fixed S_p, acknowledging each chunk.
 
-    Returns ``(chunks, session)``: the ``(address, payload)`` of every extended
-    chunk in send order, read back from the image put on air, and the session
-    whose cursor now sits past the last one (or after ``steps`` chunks).
+    Returns ``(chunks, after)``: the ``(address, payload)`` of every extended
+    chunk in send order, read back from the image put on air, and the
+    transmission the cursor yields after them (None past the last chunk).
     """
     session = HostSession(ScenarioConfig(protocol=Variant.EX, s_p=s_p), matrix)
-    chunks = []
-    while steps is None or len(chunks) < steps:
-        flight = session._flight()
-        if flight is None:
-            break
-        raw = flight.raw
-        chunks.append(((raw[2] << 8) | raw[3], raw[4 : 4 + raw[1]]))
-        session._advance(flight)
-    return chunks, session
+    sent, after = walk_flights(session._flights(), steps)
+    return [((raw[2] << 8) | raw[3], raw[4 : 4 + raw[1]]) for raw, *_ in sent], after
 
 
 @pytest.fixture(scope="session")

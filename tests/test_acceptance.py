@@ -7,6 +7,8 @@ lines; the assertions themselves gate the suite either way.
 import filecmp
 import math
 import random
+import statistics
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,7 @@ from crfid_downlink.host import Variant, matrix_crc
 from crfid_downlink.ihex import generate_fixture, parse_file
 from crfid_downlink.metrics import MODEL_PARAMS, compute_metrics, model_curves
 from crfid_downlink.protocol import build_ladder, derive_r_max, throttle
-from crfid_downlink.scenario import DistanceProfile, ScenarioConfig, run_scenario
+from crfid_downlink.scenario import DistanceProfile, ScenarioConfig, load_config, run_scenario
 from crfid_downlink.tag import Tag, TagMode
 
 
@@ -23,6 +25,7 @@ def report(name: str, detail: str) -> None:
     print(f"{name} PASS — {detail}", flush=True)
 
 
+REPO = Path(__file__).resolve().parents[1]
 MOBILITY = DistanceProfile(kind="oscillate", min_cm=20, max_cm=90, speed_m_per_s=0.1)
 
 
@@ -192,3 +195,21 @@ def test_a9_determinism(tmp_path, small_matrix):
     for name in names:
         assert filecmp.cmp(out_a / name, out_b / name, shallow=False), name
     report("A9", f"two invocations produced byte-identical CSVs: {', '.join(names)}")
+
+
+def test_a10_wireless_reprogramming():
+    # The case study: the bootloader takes configs/demo.hex while the tag
+    # sweeps 20-90 cm, through distance-derived brown-outs and write faults.
+    cfg = load_config(REPO / "configs/reprogram.cfg")
+    matrix = parse_file((REPO / cfg.hex_file).read_text())
+    assert cfg.bootloader and cfg.repeats == 10
+    runs = run_scenario(cfg, matrix=matrix).runs
+    for run in runs:
+        if run.result.completed:
+            assert run.result.reached_application
+            assert run.tag.mode is TagMode.APPLICATION
+            assert run.tag.application_crc() == matrix_crc(matrix)
+    times = sorted(r.metrics.t for r in runs if r.result.reached_application)
+    assert len(times) >= 9
+    report("A10", f"{len(times)}/10 runs reached the application, in {times[0]:.1f}-"
+                  f"{times[-1]:.1f}s, median {statistics.median(times):.1f}s")

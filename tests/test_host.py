@@ -9,7 +9,7 @@ from crfid_downlink import scenario
 from crfid_downlink.cli import main
 from crfid_downlink.host import HostSession, TransferLog, Variant, classify_report, matrix_crc
 from crfid_downlink.ihex import RecordMatrix, Row, generate_fixture, parse_file
-from crfid_downlink.protocol import build_ladder, snap_to_ladder
+from crfid_downlink.protocol import HDR_REPROGRAM_INIT, build_ladder, snap_to_ladder
 from crfid_downlink.reader import ROUNDS_PER_SEC, OperationReport, ReportResult
 from crfid_downlink.scenario import DistanceProfile, ScenarioConfig, ScenarioError, run_scenario
 from crfid_downlink.tag import Tag, TagMode
@@ -193,19 +193,25 @@ def test_each_row_gets_its_own_ladder(s_p):
     widths = (26, 26, 7, 26, 1)
     matrix = RecordMatrix([Row(0x1000 + 32 * i, bytes(range(n))) for i, n in enumerate(widths)])
     session = HostSession(ScenarioConfig(protocol=Variant.EX, s_max=16, s_p=s_p), matrix)
+    flights = session._flights()
     start = 16 if s_p is None else s_p  # a throttled session starts at S_max
-    for row in range(len(widths)):
-        assert session._row == row
-        ladder = build_ladder(matrix.rows[row].word_count(), 16)
-        assert session._ladder == ladder
-        assert session._s_p == snap_to_ladder(start, ladder)
-        while session._row == row:
-            flight = session._flight()
+    rows = []
+    try:
+        flight = next(flights)
+        while True:
+            _, row, chunk, sent_s_p, _ = flight
+            if chunk == 1:  # a row's first chunk goes out on that row's ladder
+                ladder = build_ladder(matrix.rows[row].word_count(), 16)
+                assert session._ladder == ladder
+                assert sent_s_p == session._s_p == snap_to_ladder(start, ladder)
+                rows.append(row)
             if s_p is None:
                 session._throttle(-1)  # a throttled S_p moves while the row is sent
                 start = session._s_p
-            session._advance(flight)
-    assert session._flight() is None
+            flight = flights.send(True)
+    except StopIteration:
+        pass
+    assert rows == list(range(len(widths)))
 
 
 def test_unreachable_tag_aborts_after_r_max_resends(clean_run):
@@ -284,6 +290,25 @@ def test_a_basic_data_byte_spends_one_resend_budget_through_its_address_pairs(cl
                                      ("send", 3, "00BB"), *detour * cfg.r_max]
     assert result.log.count("timeout") == cfg.r_max + 1
     assert result.log.count("abort") == 1
+
+
+def test_the_cursor_readdresses_only_after_a_data_byte_times_out():
+    # The cursor answers each (ACK or timeout) with the next transmission as
+    # (header byte, chunk, fresh): the INIT until it is ACKed, a timed-out
+    # address Write as it was, and a timed-out data byte after its row's
+    # address pair, which goes out as many times as it times out.
+    cfg = ScenarioConfig(protocol=Variant.BASIC, bootloader=True)
+    flights = HostSession(cfg, parse_file(GOLDEN_FILE))._flights()
+    replies = [None, False, True, False, True, True, False, False, True, True, True]
+    sent = [(raw[0], row, chunk, fresh)
+            for raw, row, chunk, _, fresh in map(flights.send, replies)]
+    assert sent == [
+        (HDR_REPROGRAM_INIT, -1, 0, True), (HDR_REPROGRAM_INIT, -1, 0, True),
+        (0xFD, 0, 1, True), (0xFD, 0, 1, True), (0xFE, 0, 2, True), (0x00, 0, 3, True),
+        (0xFD, 0, 1, False), (0xFD, 0, 1, False), (0xFE, 0, 2, False), (0x00, 0, 3, True),
+        (0x01, 0, 4, True)]
+    with pytest.raises(StopIteration):
+        flights.send(True)
 
 
 # -- stale-echo flood bound --------------------------------------------------------

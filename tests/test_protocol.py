@@ -172,7 +172,7 @@ def ex_chunks(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(ex_chunks())
-def test_wire_image_matches_the_per_byte_reference(drawn):
+def test_wire_image_matches_the_per_byte_reference(flight_walk, drawn):
     s_max, chunk, address = drawn
     msg = build_ex_message(chunk, address, s_max)
     words = reference_to_words(msg)
@@ -188,25 +188,22 @@ def test_wire_image_matches_the_per_byte_reference(drawn):
     # its first four bytes back.
     init = bytes([HDR_REPROGRAM_INIT, 0x00])
     config = ScenarioConfig(protocol=Variant.EX, s_max=s_max, s_p=s_max, bootloader=True)
-    assert sent_images(config, Row(address, chunk))[:2] == [init, raw]
+    assert sent_images(flight_walk, config, Row(address, chunk))[:2] == [init, raw]
     # A basic Write's image is its header byte then its payload byte.
     row = Row(address, chunk[: MAX_BASIC_OFFSET + 1])
     config = ScenarioConfig(protocol=Variant.BASIC, bootloader=True)
     basic = [init, bytes([HDR_ADDR_FIRST, address >> 8]), bytes([HDR_ADDR_SECOND, address & 0xFF])]
     basic += [bytes([offset, b]) for offset, b in enumerate(row.data)]
-    assert sent_images(config, row) == basic
+    assert sent_images(flight_walk, config, row) == basic
     assert BasicMessage(HDR_REPROGRAM_INIT, 0).raw == init
     assert [m.raw for m in build_basic_messages(row)] == basic[1:]
     assert all(AccessSpec(1, r, 15).raw == r for r in basic)
 
 
-def sent_images(config, row):
+def sent_images(flight_walk, config, row):
     """Every ``raw`` the host's cursor puts on air for one row, each one acknowledged."""
-    session, images = HostSession(config, RecordMatrix([row])), []
-    while (flight := session._flight()) is not None:
-        images.append(flight.raw)
-        session._advance(flight)
-    return images
+    sent, _ = flight_walk(HostSession(config, RecordMatrix([row]))._flights())
+    return [raw for raw, *_ in sent]
 
 
 # -- sequencing ---------------------------------------------------------------
@@ -224,17 +221,24 @@ def three_row_matrix():
 
 
 def test_next_message_fresh_cursor_yields_first_chunk(chunk_walk):
-    chunks, session = chunk_walk(three_row_matrix(), 2, steps=1)
+    chunks, after = chunk_walk(three_row_matrix(), 2, steps=1)
     assert chunks == [(0x100, bytes(range(4)))]
-    assert session._row == 0 and session._pos == 4
+    raw, row, chunk, s_p, fresh = after  # its ACK moves the cursor 4 bytes into row 0
+    assert (row, chunk, s_p, fresh) == (0, 2, 2, True)
+    assert (raw[2] << 8) | raw[3] == 0x104 and raw[4 : 4 + raw[1]] == bytes(range(4, 8))
 
 
-def test_next_message_done_at_end(chunk_walk):
-    _, session = chunk_walk(three_row_matrix(), 2)
-    assert session._row == 3
-    assert session._flight() is None
-    assert session._flight() is None  # asking again leaves the cursor at the end
-    assert session._row == 3
+def test_next_message_done_at_end(flight_walk):
+    session = HostSession(ScenarioConfig(protocol=Variant.EX, s_p=2), three_row_matrix())
+    flights = session._flights()
+    sent, after = flight_walk(flights)
+    assert [(row, chunk) for _, row, chunk, _, _ in sent] == [
+        (0, 1), (0, 2), (1, 1), (1, 2), (2, 1)]
+    assert after is None
+    # Asking again, after an ACK or a timeout, leaves the cursor at the end.
+    for acked in (True, False, True):
+        with pytest.raises(StopIteration):
+            flights.send(acked)
 
 
 def test_next_message_walk_visits_every_chunk_in_order(chunk_walk):
@@ -263,9 +267,9 @@ def test_next_message_walk_property(chunk_walk, raw_rows, s_p):
     matrix = RecordMatrix([Row(a, d) for a, d in raw_rows])
     total = sum(len(d) for _, d in raw_rows)
     # One step more than there are bytes would show a walk that never ends.
-    chunks, session = chunk_walk(matrix, s_p, steps=total + 1)
+    chunks, after = chunk_walk(matrix, s_p, steps=total + 1)
     assert len(chunks) <= total
-    assert session._flight() is None
+    assert after is None
     assert b"".join(d for _, d in chunks) == b"".join(d for _, d in raw_rows)
 
 

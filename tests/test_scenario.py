@@ -112,6 +112,8 @@ def test_parse_defaults_and_comments():
         "max_sim_seconds = 0\n",
         "max_sim_seconds = 0.001\n",
         "max_sim_seconds = nan\n",
+        "max_sim_seconds = 1e308\n",
+        "distance = oscillate\nspeed_m_per_s = 1e308\n",
         "d_cm = 0\n",
         "d_cm = inf\n",
         "distance = oscillate\nd_min_cm = -5\n",
@@ -144,7 +146,7 @@ def test_repeated_key_names_both_lines():
 def test_shipped_configs_load(tmp_path):
     repo = Path(__file__).resolve().parents[1]
     paths = sorted(repo.glob("configs/*.cfg")) + sorted(repo.glob("benchmarks/workloads/*.cfg"))
-    assert len(paths) == 5
+    assert len(paths) == 6
     for path in paths:
         # The benchmark workloads leave hex_file to the harness; name one here.
         text = path.read_text()
@@ -157,7 +159,7 @@ def test_shipped_configs_load(tmp_path):
 
 # Each key draws an edge value or one that it accepts, so configs both fail
 # and get through.
-FUZZ_EDGES = ["0", "-1", "1", "30", "31", "1e9", "1e100", "nan", "inf", "word"]
+FUZZ_EDGES = ["0", "-1", "1", "30", "31", "1e9", "1e100", "1e308", "nan", "inf", "word"]
 FUZZ_VALID = {
     "protocol": ["ex", "basic"], "s_p": ["throttle", "4"], "ocv": ["15"],
     "n_threshold": ["20"], "r_max": ["3"], "m_threshold": ["10"], "t_u": ["1"],
@@ -187,6 +189,32 @@ def test_config_fuzz_rejects_or_runs(entries):
     with tempfile.TemporaryDirectory() as out:
         outcome = run_scenario(cfg, out_dir=out, matrix=ONE_ROW)
     assert len(outcome.runs) == 1
+
+
+def oscillating_at(speed):
+    return DistanceProfile(kind="oscillate", speed_m_per_s=speed)
+
+
+@pytest.mark.parametrize("key,text,config", [
+    # int(max_sim_seconds * ROUNDS_PER_SEC) overflowed as the run started.
+    ("max_sim_seconds", "max_sim_seconds = 1e308", ScenarioConfig(max_sim_seconds=1e308)),
+    # speed_m_per_s * 100 overflowed, so round 0 failed on a nan distance.
+    ("speed_m_per_s", "distance = oscillate\nspeed_m_per_s = 1e308",
+     ScenarioConfig(profile=oscillating_at(1e308))),
+    # A finite speed whose path over the run's time overflows.
+    ("speed_m_per_s", "distance = oscillate\nspeed_m_per_s = 1e306",
+     ScenarioConfig(profile=oscillating_at(1e306))),
+])
+def test_a_setting_past_the_float_range_is_rejected_before_the_run(tmp_path, capsys, key, text,
+                                                                   config):
+    with pytest.raises(ScenarioError, match=key):
+        run_scenario(config, matrix=ONE_ROW)  # a config built in code
+    path = tmp_path / "extreme.cfg"
+    path.write_text(f"hex_file = configs/demo.hex\n{text}\n")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_distance_past_the_float_range_runs_or_names_d_cm(tmp_path):
