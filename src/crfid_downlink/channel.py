@@ -7,8 +7,16 @@ overhead is delivered, corrupted, or lost outright; losses model the tag
 never decoding the command at all, with probability K_MISS * erfc(1/d)
 for K_MISS = 5.  Distance also sets the tag's energy-drain hazard within a
 multi-word series and its default per-round brown-out probability; the
-channel's placement holds all four probabilities for its current distance,
-and the survival powers a series reads slot by slot.
+channel's placement holds all four probabilities for its current distance.
+
+A series of n one-word sub-commands is sampled with one draw.  Slot k
+(from 0) is missed with the preamble odds and, from slot 1 on, drains with
+probability 1 - survival**k; the first slot lost ends the series, and a
+fully replied series holds a corrupted word with 1 - (1 - flip)**n.  So
+its fate is one of 2n + 1 outcomes: a miss at slot 0, a miss or a drain at
+each slot 1..n-1, or a full reply, corrupted or clean.  A per-distance
+table holds their cumulative odds, and one uniform draw picks the outcome
+by bisection.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from collections.abc import Callable
+from bisect import bisect_right
 from enum import Enum
 from functools import lru_cache
 
@@ -100,19 +108,55 @@ def distance_brownout_prob(d: float) -> float:
         return 0.9
 
 
+# A memo entry holds its four odds, the powers (about 330 bytes) and up to
+# one series table per length 1..SERIES_SLOTS (12.2 KB with the dict), so a
+# full memo holds at most about 4096 * 12.8 KB, 52 MB; a run fills only the
+# tables of the lengths it sends at the distances it visits.
 @lru_cache(maxsize=ODDS_MEMO_SIZE)
-def round_odds(d: float) -> tuple[float, float, float, float, array]:
-    """(miss, flip, survival, brownout, powers) at d, memoised across channels and runs.
+def round_odds(d: float) -> tuple[float, float, float, float, array, dict[int, array]]:
+    """(miss, flip, survival, brownout, powers, tables) at d, memoised across channels and runs.
 
     ``miss`` and ``flip`` are a one-word command's; series slot k keeps its
     charge with probability ``survival**(k-1)``, and ``powers[k]`` is
     ``survival**k`` for k < SERIES_SLOTS.  An ``array('d')`` holds the powers
     in a third of a float tuple's memory, which counts at 4096 entries.
+    ``tables`` maps a series length n to its ``series_table``, filled on the
+    first series of that length at d; the tables are a function of the odds,
+    so every channel and run may share them.
     """
     flip = 1.0 - (1.0 - bit_error_rate(d)) ** (WORD_BITS + COMMAND_OVERHEAD_BITS)
     survival = 1.0 - depletion_prob(d)
     powers = array("d", map(survival.__pow__, range(SERIES_SLOTS)))
-    return miss_probability(d), flip, survival, distance_brownout_prob(d), powers
+    return miss_probability(d), flip, survival, distance_brownout_prob(d), powers, {}
+
+
+def series_table(n: int, miss: float, flip: float, powers: array) -> array:
+    """Cumulative odds of the first 2n of an n-word series' 2n + 1 outcomes.
+
+    In ``SERIES_OUTCOMES[n]`` order: a miss at slot 0; for each slot k in
+    1..n-1 a miss, then a drain; a full reply that is corrupted.  The last
+    outcome, a clean full reply, takes the rest.  Entry i is 1 minus the odds
+    of getting past outcome i, so the entries rise and the cells sum to 1.
+    """
+    hit = 1.0 - miss
+    tails = []
+    reach = 1.0  # the odds that slot k is reached
+    for k in range(n):
+        reach *= hit
+        tails.append(reach)  # past the miss at slot k
+        if k:
+            reach *= powers[k]
+            tails.append(reach)  # past the drain at slot k
+    tails.append(reach * (1.0 - flip) ** n)  # past the corrupted full reply
+    return array("d", [1.0 - tail for tail in tails])
+
+
+# (replied, corrupted) per outcome cell, shared by every distance.  A series
+# cut short reports no corruption: the reader discards it either way.
+SERIES_OUTCOMES = tuple(
+    ((0, False), *((k, False) for k in range(1, n) for _ in "md"), (n, True), (n, False))
+    for n in range(SERIES_SLOTS + 1)
+)
 
 
 class ChannelModel:
@@ -137,7 +181,8 @@ class ChannelModel:
 
     def _place(self, d: float) -> None:
         self.d = d
-        self.miss, self.flip, self.survival, self.brownout, self._powers = round_odds(d)
+        (self.miss, self.flip, self.survival, self.brownout, self._powers,
+         self._tables) = round_odds(d)
 
     def placement(self) -> tuple[float, tuple]:
         """The placed distance and its odds, the memo's own tuple, for ``restore``."""
@@ -145,7 +190,8 @@ class ChannelModel:
 
     def restore(self, placement: tuple[float, tuple]) -> None:
         """Put back a ``placement`` taken earlier: no distance check, no memo lookup."""
-        self.d, (self.miss, self.flip, self.survival, self.brownout, self._powers) = placement
+        self.d, (self.miss, self.flip, self.survival, self.brownout, self._powers,
+                 self._tables) = placement
 
     def deliver_word(self) -> Delivery:
         """Outcome of a one-word command to a powered tag."""
@@ -153,27 +199,16 @@ class ChannelModel:
             return _LOST
         return _CORRUPTED if self.rng.random() < self.flip else _DELIVERED
 
-    def deliver_series(self, n: int, energy_draw: Callable[[], float]) -> tuple[int, bool]:
+    def deliver_series(self, n: int) -> tuple[int, bool]:
         """Sample a series of ``n`` one-word sub-commands to a powered tag.
 
-        Returns the replies before the first loss and whether any of them
-        was corrupted.  A sub-command the channel did not lose is still lost
-        from slot k = 2 on unless ``energy_draw() < survival**(k-1)``.  Per
-        slot the draws are the miss, the flip, then the energy; slot 1 draws
-        no energy, and ``n`` is at most SERIES_SLOTS.
+        Returns the replies before the first loss and, for a full reply,
+        whether any word was corrupted; ``n`` is at most SERIES_SLOTS.  One
+        draw from the channel's stream picks the outcome from the placed
+        distance's ``series_table``, filled on its first use.
         """
-        draw = self.rng.random
-        miss = self.miss
-        if draw() < miss:
-            return 0, False
-        flip = self.flip
-        corrupted = draw() < flip
-        powers = self._powers
-        for k in range(1, n):
-            if draw() < miss:
-                return k, corrupted
-            if draw() < flip:
-                corrupted = True
-            if energy_draw() >= powers[k]:
-                return k, corrupted
-        return n, corrupted
+        try:
+            table = self._tables[n]
+        except KeyError:
+            table = self._tables[n] = series_table(n, self.miss, self.flip, self._powers)
+        return SERIES_OUTCOMES[n][bisect_right(table, self.rng.random())]

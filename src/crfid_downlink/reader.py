@@ -151,7 +151,7 @@ class Reader:
             # BlockWrite: no per-word CRC16, so a corrupted word is written and
             # replied to; only a lost word (missed preamble, drained slot) ends it.
             n = len(raw) >> 1
-            replied, corrupted = channel.deliver_series(n, tag.energy_rng.random)
+            replied, corrupted = channel.deliver_series(n)
             if replied:
                 epc = tag.epc
                 if replied < n:

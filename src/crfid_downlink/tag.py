@@ -105,6 +105,9 @@ class Tag:
         self.mode = TagMode.BOOTLOADER if start_in_bootloader else TagMode.REPROGRAM
         self.write_fault_prob = write_fault_prob
         self._fault_rng = random.Random(fault_seed)
+        # Off the round path: the channel samples a series' drained slots in
+        # its one draw.  Kept, with ``series_slot_alive``, for the benchmark
+        # tracer, which wraps that method by name.
         self.energy_rng = random.Random(energy_seed)
         self._verified = (None, 0, b"", b"")  # last checksummed (raw, address, payload, EPC)
         # True while the memory holds that payload from the last commit, which
@@ -169,7 +172,8 @@ class Tag:
     # -- extended (BlockWrite series) handling -------------------------------
 
     def series_slot_alive(self, slot: int, d: float) -> bool:
-        """Energy draw for one slot alone (``benchmarks/run.py`` reads it by name)."""
+        """Energy draw for one slot alone; off the round path, but ``benchmarks/run.py``
+        reads it by name."""
         return slot <= 1 or self.energy_rng.random() < (1.0 - depletion_prob(d)) ** (slot - 1)
 
     def series_complete(self, raw: bytes, corrupted: bool) -> bool:

@@ -1,10 +1,12 @@
 import math
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erfc as scipy_erfc
+from scipy.stats import chisquare
 
 from crfid_downlink.channel import (
     COMMAND_OVERHEAD_BITS,
@@ -21,6 +23,7 @@ from crfid_downlink.channel import (
     distance_brownout_prob,
     miss_probability,
     round_odds,
+    series_table,
 )
 
 # Finite positive normalized distances, subnormals and far range included.
@@ -138,12 +141,24 @@ def channel_at(d, seed):
     return channel
 
 
+def cell_odds(table):
+    """The 2n + 1 outcome odds of a series table's 2n cumulative entries."""
+    bounds = [0.0, *table, 1.0]
+    return [b - a for a, b in zip(bounds, bounds[1:])]
+
+
 def test_near_field_always_delivers():
     channel = channel_at(0.2, seed=1)
     outcomes = {channel.deliver_word() for _ in range(10_000)}
     assert outcomes == {Delivery.DELIVERED}
-    no_drain = float  # float() == 0.0, below every survival threshold
-    assert {channel.deliver_series(32, no_drain) for _ in range(1000)} == {(32, False)}
+    # A series loses nothing to the channel here: its misses (slot 0, then
+    # the first cell of each later slot) and its corruption are negligible,
+    # so only a drained slot cuts it short.
+    cells = cell_odds(series_table(32, channel.miss, channel.flip, round_odds(channel.d)[4]))
+    assert cells[0] + sum(cells[1:-2:2]) + cells[-2] < 1e-8
+    series = {channel.deliver_series(32) for _ in range(1000)}
+    assert (32, False) in series and (32, True) not in series
+    assert all(replied and not corrupted for replied, corrupted in series)
 
 
 def test_monte_carlo_matches_closed_form():
@@ -166,8 +181,7 @@ def test_series_monte_carlo_matches_closed_form():
     channel = channel_at(d, seed=5)
     q = 1.0 - min(0.5, 4.0 * d**4)  # survival at d: 0.75
     assert channel.survival == q
-    energy = channel_at(d, seed=6).rng.random
-    samples = [channel.deliver_series(n, energy) for _ in range(trials)]
+    samples = [channel.deliver_series(n) for _ in range(trials)]
     full = [corrupted for replied, corrupted in samples if replied == n]
     miss = miss_probability(d)
     flip = 1.0 - (1.0 - bit_error_rate(d)) ** (WORD_BITS + COMMAND_OVERHEAD_BITS)
@@ -177,7 +191,12 @@ def test_series_monte_carlo_matches_closed_form():
 
 
 def reference_deliver_series(channel, n, energy_draw):
-    """The per-slot loop the table-driven series kernel replaced: one ``pow`` per slot."""
+    """The per-slot series the one-draw sampler replaced, and its definition.
+
+    Per slot k (from 0): the channel draws the miss, then the flip; from
+    slot 1 on, the energy stream draws, and the slot drains unless the draw
+    is below ``survival**k``.  The first slot lost ends the series.
+    """
     draw = channel.rng.random
     miss, flip, q = channel.miss, channel.flip, channel.survival
     corrupted = False
@@ -191,24 +210,63 @@ def reference_deliver_series(channel, n, energy_draw):
     return n, corrupted
 
 
+def reference_law(channel, n):
+    """The odds of ``reference_deliver_series``'s outcomes, slot by slot.
+
+    In the sampler's cell order: a miss at slot 0; a miss, then a drain, at
+    each slot 1..n-1; a full reply with a corrupted word; a clean one.
+    """
+    miss, flip, q = channel.miss, channel.flip, channel.survival
+    law = []
+    reach = 1.0  # the odds that slot k is reached
+    for k in range(n):
+        law.append(reach * miss)
+        reach *= 1.0 - miss
+        if k:
+            law.append(reach * (1.0 - q ** k))
+            reach *= q ** k
+    clean = reach * (1.0 - flip) ** n
+    return [*law, reach - clean, clean]
+
+
 # Normalized distances from the near field to past the depletion clamp at
 # d = 8**-0.25 (about 0.59), and every series length the reader sends.
-series_runs = st.lists(st.tuples(st.floats(0.05, 1.5), st.integers(1, 32)), min_size=1,
-                       max_size=12)
-
-
 @settings(deadline=None)
-@given(series_runs, st.integers(0, 2**32 - 1))
-def test_series_kernel_matches_the_per_slot_loop(runs, seed):
-    kernel, reference = ChannelModel(seed), ChannelModel(seed)
-    kernel_energy, reference_energy = random.Random(seed + 1), random.Random(seed + 1)
-    for d, n in runs:
-        kernel.set_distance_cm(d * D_REF_CM)
-        reference.set_distance_cm(d * D_REF_CM)
-        assert (kernel.deliver_series(n, kernel_energy.random)
-                == reference_deliver_series(reference, n, reference_energy.random))
-    assert kernel.rng.getstate() == reference.rng.getstate()
-    assert kernel_energy.getstate() == reference_energy.getstate()
+@given(st.floats(0.05, 1.5), st.integers(1, 32))
+def test_series_table_cells_equal_the_per_slot_law(d, n):
+    channel = channel_at(d, seed=0)
+    channel.deliver_series(n)  # fills the placed distance's table
+    table = round_odds(channel.d)[5][n]
+    assert len(table) == 2 * n
+    assert all(a <= b for a, b in zip(table, table[1:]))
+    cells = cell_odds(table)
+    assert cells == pytest.approx(reference_law(channel, n), rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("cm,n", [(90.0, 4), (80.0, 6)])
+def test_series_samples_follow_the_table(cm, n):
+    # Chi-square over the distinct outcomes at a fixed seed: the one-draw
+    # sampler, and the per-slot definition, against the table's cells.
+    channel = channel_at(cm / D_REF_CM, seed=8)
+    channel.deliver_series(n)
+    table = round_odds(channel.d)[5][n]
+    cells = cell_odds(table)
+    odds = Counter({(0, False): cells[0], (n, True): cells[-2], (n, False): cells[-1]})
+    for k in range(1, n):
+        odds[k, False] = cells[2 * k - 1] + cells[2 * k]
+    assert min(odds.values()) * 20_000 > 20  # every cell expects a fair count
+    keys = sorted(odds)
+    energy = random.Random(9).random
+    reference = channel_at(cm / D_REF_CM, seed=10)
+    for sample in (lambda: channel.deliver_series(n),
+                   lambda: reference_deliver_series(reference, n, energy)):
+        counts = Counter()
+        for _ in range(20_000):
+            replied, corrupted = sample()
+            counts[replied, corrupted and replied == n] += 1
+        assert set(counts) <= set(keys)
+        result = chisquare([counts[k] for k in keys], [odds[k] * 20_000 for k in keys])
+        assert result.pvalue > 1e-3, (counts, odds)
 
 
 def test_delivery_is_seed_reproducible():
@@ -234,10 +292,16 @@ def test_memoised_odds_equal_the_formulas_bit_for_bit(d):
               1.0 - min(0.5, 4.0 * d**4), min(0.9, 0.02 * (d / 0.6) ** 4))
     q = direct[2]
     for _ in range(2):  # the first call may fill the memo, the second reads it
-        *odds, powers = round_odds(d)
+        *odds, powers, tables = round_odds(d)
         assert [x.hex() for x in odds] == [x.hex() for x in direct]
         assert len(powers) == SERIES_SLOTS == 32
         assert [powers[k].hex() for k in range(32)] == [(q ** k).hex() for k in range(32)]
+        # The series tables fill lazily, each one from the odds beside it.
+        assert type(tables) is dict
+        assert all(table == series_table(n, *odds[:2], powers) for n, table in tables.items())
+        channel = ChannelModel(seed=0)
+        channel.restore((d, round_odds(d)))
+        channel.deliver_series(3)  # fills the table the second pass checks
     assert round_odds.cache_info().maxsize is not None
 
 

@@ -10,6 +10,7 @@ from crfid_downlink.channel import (
     ChannelModel,
     Delivery,
     bit_error_rate,
+    depletion_prob,
     miss_probability,
 )
 from crfid_downlink.protocol import build_ex_message
@@ -30,7 +31,7 @@ from crfid_downlink.tag import Tag
 class ScriptedChannel:
     """Channel stand-in replaying a fixed outcome sequence, one per word.
 
-    Series slots never drain: the energy stream is left untouched.
+    Series slots never drain.
     """
 
     def __init__(self, outcomes):
@@ -43,7 +44,7 @@ class ScriptedChannel:
             return self.outcomes.pop(0)
         return Delivery.DELIVERED
 
-    def deliver_series(self, n, energy_draw):
+    def deliver_series(self, n):
         corrupted = False
         for k in range(n):
             outcome = self.deliver_word()
@@ -350,25 +351,40 @@ FLIP_BITS = WORD_BITS + COMMAND_OVERHEAD_BITS
 
 
 def reference_blockwrite_round(spec, tag, rng, d):
-    """The per-word BlockWrite round the fused sampler replaced.
+    """The BlockWrite round word by word, its fate read off one channel draw.
 
-    Per sub-command: the channel stream draws the miss, then the flip when
-    not missed; the energy stream then draws for slots from the second on
-    that the channel did not lose.  An unpowered tag draws nothing.
+    An unpowered tag draws nothing.  Otherwise one draw ``u`` from the
+    channel stream is walked through the sub-commands in order: each slot
+    k ends the series while ``u`` falls below the odds accumulated so far,
+    first of its preamble miss, then, from the second slot on, of its
+    energy drain (``survival**k`` to keep its charge).  A fully replied
+    series holds a corrupted word while ``u`` falls below the odds of that
+    too, 1 - (1 - flip)**n of the full reply; the energy stream is not drawn.
     """
-    epc_at_start = tag.epc if tag.powered else NO_TAG_EPC
-    replied = []
-    for index in range(len(spec.raw) >> 1):
-        lost = not tag.powered or rng.random() < miss_probability(d)
-        corrupted = not lost and rng.random() < 1.0 - (1.0 - bit_error_rate(d)) ** FLIP_BITS
-        if not lost and not tag.series_slot_alive(index + 1, d):
-            lost = True  # charge drained mid-series, no reply
+    if not tag.powered:
+        return OperationReport(spec.spec_id, ReportResult.NO_TAG_SEEN, NO_TAG_EPC)
+    epc_at_start = tag.epc
+    miss = miss_probability(d)
+    flip = 1.0 - (1.0 - bit_error_rate(d)) ** FLIP_BITS
+    q = 1.0 - depletion_prob(d)
+    u = rng.random()
+    n = len(spec.raw) >> 1
+    ended = 0.0  # the odds that the series has ended by this point
+    reach = 1.0  # the odds that slot k is reached
+    for index in range(n):
+        ended += reach * miss
+        reach *= 1.0 - miss
+        lost = u < ended
+        if index and not lost:
+            ended += reach * (1.0 - q ** index)
+            reach *= q ** index
+            lost = u < ended  # charge drained mid-series, no reply
         if lost:
             if index == 0:
                 return OperationReport(spec.spec_id, ReportResult.NO_TAG_SEEN, NO_TAG_EPC)
             return OperationReport(spec.spec_id, ReportResult.ERROR, epc_at_start)
-        replied.append(corrupted)
-    tag.series_complete(spec.raw, any(replied))
+    corrupted = u < ended + reach * (1.0 - (1.0 - flip) ** n)
+    tag.series_complete(spec.raw, corrupted)
     return OperationReport(spec.spec_id, ReportResult.SUCCESS, epc_at_start)
 
 
@@ -394,6 +410,7 @@ def test_fused_round_matches_per_word_loop(raw, rounds, seed):
     reader.stage(spec, -LLRP_LATENCY_TICKS)
     fused_tag = Tag(write_fault_prob=0.05, fault_seed=seed, energy_seed=seed + 1)
     ref_tag = Tag(write_fault_prob=0.05, fault_seed=seed, energy_seed=seed + 1)
+    energy = fused_tag.energy_rng.getstate()
     channel = ChannelModel(seed)
     ref_rng = random.Random(seed)
     for now, (d, powered) in enumerate(rounds):
@@ -405,4 +422,4 @@ def test_fused_round_matches_per_word_loop(raw, rounds, seed):
         assert fused_tag.epc == ref_tag.epc
         assert fused_tag.fram.read(0x0000, 0x10000) == ref_tag.fram.read(0x0000, 0x10000)
         assert channel.rng.getstate() == ref_rng.getstate()
-        assert fused_tag.energy_rng.getstate() == ref_tag.energy_rng.getstate()
+        assert fused_tag.energy_rng.getstate() == energy  # the round draws no energy

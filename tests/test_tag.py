@@ -9,6 +9,7 @@ from crfid_downlink.channel import (
     depletion_prob,
     distance_brownout_prob,
     round_odds,
+    series_table,
 )
 from crfid_downlink.crc import crc16_ccitt
 from crfid_downlink.ihex import record_checksum
@@ -564,10 +565,13 @@ def test_depletion_first_slot_never_fails():
     channel.set_distance_cm(0.6 * D_REF_CM)  # survival 0.5 from slot 2 on
     state = tag.energy_rng.getstate()
     assert all(tag.series_slot_alive(1, 0.6) for _ in range(100))
-    # A one-word series is lost only to the channel's preamble miss.
-    replied = [channel.deliver_series(1, tag.energy_rng.random)[0] for _ in range(100)]
-    assert sum(replied) > 80
     assert tag.energy_rng.getstate() == state  # slot 1 draws no energy
+    # A one-word series is lost only to the channel's preamble miss: its
+    # table has no drain cell, just the miss and then the corrupted reply.
+    table = series_table(1, channel.miss, channel.flip, round_odds(channel.d)[4])
+    assert len(table) == 2 and table[0] == pytest.approx(channel.miss, rel=1e-12)
+    replied = [channel.deliver_series(1)[0] for _ in range(1000)]
+    assert 1000 - sum(replied) == pytest.approx(1000 * channel.miss, abs=30)
 
 
 def test_depletion_hits_long_series_at_range():
