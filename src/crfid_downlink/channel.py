@@ -151,12 +151,12 @@ def series_table(n: int, miss: float, flip: float, powers: array) -> array:
     return array("d", [1.0 - tail for tail in tails])
 
 
-# (replied, corrupted) per outcome cell, shared by every distance.  A series
-# cut short reports no corruption: the reader discards it either way.
-SERIES_OUTCOMES = tuple(
-    ((0, False), *((k, False) for k in range(1, n) for _ in "md"), (n, True), (n, False))
-    for n in range(SERIES_SLOTS + 1)
-)
+# (replied, corrupted) per outcome cell by series length, shared by every
+# distance.  A series cut short reports no corruption: the reader discards
+# it either way.  The cut-short cells are (0, F), (1, F), (1, F), (2, F), ...
+_CUT_SHORT = [(k >> 1, False) for k in range(1, 2 * SERIES_SLOTS)]
+SERIES_OUTCOMES = ((), *((*_CUT_SHORT[: 2 * n - 1], (n, True), (n, False))
+                         for n in range(1, SERIES_SLOTS + 1)))
 
 
 class ChannelModel:
