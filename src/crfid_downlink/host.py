@@ -174,7 +174,7 @@ class HostSession:
         """
         cfg, rows = self.config, self.matrix.rows
         if self._basic:  # built up front, so RowTooLong surfaces before the first send
-            writes = [[m.raw for m in build_basic_messages(row)] for row in rows]
+            writes = [build_basic_messages(row) for row in rows]
         if cfg.bootloader:
             while not (yield _INIT, -1, 0, 0.5, True):
                 pass
@@ -248,9 +248,9 @@ class HostSession:
         """Drive the transfer to completion, failure, or the round budget.
 
         Round k places the tag (one with a single distance stays where it was
-        placed before round 0) and powers it, consumes the report of round
-        k - 1, puts any message on air, then ticks the reader; round 0 only
-        sends.
+        placed before round 0) and powers it (at brownout = 0 it stays
+        powered), consumes the report of round k - 1, puts any message on
+        air, then ticks the reader; round 0 only sends.
         """
         cfg = self.config
         max_rounds = int(cfg.max_sim_seconds * ROUNDS_PER_SEC)
@@ -263,6 +263,12 @@ class HostSession:
         step = power.step
         set_powered = tag.set_powered
         p = cfg.brownout
+        # At brownout = 0 ``step`` neither draws nor browns out, so it is not
+        # called: the tag is powered from round 1 on, as ``step`` would leave
+        # it, and the power model is left alone.
+        stepping = p != 0
+        if not stepping and not tag.powered:
+            set_powered(True)
         # The results a round tests, as locals: an enum-class lookup costs each round.
         success, _, no_tag, inventory = ReportResult
 
@@ -293,7 +299,7 @@ class HostSession:
                 reader.stage(AccessSpec(sent, raw, cfg.ocv), now)
                 log(now, (action, row, chunk, s_p, "", expected))
                 nacks = no_tags = silent = 0  # since the last transmission
-                nack_result = None  # the result, EPC and kind id of its last NACK row
+                nack_report = None  # the report its last NACK row consumed
                 action = ""
             if now:  # round 0 only stages the first message
                 report = tick(now, tag, channel)
@@ -303,21 +309,36 @@ class HostSession:
             now += 1  # the next round places the tag, then powers it
             if place_round:
                 place_round(now)
-            powered = step(channel.brownout if p is None else p)
-            if powered is not tag.powered:  # only a flip changes the tag
-                set_powered(powered)
+            if stepping:
+                powered = step(channel.brownout if p is None else p)
+                if powered is not tag.powered:  # only a flip changes the tag
+                    set_powered(powered)
 
             # Consume the report produced by the previous round.
             timeout = False
-            if report is not None:
+            if report is None:
+                silent += 1
+                timeout = silent >= STALL_TICKS
+            elif report is nack_report:
+                # The reader handed back the report of the flight's last NACK
+                # row: its EPC against the same expected echo is a NACK again,
+                # with the same counts and, by its id, the same log kind.
+                silent = 0
+                n_total += nack_op
+                n_success += nack_ok
+                no_tags += nack_lost
+                nacks += 1
+                log_round(now)
+                log_kind(nack_kind)
+                timeout = nacks >= cfg.n_threshold
+            else:
                 silent = 0
                 # The log takes ``result._value_``, the member's value read
                 # without the Python-level property call ``.value`` makes.
                 result = report.result
-                if result is not inventory:
-                    n_total += 1
-                    if result is success:
-                        n_success += 1
+                op, ok = result is not inventory, result is success
+                n_total += op
+                n_success += ok
                 if classify_report(expected, report):
                     log(now, ("ack", row, chunk, s_p, result._value_, report.epc))
                     if fresh:  # an address pair put back spends the byte's budget
@@ -331,21 +352,12 @@ class HostSession:
                             m_count += 1
                     action = "send"
                 else:
+                    nack_report, nack_op, nack_ok = report, op, ok
+                    nack_lost = result is no_tag
+                    nack_kind = log(now, ("nack", row, chunk, s_p, result._value_, report.epc))
+                    no_tags += nack_lost
                     nacks += 1
-                    if result is no_tag:
-                        no_tags += 1
-                    epc = report.epc
-                    if result is nack_result and epc == nack_epc:
-                        # The same kind as the flight's last NACK row, by its id.
-                        log_round(now)
-                        log_kind(nack_kind)
-                    else:
-                        nack_result, nack_epc = result, epc
-                        nack_kind = log(now, ("nack", row, chunk, s_p, result._value_, epc))
                     timeout = nacks >= cfg.n_threshold
-            else:
-                silent += 1
-                timeout = silent >= STALL_TICKS
 
             if timeout:
                 lost_type = silent >= STALL_TICKS or 2 * no_tags > nacks

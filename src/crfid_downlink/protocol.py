@@ -93,24 +93,23 @@ class ExMessage:
         return list(struct.unpack(f">{len(self.raw) >> 1}H", self.raw))
 
 
-def build_basic_messages(row: Row) -> list[BasicMessage]:
-    """Messages for one row: two address messages, then one per data byte.
+def build_basic_messages(row: Row) -> list[bytes]:
+    """The Writes for one row as wire images: two address Writes, then one per data byte.
 
-    The first message carries the first printed address byte (high byte)
+    Each image is two bytes, header then payload, as ``BasicMessage.raw``.
+    The first Write carries the first printed address byte (high byte)
     under header 0xFD, the second carries the low byte under 0xFE, and
     each data byte follows under its offset header.
     """
-    if len(row.data) > MAX_BASIC_OFFSET + 1:
+    data = row.data
+    if len(data) > MAX_BASIC_OFFSET + 1:
         raise RowTooLong(
-            f"row has {len(row.data)} data bytes; offset headers stop at "
+            f"row has {len(data)} data bytes; offset headers stop at "
             f"{MAX_BASIC_OFFSET:#04x}"
         )
-    messages = [
-        BasicMessage(HDR_ADDR_FIRST, (row.address >> 8) & 0xFF),
-        BasicMessage(HDR_ADDR_SECOND, row.address & 0xFF),
-    ]
-    messages.extend(BasicMessage(off, b) for off, b in enumerate(row.data))
-    return messages
+    return [bytes((HDR_ADDR_FIRST, (row.address >> 8) & 0xFF)),
+            bytes((HDR_ADDR_SECOND, row.address & 0xFF)),
+            *map(bytes, enumerate(data))]
 
 
 def build_ex_message(chunk: bytes, address: int, s_max: int = DEFAULT_S_MAX) -> ExMessage:

@@ -31,17 +31,17 @@ T_U, T_DE, T_DL = 1, -2, -3  # the default index steps
 
 def test_basic_messages_golden_row():
     msgs = build_basic_messages(Row(0xAADD, bytes([0xBB, 0xCC])))
-    assert [m.raw for m in msgs] == [b"\xFD\xAA", b"\xFE\xDD", b"\x00\xBB", b"\x01\xCC"]
+    assert msgs == [b"\xFD\xAA", b"\xFE\xDD", b"\x00\xBB", b"\x01\xCC"]
 
 
 def test_basic_messages_address_only():
     msgs = build_basic_messages(Row(0x0000, b""))
-    assert [m.raw for m in msgs] == [b"\xFD\x00", b"\xFE\x00"]
+    assert msgs == [b"\xFD\x00", b"\xFE\x00"]
 
 
 def test_basic_messages_single_byte():
     msgs = build_basic_messages(Row(0x1234, bytes([0xAA])))
-    assert [m.raw for m in msgs] == [b"\xFD\x12", b"\xFE\x34", b"\x00\xAA"]
+    assert msgs == [b"\xFD\x12", b"\xFE\x34", b"\x00\xAA"]
 
 
 def test_basic_messages_row_too_long():
@@ -69,18 +69,20 @@ def test_basic_message_epc_echo_is_message_copy():
     st.binary(min_size=0, max_size=33),
 )
 def test_basic_messages_replay_reconstructs_row(address, data):
-    # Decode the message stream with an independent statement of the header
+    # Decode the two-byte images with an independent statement of the header
     # rules and check the row comes back byte-exact.
-    msgs = build_basic_messages(Row(address, data))
+    images = build_basic_messages(Row(address, data))
+    # Each is a valid Write's wire image: BasicMessage checks the header.
+    assert all(type(raw) is bytes and BasicMessage(*raw).raw == raw for raw in images)
     hi = lo = None
     rebuilt = {}
-    for m in msgs:
-        if m.header == 0xFD:
-            hi = m.payload
-        elif m.header == 0xFE:
-            lo = m.payload
+    for header, payload in images:
+        if header == 0xFD:
+            hi = payload
+        elif header == 0xFE:
+            lo = payload
         else:
-            rebuilt[((hi << 8) | lo) + m.header] = m.payload
+            rebuilt[((hi << 8) | lo) + header] = payload
     assert ((hi << 8) | lo) == address
     assert rebuilt == {address + i: b for i, b in enumerate(data)}
 
@@ -196,7 +198,7 @@ def test_wire_image_matches_the_per_byte_reference(flight_walk, drawn):
     basic += [bytes([offset, b]) for offset, b in enumerate(row.data)]
     assert sent_images(flight_walk, config, row) == basic
     assert BasicMessage(HDR_REPROGRAM_INIT, 0).raw == init
-    assert [m.raw for m in build_basic_messages(row)] == basic[1:]
+    assert build_basic_messages(row) == basic[1:]
     assert all(AccessSpec(1, r, 15).raw == r for r in basic)
 
 
