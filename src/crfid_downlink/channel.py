@@ -180,9 +180,7 @@ class ChannelModel:
             self._place(d)
 
     def _place(self, d: float) -> None:
-        self.d = d
-        (self.miss, self.flip, self.survival, self.brownout, self._powers,
-         self._tables) = round_odds(d)
+        self.restore((d, round_odds(d)))
 
     def placement(self) -> tuple[float, tuple]:
         """The placed distance and its odds, the memo's own tuple, for ``restore``."""

@@ -10,7 +10,7 @@ the throttled payload size for the extended variant; a basic data byte after
 its row's address pair, which a brown-out may have cleared) until the resend
 budget is exhausted and the transfer aborts.  Both go through one transmit
 point, and the transfer completes there once the cursor has nothing left to
-send.
+send.  ``run`` keeps only control state; a run's counts are folded from its log.
 
 Each inventory round the session also places the tag at the profile's
 distance and powers it by the configured brown-out probability, or for
@@ -102,8 +102,29 @@ class TransferLog:
         return [LogEvent(r, *kinds[k]) for r, k in zip(self.rounds, self.kind_ids)]
 
     def count(self, event: str) -> int:
-        per_kind = Counter(self.kind_ids)
-        return sum(n for k, n in per_kind.items() if self.kinds[k][0] == event)
+        return sum(n for k, n in Counter(self.kind_ids).items() if self.kinds[k][0] == event)
+
+    def totals(self) -> tuple[int, int, float, int, int]:
+        """``(messages_sent, resends, sum_s_p, op_success, op_total)``, folded kind by kind.
+
+        A ``send`` or ``resend`` row is a transmission at its S_p, an integer or
+        0.5, so the sum is exact in any order; an ``ack`` or ``nack`` row is a
+        consumed report, an access operation unless its result is ``inventory``.
+        """
+        per_kind = [0] * len(self.kinds)
+        for k in self.kind_ids:
+            per_kind[k] += 1
+        sent = resends = successes = operations = 0
+        sum_s_p = 0.0
+        for (event, _, _, s_p, result, _), n in zip(self.kinds, per_kind):
+            if event == "send" or event == "resend":
+                sent += n
+                resends += n if event == "resend" else 0
+                sum_s_p += n * s_p
+            elif (event == "ack" or event == "nack") and result != "inventory":
+                operations += n
+                successes += n if result == "success" else 0
+        return sent, resends, sum_s_p, successes, operations
 
 
 @dataclass
@@ -143,13 +164,12 @@ class HostSession:
     """One transfer attempt over a reader, tag and channel.
 
     ``config`` is read as given; ``ScenarioConfig.validate`` checks it.  The
-    transfer order lives in ``_flights``, the counts of a run in ``run``.
+    transfer order lives in ``_flights``, a run's counts in ``TransferLog.totals``.
     """
 
     def __init__(self, config: ScenarioConfig, matrix: RecordMatrix):
         self.config = config
         self.matrix = matrix
-        self.log = TransferLog()
         self._basic = config.protocol is Variant.BASIC
         self._s_p = config.s_p if config.s_p is not None else config.s_max
         self._ladder = (1,)  # the current extended row's S_p ladder
@@ -257,8 +277,9 @@ class HostSession:
         throttled = not self._basic and cfg.s_p is None
         reader = Reader()
         tick = reader.tick
-        log = self.log._appender()
-        log_round, log_kind = self.log.rounds.append, self.log.kind_ids.append
+        transfer_log = TransferLog()  # this run's rows only: its counts are folded from them
+        log = transfer_log._appender()
+        log_round, log_kind = transfer_log.rounds.append, transfer_log.kind_ids.append
         place_round = self._placement(channel, max_rounds)
         step = power.step
         set_powered = tag.set_powered
@@ -269,13 +290,10 @@ class HostSession:
         stepping = p != 0
         if not stepping and not tag.powered:
             set_powered(True)
-        # The results a round tests, as locals: an enum-class lookup costs each round.
-        success, _, no_tag, inventory = ReportResult
+        no_tag = ReportResult.NO_TAG_SEEN  # a local: an enum-class lookup costs each fresh NACK
 
-        sent = resent = m_count = r_count = n_success = n_total = 0
-        sum_s_p = 0.0
-        completed = False
-        failure = ""
+        sent = m_count = r_count = 0  # ``sent`` numbers the access specs
+        completed, failure = False, ""
         now = 0
         action = "send"  # what the transmit point puts on air: "send", "resend" or nothing
         report: OperationReport | None = None
@@ -291,9 +309,6 @@ class HostSession:
                     completed = True
                     break
                 sent += 1
-                if action == "resend":
-                    resent += 1
-                sum_s_p += s_p
                 expected = raw + WRITE_ECHO_MARK if len(raw) == 2 else raw[:4]
                 reader.request_delete(now)
                 reader.stage(AccessSpec(sent, raw, cfg.ocv), now)
@@ -314,32 +329,18 @@ class HostSession:
                 if powered is not tag.powered:  # only a flip changes the tag
                     set_powered(powered)
 
-            # Consume the report produced by the previous round.
-            timeout = False
+            # Consume the previous round's report; a round without a timeout ends in ``continue``.
             if report is None:
                 silent += 1
-                timeout = silent >= STALL_TICKS
-            elif report is nack_report:
-                # The reader handed back the report of the flight's last NACK
-                # row: its EPC against the same expected echo is a NACK again,
-                # with the same counts and, by its id, the same log kind.
-                silent = 0
-                n_total += nack_op
-                n_success += nack_ok
-                no_tags += nack_lost
-                nacks += 1
-                log_round(now)
-                log_kind(nack_kind)
-                timeout = nacks >= cfg.n_threshold
+                if silent < STALL_TICKS:
+                    continue
             else:
                 silent = 0
-                # The log takes ``result._value_``, the member's value read
-                # without the Python-level property call ``.value`` makes.
-                result = report.result
-                op, ok = result is not inventory, result is success
-                n_total += op
-                n_success += ok
-                if classify_report(expected, report):
+                result = report.result  # logged as ``_value_``: ``.value`` is a Python-level call
+                if report is nack_report:  # the last NACKed report again: the same kind
+                    log_round(now)
+                    log_kind(nack_kind)
+                elif classify_report(expected, report):
                     log(now, ("ack", row, chunk, s_p, result._value_, report.epc))
                     if fresh:  # an address pair put back spends the byte's budget
                         r_count = 0
@@ -351,27 +352,26 @@ class HostSession:
                         else:
                             m_count += 1
                     action = "send"
+                    continue
                 else:
-                    nack_report, nack_op, nack_ok = report, op, ok
-                    nack_lost = result is no_tag
+                    nack_report, nack_lost = report, result is no_tag
                     nack_kind = log(now, ("nack", row, chunk, s_p, result._value_, report.epc))
-                    no_tags += nack_lost
-                    nacks += 1
-                    timeout = nacks >= cfg.n_threshold
-
-            if timeout:
-                lost_type = silent >= STALL_TICKS or 2 * no_tags > nacks
-                log(now, ("timeout", row, chunk, s_p, "lost" if lost_type else "error", b""))
-                if r_count >= cfg.r_max:
-                    failure = "resend budget exhausted"
-                    log(now, ("abort", row, chunk, s_p, failure, b""))
-                    break
-                r_count += 1
-                m_count = 0
-                if throttled and row >= 0:
-                    if step_text := self._throttle(cfg.t_dl if lost_type else cfg.t_de):
-                        log(now, ("throttle", row, chunk, self._s_p, step_text, b""))
-                action = "resend"
+                no_tags += nack_lost
+                nacks += 1
+                if nacks < cfg.n_threshold:
+                    continue
+            lost_type = silent >= STALL_TICKS or 2 * no_tags > nacks
+            log(now, ("timeout", row, chunk, s_p, "lost" if lost_type else "error", b""))
+            if r_count >= cfg.r_max:
+                failure = "resend budget exhausted"
+                log(now, ("abort", row, chunk, s_p, failure, b""))
+                break
+            r_count += 1
+            m_count = 0
+            if throttled and row >= 0:
+                if step_text := self._throttle(cfg.t_dl if lost_type else cfg.t_de):
+                    log(now, ("throttle", row, chunk, self._s_p, step_text, b""))
+            action = "resend"
 
         reached_app = False
         if completed and cfg.bootloader:
@@ -394,6 +394,5 @@ class HostSession:
         if completed:
             log(now, ("complete", -1, 0, 0.0, "", b""))
 
-        return SessionResult(completed, now, self.log, messages_sent=sent, resends=resent,
-                             sum_s_p=sum_s_p, op_success=n_success, op_total=n_total,
+        return SessionResult(completed, now, transfer_log, *transfer_log.totals(),
                              reached_application=reached_app, failure_reason=failure)

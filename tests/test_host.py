@@ -13,7 +13,7 @@ from crfid_downlink.protocol import HDR_REPROGRAM_INIT, build_ladder, snap_to_la
 from crfid_downlink.reader import ROUNDS_PER_SEC, OperationReport, ReportResult
 from crfid_downlink.scenario import DistanceProfile, ScenarioConfig, ScenarioError, run_scenario
 from crfid_downlink.tag import Tag, TagMode
-from test_scenario import HOST_EVENTS, log_events, tag_state_digest
+from test_scenario import HOST_EVENTS, log_events, session_counts, tag_state_digest
 
 GOLDEN_FILE = ":02AADD00BBCCF0\n:00000001FF\n"
 
@@ -62,6 +62,16 @@ def test_log_rebuilds_the_events_it_was_built_from(events):
                                   for e in events})
     for event in HOST_EVENTS:
         assert log.count(event) == sum(e.event == event for e in events)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(log_events, max_size=60))
+def test_log_totals_count_transmissions_and_operations_row_by_row(events):
+    sent = [e for e in events if e.event in ("send", "resend")]
+    reports = [e.result for e in events if e.event in ("ack", "nack")]
+    assert TransferLog(events).totals() == (
+        len(sent), sum(e.event == "resend" for e in sent), sum(e.s_p for e in sent),
+        reports.count("success"), len(reports) - reports.count("inventory"))
 
 
 def test_log_row_costs_a_fraction_of_an_object(firmware_matrix, clean_run):
@@ -594,6 +604,26 @@ def test_budget_ending_on_the_last_ack_completes(clean_run, protocol, bootloader
     assert short.failure_reason == "round budget exhausted"
     assert short.rounds == last_ack - 1
     assert short.log.events[-1].event == "nack"
+
+
+# (messages_sent, resends, sum_s_p, op_success, op_total) of the run cut one round
+# before its last ACK, then of the run whose budget ends on it.  The cut run
+# never consumes the report of its last tick, so that report goes uncounted.
+BUDGET_COUNTS = {
+    (Variant.BASIC, False): [(44, 0, 22.0, 646, 646), (44, 0, 22.0, 647, 647)],
+    (Variant.BASIC, True): [(45, 0, 22.5, 661, 661), (45, 0, 22.5, 662, 662)],
+    (Variant.EX, False): [(2, 0, 20.0, 16, 17), (2, 0, 20.0, 16, 18)],
+    (Variant.EX, True): [(3, 0, 20.5, 31, 32), (3, 0, 20.5, 32, 33)],
+}
+
+
+@pytest.mark.parametrize("protocol, bootloader", FLAVOURS)
+def test_a_cut_run_leaves_its_last_report_uncounted(clean_run, protocol, bootloader):
+    full = budget_run(clean_run, protocol, bootloader)
+    last_ack = max(e.round_no for e in full.log.events if e.event == "ack")
+    runs = [budget_run(clean_run, protocol, bootloader, rounds=n) for n in (last_ack - 1, last_ack)]
+    assert [r.completed for r in runs] == [False, True]
+    assert [session_counts(r) for r in runs] == BUDGET_COUNTS[protocol, bootloader]
 
 
 @pytest.mark.parametrize("protocol, bootloader", FLAVOURS)

@@ -581,6 +581,33 @@ def test_tag_state_digests_pinned(small_matrix, name, seed):
     assert tag_state_digest(outcome) == GOLDEN_TAG_STATES[name, seed]
 
 
+# No CSV carries op_success or op_total.  Each golden run's
+# (messages_sent, resends, sum_s_p, op_success, op_total), in run order:
+GOLDEN_COUNTS = {
+    ("basic", 1): [(561, 0, 280.5, 8402, 8402), (570, 3, 285.0, 8532, 8542)],
+    ("basic", 2): [(567, 2, 283.5, 8491, 8497), (573, 4, 286.5, 8580, 8589)],
+    ("ex", 1): [(94, 6, 304.5, 1152, 1516), (95, 8, 309.5, 1100, 1494)],
+    ("ex", 2): [(103, 6, 307.5, 1294, 1647), (92, 5, 305.5, 1155, 1490)],
+    ("far", 1): [(26, 8, 13.0, 91, 397), (10, 3, 5.0, 32, 158)],
+    ("long", 1): [(25, 5, 325.0, 65, 344), (28, 8, 364.0, 79, 351)],
+}
+
+
+def session_counts(result) -> tuple:
+    return (result.messages_sent, result.resends, result.sum_s_p, result.op_success,
+            result.op_total)
+
+
+@pytest.mark.parametrize("name,seed", sorted(GOLDEN_COUNTS))
+def test_session_counts_pinned(small_matrix, name, seed):
+    cfg = parse_config_text(GOLDEN_CONFIGS[name] + f"seed = {seed}\n")
+    runs = sorted(run_scenario(cfg, matrix=small_matrix).runs, key=lambda r: r.run)
+    # Every run consumes idle reports, which count as no access operation.
+    for r in runs:
+        assert ("nack", "inventory") in {(k[0], k[4]) for k in r.result.log.kinds}
+    assert [session_counts(r.result) for r in runs] == GOLDEN_COUNTS[name, seed]
+
+
 # -- a completed run holds the image ------------------------------------------------
 
 WRITE_FAULT_RATES = (0.001, 0.002, 0.005, 0.01, 0.02, 0.05)
