@@ -1,16 +1,16 @@
 """Host engine: message dispatch, ACK/NACK classification, resend, throttling.
 
 The host walks the record matrix one message at a time, in the order
-``HostSession._flights`` yields them.  After sending it watches the report
-stream: a report whose EPC prefix matches the expected verification data
-acknowledges the in-flight message, and everything else counts toward the
-NACK timeout, including the stale echoes that the old operation frame floods
-into the new message frame.  A timeout resends the current chunk (re-cut at
-the throttled payload size for the extended variant; a basic data byte after
-its row's address pair, which a brown-out may have cleared) until the resend
-budget is exhausted and the transfer aborts.  Both go through one transmit
-point, and the transfer completes there once the cursor has nothing left to
-send.  ``run`` keeps only control state; a run's counts are folded from its log.
+``HostSession._flights`` yields them; that cursor also owns the throttled S_p.
+``run`` watches the report stream: a report whose EPC prefix matches the
+expected verification data acknowledges the in-flight message, and everything
+else, the stale echoes the old operation frame floods into the new message
+frame included, counts toward the NACK timeout.  A timeout resends the current
+chunk (re-cut at the throttled S_p; a basic data byte after its row's address
+pair, which a brown-out may have cleared) until the resend budget is exhausted
+and the transfer aborts.  Both go through one transmit point, which completes
+the transfer once the cursor has nothing left to send.  ``run`` keeps only the
+rounds, reports, timeouts and resend budget; a run's counts come from its log.
 
 Each inventory round the session also places the tag at the profile's
 distance and powers it by the configured brown-out probability, or for
@@ -20,7 +20,6 @@ distance and powers it by the configured brown-out probability, or for
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from collections.abc import Callable, Generator, Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -101,8 +100,14 @@ class TransferLog:
         kinds = self.kinds
         return [LogEvent(r, *kinds[k]) for r, k in zip(self.rounds, self.kind_ids)]
 
+    def _per_kind(self) -> list[int]:  # the number of rows of each kind, by kind id
+        per_kind = [0] * len(self.kinds)
+        for k in self.kind_ids:
+            per_kind[k] += 1
+        return per_kind
+
     def count(self, event: str) -> int:
-        return sum(n for k, n in Counter(self.kind_ids).items() if self.kinds[k][0] == event)
+        return sum(n for kind, n in zip(self.kinds, self._per_kind()) if kind[0] == event)
 
     def totals(self) -> tuple[int, int, float, int, int]:
         """``(messages_sent, resends, sum_s_p, op_success, op_total)``, folded kind by kind.
@@ -111,12 +116,9 @@ class TransferLog:
         0.5, so the sum is exact in any order; an ``ack`` or ``nack`` row is a
         consumed report, an access operation unless its result is ``inventory``.
         """
-        per_kind = [0] * len(self.kinds)
-        for k in self.kind_ids:
-            per_kind[k] += 1
         sent = resends = successes = operations = 0
         sum_s_p = 0.0
-        for (event, _, _, s_p, result, _), n in zip(self.kinds, per_kind):
+        for (event, _, _, s_p, result, _), n in zip(self.kinds, self._per_kind()):
             if event == "send" or event == "resend":
                 sent += n
                 resends += n if event == "resend" else 0
@@ -170,17 +172,15 @@ class HostSession:
     def __init__(self, config: ScenarioConfig, matrix: RecordMatrix):
         self.config = config
         self.matrix = matrix
-        self._basic = config.protocol is Variant.BASIC
-        self._s_p = config.s_p if config.s_p is not None else config.s_max
-        self._ladder = (1,)  # the current extended row's S_p ladder
 
     # ------------------------------------------------------------------
     # message cursor
 
-    def _flights(self) -> Generator[tuple[bytes, int, int, float, bool], bool, None]:
+    def _flights(self, log: Callable) -> Generator[tuple, tuple[str, int], None]:
         """Every transmission in send order, as ``(raw, row, chunk, S_p, fresh)``.
 
-        ``run`` sends back True after an ACK and False after a timeout; a
+        ``run`` sends back ``(outcome, now)`` after each one: ``"ack"``, or the
+        timeout's ``"lost"`` or ``"error"``, and the round it came in.  A
         message goes out again until it is ACKed.  ``fresh`` is False only for
         a basic row's address pair put back after a data byte's timeout: a
         brown-out clears the tag's address registers, and the tag then ignores
@@ -190,45 +190,53 @@ class HostSession:
 
         An extended row sets the S_p ladder, rebuilt only when the row's word
         count differs from the last one, and snaps S_p onto it; each chunk is
-        cut at S_p as it is sent, so a resend is re-cut at the throttled size.
+        cut at S_p as it is sent.  A throttled S_p steps ``t_dl`` or ``t_de``
+        on a lost or error timeout, which ends the ACK streak, and ``t_u`` on an
+        ACK after a streak longer than ``m_threshold``; each step that moves it
+        is logged through ``log`` as a ``throttle`` row.
         """
         cfg, rows = self.config, self.matrix.rows
-        if self._basic:  # built up front, so RowTooLong surfaces before the first send
+        basic = cfg.protocol is Variant.BASIC
+        if basic:  # built up front, so RowTooLong surfaces before the first send
             writes = [build_basic_messages(row) for row in rows]
         if cfg.bootloader:
-            while not (yield _INIT, -1, 0, 0.5, True):
+            while (yield _INIT, -1, 0, 0.5, True)[0] != "ack":
                 pass
-        if self._basic:
+        if basic:
             for r, row_writes in enumerate(writes):
                 k = 0
                 while k < len(row_writes):
-                    if (yield row_writes[k], r, k + 1, 0.5, True):
+                    if (yield row_writes[k], r, k + 1, 0.5, True)[0] == "ack":
                         k += 1
                     elif k >= _ADDRESS_PAIR:
                         for a in range(_ADDRESS_PAIR):
-                            while not (yield row_writes[a], r, a + 1, 0.5, False):
+                            while (yield row_writes[a], r, a + 1, 0.5, False)[0] != "ack":
                                 pass
             return
-        ladder_words = 0
+        throttled, s_p = cfg.s_p is None, cfg.s_p or cfg.s_max
+        streak = ladder_words = 0
         for r, row in enumerate(rows):
             if not row.data:
                 continue
             if (words := row.word_count()) != ladder_words:
-                self._ladder, ladder_words = build_ladder(words, cfg.s_max), words
-            start = cfg.s_p if cfg.s_p is not None else self._s_p
-            self._s_p = snap_to_ladder(start, self._ladder)
+                ladder, ladder_words = build_ladder(words, cfg.s_max), words
+            s_p = snap_to_ladder(s_p if throttled else cfg.s_p, ladder)
             pos, chunk = 0, 1
             while pos < len(row.data):
-                data = row.data[pos : pos + 2 * self._s_p]
+                data = row.data[pos : pos + 2 * s_p]
                 raw = build_ex_message(data, row.address + pos, cfg.s_max).raw
-                if (yield raw, r, chunk, self._s_p, True):
+                outcome, now = yield raw, r, chunk, s_p, True
+                if outcome != "ack":
+                    step, streak = cfg.t_dl if outcome == "lost" else cfg.t_de, 0
+                elif streak > cfg.m_threshold:
+                    step, streak = cfg.t_u, 0
+                else:
+                    step, streak = 0, streak + 1
+                if throttled and step and (stepped := throttle(s_p, ladder, step)) != s_p:
+                    log(now, ("throttle", r, chunk, stepped, f"{s_p}->{stepped}", b""))
+                    s_p = stepped
+                if outcome == "ack":
                     pos, chunk = pos + len(data), chunk + 1
-
-    def _throttle(self, step: int) -> str:
-        """Step S_p along the ladder; returns the ``old->new`` text, or "" if it stayed."""
-        old = self._s_p
-        self._s_p = throttle(old, self._ladder, step)
-        return f"{old}->{self._s_p}" if self._s_p != old else ""
 
     # ------------------------------------------------------------------
     # main loop
@@ -274,7 +282,6 @@ class HostSession:
         """
         cfg = self.config
         max_rounds = int(cfg.max_sim_seconds * ROUNDS_PER_SEC)
-        throttled = not self._basic and cfg.s_p is None
         reader = Reader()
         tick = reader.tick
         transfer_log = TransferLog()  # this run's rows only: its counts are folded from them
@@ -292,19 +299,17 @@ class HostSession:
             set_powered(True)
         no_tag = ReportResult.NO_TAG_SEEN  # a local: an enum-class lookup costs each fresh NACK
 
-        sent = m_count = r_count = 0  # ``sent`` numbers the access specs
+        sent = r_count = now = 0  # ``sent`` numbers the access specs
         completed, failure = False, ""
-        now = 0
-        action = "send"  # what the transmit point puts on air: "send", "resend" or nothing
+        outcome = "ack"  # the last message's: "" waits, "ack" sends the next, a timeout resends
         report: OperationReport | None = None
-        flights = self._flights()
+        flights = self._flights(log)
 
         while True:
-            if action:
-                # The one transmit point: it tells the cursor whether the last
-                # message was ACKed, and a cursor with nothing left completes.
+            if outcome:
+                # The one transmit point: it tells the cursor the outcome; an empty one completes.
                 try:
-                    raw, row, chunk, s_p, fresh = flights.send(action == "send" if sent else None)
+                    raw, row, chunk, s_p, fresh = flights.send((outcome, now) if sent else None)
                 except StopIteration:
                     completed = True
                     break
@@ -312,10 +317,10 @@ class HostSession:
                 expected = raw + WRITE_ECHO_MARK if len(raw) == 2 else raw[:4]
                 reader.request_delete(now)
                 reader.stage(AccessSpec(sent, raw, cfg.ocv), now)
-                log(now, (action, row, chunk, s_p, "", expected))
+                log(now, ("send" if outcome == "ack" else "resend", row, chunk, s_p, "", expected))
                 nacks = no_tags = silent = 0  # since the last transmission
                 nack_report = None  # the report its last NACK row consumed
-                action = ""
+                outcome = ""
             if now:  # round 0 only stages the first message
                 report = tick(now, tag, channel)
             if now >= max_rounds:
@@ -344,14 +349,7 @@ class HostSession:
                     log(now, ("ack", row, chunk, s_p, result._value_, report.epc))
                     if fresh:  # an address pair put back spends the byte's budget
                         r_count = 0
-                    if throttled and row >= 0:
-                        if m_count > cfg.m_threshold:
-                            if step_text := self._throttle(cfg.t_u):
-                                log(now, ("throttle", row, chunk, self._s_p, step_text, b""))
-                            m_count = 0
-                        else:
-                            m_count += 1
-                    action = "send"
+                    outcome = "ack"
                     continue
                 else:
                     nack_report, nack_lost = report, result is no_tag
@@ -360,23 +358,17 @@ class HostSession:
                 nacks += 1
                 if nacks < cfg.n_threshold:
                     continue
-            lost_type = silent >= STALL_TICKS or 2 * no_tags > nacks
-            log(now, ("timeout", row, chunk, s_p, "lost" if lost_type else "error", b""))
+            outcome = "lost" if silent >= STALL_TICKS or 2 * no_tags > nacks else "error"
+            log(now, ("timeout", row, chunk, s_p, outcome, b""))
             if r_count >= cfg.r_max:
                 failure = "resend budget exhausted"
                 log(now, ("abort", row, chunk, s_p, failure, b""))
                 break
             r_count += 1
-            m_count = 0
-            if throttled and row >= 0:
-                if step_text := self._throttle(cfg.t_dl if lost_type else cfg.t_de):
-                    log(now, ("throttle", row, chunk, self._s_p, step_text, b""))
-            action = "resend"
 
         reached_app = False
         if completed and cfg.bootloader:
-            # Deliver the whole-application checksum once the tag has power,
-            # within the round budget.
+            # Deliver the whole-application checksum once the tag has power, within the budget.
             while not tag.powered and now < max_rounds:
                 now += 1
                 if place_round:

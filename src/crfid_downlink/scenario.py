@@ -103,6 +103,14 @@ class ScenarioConfig:
     def validate(self) -> None:
         """Check every setting before a run; a ScenarioError names the key."""
         prof = self.profile
+        # A config built in code skips the parser: a wrong type would run as something else.
+        _require(isinstance(self.protocol, Variant), "protocol", "a Variant", repr(self.protocol))
+        _require(prof.kind in ("static", "oscillate"), "distance", "'static' or 'oscillate'",
+                 repr(prof.kind))
+        for key in ("bootloader", "dump_fram"):
+            _require(type(getattr(self, key)) is bool, key, "a bool", repr(getattr(self, key)))
+        _require(self.s_p is None or type(self.s_p) is int, "s_p", "an integer or None",
+                 repr(self.s_p))
         for key, value in (("max_sim_seconds", self.max_sim_seconds),
                            ("write_fault_prob", self.write_fault_prob),
                            ("brownout", self.brownout or 0.0), ("d_cm", prof.d_cm),

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from crfid_downlink.channel import ChannelModel
-from crfid_downlink.host import HostSession, Variant
+from crfid_downlink.host import HostSession, TransferLog, Variant
 from crfid_downlink.ihex import generate_fixture, parse_file
 from crfid_downlink.scenario import DistanceProfile, ScenarioConfig
 from crfid_downlink.tag import PowerModel, Tag
@@ -55,22 +55,22 @@ def clean_run():
 
 
 def walk_flights(flights, steps: int | None = None):
-    """Drive a host's ``_flights()`` cursor, acknowledging every transmission.
+    """Drive a host's ``_flights(log)`` cursor, acknowledging every transmission.
 
     Returns ``(sent, after)``: the ``(raw, row, chunk, S_p, fresh)`` tuples in
     send order (at most ``steps`` of them), and what the cursor yields once
     they are all ACKed: the next transmission, or None when it has nothing left.
     """
-    sent, acked = [], None  # a fresh generator takes None, then True for each ACK
+    sent, reply = [], None  # a fresh generator takes None, then ("ack", round) for each ACK
     while True:
         try:
-            flight = flights.send(acked)
+            flight = flights.send(reply)
         except StopIteration:
             return sent, None
         if len(sent) == steps:
             return sent, flight
         sent.append(flight)
-        acked = True
+        reply = ("ack", len(sent))
 
 
 @pytest.fixture(scope="session")
@@ -86,7 +86,7 @@ def walk_extended_chunks(matrix, s_p: int, steps: int | None = None):
     transmission the cursor yields after them (None past the last chunk).
     """
     session = HostSession(ScenarioConfig(protocol=Variant.EX, s_p=s_p), matrix)
-    sent, after = walk_flights(session._flights(), steps)
+    sent, after = walk_flights(session._flights(TransferLog()._appender()), steps)
     return [((raw[2] << 8) | raw[3], raw[4 : 4 + raw[1]]) for raw, *_ in sent], after
 
 

@@ -9,7 +9,7 @@ from crfid_downlink import scenario
 from crfid_downlink.cli import main
 from crfid_downlink.host import HostSession, TransferLog, Variant, classify_report, matrix_crc
 from crfid_downlink.ihex import RecordMatrix, Row, generate_fixture, parse_file
-from crfid_downlink.protocol import HDR_REPROGRAM_INIT, build_ladder, snap_to_ladder
+from crfid_downlink.protocol import HDR_REPROGRAM_INIT, build_ladder, snap_to_ladder, throttle
 from crfid_downlink.reader import ROUNDS_PER_SEC, OperationReport, ReportResult
 from crfid_downlink.scenario import DistanceProfile, ScenarioConfig, ScenarioError, run_scenario
 from crfid_downlink.tag import Tag, TagMode
@@ -202,26 +202,33 @@ def test_each_row_gets_its_own_ladder(s_p):
     # the row's word count repeats.
     widths = (26, 26, 7, 26, 1)
     matrix = RecordMatrix([Row(0x1000 + 32 * i, bytes(range(n))) for i, n in enumerate(widths)])
-    session = HostSession(ScenarioConfig(protocol=Variant.EX, s_max=16, s_p=s_p), matrix)
-    flights = session._flights()
+    cfg = ScenarioConfig(protocol=Variant.EX, s_max=16, s_p=s_p)
+    log = TransferLog()
+    flights = HostSession(cfg, matrix)._flights(log._appender())
     start = 16 if s_p is None else s_p  # a throttled session starts at S_max
-    rows = []
+    rows, steps = [], 0
     try:
         flight = next(flights)
         while True:
             _, row, chunk, sent_s_p, _ = flight
+            ladder = build_ladder(matrix.rows[row].word_count(), 16)
             if chunk == 1:  # a row's first chunk goes out on that row's ladder
-                ladder = build_ladder(matrix.rows[row].word_count(), 16)
-                assert session._ladder == ladder
-                assert sent_s_p == session._s_p == snap_to_ladder(start, ladder)
+                assert sent_s_p == snap_to_ladder(start, ladder)
                 rows.append(row)
+            # An error timeout steps a throttled S_p down the row's ladder
+            # while the row is sent, and the chunk goes out again at it.
+            _, again_row, again_chunk, stepped, _ = flights.send(("error", 0))
+            assert (again_row, again_chunk) == (row, chunk)
             if s_p is None:
-                session._throttle(-1)  # a throttled S_p moves while the row is sent
-                start = session._s_p
-            flight = flights.send(True)
+                assert stepped == throttle(sent_s_p, ladder, cfg.t_de)
+                start, steps = stepped, steps + (stepped != sent_s_p)
+            else:
+                assert stepped == sent_s_p
+            flight = flights.send(("ack", 0))
     except StopIteration:
         pass
     assert rows == list(range(len(widths)))
+    assert log.count("throttle") == steps and (steps > 0) == (s_p is None)
 
 
 def test_unreachable_tag_aborts_after_r_max_resends(clean_run):
@@ -308,8 +315,9 @@ def test_the_cursor_readdresses_only_after_a_data_byte_times_out():
     # address Write as it was, and a timed-out data byte after its row's
     # address pair, which goes out as many times as it times out.
     cfg = ScenarioConfig(protocol=Variant.BASIC, bootloader=True)
-    flights = HostSession(cfg, parse_file(GOLDEN_FILE))._flights()
-    replies = [None, False, True, False, True, True, False, False, True, True, True]
+    flights = HostSession(cfg, parse_file(GOLDEN_FILE))._flights(TransferLog()._appender())
+    outcomes = ["lost", "ack", "error", "ack", "ack", "lost", "error", "ack", "ack", "ack"]
+    replies = [None, *((outcome, now) for now, outcome in enumerate(outcomes, 1))]
     sent = [(raw[0], row, chunk, fresh)
             for raw, row, chunk, _, fresh in map(flights.send, replies)]
     assert sent == [
@@ -318,7 +326,7 @@ def test_the_cursor_readdresses_only_after_a_data_byte_times_out():
         (0xFD, 0, 1, False), (0xFD, 0, 1, False), (0xFE, 0, 2, False), (0x00, 0, 3, True),
         (0x01, 0, 4, True)]
     with pytest.raises(StopIteration):
-        flights.send(True)
+        flights.send(("ack", len(replies)))
 
 
 # -- stale-echo flood bound --------------------------------------------------------

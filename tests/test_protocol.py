@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crfid_downlink.host import HostSession, Variant
+from crfid_downlink.host import HostSession, TransferLog, Variant
 from crfid_downlink.ihex import RecordMatrix, Row
 from crfid_downlink.protocol import (
     HDR_ADDR_FIRST,
@@ -204,7 +204,8 @@ def test_wire_image_matches_the_per_byte_reference(flight_walk, drawn):
 
 def sent_images(flight_walk, config, row):
     """Every ``raw`` the host's cursor puts on air for one row, each one acknowledged."""
-    sent, _ = flight_walk(HostSession(config, RecordMatrix([row]))._flights())
+    session = HostSession(config, RecordMatrix([row]))
+    sent, _ = flight_walk(session._flights(TransferLog()._appender()))
     return [raw for raw, *_ in sent]
 
 
@@ -232,15 +233,15 @@ def test_next_message_fresh_cursor_yields_first_chunk(chunk_walk):
 
 def test_next_message_done_at_end(flight_walk):
     session = HostSession(ScenarioConfig(protocol=Variant.EX, s_p=2), three_row_matrix())
-    flights = session._flights()
+    flights = session._flights(TransferLog()._appender())
     sent, after = flight_walk(flights)
     assert [(row, chunk) for _, row, chunk, _, _ in sent] == [
         (0, 1), (0, 2), (1, 1), (1, 2), (2, 1)]
     assert after is None
     # Asking again, after an ACK or a timeout, leaves the cursor at the end.
-    for acked in (True, False, True):
+    for outcome in ("ack", "error", "lost", "ack"):
         with pytest.raises(StopIteration):
-            flights.send(acked)
+            flights.send((outcome, len(sent)))
 
 
 def test_next_message_walk_visits_every_chunk_in_order(chunk_walk):

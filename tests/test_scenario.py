@@ -17,6 +17,7 @@ from crfid_downlink.cli import main
 from crfid_downlink.host import LogEvent, SessionResult, TransferLog, Variant
 from crfid_downlink.ihex import generate_fixture, parse_file
 from crfid_downlink.metrics import compute_metrics
+from crfid_downlink.protocol import build_ladder
 from crfid_downlink.reader import ROUNDS_PER_SEC, Reader, ReportResult
 from crfid_downlink.scenario import (
     DistanceProfile,
@@ -216,6 +217,23 @@ def test_a_setting_past_the_float_range_is_rejected_before_the_run(tmp_path, cap
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,config", [
+    # A string is not Variant.BASIC, so "basic" ran the extended flavour.
+    ("protocol", ScenarioConfig(protocol="basic")),
+    # Every kind but "static" ran as an oscillation.
+    ("distance", ScenarioConfig(profile=DistanceProfile(kind="circle"))),
+    # Any non-empty string is true, so "no" sent the INIT or dumped the memory.
+    ("bootloader", ScenarioConfig(bootloader="no")),
+    ("dump_fram", ScenarioConfig(dump_fram="no")),
+    # The ladder snaps 4.5 down, so it ran at 4 words.
+    ("s_p", ScenarioConfig(s_p=4.5)),
+])
+def test_a_config_built_in_code_with_a_wrong_type_is_rejected(tmp_path, key, config):
+    with pytest.raises(ScenarioError, match=f"^{key} must be"):
+        run_scenario(config, out_dir=tmp_path, matrix=ONE_ROW)
+    assert not any(tmp_path.iterdir())  # rejected before the first run
 
 
 def test_a_distance_past_the_float_range_runs_or_names_d_cm(tmp_path):
@@ -515,6 +533,10 @@ GOLDEN_CONFIGS = {
     # long BlockWrite series at a range where slots drain and resends follow
     "long": "protocol = ex\ns_p = 16\nbrownout = auto\ndistance = static\nd_cm = 50\n"
             "write_fault_prob = 0.01\nrepeats = 2\n",
+    # a throttle step of its own size for each outcome: ACK, error and lost timeout
+    "steps": "protocol = ex\ns_p = throttle\nm_threshold = 0\nt_u = 2\nt_de = -3\nt_dl = -5\n"
+             "r_max = 10\nbrownout = 0.3\ndistance = static\nd_cm = 40\n"
+             "write_fault_prob = 0.01\nrepeats = 2\n",
 }
 
 GOLDEN_DIGESTS = {
@@ -528,10 +550,13 @@ GOLDEN_DIGESTS = {
     ("ex", 1): "728158c900bace2eaa8fc26cb7a9385ce9ec7911b1d455aed6471639ba8d0456",
     ("ex", 2): "6ff79143209c4353636b0b2d29244f0230c121e61f1d944bbd6e2cebddaf5e2f",
     ("long", 1): "01bde756d55bd30c6ded2c043da27064fa4b06f2e5b4f311550aff956c92da22",
+    ("steps", 1): "c6f83a0af0632e32a9dcfa686a71aa81dabfef76a4ed2cb3c44d928e3a8740a0",
+    ("steps", 2): "8c3441e9dc8bfc129fbbfd6a50275d1059e534aa4d121539b824bf9e92ff96e8",
 }
 
 GOLDEN_EVENTS = {"basic": {"resend", "timeout", "complete"}, "far": {"resend", "timeout", "abort"},
-                 "ex": {"throttle", "resend"}, "long": {"timeout", "resend"}}
+                 "ex": {"throttle", "resend"}, "long": {"timeout", "resend"},
+                 "steps": {"throttle", "timeout", "resend", "complete"}}
 
 
 def csv_digest(out_dir) -> str:
@@ -562,6 +587,8 @@ GOLDEN_TAG_STATES = {
     ("ex", 1): "edb7681c9cca4df13424a733142c79bc6e93a00173d87442ae173b9565d41d45",
     ("ex", 2): "a3a7671636b4e8deb5cdc78c31e4e7d3f49a029f1f48f62dd4764c4195d2486d",
     ("long", 1): "48bf52ef4663703d751c4bd6ffd29f2899ae5f1b5459cd7f307151c7f6afd6fc",
+    ("steps", 1): "631ed463af885243d7e41582d5d7002f763be28bec6f3a5f44ed2b4637e7417b",
+    ("steps", 2): "f1bdce46f9712b3834b1f7ee9c6e222142b3e5760cdde2165411e63982f697bf",
 }
 
 
@@ -590,6 +617,8 @@ GOLDEN_COUNTS = {
     ("ex", 2): [(103, 6, 307.5, 1294, 1647), (92, 5, 305.5, 1155, 1490)],
     ("far", 1): [(26, 8, 13.0, 91, 397), (10, 3, 5.0, 32, 158)],
     ("long", 1): [(25, 5, 325.0, 65, 344), (28, 8, 364.0, 79, 351)],
+    ("steps", 1): [(162, 45, 458.0, 1069, 2548), (143, 40, 473.0, 982, 2245)],
+    ("steps", 2): [(142, 41, 465.0, 890, 2212), (109, 30, 422.0, 698, 1684)],
 }
 
 
@@ -606,6 +635,31 @@ def test_session_counts_pinned(small_matrix, name, seed):
     for r in runs:
         assert ("nack", "inventory") in {(k[0], k[4]) for k in r.result.log.kinds}
     assert [session_counts(r.result) for r in runs] == GOLDEN_COUNTS[name, seed]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_each_outcome_takes_its_own_throttle_step(small_matrix, seed):
+    # No other golden run has a lost timeout.  Each throttle row follows the
+    # ACK or timeout that took it and walks its row's ladder by that outcome's
+    # step, clamped at the ends; both timeout kinds step S_p in every seed.
+    cfg = parse_config_text(GOLDEN_CONFIGS["steps"] + f"seed = {seed}\n")
+    steps = {"ack": cfg.t_u, "error": cfg.t_de, "lost": cfg.t_dl}
+    taken = set()
+    for run in run_scenario(cfg, matrix=small_matrix).runs:
+        assert run.result.completed
+        events = run.result.log.events
+        for cause, step in zip(events, events[1:]):
+            if step.event != "throttle":
+                continue
+            assert cause.event in ("ack", "timeout")
+            assert (cause.row, cause.chunk) == (step.row, step.chunk)
+            outcome = cause.event if cause.event == "ack" else cause.result
+            ladder = build_ladder(small_matrix.rows[step.row].word_count(), cfg.s_max)
+            old, new = (ladder.index(int(s_p)) for s_p in step.result.split("->"))
+            assert new == max(0, min(len(ladder) - 1, old + steps[outcome]))
+            assert step.s_p == ladder[new]
+            taken.add(outcome)
+    assert taken == {"ack", "error", "lost"}
 
 
 # -- a completed run holds the image ------------------------------------------------
