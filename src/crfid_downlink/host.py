@@ -23,7 +23,7 @@ from array import array
 from collections.abc import Callable, Generator, Iterable
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .channel import ODDS_MEMO_SIZE, ChannelModel
 from .crc import crc16_ccitt
@@ -45,8 +45,7 @@ class Variant(Enum):
     EX = "ex"
 
 
-@dataclass(slots=True)
-class LogEvent:
+class LogEvent(NamedTuple):
     round_no: int
     event: str
     row: int
@@ -129,7 +128,7 @@ class TransferLog:
         return sent, resends, sum_s_p, successes, operations
 
 
-@dataclass
+@dataclass  # benchmarks/test_benchmark.py copies it with dataclasses.replace
 class SessionResult:
     completed: bool
     rounds: int

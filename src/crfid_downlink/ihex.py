@@ -8,7 +8,7 @@ message.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 TYPE_DATA = 0x00
 TYPE_EOF = 0x01
@@ -46,8 +46,7 @@ def record_checksum(data: bytes) -> int:
     return (-sum(data)) & 0xFF
 
 
-@dataclass(frozen=True)
-class HexRecord:
+class HexRecord(NamedTuple):
     byte_count: int
     address: int
     record_type: int
@@ -55,8 +54,7 @@ class HexRecord:
     checksum: int
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     """One data record: destination address plus raw bytes."""
 
     address: int
@@ -67,9 +65,14 @@ class Row:
         return math.ceil(len(self.data) / 2)
 
 
-@dataclass
 class RecordMatrix:
-    rows: list[Row] = field(default_factory=list)
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[Row] | None = None):
+        self.rows = [] if rows is None else rows
+
+    def __eq__(self, other):
+        return self.rows == other.rows if isinstance(other, RecordMatrix) else NotImplemented
 
     def __len__(self) -> int:
         return len(self.rows)

@@ -9,7 +9,7 @@ command metrics at the five measured antenna distances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .host import SessionResult
 from .reader import ROUNDS_PER_SEC
@@ -23,8 +23,7 @@ class UnknownDistance(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SessionMetrics:
+class SessionMetrics(NamedTuple):
     n_s: int
     n_t: int
     t: float  # session runtime, seconds
@@ -72,8 +71,7 @@ def compute_metrics(result: SessionResult) -> SessionMetrics:
     )
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(NamedTuple):
     d_cm: int
     a_eta: float
     b_eta: float
@@ -94,8 +92,7 @@ MODEL_PARAMS: dict[int, ModelParams] = {
 }
 
 
-@dataclass(frozen=True)
-class ModelPoint:
+class ModelPoint(NamedTuple):
     psi_t: float
     eta: float
     psi_s: float

@@ -42,7 +42,7 @@ class PayloadTooLarge(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # the tracer wraps its methods by name; tests compare messages
 class BasicMessage:
     """One Write: header byte plus payload byte, ``raw`` their two-byte wire image."""
 
@@ -65,7 +65,7 @@ class BasicMessage:
         return (self.raw + WRITE_ECHO_MARK).ljust(EPC_LENGTH, b"\x00")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # the tracer wraps its methods by name; tests compare messages
 class ExMessage:
     """One BlockWrite: (checksum, length, address) header plus payload.
 

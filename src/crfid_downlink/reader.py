@@ -45,7 +45,7 @@ _SUCCESS, _ERROR, _NO_TAG_SEEN, _INVENTORY = ReportResult
 _LOST, _CORRUPTED = Delivery.LOST, Delivery.CORRUPTED
 
 
-@dataclass(slots=True)
+@dataclass(slots=True)  # read every round; as a NamedTuple every workload ran 6-12 % slower
 class OperationReport:
     """One round's report.  Never mutated once returned: ``Reader.tick``
     returns the same object again for an access round that repeats it."""
@@ -55,7 +55,6 @@ class OperationReport:
     epc: bytes
 
 
-@dataclass
 class AccessSpec:
     """A Write (single word, CRC-protected) or BlockWrite (word series).
 
@@ -63,26 +62,26 @@ class AccessSpec:
     receives them.  One word makes the command a Write, more a BlockWrite.
     """
 
-    spec_id: int
-    raw: bytes
-    ocv: int
+    __slots__ = ("spec_id", "raw", "ocv")
 
-    def __post_init__(self):
-        if not isinstance(self.raw, bytes):
-            raise TypeError(f"raw must be bytes, not {type(self.raw).__name__}")
-        size = len(self.raw)
+    def __init__(self, spec_id: int, raw: bytes, ocv: int):
+        if not isinstance(raw, bytes):
+            raise TypeError(f"raw must be bytes, not {type(raw).__name__}")
+        size = len(raw)
         if size & 1:
             raise ValueError(f"raw has an odd byte count, {size}: not a whole number of words")
         if not 1 <= size >> 1 <= MAX_WORD_COUNT:
             raise ValueError(f"word count {size >> 1} outside 1..{MAX_WORD_COUNT}")
+        self.spec_id, self.raw, self.ocv = spec_id, raw, ocv
 
 
-@dataclass(slots=True)
 class _RunningSpec:
-    spec: AccessSpec
-    success_count: int = 0
-    total_rounds: int = 0
-    delete_requested_at: int | None = None
+    __slots__ = ("spec", "success_count", "total_rounds", "delete_requested_at")
+
+    def __init__(self, spec: AccessSpec):
+        self.spec = spec
+        self.success_count = self.total_rounds = 0
+        self.delete_requested_at: int | None = None
 
 
 class Reader:

@@ -13,6 +13,7 @@ import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .channel import ChannelModel
 from .host import HostSession, SessionResult, TransferLog, Variant
@@ -36,7 +37,7 @@ def _require(ok: bool, key: str, rule: str, value) -> None:
         raise ScenarioError(f"{key} must be {rule}, got {value}")
 
 
-@dataclass
+@dataclass  # __post_init__ derives ``period``; tests subclass it as a dataclass
 class DistanceProfile:
     """Static position or a triangle-wave oscillation between two bounds.
 
@@ -78,7 +79,7 @@ class DistanceProfile:
         return self.min_cm + (cycle if cycle <= span else 2 * span - cycle)
 
 
-@dataclass
+@dataclass  # tests copy it with dataclasses.replace
 class ScenarioConfig:
     hex_file: str = ""
     protocol: Variant = Variant.EX
@@ -250,7 +251,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     return parse_config_text(Path(path).read_text())
 
 
-@dataclass
+@dataclass  # benchmarks/test_benchmark.py copies it with dataclasses.replace
 class RunOutcome:
     run: int
     result: SessionResult
@@ -258,8 +259,7 @@ class RunOutcome:
     tag: Tag
 
 
-@dataclass
-class ScenarioOutcome:
+class ScenarioOutcome(NamedTuple):
     runs: list[RunOutcome]
 
     @property

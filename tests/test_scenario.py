@@ -793,7 +793,7 @@ CHUNK = scenario.LOG_CHUNK_ROWS
 def test_chunked_log_matches_csv_writer(tmp_path, rows):
     # The rows are rendered and written LOG_CHUNK_ROWS at a time; a log of
     # any length, across every chunk boundary, writes csv.writer's bytes.
-    events = [replace(EVERY_WORD[i % len(EVERY_WORD)], round_no=i) for i in range(rows)]
+    events = [EVERY_WORD[i % len(EVERY_WORD)]._replace(round_no=i) for i in range(rows)]
     result = SessionResult(True, 10, TransferLog(events), 1, 0, 0.5, 1, 1)
     runs = [RunOutcome(0, result, compute_metrics(result), tag=None)]
     write_artifacts(ScenarioConfig(), ScenarioOutcome(runs), tmp_path)
