@@ -2,13 +2,15 @@
 
 A scenario wires the whole stack together (hex file -> host -> reader ->
 tag -> channel), runs it ``repeats`` times with per-run derived seeds and
-writes one transfer log CSV per run plus a summary CSV.  Identical config
-and seed produce byte-identical outputs.
+writes one transfer log CSV per run plus a summary CSV.  The repeats run at
+once on every usable CPU, each share in its own forked process.  Identical
+config and seed produce byte-identical outputs, whatever the number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -112,6 +114,9 @@ class ScenarioConfig:
             _require(type(getattr(self, key)) is bool, key, "a bool", repr(getattr(self, key)))
         _require(self.s_p is None or type(self.s_p) is int, "s_p", "an integer or None",
                  repr(self.s_p))
+        # The share split and every run's seeds compute with these two.
+        for key in ("repeats", "seed"):
+            _require(type(getattr(self, key)) is int, key, "an integer", repr(getattr(self, key)))
         for key, value in (("max_sim_seconds", self.max_sim_seconds),
                            ("write_fault_prob", self.write_fault_prob),
                            ("brownout", self.brownout or 0.0), ("d_cm", prof.d_cm),
@@ -285,6 +290,35 @@ def run_single(config: ScenarioConfig, matrix: RecordMatrix, run_index: int) -> 
     return RunOutcome(run_index, result, compute_metrics(result), tag)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS keeps one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_repeats(config: ScenarioConfig, matrix: RecordMatrix) -> list[RunOutcome]:
+    """Every repeat in run order, in W = min(repeats, usable CPUs) shares at once.
+
+    ``shares.run_shares`` forks a child for each share after the first; a run
+    derives all of its seeds from its index, so the split moves no output.
+    W is 1, and every run is made here, for one repeat, one usable CPU, no
+    ``os.fork``, or other threads running, since a fork copies only the
+    calling thread.
+    """
+    def run_share(indices: range) -> list[RunOutcome]:
+        return [run_single(config, matrix, i) for i in indices]
+
+    threading = sys.modules.get("threading")
+    forks = hasattr(os, "fork") and not (threading and threading.active_count() > 1)
+    shares = min(config.repeats, _usable_cpus()) if forks else 1
+    if shares == 1:
+        return run_share(range(config.repeats))
+    from .shares import run_shares  # compiled and imported by a forked run only
+
+    return run_shares(run_share, config.repeats, shares)
+
+
 def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
                  matrix: RecordMatrix | None = None) -> ScenarioOutcome:
     """Run all repeats and optionally write the CSV artifacts."""
@@ -296,10 +330,12 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
             matrix = parse_file(Path(config.hex_file).read_text())
         if not matrix.total_bytes():
             raise ScenarioError(f"hex_file {config.hex_file!r} holds no data bytes")
-        runs = [run_single(config, matrix, i) for i in range(config.repeats)]
-    except (OSError, HexFileError, RowTooLong) as exc:
-        # An unreadable image, a bad record, or a row the basic flavour
-        # cannot address (raised as the host builds its messages).
+    except (OSError, HexFileError) as exc:  # an unreadable image or a bad record
+        raise ScenarioError(f"hex_file {config.hex_file!r}: {exc}") from exc
+    try:
+        runs = _run_repeats(config, matrix)
+    except RowTooLong as exc:
+        # A row the basic flavour cannot address, raised as the host builds its messages.
         raise ScenarioError(f"hex_file {config.hex_file!r}: {exc}") from exc
     outcome = ScenarioOutcome(runs)
     if out_dir is not None:

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import crfid_downlink.scenario as scenario
 from crfid_downlink.channel import ChannelModel
 from crfid_downlink.host import HostSession, TransferLog, Variant
 from crfid_downlink.ihex import generate_fixture, parse_file
@@ -47,6 +48,16 @@ def run_clean(config, matrix, seed=1, cm=20.0, tag=None):
     config = replace(config, brownout=0.0, profile=DistanceProfile(d_cm=cm))
     result = HostSession(config, matrix).run(tag, ChannelModel(seed=seed), PowerModel(seed=0))
     return result, tag
+
+
+@pytest.fixture()
+def one_worker(monkeypatch):
+    """Run every repeat of a scenario in this process, as one share.
+
+    A forked share's objects stay in its child, so a test that collects
+    objects built inside ``run_single`` sees every run's only this way.
+    """
+    monkeypatch.setattr(scenario, "_usable_cpus", lambda: 1)
 
 
 @pytest.fixture(scope="session")

@@ -468,6 +468,7 @@ def test_a_distance_is_looked_up_at_most_once_per_cycle_position(speed_m_per_s, 
     assert len(positions) <= result.rounds
 
 
+@pytest.mark.usefixtures("one_worker")
 def test_a_static_distance_is_looked_up_once_per_run():
     # At seed 2281 the tag is browned out when the last message is
     # acknowledged (round 34 of the first run's 37), so the wait for power

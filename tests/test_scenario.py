@@ -2,8 +2,14 @@ import csv
 import filecmp
 import hashlib
 import io
+import os
 import re
+import signal
+import subprocess
+import sys
 import tempfile
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,7 +38,7 @@ from crfid_downlink.scenario import (
     SUMMARY_COLUMNS,
     LOG_COLUMNS,
 )
-from crfid_downlink.tag import FRAM_SIZE
+from crfid_downlink.tag import FRAM_SIZE, Tag
 
 CONFIG_TEXT = """
 # transfer setup
@@ -229,6 +235,12 @@ def test_a_setting_past_the_float_range_is_rejected_before_the_run(tmp_path, cap
     ("dump_fram", ScenarioConfig(dump_fram="no")),
     # The ladder snaps 4.5 down, so it ran at 4 words.
     ("s_p", ScenarioConfig(s_p=4.5)),
+    # range() raised a raw TypeError; True ran one repeat.
+    ("repeats", ScenarioConfig(repeats=2.0)),
+    ("repeats", ScenarioConfig(repeats=True)),
+    # The seed arithmetic raised a raw TypeError, or ran a fractional seed.
+    ("seed", ScenarioConfig(seed="x")),
+    ("seed", ScenarioConfig(seed=1.5)),
 ])
 def test_a_config_built_in_code_with_a_wrong_type_is_rejected(tmp_path, key, config):
     with pytest.raises(ScenarioError, match=f"^{key} must be"):
@@ -385,6 +397,7 @@ def stream_states(monkeypatch, config, matrix):
     return [dict(built[i : i + len(STREAMS)]) for i in range(0, len(built), len(STREAMS))]
 
 
+@pytest.mark.usefixtures("one_worker")
 def test_every_random_stream_derives_from_the_master_seed(monkeypatch, small_matrix):
     config = ScenarioConfig(seed=5, repeats=2, s_p=16, profile=DistanceProfile(d_cm=20.0))
     first = stream_states(monkeypatch, config, small_matrix)
@@ -814,6 +827,7 @@ REPEAT_NACK_CONFIGS = {
 }
 
 
+@pytest.mark.usefixtures("one_worker")
 @pytest.mark.parametrize("name", sorted(REPEAT_NACK_CONFIGS))
 def test_repeated_nack_rows_log_the_report_they_consume(monkeypatch, small_matrix, name):
     """A NACK row that reuses its flight's last kind id must still log its own report.
@@ -887,6 +901,7 @@ def test_a_repeated_report_counts_and_logs_as_a_fresh_equal_one(monkeypatch, tmp
 # -- no power steps at brownout = 0 --------------------------------------------------
 
 
+@pytest.mark.usefixtures("one_worker")
 @pytest.mark.parametrize("protocol", ["basic", "ex"])
 def test_brownout_zero_leaves_the_power_stream_alone(monkeypatch, tmp_path, small_matrix,
                                                      protocol):
@@ -920,3 +935,159 @@ def test_brownout_zero_leaves_the_power_stream_alone(monkeypatch, tmp_path, smal
     for power, r in zip(built, tiny.runs, strict=True):
         assert power.steps >= r.result.rounds and power._rng.getstate() != power.seeded
     assert csv_digest(tmp_path / "0") == csv_digest(tmp_path / "1e-300")
+
+
+# -- repeats on every CPU -------------------------------------------------------------
+#
+# ``run_scenario`` runs its repeats in W = min(repeats, usable CPUs) shares, each
+# share after the first in a forked child.  Forcing the CPU count forces W.
+
+def run_in_shares(monkeypatch, cpus, config, matrix, out_dir=None):
+    monkeypatch.setattr(scenario, "_usable_cpus", lambda: cpus)
+    return run_scenario(config, out_dir=out_dir, matrix=matrix)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_state(r) -> tuple:
+    """A run's log rows, result, metrics and tag state: memory, mask, mode, EPC, streams."""
+    log, tag = r.result.log, r.tag
+    return (r.run, log.rounds, log.kind_ids, log.kinds, replace(r.result, log=None), r.metrics,
+            tag.fram.read(0, FRAM_SIZE), bytes(tag._written), tag.mode, tag.epc,
+            tag._fault_rng.getstate(), tag.energy_rng.getstate())
+
+
+SHARE_CONFIGS = {
+    **GOLDEN_CONFIGS,
+    # every run cut by its round budget
+    "budget": GOLDEN_CONFIGS["ex"] + "max_sim_seconds = 3\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARE_CONFIGS))
+def test_a_split_into_shares_moves_nothing(monkeypatch, tmp_path, small_matrix, name):
+    # Four repeats: at W = 2 each share holds two runs, at W = 3 share 0 does.
+    cfg = replace(parse_config_text(SHARE_CONFIGS[name] + "seed = 1\n"), repeats=4)
+    states, csvs = {}, {}
+    for cpus in (1, 2, 3):
+        out = tmp_path / str(cpus)
+        outcome = run_in_shares(monkeypatch, cpus, cfg, small_matrix, out)
+        assert_no_child_left()
+        assert [r.run for r in outcome.runs] == list(range(cfg.repeats))
+        states[cpus] = [run_state(r) for r in outcome.runs]
+        csvs[cpus] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert states[2] == states[1] and states[3] == states[1]
+    assert csvs[2] == csvs[1] and csvs[3] == csvs[1]
+    if name == "budget":
+        assert {r[4].failure_reason for r in states[1]} == {"round budget exhausted"}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_row_too_long_names_the_image_in_every_split(monkeypatch, cpus):
+    image = parse_file(":28440000" + "00" * 40 + "94\n:00000001FF\n")
+    cfg = ScenarioConfig(protocol=Variant.BASIC, hex_file="image.hex", repeats=3)
+    with pytest.raises(ScenarioError) as raised:
+        run_in_shares(monkeypatch, cpus, cfg, image)
+    assert str(raised.value) == ("hex_file 'image.hex': row has 40 data bytes; "
+                                 "offset headers stop at 0x20")
+    assert_no_child_left()
+
+
+class RunCrashed(RuntimeError):
+    pass
+
+
+class MisbehavingTag(Tag):
+    """A tag that misbehaves as one chosen run builds it, in whichever process runs it.
+
+    ``run_single`` seeds run i's write-fault stream with
+    seed * 1_000_003 + i * 7919 + 3, so at seed 1 the fault seed tells the run.
+    ``actions`` maps a run to what it does: raise, interrupt, or (only in a
+    forked child, never in the test's own process) stall or die by SIGKILL.
+    """
+
+    actions: dict[int, str] = {}
+    parent_pid = 0
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        run = (kwargs["fault_seed"] - 1_000_003 - 3) // 7919
+        action, forked = self.actions.get(run), os.getpid() != self.parent_pid
+        if action == "raise":
+            raise RunCrashed(f"run {run} crashed")
+        if action == "interrupt":
+            raise KeyboardInterrupt
+        if action == "stall" and forked:
+            time.sleep(60)
+        if action == "kill" and forked:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+
+def run_misbehaving(monkeypatch, cpus, repeats, actions):
+    monkeypatch.setattr(scenario, "Tag", MisbehavingTag)
+    monkeypatch.setattr(MisbehavingTag, "actions", actions)
+    monkeypatch.setattr(MisbehavingTag, "parent_pid", os.getpid())
+    cfg = ScenarioConfig(seed=1, repeats=repeats, brownout=0.0)
+    return run_in_shares(monkeypatch, cpus, cfg, ONE_ROW)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_run_that_raises_surfaces_as_it_does_in_one_process(monkeypatch, cpus):
+    # Run 1 raises in a child at W = 2 and 3; at W = 3 the parent must also
+    # kill the child that stalls in run 2.
+    started = time.monotonic()
+    with pytest.raises(RunCrashed, match="^run 1 crashed$"):
+        run_misbehaving(monkeypatch, cpus, 3, {1: "raise", 2: "stall"})
+    assert_no_child_left()
+    assert time.monotonic() - started < 30
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_an_interrupt_of_the_parent_kills_every_child(monkeypatch, cpus):
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_misbehaving(monkeypatch, cpus, 3, {0: "interrupt", 1: "stall", 2: "stall"})
+    assert_no_child_left()
+    assert time.monotonic() - started < 30
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork: one share only")
+def test_a_child_killed_by_a_signal_names_its_runs(monkeypatch):
+    with pytest.raises(ChildProcessError,
+                       match=f"^the process running runs 1, 3 was killed by signal "
+                             f"{int(signal.SIGKILL)} "):
+        run_misbehaving(monkeypatch, 2, 4, {1: "kill"})
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("repeats, other_thread", [(1, False), (2, True)])
+def test_one_repeat_or_another_thread_never_forks(monkeypatch, small_matrix, repeats,
+                                                  other_thread):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(60,))
+    if other_thread:
+        waiter.start()
+    try:
+        cfg = replace(parse_config_text(GOLDEN_CONFIGS["long"] + "seed = 1\n"), repeats=repeats)
+        assert len(run_in_shares(monkeypatch, 4, cfg, small_matrix).runs) == repeats
+    finally:
+        release.set()
+        if other_thread:
+            waiter.join(60)
+    assert not waiter.is_alive()
+
+
+def test_the_cli_leaves_pickle_unimported():
+    # The forked path alone imports shares.py and pickle: a cold start would
+    # pay to compile the one and import the other.
+    src = str(Path(scenario.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import crfid_downlink.cli; "
+            "sys.exit(bool({'pickle', 'crfid_downlink.shares'} & set(sys.modules)))")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
