@@ -113,6 +113,8 @@ class Tag:
         # True while the memory holds that payload from the last commit, which
         # passed its read-back check; any commit and any INIT clear it.
         self._stored = False
+        # The last Write whose EPC echoes it, and that EPC object; see handle_basic_write.
+        self._echoed = (None, None)
         # Volatile reprogram state.
         self._addr_high: int | None = None
         self._addr_low: int | None = None
@@ -139,7 +141,9 @@ class Tag:
 
     def handle_basic_write(self, raw: bytes) -> None:
         """Process one intact Write, header and payload; the EPC echoes header, read-back and mark."""
-        if not self.powered:
+        if not self.powered or (raw is self._echoed[0] and self.epc is self._echoed[1]):
+            # A stale repeat of the Write the EPC still echoes: with no commit
+            # and no EPC change since, running it again would change nothing.
             return
         header = raw[0]
         if header <= MAX_BASIC_OFFSET:  # a data byte, the common case, is tested first
@@ -150,7 +154,9 @@ class Tag:
             # rewrites: no fault draw can corrupt a byte the host saw ACKed.
             if not (self._written[address] and self.fram._bytes[address] == raw[1]):
                 self._commit(address, raw[1:])
-                raw = bytes((header, self.fram._bytes[address]))  # read-back
+                if self.fram._bytes[address] != raw[1]:  # a corrupt read-back is echoed, not remembered
+                    self.epc = bytes((header, self.fram._bytes[address])) + _ECHO_PAD
+                    return
         elif header == HDR_REPROGRAM_INIT:
             if self.mode is TagMode.APPLICATION:
                 return
@@ -168,12 +174,13 @@ class Tag:
         else:
             return  # no such header (0x21-0xFC); ignore
         self.epc = raw + _ECHO_PAD
+        self._echoed = (raw, self.epc)
 
     # -- extended (BlockWrite series) handling -------------------------------
 
     def series_slot_alive(self, slot: int, d: float) -> bool:
-        """Energy draw for one slot alone; off the round path, but ``benchmarks/run.py``
-        reads it by name."""
+        """Energy draw for one slot alone; off the round path, but ``benchmarks/tracing.py``
+        wraps it by name."""
         return slot <= 1 or self.energy_rng.random() < (1.0 - depletion_prob(d)) ** (slot - 1)
 
     def series_complete(self, raw: bytes, corrupted: bool) -> bool:
@@ -214,6 +221,7 @@ class Tag:
 
     def _commit(self, address: int, data: bytes) -> None:
         self._stored = False
+        self._echoed = (None, None)  # a failed series commit writes memory, not the EPC
         if self.write_fault_prob > 0:
             data = bytearray(data)
             for i in range(len(data)):

@@ -12,6 +12,7 @@ from crfid_downlink.channel import (
     series_table,
 )
 from crfid_downlink.crc import crc16_ccitt
+from crfid_downlink.host import Variant
 from crfid_downlink.ihex import record_checksum
 from crfid_downlink.protocol import (
     EPC_LENGTH,
@@ -23,6 +24,7 @@ from crfid_downlink.protocol import (
     BasicMessage,
     build_ex_message,
 )
+from crfid_downlink.scenario import ScenarioConfig
 from crfid_downlink.tag import (
     FRAM_SIZE,
     INITIAL_EPC,
@@ -115,6 +117,25 @@ def test_epc_echoes_read_back_byte():
         tag.handle_basic_write(raw)
     assert tag.fram.read(0x0010, 1) == bytes([0xAB ^ 0xFF])
     assert tag.epc[:2] == bytes([0x00, 0xAB ^ 0xFF])  # echo carries the read-back
+
+
+def test_most_single_word_rounds_repeat_the_write_the_epc_echoes(small_matrix, clean_run):
+    # 13 of a message's 16 rounds replay a Write the tag already took; each
+    # returns at once and leaves the EPC the very same object.
+    tag, calls, kept = Tag(), 0, 0
+    handle = tag.handle_basic_write
+
+    def counting(raw):
+        nonlocal calls, kept
+        epc = tag.epc
+        handle(raw)
+        calls += 1
+        kept += tag.epc is epc
+
+    tag.handle_basic_write = counting
+    result, _ = clean_run(ScenarioConfig(protocol=Variant.BASIC), small_matrix, tag=tag)
+    assert result.completed
+    assert calls > 0 and kept >= 0.9 * calls
 
 
 # -- series handling --------------------------------------------------------------
@@ -384,6 +405,8 @@ def apply_write_op(tag, op, arg):
 
 # Any header, with the address headers, INIT and the header boundaries drawn
 # often; payloads from a small set as well, so stale repeats of one Write occur.
+# Each "write" builds a new object; "repeat" passes the previous Write's own
+# object again, as the reader passes its spec's ``raw`` every round.
 WRITE_HEADERS = st.one_of(st.integers(0, 0xFF), st.sampled_from(
     [HDR_ADDR_FIRST, HDR_ADDR_SECOND, HDR_REPROGRAM_INIT, 0x00, MAX_BASIC_OFFSET,
      MAX_BASIC_OFFSET + 1, HDR_ADDR_FIRST - 1]))
@@ -391,7 +414,8 @@ WRITE_PAYLOADS = st.one_of(st.integers(0, 0xFF), st.sampled_from([0x00, 0x12, 0x
 WRITE_OPS = st.one_of(
     st.tuples(st.just("write"), st.builds(lambda h, p: bytes((h, p)), WRITE_HEADERS,
                                           WRITE_PAYLOADS)),
-    st.sampled_from([("lose", 0), ("return", 0), ("complete", 0), ("complete", 1)]))
+    st.sampled_from([("lose", 0), ("return", 0), ("complete", 0), ("complete", 1),
+                     ("repeat", 0)]))
 
 
 @settings(max_examples=400, deadline=None)
@@ -405,10 +429,21 @@ WRITE_OPS = st.one_of(
                       ("write", b"\x00\x56")])
 # A data byte at the top of memory runs past its end in both tags.
 @example(False, 0.0, [("write", b"\xFD\xFF"), ("write", b"\xFE\xFF"), ("write", b"\x20\x01")])
+# A power loss clears the address registers, so the same Write object must be
+# taken again, not skipped as a repeat.
+@example(False, 0.0, [("write", b"\xFD\x12"), ("lose", 0), ("return", 0), ("repeat", 0)])
+# A stored data byte, repeated, then rewritten by a second Write and repeated.
+@example(False, 0.2, [("write", b"\xFD\x12"), ("write", b"\xFE\x34"), ("write", b"\x00\x56"),
+                      ("repeat", 0), ("repeat", 0), ("write", b"\x00\x57"), ("repeat", 0)])
 def test_basic_writes_match_the_header_order_reference(start_in_bootloader, fault_prob, ops):
     tag = Tag(fault_prob, fault_seed=9, start_in_bootloader=start_in_bootloader)
     ref = HeaderOrderTag(fault_prob, fault_seed=9, start_in_bootloader=start_in_bootloader)
+    last = b"\xFF\x00"
     for op, arg in ops:
+        if op == "repeat":
+            op, arg = "write", last
+        elif op == "write":
+            last = arg
         assert apply_write_op(tag, op, arg) == apply_write_op(ref, op, arg)
         assert (tag.epc, tag.mode, tag.powered) == (ref.epc, ref.mode, ref.powered)
         assert (tag._addr_high, tag._addr_low, tag._stored) == (
@@ -418,10 +453,11 @@ def test_basic_writes_match_the_header_order_reference(start_in_bootloader, faul
         assert tag._fault_rng.getstate() == ref._fault_rng.getstate()
 
 
-class VerifyOnceTag(Tag):
+class VerifyOnceTag(HeaderOrderTag):
     """The tag whose accepted series commits and reads the payload back, unless
     it repeats the series whose last commit passed that check with nothing
-    written since: then it only sets the EPC.
+    written since: then it only sets the EPC.  Its Writes run in full every
+    time, repeats included.
 
     "Nothing written since" is read off the state a write changes: the memory,
     the written mask and, with faults on, the fault stream.  A write without
@@ -455,7 +491,8 @@ class VerifyOnceTag(Tag):
 
 
 # Overlapping series, one with a bad checksum; basic Writes that address the
-# same bytes (0x0100 and 0x0101), and INIT.
+# same bytes (0x0100 and 0x0101), and INIT.  Each basic op holds one bytes
+# object, so drawing it again replays that object, as the reader does.
 SERIES = [raw_of(build_ex_message(bytes([0x11, 0x22, 0x33]), 0x0100)),
           raw_of(build_ex_message(bytes([0x44, 0x55]), 0x0101)),
           raw_of(build_ex_message(bytes([0x66]), 0x0100))]
@@ -494,6 +531,10 @@ def apply_tag_op(tag, op, arg, crc):
 # draw no faults.  INIT and a basic Write over A each make A's next repeat
 # commit again.
 @example(False, 0.2, [A] * 8 + [INIT] + [A] * 8 + WRITE_0x0100 + [A] * 8)
+# A's commit fails its read-back (the first draws of fault seed 9), which
+# writes memory and leaves the EPC on INIT's echo: the second INIT must still
+# forget what the session wrote.
+@example(False, 0.2, [INIT, A, INIT])
 def test_repeated_series_match_the_verify_once_reference(start_in_bootloader, fault_prob, ops):
     tag = Tag(fault_prob, fault_seed=9, start_in_bootloader=start_in_bootloader)
     ref = VerifyOnceTag(fault_prob, fault_seed=9, start_in_bootloader=start_in_bootloader)
