@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
 
 from .ihex import Row, record_checksum
 
@@ -42,30 +41,31 @@ class PayloadTooLarge(ValueError):
     pass
 
 
-@dataclass(frozen=True)  # the tracer wraps its methods by name; tests compare messages
 class BasicMessage:
     """One Write: header byte plus payload byte, ``raw`` their two-byte wire image."""
 
-    header: int
-    payload: int
-    raw: bytes = field(init=False, repr=False, compare=False)
+    __slots__ = ("header", "payload", "raw")
 
-    def __post_init__(self):
-        ok = self.header <= MAX_BASIC_OFFSET or self.header in (
-            HDR_ADDR_FIRST,
-            HDR_ADDR_SECOND,
-            HDR_REPROGRAM_INIT,
-        )
-        if not ok:
-            raise ValueError(f"invalid basic header {self.header:#04x}")
-        object.__setattr__(self, "raw", bytes((self.header, self.payload)))
+    def __init__(self, header: int, payload: int):
+        if not (header <= MAX_BASIC_OFFSET or header in (
+                HDR_ADDR_FIRST, HDR_ADDR_SECOND, HDR_REPROGRAM_INIT)):
+            raise ValueError(f"invalid basic header {header:#04x}")
+        self.header, self.payload, self.raw = header, payload, bytes((header, payload))
+
+    def __eq__(self, other):  # by the fields, ``raw`` aside, as the hash
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def _fields(self) -> tuple:
+        return self.header, self.payload
 
     def expected_epc(self) -> bytes:
         """The echo is a copy of the message itself and the mark, zero-padded."""
         return (self.raw + WRITE_ECHO_MARK).ljust(EPC_LENGTH, b"\x00")
 
 
-@dataclass(frozen=True)  # the tracer wraps its methods by name; tests compare messages
 class ExMessage:
     """One BlockWrite: (checksum, length, address) header plus payload.
 
@@ -75,15 +75,21 @@ class ExMessage:
     many bytes are valid).
     """
 
-    checksum: int
-    length: int
-    address: int
-    data: bytes
-    raw: bytes = field(init=False, repr=False, compare=False)
+    __slots__ = ("checksum", "length", "address", "data", "raw")
 
-    def __post_init__(self):
-        raw = struct.pack(">BBH", self.checksum, self.length, self.address & 0xFFFF) + self.data
-        object.__setattr__(self, "raw", raw + b"\x00" if len(raw) & 1 else raw)
+    def __init__(self, checksum: int, length: int, address: int, data: bytes):
+        self.checksum, self.length, self.address, self.data = checksum, length, address, data
+        raw = struct.pack(">BBH", checksum, length, address & 0xFFFF) + data
+        self.raw = raw + b"\x00" if len(raw) & 1 else raw
+
+    def __eq__(self, other):  # by the fields, ``raw`` aside, as the hash
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def _fields(self) -> tuple:
+        return self.checksum, self.length, self.address, self.data
 
     def expected_epc(self) -> bytes:
         return self.raw[:4].ljust(EPC_LENGTH, b"\x00")

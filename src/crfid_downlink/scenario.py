@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 import os
 import sys
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -39,34 +39,125 @@ def _require(ok: bool, key: str, rule: str, value) -> None:
         raise ScenarioError(f"{key} must be {rule}, got {value}")
 
 
-@dataclass  # __post_init__ derives ``period``; tests subclass it as a dataclass
+_BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+_KINDS = {"static": "static", "oscillate": "oscillate"}
+
+# A value type: what config text must be, how it parses (a ValueError or
+# KeyError if it cannot), whether a value set in code is one, and what that must be.
+INT = ("an integer", int, lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+# An int past the float range is not finite, and a bool is never a number.
+NUMBER = ("a finite number", float, lambda v: INT[2](v) and abs(v) <= sys.float_info.max
+          or isinstance(v, float) and math.isfinite(v), "a finite number")
+BOOL = ("a boolean", lambda text: _BOOL[text.lower()], lambda v: type(v) is bool, "a boolean")
+PATH = ("a path", str, lambda v: isinstance(v, (str, os.PathLike)), "a path")
+PROTOCOL = ("'ex' or 'basic'", lambda text: Variant(text.lower()),
+            lambda v: isinstance(v, Variant), "a Variant")
+KIND = ("'static' or 'oscillate'", lambda text: _KINDS[text.lower()],
+        lambda v: isinstance(v, str) and v in _KINDS, "'static' or 'oscillate'")
+
+
+class Key:
+    """One config key: its type, its default and its rule on the value alone (a rule
+    tying keys together is in ``ScenarioConfig.validate``).  ``field`` is the attribute
+    it sets, ``none`` a file's word for None, ``kind`` a profile key's distance kind."""
+
+    def __init__(self, name: str, type_: tuple, default, rule: Callable | None = None,
+                 rule_text: str = "", *, field: str = "", none: str = "", kind: str = ""):
+        self.name, (self.text, self.parse, self.accepts, self.code) = name, type_
+        if none:
+            self.text, self.code = f"{self.text} or {none!r}", f"{self.code}, or None for {none!r}"
+        self.default, self.rule, self.rule_text = default, rule, rule_text
+        self.field, self.none, self.kind = field or name, none, kind
+
+    def read(self, text: str):
+        """The value a config file's ``text`` gives the key."""
+        if self.none and text.lower() == self.none:
+            return None
+        try:
+            return self.parse(text)
+        except (KeyError, ValueError):
+            raise ScenarioError(f"{self.name} must be {self.text}, got {text!r}") from None
+
+    def check(self, value, kind: str) -> None:
+        """Check a value set in code: its type, then its rule if the key applies to ``kind``."""
+        if value is not None or not self.none:
+            _require(self.accepts(value), self.name, self.code, repr(value))
+            if self.rule and self.kind in ("", kind):
+                _require(self.rule(value), self.name, self.rule_text, value)
+
+
+# ``ScenarioConfig``'s fields; README's key table shows each row.
+CONFIG_KEYS = (
+    Key("hex_file", PATH, ""),  # read and checked as the run starts
+    Key("protocol", PROTOCOL, Variant.EX),
+    Key("s_p", INT, None, none="throttle"),
+    Key("ocv", INT, 15, lambda v: v >= 1, "at least 1"),
+    Key("n_threshold", INT, 20, lambda v: v >= 1, "at least 1"),
+    Key("r_max", INT, 3, lambda v: v >= 1, "at least 1"),
+    Key("m_threshold", INT, 10, lambda v: v >= 0, "at least 0"),
+    Key("t_u", INT, 1),
+    Key("t_de", INT, -2),
+    Key("t_dl", INT, -3),
+    # An extended message is two header words plus S_p payload words.
+    Key("s_max", INT, 16, lambda v: 1 <= v <= MAX_WORD_COUNT - 2, f"in 1..{MAX_WORD_COUNT - 2}"),
+    Key("seed", INT, 1),  # the share split and every run's seeds compute with it
+    Key("repeats", INT, 1, lambda v: v >= 1, "at least 1"),
+    Key("bootloader", BOOL, False),
+    Key("brownout", NUMBER, None, lambda v: 0 <= v <= 1, "in [0, 1]", none="auto"),
+    Key("write_fault_prob", NUMBER, 0.0, lambda v: 0 <= v <= 1, "in [0, 1]"),
+    Key("dump_fram", BOOL, False),  # write each run's memory image next to its log
+    # The host takes int(max_sim_seconds * ROUNDS_PER_SEC) as its round budget.
+    Key("max_sim_seconds", NUMBER, 3600.0, lambda v: 1 <= v * ROUNDS_PER_SEC < math.inf,
+        f"between one round and {sys.float_info.max / ROUNDS_PER_SEC:g} s at "
+        f"{ROUNDS_PER_SEC} rounds/s"),
+)
+# ``DistanceProfile``'s fields; ``distance`` picks the kind.
+PROFILE_KEYS = (
+    Key("distance", KIND, "static", field="kind"),
+    Key("d_cm", NUMBER, 20.0, lambda v: v > 0, "greater than 0", kind="static"),
+    Key("d_min_cm", NUMBER, 20.0, lambda v: v > 0, "greater than 0", field="min_cm",
+        kind="oscillate"),
+    Key("d_max_cm", NUMBER, 90.0, field="max_cm", kind="oscillate"),
+    Key("speed_m_per_s", NUMBER, 0.1, lambda v: v >= 0, "at least 0", kind="oscillate"),
+)
+
+
+def _set_fields(obj, keys: tuple[Key, ...], fields: dict) -> None:
+    """Set each key's field on ``obj`` from ``fields``, or to the key's default."""
+    for key in keys:
+        setattr(obj, key.field, fields.pop(key.field, key.default))
+    if fields:
+        raise TypeError(f"{type(obj).__name__} has no field {', '.join(fields)}")
+
+
 class DistanceProfile:
     """Static position or a triangle-wave oscillation between two bounds.
 
-    The fields are fixed once the profile is built: ``__post_init__`` derives
-    ``period`` from them, the rounds after which ``at`` repeats bit for bit.
-    It is 1 for one distance (a static profile, a speed of 0), the up-and-down
-    cycle when that is a whole number of rounds, and 0 otherwise.
+    Its fields are those of ``PROFILE_KEYS``, fixed once the profile is
+    built: ``__init__`` derives ``period`` from them, the rounds after which
+    ``at`` repeats bit for bit.  It is 1 for one distance (a static profile,
+    a speed of 0), the up-and-down cycle when that is a whole number of
+    rounds, and 0 otherwise.
     """
 
-    kind: str = "static"  # "static" | "oscillate"
-    d_cm: float = 20.0
-    min_cm: float = 20.0
-    max_cm: float = 90.0
-    speed_m_per_s: float = 0.1
+    __slots__ = (*(key.field for key in PROFILE_KEYS), "period")
 
-    def __post_init__(self):
+    def __init__(self, **fields):
+        _set_fields(self, PROFILE_KEYS, fields)
         # ``at`` reduces the round number by the period, so every cycle
         # repeats the first one's distances bit for bit instead of drifting
         # in the last bits as the float position grows.
         self.period = 0
-        span, rate = self.max_cm - self.min_cm, self.speed_m_per_s * 100.0
-        if self.kind == "static" or span <= 0 or rate == 0:
-            self.period = 1
-        elif rate > 0:
-            n = 2 * span * ROUNDS_PER_SEC / rate
-            if math.isfinite(n) and abs(n - round(n)) <= 1e-9 * n:
-                self.period = round(n)
+        try:
+            span, rate = self.max_cm - self.min_cm, self.speed_m_per_s * 100.0
+            if self.kind == "static" or span <= 0 or rate == 0:
+                self.period = 1
+            elif rate > 0:
+                n = 2 * span * ROUNDS_PER_SEC / rate
+                if math.isfinite(n) and abs(n - round(n)) <= 1e-9 * n:
+                    self.period = round(n)
+        except (TypeError, OverflowError):  # a wrong type, or an int no float holds:
+            pass  # ``validate`` names the field
 
     def at(self, round_no: int) -> float:
         if self.kind == "static":
@@ -81,78 +172,34 @@ class DistanceProfile:
         return self.min_cm + (cycle if cycle <= span else 2 * span - cycle)
 
 
-@dataclass  # tests copy it with dataclasses.replace
 class ScenarioConfig:
-    hex_file: str = ""
-    protocol: Variant = Variant.EX
-    s_p: int | None = None  # None = throttle
-    ocv: int = 15
-    n_threshold: int = 20
-    r_max: int = 3
-    m_threshold: int = 10
-    t_u: int = 1
-    t_de: int = -2
-    t_dl: int = -3
-    s_max: int = 16
-    profile: DistanceProfile = field(default_factory=DistanceProfile)
-    seed: int = 1
-    repeats: int = 1
-    bootloader: bool = False
-    brownout: float | None = None  # None = derive from distance
-    write_fault_prob: float = 0.0
-    max_sim_seconds: float = 3600.0
-    dump_fram: bool = False  # write each run's memory image next to its log
+    """A scenario's settings: a field for each of ``CONFIG_KEYS``, and ``profile``."""
+
+    __slots__ = (*(key.field for key in CONFIG_KEYS), "profile")
+
+    def __init__(self, profile: DistanceProfile | None = None, **fields):
+        _set_fields(self, CONFIG_KEYS, fields)
+        self.profile = DistanceProfile() if profile is None else profile
 
     def validate(self) -> None:
         """Check every setting before a run; a ScenarioError names the key."""
         prof = self.profile
         # A config built in code skips the parser: a wrong type would run as something else.
-        _require(isinstance(self.protocol, Variant), "protocol", "a Variant", repr(self.protocol))
-        _require(prof.kind in ("static", "oscillate"), "distance", "'static' or 'oscillate'",
-                 repr(prof.kind))
-        for key in ("bootloader", "dump_fram"):
-            _require(type(getattr(self, key)) is bool, key, "a bool", repr(getattr(self, key)))
-        _require(self.s_p is None or type(self.s_p) is int, "s_p", "an integer or None",
-                 repr(self.s_p))
-        # The share split and every run's seeds compute with these two.
-        for key in ("repeats", "seed"):
-            _require(type(getattr(self, key)) is int, key, "an integer", repr(getattr(self, key)))
-        for key, value in (("max_sim_seconds", self.max_sim_seconds),
-                           ("write_fault_prob", self.write_fault_prob),
-                           ("brownout", self.brownout or 0.0), ("d_cm", prof.d_cm),
-                           ("d_min_cm", prof.min_cm), ("d_max_cm", prof.max_cm),
-                           ("speed_m_per_s", prof.speed_m_per_s)):
-            _require(math.isfinite(value), key, "finite", value)
-        for key in ("ocv", "n_threshold", "r_max", "repeats"):
-            _require(getattr(self, key) >= 1, key, "at least 1", getattr(self, key))
+        for key in CONFIG_KEYS:
+            key.check(getattr(self, key.field), "")
+        for key in PROFILE_KEYS:
+            key.check(getattr(prof, key.field), prof.kind)
         # Every stale echo of the old operation frame counts as a NACK, so a
         # frame longer than the NACK window times out the message it floods.
         _require(self.ocv <= self.n_threshold, "ocv",
                  f"at most n_threshold = {self.n_threshold}", self.ocv)
-        # The host takes int(max_sim_seconds * ROUNDS_PER_SEC) as its round budget.
-        _require(1 <= self.max_sim_seconds * ROUNDS_PER_SEC < math.inf, "max_sim_seconds",
-                 f"between one round and {sys.float_info.max / ROUNDS_PER_SEC:g} s at "
-                 f"{ROUNDS_PER_SEC} rounds/s", self.max_sim_seconds)
-        _require(self.m_threshold >= 0, "m_threshold", "at least 0", self.m_threshold)
-        _require(0 <= self.write_fault_prob <= 1, "write_fault_prob", "in [0, 1]",
-                 self.write_fault_prob)
-        _require(self.brownout is None or 0 <= self.brownout <= 1, "brownout",
-                 "in [0, 1] or 'auto'", self.brownout)
-        if prof.kind == "static":
-            _require(prof.d_cm > 0, "d_cm", "greater than 0", prof.d_cm)
-        else:
-            _require(prof.min_cm > 0, "d_min_cm", "greater than 0", prof.min_cm)
+        if prof.kind == "oscillate":
             _require(prof.min_cm < prof.max_cm, "d_max_cm",
                      f"greater than d_min_cm = {prof.min_cm}", prof.max_cm)
-            _require(prof.speed_m_per_s >= 0, "speed_m_per_s", "at least 0",
-                     prof.speed_m_per_s)
             # ``at`` walks the tag speed * 100 cm/s times the elapsed seconds.
             _require(math.isfinite(prof.speed_m_per_s * 100.0 * self.max_sim_seconds),
                      "speed_m_per_s", f"small enough that the path walked in max_sim_seconds = "
                      f"{self.max_sim_seconds:g} s is finite", prof.speed_m_per_s)
-        # An extended message is two header words plus S_p payload words.
-        s_max_top = MAX_WORD_COUNT - 2
-        _require(1 <= self.s_max <= s_max_top, "s_max", f"in 1..{s_max_top}", self.s_max)
         if self.s_p is not None:
             _require(self.protocol is Variant.EX, "s_p",
                      "'throttle' for protocol = basic, which sends one word", self.s_p)
@@ -162,9 +209,6 @@ class ScenarioConfig:
             _require(1 <= self.t_u < -self.t_de <= -self.t_dl, "t_u, t_de, t_dl",
                      "steps with 1 <= t_u < -t_de <= -t_dl",
                      f"{self.t_u}, {self.t_de}, {self.t_dl}")
-
-
-_BOOL = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
@@ -184,68 +228,14 @@ def parse_config_text(text: str) -> ScenarioConfig:
         key_line[key] = lineno
         values[key] = val.strip()
 
-    cfg = ScenarioConfig()
+    # Each key reads as its ``Key`` says; those of the other distance kind are unknown.
+    kind = PROFILE_KEYS[0].read(values.get("distance", "static"))
 
-    def pop_num(key: str, cast, default):
-        if key not in values:
-            return default
-        raw = values.pop(key)
-        try:
-            return cast(raw)
-        except ValueError:
-            raise ScenarioError(f"{key}: cannot parse {raw!r}") from None
+    def read(keys: tuple[Key, ...]) -> dict:
+        return {key.field: key.read(values.pop(key.name)) for key in keys
+                if key.name in values and key.kind in ("", kind)}
 
-    cfg.hex_file = values.pop("hex_file", "")
-    proto = values.pop("protocol", "ex").lower()
-    if proto not in ("ex", "basic"):
-        raise ScenarioError(f"protocol must be 'ex' or 'basic', got {proto!r}")
-    cfg.protocol = Variant.EX if proto == "ex" else Variant.BASIC
-
-    raw_sp = values.pop("s_p", "throttle").lower()
-    if raw_sp == "throttle":
-        cfg.s_p = None
-    else:
-        try:
-            cfg.s_p = int(raw_sp)
-        except ValueError:
-            raise ScenarioError(f"s_p must be an integer or 'throttle', got {raw_sp!r}") from None
-
-    cfg.ocv = pop_num("ocv", int, cfg.ocv)
-    cfg.n_threshold = pop_num("n_threshold", int, cfg.n_threshold)
-    cfg.r_max = pop_num("r_max", int, cfg.r_max)
-    cfg.m_threshold = pop_num("m_threshold", int, cfg.m_threshold)
-    cfg.t_u = pop_num("t_u", int, cfg.t_u)
-    cfg.t_de = pop_num("t_de", int, cfg.t_de)
-    cfg.t_dl = pop_num("t_dl", int, cfg.t_dl)
-    cfg.s_max = pop_num("s_max", int, cfg.s_max)
-    cfg.seed = pop_num("seed", int, cfg.seed)
-    cfg.repeats = pop_num("repeats", int, cfg.repeats)
-    cfg.max_sim_seconds = pop_num("max_sim_seconds", float, cfg.max_sim_seconds)
-    cfg.write_fault_prob = pop_num("write_fault_prob", float, cfg.write_fault_prob)
-
-    for flag in ("bootloader", "dump_fram"):
-        if flag in values:
-            raw = values.pop(flag).lower()
-            if raw not in _BOOL:
-                raise ScenarioError(f"{flag} must be a boolean, got {raw!r}")
-            setattr(cfg, flag, _BOOL[raw])
-    if values.get("brownout", "").lower() == "auto":
-        del values["brownout"]
-    cfg.brownout = pop_num("brownout", float, cfg.brownout)
-
-    kind = values.pop("distance", "static").lower()
-    default = DistanceProfile()
-    if kind == "static":
-        cfg.profile = DistanceProfile(d_cm=pop_num("d_cm", float, default.d_cm))
-    elif kind == "oscillate":
-        cfg.profile = DistanceProfile(
-            kind="oscillate",
-            min_cm=pop_num("d_min_cm", float, default.min_cm),
-            max_cm=pop_num("d_max_cm", float, default.max_cm),
-            speed_m_per_s=pop_num("speed_m_per_s", float, default.speed_m_per_s))
-    else:
-        raise ScenarioError(f"distance must be 'static' or 'oscillate', got {kind!r}")
-
+    cfg = ScenarioConfig(**read(CONFIG_KEYS), profile=DistanceProfile(**read(PROFILE_KEYS)))
     if values:
         raise ScenarioError(f"unknown config keys: {', '.join(sorted(values))}")
     cfg.validate()

@@ -1,5 +1,5 @@
+import copy
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -45,7 +45,8 @@ def run_clean(config, matrix, seed=1, cm=20.0, tag=None):
     the rounds.  Returns ``(result, tag)``; ``tag`` defaults to a fresh one.
     """
     tag = Tag() if tag is None else tag
-    config = replace(config, brownout=0.0, profile=DistanceProfile(d_cm=cm))
+    config = copy.copy(config)
+    config.brownout, config.profile = 0.0, DistanceProfile(d_cm=cm)
     result = HostSession(config, matrix).run(tag, ChannelModel(seed=seed), PowerModel(seed=0))
     return result, tag
 

@@ -1,6 +1,5 @@
 import gc
 import tracemalloc
-from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -432,11 +431,12 @@ def test_bootloader_transfer_reaches_application(small_matrix, clean_run):
 # -- round stepping -----------------------------------------------------------------
 
 
-@dataclass
 class CountingProfile(DistanceProfile):
     """A profile that records the round number of every lookup."""
 
-    looked_up: list[int] = field(default_factory=list)
+    def __init__(self, **fields):
+        super().__init__(**fields)
+        self.looked_up: list[int] = []
 
     @property
     def lookups(self) -> int:

@@ -1,8 +1,9 @@
 """The package's records as values, and the classes that stay dataclasses.
 
-Immutable records are NamedTuples and mutable ones ``__slots__`` classes, so
-importing the package generates no code for them.  A class keeps
-``@dataclass`` only for a reason listed in ``KEPT_DATACLASSES``.
+Immutable records are NamedTuples and mutable ones, the messages and the
+config among them, plain classes with an ``__init__``, so importing the
+package generates no code for them.  A class keeps ``@dataclass`` only for a
+reason listed in ``KEPT_DATACLASSES``.
 """
 
 import importlib
@@ -14,18 +15,13 @@ import crfid_downlink
 from crfid_downlink.host import LogEvent, SessionResult, TransferLog
 from crfid_downlink.ihex import HexRecord, RecordMatrix, Row
 from crfid_downlink.metrics import ModelParams, ModelPoint, SessionMetrics, compute_metrics
+from crfid_downlink.protocol import BasicMessage, ExMessage, build_ex_message
 from crfid_downlink.reader import AccessSpec, OperationReport, ReportResult, _RunningSpec
-from crfid_downlink.scenario import ScenarioOutcome
+from crfid_downlink.scenario import DistanceProfile, ScenarioConfig, ScenarioOutcome
 
 KEPT_DATACLASSES = {
     "host.SessionResult": "benchmarks/test_benchmark.py copies it with dataclasses.replace",
     "scenario.RunOutcome": "benchmarks/test_benchmark.py copies it with dataclasses.replace",
-    "scenario.ScenarioConfig": "tests copy it with dataclasses.replace",
-    "scenario.DistanceProfile": "__post_init__ derives period; tests subclass it as a dataclass",
-    "protocol.BasicMessage": "the tracer wraps its methods by name; tests compare messages",
-    "protocol.ExMessage": "the tracer wraps its methods by name; tests compare messages",
-    "reader.OperationReport": "the round path reads it every round; as a NamedTuple every "
-                              "workload ran 6-12 % slower",
 }
 
 
@@ -74,11 +70,49 @@ def test_record_matrices_do_not_share_rows():
 def test_mutable_records_carry_no_instance_dict():
     spec = AccessSpec(1, b"\x00\x01", 15)
     for obj in (RecordMatrix(), spec, _RunningSpec(spec),
-                OperationReport(1, ReportResult.SUCCESS, b"")):
+                OperationReport(1, ReportResult.SUCCESS, b""), BasicMessage(0xFD, 0x44),
+                build_ex_message(b"\x01", 0x4400), ScenarioConfig(), DistanceProfile()):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
     running = _RunningSpec(spec)
     assert (running.spec, running.success_count, running.total_rounds,
             running.delete_requested_at) == (spec, 0, 0, None)
+
+
+@pytest.mark.parametrize("make", [
+    lambda payload: BasicMessage(0x01, payload),
+    lambda payload: build_ex_message(bytes([payload, 0x02]), 0x4400),
+    lambda payload: OperationReport(3, ReportResult.SUCCESS, bytes([payload]) * 12),
+], ids=["BasicMessage", "ExMessage", "OperationReport"])
+def test_messages_and_reports_compare_by_their_fields(make):
+    a, b, other = make(0x41), make(0x41), make(0x42)
+    assert a is not b and a == b and not a != b
+    assert a != other and a != (0x01, 0x41) and a != object()
+    if not isinstance(a, OperationReport):  # a report is mutable, so unhashable
+        assert hash(a) == hash(b) and len({a, b, other}) == 2
+
+
+def test_an_ex_message_compares_each_field_with_raw_aside():
+    msg = ExMessage(0x10, 1, 0x4400, b"\x07")
+    assert msg == ExMessage(0x10, 1, 0x4400, b"\x07")
+    for changed in (ExMessage(0x11, 1, 0x4400, b"\x07"), ExMessage(0x10, 2, 0x4400, b"\x07"),
+                    ExMessage(0x10, 1, 0x4401, b"\x07"), ExMessage(0x10, 1, 0x4400, b"\x08")):
+        assert changed != msg
+    # An address past 16 bits writes the same wire image, yet is another message.
+    wrapped = ExMessage(0x10, 1, 0x14400, b"\x07")
+    assert wrapped.raw == msg.raw and wrapped != msg
+
+
+def test_a_distance_profile_derives_its_period_from_its_fields():
+    assert DistanceProfile().period == 1
+    assert DistanceProfile(kind="oscillate", speed_m_per_s=0).period == 1
+    # 20-90 cm at 0.1 m/s: up and down is 14 s, 840 rounds.
+    assert DistanceProfile(kind="oscillate").period == 840
+    assert DistanceProfile(kind="oscillate", min_cm=20, max_cm=90, speed_m_per_s=0.3).period == 280
+    assert DistanceProfile(kind="oscillate", speed_m_per_s=0.13).period == 0  # 646.15 rounds
+    # A field of the wrong type leaves the period 0; ScenarioConfig.validate names it.
+    assert DistanceProfile(kind="oscillate", max_cm="90").period == 0
+    with pytest.raises(TypeError, match="no field d_min_cm"):
+        DistanceProfile(d_min_cm=10)
 
 
 def test_row_word_count_rounds_odd_byte_counts_up():

@@ -1,7 +1,9 @@
+import copy
 import csv
 import filecmp
 import hashlib
 import io
+import math
 import os
 import re
 import signal
@@ -12,6 +14,7 @@ import threading
 import time
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,7 +27,7 @@ from crfid_downlink.host import LogEvent, SessionResult, TransferLog, Variant
 from crfid_downlink.ihex import generate_fixture, parse_file
 from crfid_downlink.metrics import compute_metrics
 from crfid_downlink.protocol import build_ladder
-from crfid_downlink.reader import ROUNDS_PER_SEC, Reader, ReportResult
+from crfid_downlink.reader import ROUNDS_PER_SEC, OperationReport, Reader, ReportResult
 from crfid_downlink.scenario import (
     DistanceProfile,
     RunOutcome,
@@ -248,6 +251,123 @@ def test_a_config_built_in_code_with_a_wrong_type_is_rejected(tmp_path, key, con
     assert not any(tmp_path.iterdir())  # rejected before the first run
 
 
+SCHEMA = {key.name: key for key in scenario.CONFIG_KEYS + scenario.PROFILE_KEYS}
+# Values of a wrong type for each value type of the schema, keyed by its check.
+WRONG_TYPES = {
+    scenario.INT[2]: st.one_of(st.text(), st.floats(), st.booleans(), st.none()),
+    scenario.NUMBER[2]: st.one_of(st.text(), st.booleans(), st.none(),
+                                  st.sampled_from([math.nan, math.inf, -math.inf, -10**400])),
+    scenario.BOOL[2]: st.one_of(st.text(), st.integers(), st.none()),
+    scenario.PATH[2]: st.one_of(st.integers(), st.floats(), st.none()),
+    scenario.PROTOCOL[2]: st.one_of(st.text(), st.none()),
+    scenario.KIND[2]: st.one_of(st.integers(), st.none(),
+                                st.text().filter(lambda text: text not in scenario._KINDS)),
+}
+WRONG_ENTRY = st.sampled_from(sorted(SCHEMA)).map(SCHEMA.get).flatmap(
+    lambda key: st.tuples(st.just(key), WRONG_TYPES[key.accepts].filter(
+        lambda value: value is not None or not key.none)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(WRONG_ENTRY)
+# Each of these raised a raw TypeError mid-check, or ran to completion.
+@example((SCHEMA["max_sim_seconds"], "10"))
+@example((SCHEMA["write_fault_prob"], "0"))
+@example((SCHEMA["d_cm"], "20"))
+@example((SCHEMA["d_min_cm"], "20"))
+@example((SCHEMA["ocv"], 2.5))
+@example((SCHEMA["n_threshold"], 20.0))
+@example((SCHEMA["repeats"], True))
+@example((SCHEMA["speed_m_per_s"], 10**400))  # float(10**400) overflows
+def test_every_key_set_in_code_to_a_wrong_type_is_named_before_any_round(entry):
+    key, value = entry
+    if key in scenario.PROFILE_KEYS:
+        config = ScenarioConfig(profile=DistanceProfile(**{key.field: value}))
+    else:
+        config = ScenarioConfig(**{key.field: value})
+    named = f"^{key.name} must be {re.escape(key.code)}, got "
+    with mock.patch.object(scenario, "_run_repeats", side_effect=AssertionError("a round ran")):
+        with pytest.raises(ScenarioError, match=named):
+            run_scenario(config, matrix=ONE_ROW)
+
+
+def as_config_text(key, value) -> str:
+    """A value as a config file writes it, as README's key table shows defaults."""
+    if value is None:
+        return key.none
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, Variant):
+        return value.value
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
+def readme_key_rows() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Config files\n", 1)[1].split("\n## ", 1)[0]
+    return [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")]
+
+
+def test_readme_key_table_matches_the_schema():
+    def plain(text: str) -> str:
+        return text.replace("`", "").replace("'", "")
+
+    rows = readme_key_rows()
+    assert sorted(row[0].strip("`") for row in rows) == sorted(SCHEMA)  # each key once
+    for name, default, valid, _ in rows:
+        key = SCHEMA[name.strip("`")]
+        text = as_config_text(key, key.default)
+        assert default == (f"`{text}`" if text else "—"), name
+        assert key.read(text) == key.default, name  # the text reads back as the default
+        # The valid cell states the key's type and its rule in the schema's words.
+        assert plain(key.text) in plain(valid), name
+        assert plain(key.rule_text) in plain(valid), name
+
+
+# Every shipped config, parsed before the key table: the fields that differ from
+# DEFAULT_FIELDS.  The benchmark workloads name no hex_file; the test adds one.
+DEFAULT_FIELDS = {
+    "hex_file": "", "protocol": Variant.EX, "s_p": None, "ocv": 15, "n_threshold": 20,
+    "r_max": 3, "m_threshold": 10, "t_u": 1, "t_de": -2, "t_dl": -3, "s_max": 16, "seed": 1,
+    "repeats": 1, "bootloader": False, "brownout": None, "write_fault_prob": 0.0,
+    "max_sim_seconds": 3600.0, "dump_fram": False, "profile.kind": "static",
+    "profile.d_cm": 20.0, "profile.min_cm": 20.0, "profile.max_cm": 90.0,
+    "profile.speed_m_per_s": 0.1, "profile.period": 1,
+}
+SHIPPED_FIELDS = {
+    "configs/benchmark.cfg": {"hex_file": "configs/demo.hex", "s_p": 16, "repeats": 3},
+    "configs/mobility.cfg": {"hex_file": "configs/demo.hex", "repeats": 5,
+                             "profile.kind": "oscillate", "profile.period": 840},
+    "configs/reprogram.cfg": {"hex_file": "configs/demo.hex", "repeats": 10, "bootloader": True,
+                              "write_fault_prob": 0.001, "profile.kind": "oscillate",
+                              "profile.period": 840},
+    "benchmarks/workloads/basic_write.cfg": {"hex_file": "image.hex", "protocol": Variant.BASIC,
+                                             "bootloader": True, "brownout": 0.0,
+                                             "write_fault_prob": 0.001},
+    "benchmarks/workloads/mobility_throttle.cfg": {"hex_file": "image.hex", "repeats": 5,
+                                                   "profile.kind": "oscillate",
+                                                   "profile.period": 840},
+    "benchmarks/workloads/static_sp16.cfg": {"hex_file": "image.hex", "s_p": 16, "repeats": 5},
+}
+
+
+def field_texts(cfg) -> dict[str, str]:
+    """Each of DEFAULT_FIELDS' fields of ``cfg`` as its repr, which tells 20 from 20.0."""
+    return {field: repr(getattr(cfg.profile if field.startswith("profile.") else cfg,
+                                field.removeprefix("profile."))) for field in DEFAULT_FIELDS}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_FIELDS))
+def test_shipped_configs_read_every_field_as_before(name):
+    text = (Path(__file__).resolve().parents[1] / name).read_text()
+    if not re.search(r"^\s*hex_file\s*=", text, re.MULTILINE):
+        text += "\nhex_file = image.hex\n"
+    expected = {**DEFAULT_FIELDS, **SHIPPED_FIELDS[name]}
+    assert field_texts(parse_config_text(text)) == {k: repr(v) for k, v in expected.items()}
+    assert field_texts(ScenarioConfig()) == {k: repr(v) for k, v in DEFAULT_FIELDS.items()}
+
+
 def test_a_distance_past_the_float_range_runs_or_names_d_cm(tmp_path):
     # d_cm**4 overflows a float; the run must not end in a raw OverflowError.
     text = "distance = static\nd_cm = 1e100\nmax_sim_seconds = 10\n"
@@ -402,7 +522,9 @@ def test_every_random_stream_derives_from_the_master_seed(monkeypatch, small_mat
     config = ScenarioConfig(seed=5, repeats=2, s_p=16, profile=DistanceProfile(d_cm=20.0))
     first = stream_states(monkeypatch, config, small_matrix)
     assert stream_states(monkeypatch, config, small_matrix) == first  # same config, same streams
-    other_seed = stream_states(monkeypatch, replace(config, seed=6), small_matrix)
+    other = copy.copy(config)
+    other.seed = 6
+    other_seed = stream_states(monkeypatch, other, small_matrix)
     for run in first:
         assert sorted(run) == sorted(STREAMS)
         assert len(set(run.values())) == len(STREAMS)  # no two streams of a run coincide
@@ -875,7 +997,8 @@ class CopyingReader(Reader):
 
     def tick(self, now, tag, channel):
         report = super().tick(now, tag, channel)
-        return None if report is None else replace(report)
+        return None if report is None else OperationReport(report.spec_id, report.result,
+                                                           report.epc)
 
 
 @pytest.mark.parametrize("name", sorted(REPEAT_NACK_CONFIGS))
@@ -970,7 +1093,8 @@ SHARE_CONFIGS = {
 @pytest.mark.parametrize("name", sorted(SHARE_CONFIGS))
 def test_a_split_into_shares_moves_nothing(monkeypatch, tmp_path, small_matrix, name):
     # Four repeats: at W = 2 each share holds two runs, at W = 3 share 0 does.
-    cfg = replace(parse_config_text(SHARE_CONFIGS[name] + "seed = 1\n"), repeats=4)
+    cfg = parse_config_text(SHARE_CONFIGS[name] + "seed = 1\n")
+    cfg.repeats = 4
     states, csvs = {}, {}
     for cpus in (1, 2, 3):
         out = tmp_path / str(cpus)
@@ -1075,7 +1199,8 @@ def test_one_repeat_or_another_thread_never_forks(monkeypatch, small_matrix, rep
     if other_thread:
         waiter.start()
     try:
-        cfg = replace(parse_config_text(GOLDEN_CONFIGS["long"] + "seed = 1\n"), repeats=repeats)
+        cfg = parse_config_text(GOLDEN_CONFIGS["long"] + "seed = 1\n")
+        cfg.repeats = repeats
         assert len(run_in_shares(monkeypatch, 4, cfg, small_matrix).runs) == repeats
     finally:
         release.set()
