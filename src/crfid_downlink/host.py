@@ -28,8 +28,8 @@ from typing import TYPE_CHECKING, NamedTuple
 from .channel import ODDS_MEMO_SIZE, ChannelModel
 from .crc import crc16_ccitt
 from .ihex import RecordMatrix
-from .protocol import (HDR_REPROGRAM_INIT, WRITE_ECHO_MARK, BasicMessage, build_basic_messages,
-                       build_ex_message, build_ladder, snap_to_ladder, throttle)
+from .protocol import (HDR_REPROGRAM_INIT, BasicMessage, build_basic_messages, build_ex_message,
+                       build_ladder, echo, snap_to_ladder, throttle)
 from .reader import ROUNDS_PER_SEC, AccessSpec, OperationReport, Reader, ReportResult
 from .tag import PowerModel, Tag, TagMode
 
@@ -313,7 +313,7 @@ class HostSession:
                     completed = True
                     break
                 sent += 1
-                expected = raw + WRITE_ECHO_MARK if len(raw) == 2 else raw[:4]
+                expected = echo(raw)
                 reader.request_delete(now)
                 reader.stage(AccessSpec(sent, raw, cfg.ocv), now)
                 log(now, ("send" if outcome == "ack" else "resend", row, chunk, s_p, "", expected))

@@ -30,6 +30,15 @@ EPC_LENGTH = 12
 # An extended echo needs none: its length byte is at least 1.
 WRITE_ECHO_MARK = b"\x01"
 
+
+def echo(raw: bytes) -> bytes:
+    """The EPC prefix a tag that took the message ``raw`` (its wire image) sends back.
+
+    A Write's two bytes and the mark; a BlockWrite's four header bytes.
+    """
+    return raw + WRITE_ECHO_MARK if len(raw) == 2 else raw[:4]
+
+
 DEFAULT_S_MAX = 16
 
 
@@ -62,8 +71,7 @@ class BasicMessage:
         return self.header, self.payload
 
     def expected_epc(self) -> bytes:
-        """The echo is a copy of the message itself and the mark, zero-padded."""
-        return (self.raw + WRITE_ECHO_MARK).ljust(EPC_LENGTH, b"\x00")
+        return echo(self.raw).ljust(EPC_LENGTH, b"\x00")
 
 
 class ExMessage:
@@ -92,7 +100,7 @@ class ExMessage:
         return self.checksum, self.length, self.address, self.data
 
     def expected_epc(self) -> bytes:
-        return self.raw[:4].ljust(EPC_LENGTH, b"\x00")
+        return echo(self.raw).ljust(EPC_LENGTH, b"\x00")
 
     def to_words(self) -> list[int]:
         """Word sequence as issued on air: header words then payload words."""

@@ -340,21 +340,14 @@ def _fmt(x: float) -> str:
 LOG_CHUNK_ROWS = 2048  # log rows rendered and written at a time: about 100 KB of text
 
 
-def _kind_texts(kinds: list[tuple]) -> list[str]:
-    """Each log kind as CSV text after the round, each distinct S_p and EPC rendered once.
+def _log_lines(log: TransferLog) -> Iterator[str]:
+    """The log rows as CSV text, ``LOG_CHUNK_ROWS`` lines at a time.
 
     No field needs quoting: event names, results, numbers and hex EPCs hold
     no comma, quote or line break.
     """
-    s_p_text = {s_p: _fmt(s_p) for s_p in {kind[3] for kind in kinds}}
-    epc_text = {epc: epc.hex().upper() for epc in {kind[5] for kind in kinds}}
-    return [f"{event},{row},{chunk},{s_p_text[s_p]},{result},{epc_text[epc]}\n"
-            for event, row, chunk, s_p, result, epc in kinds]
-
-
-def _log_lines(log: TransferLog) -> Iterator[str]:
-    """The log rows as CSV text, ``LOG_CHUNK_ROWS`` lines at a time."""
-    texts = _kind_texts(log.kinds)  # its dicts of S_p and EPC texts are freed here
+    texts = [f"{event},{row},{chunk},{_fmt(s_p)},{result},{epc.hex().upper()}\n"
+             for event, row, chunk, s_p, result, epc in log.kinds]  # each kind, after the round
     rounds, kind_ids = log.rounds, log.kind_ids
     for start in range(0, len(rounds), LOG_CHUNK_ROWS):
         end = start + LOG_CHUNK_ROWS

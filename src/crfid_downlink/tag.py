@@ -24,7 +24,7 @@ from .protocol import (
     HDR_ADDR_SECOND,
     HDR_REPROGRAM_INIT,
     MAX_BASIC_OFFSET,
-    WRITE_ECHO_MARK,
+    echo,
 )
 
 
@@ -37,7 +37,6 @@ class TagMode(Enum):
 FRAM_SIZE = 64 * 1024
 
 INITIAL_EPC = bytes(EPC_LENGTH)
-_ECHO_PAD = WRITE_ECHO_MARK.ljust(EPC_LENGTH - 2, b"\x00")  # follows a Write's header and payload
 _REPROGRAM = TagMode.REPROGRAM  # the round path's test, without an enum-class lookup
 
 
@@ -109,11 +108,10 @@ class Tag:
         # its one draw.  Kept, with ``series_slot_alive``, for the benchmark
         # tracer, which wraps that method by name.
         self.energy_rng = random.Random(energy_seed)
-        self._verified = (None, 0, b"", b"")  # last checksummed (raw, address, payload, EPC)
-        # True while the memory holds that payload from the last commit, which
-        # passed its read-back check; any commit and any INIT clear it.
-        self._stored = False
-        # The last Write whose EPC echoes it, and that EPC object; see handle_basic_write.
+        # The series whose payload the last commit read back intact; any commit
+        # and any INIT clear it.
+        self._stored: bytes | None = None
+        # The last message whose EPC echoes it, and that EPC object; see handle_basic_write.
         self._echoed = (None, None)
         # Volatile reprogram state.
         self._addr_high: int | None = None
@@ -141,9 +139,9 @@ class Tag:
 
     def handle_basic_write(self, raw: bytes) -> None:
         """Process one intact Write, header and payload; the EPC echoes header, read-back and mark."""
-        if not self.powered or (raw is self._echoed[0] and self.epc is self._echoed[1]):
-            # A stale repeat of the Write the EPC still echoes: with no commit
-            # and no EPC change since, running it again would change nothing.
+        if raw is self._echoed[0] and self.epc is self._echoed[1] or not self.powered:
+            # A stale repeat of the message the EPC still echoes: with no
+            # commit and no EPC change since, running it again changes nothing.
             return
         header = raw[0]
         if header <= MAX_BASIC_OFFSET:  # a data byte, the common case, is tested first
@@ -153,9 +151,9 @@ class Tag:
             # A repeat of a Write this session already stored reads, not
             # rewrites: no fault draw can corrupt a byte the host saw ACKed.
             if not (self._written[address] and self.fram._bytes[address] == raw[1]):
-                self._commit(address, raw[1:])
-                if self.fram._bytes[address] != raw[1]:  # a corrupt read-back is echoed, not remembered
-                    self.epc = bytes((header, self.fram._bytes[address])) + _ECHO_PAD
+                if not self._commit(address, raw[1:]):  # a corrupt read-back is echoed, not remembered
+                    read_back = bytes((header, self.fram._bytes[address]))
+                    self.epc = echo(read_back).ljust(EPC_LENGTH, b"\x00")
                     return
         elif header == HDR_REPROGRAM_INIT:
             if self.mode is TagMode.APPLICATION:
@@ -163,7 +161,7 @@ class Tag:
             # A new reprogram session forgets what the last one wrote.
             self.mode = TagMode.REPROGRAM
             self._written = bytearray(FRAM_SIZE)
-            self._stored = False
+            self._stored = None
         elif self.mode is not _REPROGRAM:
             return
         elif header == HDR_ADDR_FIRST:
@@ -173,8 +171,7 @@ class Tag:
             self._addr_low = raw[1]
         else:
             return  # no such header (0x21-0xFC); ignore
-        self.epc = raw + _ECHO_PAD
-        self._echoed = (raw, self.epc)
+        self._echo(raw)
 
     # -- extended (BlockWrite series) handling -------------------------------
 
@@ -186,49 +183,49 @@ class Tag:
     def series_complete(self, raw: bytes, corrupted: bool) -> bool:
         """Take a fully replied series, its words as big-endian ``raw`` bytes.
 
-        A ``corrupted`` series fails its checksum.  Otherwise the checksum is
-        verified before any memory write (once per distinct ``raw``, which the
-        reader repeats), and the memory read back after the write must equal
-        the payload for the EPC to acknowledge the message.  A read-back, not
-        a checksum over it: two inverted bytes can leave the checksum intact.
-        A repeat of the series whose last commit passed that read-back (no
-        commit and no INIT since) only sets the EPC: rewriting it would draw
-        new write faults into bytes the host may already have seen
-        acknowledged.  Returns True when the EPC was updated.
+        A stale repeat of the series the EPC still echoes returns at once, as
+        a Write's does.  Otherwise a series that is ``corrupted`` or fails its
+        checksum is dropped before any memory write, and the memory must read
+        the payload back (not merely its checksum, which two inverted bytes
+        can keep) for the EPC to acknowledge it.  A repeat of the series whose
+        last commit read back intact, with no commit and no INIT since, only
+        sets the EPC: a rewrite could fault bytes the host saw acknowledged.
+        Returns True when the EPC acknowledges the series.
         """
-        if not self.powered or corrupted:
+        if raw is self._echoed[0] and self.epc is self._echoed[1]:
+            return not corrupted
+        if not self.powered or corrupted or self.mode is not _REPROGRAM or len(raw) < 4:
             return False
-        if raw != self._verified[0]:
-            if len(raw) < 4:
-                return False
-            length = raw[1]
-            payload = bytes(raw[4 : 4 + length])
-            if len(payload) != length or record_checksum(raw[1 : 4 + length]) != raw[0]:
-                return False
-            epc = bytes(raw[:4]).ljust(EPC_LENGTH, b"\x00")
-            self._verified = (bytes(raw), (raw[2] << 8) | raw[3], payload, epc)
-            self._stored = False
-        _, address, payload, epc = self._verified
-        if self.mode is not _REPROGRAM:
+        length = raw[1]
+        payload = raw[4 : 4 + length]
+        if len(payload) != length or record_checksum(raw[1 : 4 + length]) != raw[0]:
             return False
-        if not self._stored:
-            self._commit(address, payload)
-            if self.fram.read(address, len(payload)) != payload:
+        if raw != self._stored:
+            if not self._commit((raw[2] << 8) | raw[3], payload):
                 return False  # write fault surfaced by read-back
-            self._stored = True
-        self.epc = epc
+            self._stored = raw
+        self._echo(raw)
         return True
 
-    def _commit(self, address: int, data: bytes) -> None:
-        self._stored = False
+    def _echo(self, raw: bytes) -> None:
+        """Set the EPC to the echo of ``raw``, and remember both for the stale-repeat test."""
+        self.epc = echo(raw).ljust(EPC_LENGTH, b"\x00")
+        self._echoed = (raw, self.epc)
+
+    def _commit(self, address: int, data: bytes) -> bool:
+        """Write ``data``, with any write faults; True when the memory reads it back intact."""
+        self._stored = None
         self._echoed = (None, None)  # a failed series commit writes memory, not the EPC
+        written = data
         if self.write_fault_prob > 0:
-            data = bytearray(data)
-            for i in range(len(data)):
+            written = bytearray(data)
+            for i in range(len(written)):
                 if self._fault_rng.random() < self.write_fault_prob:
-                    data[i] ^= 0xFF
-        self.fram.write(address, data)
-        self._written[address : address + len(data)] = b"\x01" * len(data)
+                    written[i] ^= 0xFF
+        self.fram.write(address, written)
+        end = address + len(data)
+        self._written[address:end] = b"\x01" * len(data)
+        return self.fram._bytes[address:end] == data
 
     # -- bootloader ----------------------------------------------------------
 
@@ -242,6 +239,7 @@ class Tag:
         """
         if self.powered and self.mode is TagMode.REPROGRAM and self.application_crc() == crc:
             self.mode = TagMode.APPLICATION
+            self._echoed = (None, None)  # a stale series repeat is no longer acknowledged
         return self.mode
 
     def application_crc(self) -> int:

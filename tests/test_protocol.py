@@ -17,6 +17,7 @@ from crfid_downlink.protocol import (
     build_ex_message,
     build_ladder,
     derive_r_max,
+    echo,
     snap_to_ladder,
     throttle,
 )
@@ -62,6 +63,12 @@ def test_basic_message_epc_echo_is_message_copy():
     msg = BasicMessage(0xFD, 0xAA)
     assert msg.expected_epc() == bytes([0xFD, 0xAA, 0x01]) + bytes(9)
     assert BasicMessage(0x00, 0x00).expected_epc() == bytes([0x00, 0x00, 0x01]) + bytes(9)
+
+
+def test_echo_is_a_writes_bytes_and_mark_or_a_blockwrites_header():
+    assert echo(b"\x00\x00") == b"\x00\x00\x01"
+    ex = build_ex_message(bytes([0xBB, 0xCC, 0xDD]), 0xAADD)
+    assert echo(ex.raw) == ex.raw[:4] and len(ex.raw) == 8
 
 
 @given(

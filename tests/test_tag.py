@@ -119,23 +119,36 @@ def test_epc_echoes_read_back_byte():
     assert tag.epc[:2] == bytes([0x00, 0xAB ^ 0xFF])  # echo carries the read-back
 
 
-def test_most_single_word_rounds_repeat_the_write_the_epc_echoes(small_matrix, clean_run):
-    # 13 of a message's 16 rounds replay a Write the tag already took; each
-    # returns at once and leaves the EPC the very same object.
+def kept_epc_share(clean_run, matrix, config, handler):
+    """Run ``config`` clean; the share of the tag's ``handler`` calls that leave
+    ``tag.epc`` the very same object."""
     tag, calls, kept = Tag(), 0, 0
-    handle = tag.handle_basic_write
+    handle = getattr(tag, handler)
 
-    def counting(raw):
+    def counting(*args):
         nonlocal calls, kept
         epc = tag.epc
-        handle(raw)
+        handle(*args)
         calls += 1
         kept += tag.epc is epc
 
-    tag.handle_basic_write = counting
-    result, _ = clean_run(ScenarioConfig(protocol=Variant.BASIC), small_matrix, tag=tag)
-    assert result.completed
-    assert calls > 0 and kept >= 0.9 * calls
+    setattr(tag, handler, counting)
+    result, _ = clean_run(config, matrix, tag=tag)
+    assert result.completed and calls > 0
+    return kept / calls
+
+
+def test_most_single_word_rounds_repeat_the_write_the_epc_echoes(small_matrix, clean_run):
+    # 13 of a message's 16 rounds replay a Write the tag already took; each
+    # returns at once and leaves the EPC the very same object.
+    config = ScenarioConfig(protocol=Variant.BASIC)
+    assert kept_epc_share(clean_run, small_matrix, config, "handle_basic_write") >= 0.9
+
+
+def test_most_series_rounds_repeat_the_series_the_epc_echoes(small_matrix, clean_run):
+    # The same holds for a series: its stale repeats keep the EPC object.
+    config = ScenarioConfig(protocol=Variant.EX, s_p=16)
+    assert kept_epc_share(clean_run, small_matrix, config, "series_complete") >= 0.9
 
 
 # -- series handling --------------------------------------------------------------
@@ -238,6 +251,19 @@ def test_repeat_of_the_stored_series_only_sets_the_epc():
     assert tag.series_complete(raw, False) is True
     assert len(writes) == 2
     assert tag.application_crc() == crc16_ccitt(bytes([0xBB, 0xCC]))
+
+
+def test_stale_series_repeat_is_acknowledged_only_in_reprogram_mode():
+    # The application keeps the EPC of the last series, but acknowledges no
+    # repeat of it; a corrupted repeat is never acknowledged.
+    tag = Tag()
+    raw = raw_of(build_ex_message(bytes([0xBB, 0xCC]), 0xAADD))
+    assert tag.series_complete(raw, False) is True
+    epc = tag.epc
+    assert tag.series_complete(raw, True) is False
+    assert tag.series_complete(raw, False) is True and tag.epc is epc
+    assert tag.transfer_complete(tag.application_crc()) is TagMode.APPLICATION
+    assert tag.series_complete(raw, False) is False and tag.epc is epc
 
 
 def test_bad_checksum_stays_rejected_on_every_repeat():
@@ -369,7 +395,7 @@ class HeaderOrderTag(Tag):
                 return
             self.mode = TagMode.REPROGRAM
             self._written = bytearray(FRAM_SIZE)
-            self._stored = False
+            self._stored = None
         elif self.mode is not TagMode.REPROGRAM:
             return
         elif header == HDR_ADDR_FIRST:
