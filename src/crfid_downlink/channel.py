@@ -210,3 +210,19 @@ class ChannelModel:
         except KeyError:
             table = self._tables[n] = series_table(n, self.miss, self.flip, self._powers)
         return SERIES_OUTCOMES[n][bisect_right(table, self.rng.random())]
+
+    def deliver_repeats(self, rounds: int) -> tuple[int, Delivery]:
+        """Sample one Write round after round, as ``deliver_word`` does, at most
+        ``rounds`` (at least 1) rounds.
+
+        Sampling stops after the first round whose Write is lost or corrupted.
+        Returns the rounds sampled and the last one's outcome; every earlier
+        round was delivered.
+        """
+        random, miss, flip = self.rng.random, self.miss, self.flip
+        for k in range(1, rounds + 1):
+            if random() < miss:
+                return k, _LOST
+            if random() < flip:
+                return k, _CORRUPTED
+        return rounds, _DELIVERED

@@ -277,15 +277,20 @@ class HostSession:
         Round k places the tag (one with a single distance stays where it was
         placed before round 0) and powers it (at brownout = 0 it stays
         powered), consumes the report of round k - 1, puts any message on
-        air, then ticks the reader; round 0 only sends.
+        air, then ticks the reader; round 0 only sends.  For a tag that stays
+        put and powered, the reader runs the rounds that repeat a stale
+        Write's success in one batch, and the log takes their rows at once:
+        each stream draws, and each row and count comes out, as ticking them
+        one by one would.
         """
         cfg = self.config
         max_rounds = int(cfg.max_sim_seconds * ROUNDS_PER_SEC)
         reader = Reader()
-        tick = reader.tick
+        tick, repeat = reader.tick, reader.repeat
         transfer_log = TransferLog()  # this run's rows only: its counts are folded from them
         log = transfer_log._appender()
         log_round, log_kind = transfer_log.rounds.append, transfer_log.kind_ids.append
+        log_rounds, log_kinds = transfer_log.rounds.extend, transfer_log.kind_ids.extend
         place_round = self._placement(channel, max_rounds)
         step = power.step
         set_powered = tag.set_powered
@@ -296,9 +301,14 @@ class HostSession:
         stepping = p != 0
         if not stepping and not tag.powered:
             set_powered(True)
-        no_tag = ReportResult.NO_TAG_SEEN  # a local: an enum-class lookup costs each fresh NACK
+        # A tag that neither moves nor loses power takes the rounds that repeat a
+        # stale Write's success in batches (``Reader.repeat``).
+        batching = place_round is None and not stepping
+        # Locals: an enum-class lookup costs each NACK.
+        no_tag, success = ReportResult.NO_TAG_SEEN, ReportResult.SUCCESS
 
         sent = r_count = now = 0  # ``sent`` numbers the access specs
+        ticked = 0  # the last round the reader has run
         completed, failure = False, ""
         outcome = "ack"  # the last message's: "" waits, "ack" sends the next, a timeout resends
         report: OperationReport | None = None
@@ -320,7 +330,7 @@ class HostSession:
                 nacks = no_tags = silent = 0  # since the last transmission
                 nack_report = None  # the report its last NACK row consumed
                 outcome = ""
-            if now:  # round 0 only stages the first message
+            if now > ticked:  # round 0 only stages the first message; a batch ticks its own
                 report = tick(now, tag, channel)
             if now >= max_rounds:
                 failure = "round budget exhausted"
@@ -353,6 +363,19 @@ class HostSession:
                 else:
                     nack_report, nack_lost = report, result is no_tag
                     nack_kind = log(now, ("nack", row, chunk, s_p, result._value_, report.epc))
+                    if batching and result is success:
+                        # The reader runs the rounds from this one on that repeat the
+                        # report, short of the timeout's and the budget's rounds; all but
+                        # the last are NACK rows of its kind, and the next round consumes
+                        # the last one's report.
+                        k, last = repeat(now, min(cfg.n_threshold - 1 - nacks, max_rounds - now),
+                                         tag, channel)
+                        if k:
+                            log_rounds(range(now + 1, now + k))
+                            log_kinds(array("I", (nack_kind,)) * (k - 1))
+                            nacks += k - 1
+                            now = ticked = now + k - 1
+                            report = last
                 no_tags += nack_lost
                 nacks += 1
                 if nacks < cfg.n_threshold:

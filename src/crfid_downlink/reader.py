@@ -11,6 +11,8 @@ Deleting an active spec is lazy: the reader finishes the operation frame
 first (the stop trigger at OCV successful operations usually ends it), so
 the tail of the old frame floods the next message frame with stale
 reports.  A grace bound keeps blocked frames from running forever.
+Those stale rounds change nothing on the tag, so while its power and
+distance hold still, ``Reader.repeat`` runs a string of them in one call.
 """
 
 from __future__ import annotations
@@ -76,6 +78,18 @@ class AccessSpec:
         if not 1 <= size >> 1 <= MAX_WORD_COUNT:
             raise ValueError(f"word count {size >> 1} outside 1..{MAX_WORD_COUNT}")
         self.spec_id, self.raw, self.ocv = spec_id, raw, ocv
+
+
+class _Drawn:
+    """A channel whose one Write takes an outcome ``ChannelModel.deliver_repeats`` drew."""
+
+    __slots__ = ("outcome",)
+
+    def __init__(self, outcome):
+        self.outcome = outcome
+
+    def deliver_word(self):
+        return self.outcome
 
 
 class _RunningSpec:
@@ -177,3 +191,36 @@ class Reader:
             return last
         self._last = last = OperationReport(spec.spec_id, result, epc)
         return last
+
+    def repeat(self, now: int, cap: int, tag: Tag,
+               channel: ChannelModel) -> tuple[int, OperationReport | None]:
+        """Run the rounds from ``now`` on that repeat the last report, at most ``cap``.
+
+        Only a successful Write of the active spec that a powered tag takes as
+        a stale repeat (``Tag.echoes``) repeats: each later round the channel
+        delivers returns its report again and moves only the frame's counters,
+        as ``tick`` would.  The channel samples the rounds in one call, up to
+        the first Write lost or corrupted and never past the round whose
+        frame-end test holds; that last round runs through ``tick``.  Returns
+        the rounds run and the last one's report, or ``(0, None)``.
+        """
+        run, last = self.active, self._last
+        if run is None or last.result is not _SUCCESS or not tag.powered:
+            return 0, None
+        spec = run.spec
+        raw, ocv = spec.raw, spec.ocv
+        if (len(raw) != 2 or last.spec_id != spec.spec_id or last.epc != tag.epc
+                or not tag.echoes(raw)):
+            return 0, None
+        # ``tick``'s frame-end test first holds in the round that brings the
+        # successes to OCV or the rounds to the slack bound, or that reaches the
+        # grace bound: the round ``rounds`` from now, each a success, at the latest.
+        rounds = min(cap, ocv - run.success_count, ocv + FRAME_SLACK_ROUNDS - run.total_rounds)
+        if run.delete_requested_at is not None:
+            rounds = min(rounds, run.delete_requested_at + DELETE_GRACE - now + 1)
+        if rounds < 1:
+            return 0, None
+        k, outcome = channel.deliver_repeats(rounds)
+        run.total_rounds += k - 1
+        run.success_count += k - 1
+        return k, self.tick(now + k - 1, tag, _Drawn(outcome))

@@ -137,12 +137,17 @@ class Tag:
 
     # -- basic (single-word Write) handling ---------------------------------
 
+    def echoes(self, raw: bytes) -> bool:
+        """True when ``raw`` is the message the EPC still echoes, with no commit and
+        no EPC change since: both handlers then take it as a stale repeat, which
+        changes nothing.  They inline this test: they run on every delivered
+        round, where a call costs."""
+        return raw is self._echoed[0] and self.epc is self._echoed[1]
+
     def handle_basic_write(self, raw: bytes) -> None:
         """Process one intact Write, header and payload; the EPC echoes header, read-back and mark."""
         if raw is self._echoed[0] and self.epc is self._echoed[1] or not self.powered:
-            # A stale repeat of the message the EPC still echoes: with no
-            # commit and no EPC change since, running it again changes nothing.
-            return
+            return  # a stale repeat (``echoes``), or no power
         header = raw[0]
         if header <= MAX_BASIC_OFFSET:  # a data byte, the common case, is tested first
             if self.mode is not _REPROGRAM or self._addr_high is None or self._addr_low is None:
@@ -192,7 +197,7 @@ class Tag:
         sets the EPC: a rewrite could fault bytes the host saw acknowledged.
         Returns True when the EPC acknowledges the series.
         """
-        if raw is self._echoed[0] and self.epc is self._echoed[1]:
+        if raw is self._echoed[0] and self.epc is self._echoed[1]:  # a stale repeat (``echoes``)
             return not corrupted
         if not self.powered or corrupted or self.mode is not _REPROGRAM or len(raw) < 4:
             return False

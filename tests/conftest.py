@@ -37,16 +37,18 @@ def small_matrix():
     return parse_file(generate_fixture(payload, record_width=26))
 
 
-def run_clean(config, matrix, seed=1, cm=20.0, tag=None):
+def run_clean(config, matrix, seed=1, cm=20.0, tag=None, brownout=0.0):
     """Run one session with the tag always powered at a fixed ``cm``.
 
     The config is copied with ``brownout = 0`` and a static profile at ``cm``.
     ``PowerModel.step(0)`` draws nothing, so the channel seed alone decides
     the rounds.  Returns ``(result, tag)``; ``tag`` defaults to a fresh one.
+    A ``brownout`` of 1e-300 steps the power model every round, which browns
+    nothing out, so the run is the same; its rounds then all run one by one.
     """
     tag = Tag() if tag is None else tag
     config = copy.copy(config)
-    config.brownout, config.profile = 0.0, DistanceProfile(d_cm=cm)
+    config.brownout, config.profile = brownout, DistanceProfile(d_cm=cm)
     result = HostSession(config, matrix).run(tag, ChannelModel(seed=seed), PowerModel(seed=0))
     return result, tag
 

@@ -1,17 +1,20 @@
 import gc
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crfid_downlink import scenario
+from crfid_downlink import host, scenario
+from crfid_downlink.channel import ChannelModel
 from crfid_downlink.cli import main
 from crfid_downlink.host import HostSession, TransferLog, Variant, classify_report, matrix_crc
 from crfid_downlink.ihex import RecordMatrix, Row, generate_fixture, parse_file
 from crfid_downlink.protocol import HDR_REPROGRAM_INIT, build_ladder, snap_to_ladder, throttle
-from crfid_downlink.reader import ROUNDS_PER_SEC, OperationReport, ReportResult
+from crfid_downlink.reader import ROUNDS_PER_SEC, OperationReport, Reader, ReportResult
 from crfid_downlink.scenario import DistanceProfile, ScenarioConfig, ScenarioError, run_scenario
-from crfid_downlink.tag import Tag, TagMode
+from crfid_downlink.tag import FRAM_SIZE, PowerModel, Tag, TagMode
 from test_scenario import HOST_EVENTS, log_events, session_counts, tag_state_digest
 
 GOLDEN_FILE = ":02AADD00BBCCF0\n:00000001FF\n"
@@ -648,3 +651,57 @@ def test_budget_ending_on_a_timeout_still_resends(clean_run, protocol, bootloade
     assert (cut.messages_sent, cut.resends) == (2, 1)
     # A throttled extended chunk logs its step down between the two.
     assert [e.event for e in cut.log.events if e.event != "throttle"][-2:] == ["timeout", "resend"]
+
+
+# -- batched stale repeats -----------------------------------------------------------
+
+
+class UnbatchedReader(Reader):
+    """A reader whose batch runs no round, so every round runs through ``tick``."""
+
+    def repeat(self, now, cap, tag, channel):
+        return 0, None
+
+
+@st.composite
+def static_runs(draw):
+    """A small image and a config with a static tag at ``brownout = 0``, where
+    the reader batches stale repeats: either flavour, a fixed or throttled S_p,
+    write faults, the bootloader, an OCV up to the NACK threshold (above 28
+    too, where the delete grace bound ends frames) and budgets that may cut a
+    batch short."""
+    payload = draw(st.binary(min_size=4, max_size=64))
+    matrix = parse_file(generate_fixture(payload, record_width=draw(st.sampled_from([4, 8, 26]))))
+    protocol = draw(st.sampled_from(Variant))
+    ocv = draw(st.integers(2, 40))
+    cfg = ScenarioConfig(
+        protocol=protocol,
+        s_p=draw(st.none() | st.integers(1, 16)) if protocol is Variant.EX else None,
+        ocv=ocv, n_threshold=draw(st.integers(ocv, 40)), r_max=draw(st.integers(1, 4)),
+        bootloader=draw(st.booleans()), brownout=0.0,
+        write_fault_prob=draw(st.sampled_from([0.0, 0.01, 0.3])),
+        max_sim_seconds=draw(st.integers(60, 4000) | st.just(216_000)) / ROUNDS_PER_SEC,
+        profile=DistanceProfile(d_cm=draw(st.floats(20, 120))))
+    cfg.validate()
+    return cfg, matrix, draw(st.integers(0, 2**16))
+
+
+def static_run(cfg, matrix, seed):
+    tag = Tag(write_fault_prob=cfg.write_fault_prob, fault_seed=seed + 3,
+              start_in_bootloader=cfg.bootloader)
+    channel = ChannelModel(seed)
+    result = HostSession(cfg, matrix).run(tag, channel, PowerModel(seed + 2))
+    return ((result.log.rounds, result.log.kind_ids, result.log.kinds), replace(result, log=None),
+            (tag.fram.read(0, FRAM_SIZE), bytes(tag._written), tag.epc, tag.mode,
+             tag._fault_rng.getstate()), channel.rng.getstate())
+
+
+@settings(max_examples=200, deadline=None)
+@given(static_runs())
+def test_batched_stale_repeats_match_the_round_by_round_run(case):
+    # The batch draws every round from the channel stream and ends every frame
+    # as ticks one by one would: the log, the result, the tag and the channel
+    # stream all match a reader that ticks each round.
+    batched = static_run(*case)
+    with mock.patch.object(host, "Reader", UnbatchedReader):
+        assert static_run(*case) == batched

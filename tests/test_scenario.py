@@ -672,6 +672,13 @@ GOLDEN_CONFIGS = {
     "steps": "protocol = ex\ns_p = throttle\nm_threshold = 0\nt_u = 2\nt_de = -3\nt_dl = -5\n"
              "r_max = 10\nbrownout = 0.3\ndistance = static\nd_cm = 40\n"
              "write_fault_prob = 0.01\nrepeats = 2\n",
+    # A static tag that never browns out, where the reader batches stale Write
+    # repeats (``Reader.repeat``).  Batches end on errors, on no-tag rounds and at OCV.
+    "batch_basic": "protocol = basic\nbootloader = true\nbrownout = 0\ndistance = static\n"
+                   "d_cm = 90\nwrite_fault_prob = 0.01\nrepeats = 2\n",
+    # Its extended twin, whose series rounds the reader ticks one by one.
+    "batch_ex": "protocol = ex\ns_p = throttle\nocv = 10\nn_threshold = 10\nbrownout = 0\n"
+                "distance = static\nd_cm = 70\nwrite_fault_prob = 0.01\nrepeats = 2\n",
 }
 
 GOLDEN_DIGESTS = {
@@ -687,11 +694,18 @@ GOLDEN_DIGESTS = {
     ("long", 1): "01bde756d55bd30c6ded2c043da27064fa4b06f2e5b4f311550aff956c92da22",
     ("steps", 1): "c6f83a0af0632e32a9dcfa686a71aa81dabfef76a4ed2cb3c44d928e3a8740a0",
     ("steps", 2): "8c3441e9dc8bfc129fbbfd6a50275d1059e534aa4d121539b824bf9e92ff96e8",
+    # Both batch configs were pinned before the batch existed, when every round ran alone.
+    ("batch_basic", 1): "58b99f1482da202665f8412b7567d7c6233810db7510204c2be72d6f9cf68428",
+    ("batch_basic", 2): "659917631417c3fd91a0736f7f2e9880c489ffaf5c3e0cb1338c93c52c090c4d",
+    ("batch_ex", 1): "328813988864efbd7d4ae78b7703278b1c9cdd619a6e9db739da9825424e418b",
+    ("batch_ex", 2): "ff43ed15898de044e0c04ab6d2d029bc24fe23c1ae9bbe9ceac55e677f7a51ba",
 }
 
 GOLDEN_EVENTS = {"basic": {"resend", "timeout", "complete"}, "far": {"resend", "timeout", "abort"},
                  "ex": {"throttle", "resend"}, "long": {"timeout", "resend"},
-                 "steps": {"throttle", "timeout", "resend", "complete"}}
+                 "steps": {"throttle", "timeout", "resend", "complete"},
+                 "batch_basic": {"nack", "complete"},
+                 "batch_ex": {"throttle", "timeout", "resend", "complete"}}
 
 
 def csv_digest(out_dir) -> str:
@@ -710,6 +724,36 @@ def test_csv_digests_pinned(tmp_path, small_matrix, name, seed):
     assert csv_digest(tmp_path) == GOLDEN_DIGESTS[name, seed]
 
 
+# CI's two full-size pins on ``configs/demo.hex``: the sha256 of a scenario's
+# CSVs concatenated in name order, as ``cat out/*.csv | sha256sum`` reads them.
+REPO = Path(__file__).resolve().parents[1]
+DEMO_HEX = REPO / "configs" / "demo.hex"
+CI_PINS = {
+    # Single-word Writes through brown-outs and readdressing, at seed 0.
+    "brownout.cfg": "a9511046beb1fda345199ec2ba6aea20555435fc018afc5dead8ef987e02eb69",
+    # The reprogramming case study: series repeats meet write faults and brown-outs.
+    "reprogram.cfg": "02cd18484f1702ae93585187cb460b32f39c6cd62d3e06cd1cb74d7ec8e399bc",
+}
+
+
+def ci_config(name: str) -> ScenarioConfig:
+    if name == "brownout.cfg":
+        return parse_config_text(f"hex_file = {DEMO_HEX}\nprotocol = basic\nbrownout = auto\n"
+                                 "distance = static\nd_cm = 40\n")
+    cfg = load_config(REPO / "configs" / name)
+    cfg.hex_file = DEMO_HEX  # the file's relative path resolves against the working directory
+    return cfg
+
+
+@pytest.mark.parametrize("name", sorted(CI_PINS))
+def test_ci_pins_hold(tmp_path, name):
+    run_scenario(ci_config(name), out_dir=tmp_path)
+    h = hashlib.sha256()
+    for path in sorted(tmp_path.glob("*.csv")):
+        h.update(path.read_bytes())
+    assert h.hexdigest() == CI_PINS[name]
+
+
 # The CSVs show neither the tag's write-fault stream nor its energy stream, nor
 # the memory a run leaves behind.  One digest per golden run covers all three:
 # each run's memory and written mask, then the ``getstate()`` of both streams.
@@ -724,6 +768,12 @@ GOLDEN_TAG_STATES = {
     ("long", 1): "48bf52ef4663703d751c4bd6ffd29f2899ae5f1b5459cd7f307151c7f6afd6fc",
     ("steps", 1): "631ed463af885243d7e41582d5d7002f763be28bec6f3a5f44ed2b4637e7417b",
     ("steps", 2): "f1bdce46f9712b3834b1f7ee9c6e222142b3e5760cdde2165411e63982f697bf",
+    # A completed basic run commits each byte until its fault draws spare it,
+    # whatever the channel did, so batch_basic's runs leave basic's tag states.
+    ("batch_basic", 1): "1a6d3c4765681caf832bb893fec8061094589614cfaf188d2cbe6c0e151a2a0d",
+    ("batch_basic", 2): "10a23660d5a1f0ef3b1847509ead0d50d579a92c5c77ec42d2d1d2e1b0067f43",
+    ("batch_ex", 1): "6643386bd1914084c9849b756a8057147b4276571adf640700c2c56875445fb8",
+    ("batch_ex", 2): "b2cc3680597e373bb995a0bf1fa42d272630fc4f134664fea78a6dd47a699d28",
 }
 
 
