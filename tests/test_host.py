@@ -15,7 +15,8 @@ from crfid_downlink.protocol import HDR_REPROGRAM_INIT, build_ladder, snap_to_la
 from crfid_downlink.reader import ROUNDS_PER_SEC, OperationReport, Reader, ReportResult
 from crfid_downlink.scenario import DistanceProfile, ScenarioConfig, ScenarioError, run_scenario
 from crfid_downlink.tag import FRAM_SIZE, PowerModel, Tag, TagMode
-from test_scenario import HOST_EVENTS, log_events, session_counts, tag_state_digest
+from test_pins import session_counts, tag_state_digest
+from test_scenario import HOST_EVENTS, log_events
 
 GOLDEN_FILE = ":02AADD00BBCCF0\n:00000001FF\n"
 

@@ -1,7 +1,6 @@
 import copy
 import csv
 import filecmp
-import hashlib
 import io
 import math
 import os
@@ -42,6 +41,7 @@ from crfid_downlink.scenario import (
     LOG_COLUMNS,
 )
 from crfid_downlink.tag import FRAM_SIZE, Tag
+from test_pins import GOLDEN_CONFIGS, PINS, csv_digest, readme_key_rows, tag_state_digest
 
 CONFIG_TEXT = """
 # transfer setup
@@ -300,13 +300,6 @@ def as_config_text(key, value) -> str:
     if isinstance(value, Variant):
         return value.value
     return f"{value:g}" if isinstance(value, float) else str(value)
-
-
-def readme_key_rows() -> list[list[str]]:
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("\n## Config files\n", 1)[1].split("\n## ", 1)[0]
-    return [[cell.strip() for cell in line.strip().strip("|").split("|")]
-            for line in section.splitlines() if line.startswith("| `")]
 
 
 def test_readme_key_table_matches_the_schema():
@@ -649,178 +642,7 @@ def test_cli_checksum_missing_file():
     assert main(["checksum", "/nonexistent/nope.hex"]) == 2
 
 
-# -- golden CSV digests ---------------------------------------------------------------
-#
-# Pinned SHA-256 of every CSV artifact for three noisy configs on the 520-byte
-# image.  A refactor of the transfer engine must leave these untouched; a
-# change that moves simulated behaviour on purpose updates them and says why.
-
-GOLDEN_CONFIGS = {
-    # NACK timeouts of the single-word flavour, each resend after the row's address pair
-    "basic": "protocol = basic\nbootloader = true\nbrownout = auto\n"
-             "distance = static\nd_cm = 40\nwrite_fault_prob = 0.01\nrepeats = 2\n",
-    # aborts of the single-word flavour, at a range where address messages fail too
-    "far": "protocol = basic\nbootloader = true\nbrownout = auto\n"
-           "distance = static\nd_cm = 120\nwrite_fault_prob = 0.01\nrepeats = 2\n",
-    # throttle steps and re-cut resends of the extended flavour
-    "ex": "protocol = ex\ns_p = throttle\nbootloader = true\ndistance = oscillate\n"
-          "write_fault_prob = 0.01\nrepeats = 2\n",
-    # long BlockWrite series at a range where slots drain and resends follow
-    "long": "protocol = ex\ns_p = 16\nbrownout = auto\ndistance = static\nd_cm = 50\n"
-            "write_fault_prob = 0.01\nrepeats = 2\n",
-    # a throttle step of its own size for each outcome: ACK, error and lost timeout
-    "steps": "protocol = ex\ns_p = throttle\nm_threshold = 0\nt_u = 2\nt_de = -3\nt_dl = -5\n"
-             "r_max = 10\nbrownout = 0.3\ndistance = static\nd_cm = 40\n"
-             "write_fault_prob = 0.01\nrepeats = 2\n",
-    # A static tag that never browns out, where the reader batches stale Write
-    # repeats (``Reader.repeat``).  Batches end on errors, on no-tag rounds and at OCV.
-    "batch_basic": "protocol = basic\nbootloader = true\nbrownout = 0\ndistance = static\n"
-                   "d_cm = 90\nwrite_fault_prob = 0.01\nrepeats = 2\n",
-    # Its extended twin, whose series rounds the reader ticks one by one.
-    "batch_ex": "protocol = ex\ns_p = throttle\nocv = 10\nn_threshold = 10\nbrownout = 0\n"
-                "distance = static\nd_cm = 70\nwrite_fault_prob = 0.01\nrepeats = 2\n",
-}
-
-GOLDEN_DIGESTS = {
-    # basic re-pinned when a timed-out data byte began to follow its row's address
-    # pair: the second run of seed 1 and both runs of seed 2 now complete.
-    ("basic", 1): "2d6e260618b977c04532f36a1cea13f71ff260b4cb28e2318ccf2e9173238955",
-    ("basic", 2): "0bd6e59816c23d101f37cd46e0a695dd072a86cabcb1e643fce87be0fa5c7e7d",
-    ("far", 1): "3b4df96506bf3fc83465998f930741201055c4fb536726fe6026e8966eb03416",
-    # ex and long re-pinned when a series began to be sampled with one channel
-    # draw from its outcome table: the same law from a different stream.
-    ("ex", 1): "728158c900bace2eaa8fc26cb7a9385ce9ec7911b1d455aed6471639ba8d0456",
-    ("ex", 2): "6ff79143209c4353636b0b2d29244f0230c121e61f1d944bbd6e2cebddaf5e2f",
-    ("long", 1): "01bde756d55bd30c6ded2c043da27064fa4b06f2e5b4f311550aff956c92da22",
-    ("steps", 1): "c6f83a0af0632e32a9dcfa686a71aa81dabfef76a4ed2cb3c44d928e3a8740a0",
-    ("steps", 2): "8c3441e9dc8bfc129fbbfd6a50275d1059e534aa4d121539b824bf9e92ff96e8",
-    # Both batch configs were pinned before the batch existed, when every round ran alone.
-    ("batch_basic", 1): "58b99f1482da202665f8412b7567d7c6233810db7510204c2be72d6f9cf68428",
-    ("batch_basic", 2): "659917631417c3fd91a0736f7f2e9880c489ffaf5c3e0cb1338c93c52c090c4d",
-    ("batch_ex", 1): "328813988864efbd7d4ae78b7703278b1c9cdd619a6e9db739da9825424e418b",
-    ("batch_ex", 2): "ff43ed15898de044e0c04ab6d2d029bc24fe23c1ae9bbe9ceac55e677f7a51ba",
-}
-
-GOLDEN_EVENTS = {"basic": {"resend", "timeout", "complete"}, "far": {"resend", "timeout", "abort"},
-                 "ex": {"throttle", "resend"}, "long": {"timeout", "resend"},
-                 "steps": {"throttle", "timeout", "resend", "complete"},
-                 "batch_basic": {"nack", "complete"},
-                 "batch_ex": {"throttle", "timeout", "resend", "complete"}}
-
-
-def csv_digest(out_dir) -> str:
-    h = hashlib.sha256()
-    for path in sorted(out_dir.glob("*.csv")):
-        h.update(path.name.encode() + b"\0" + path.read_bytes())
-    return h.hexdigest()
-
-
-@pytest.mark.parametrize("name,seed", sorted(GOLDEN_DIGESTS))
-def test_csv_digests_pinned(tmp_path, small_matrix, name, seed):
-    cfg = parse_config_text(GOLDEN_CONFIGS[name] + f"seed = {seed}\n")
-    outcome = run_scenario(cfg, out_dir=tmp_path, matrix=small_matrix)
-    events = {e.event for r in outcome.runs for e in r.result.log.events}
-    assert GOLDEN_EVENTS[name] <= events  # the digest covers the paths it guards
-    assert csv_digest(tmp_path) == GOLDEN_DIGESTS[name, seed]
-
-
-# CI's two full-size pins on ``configs/demo.hex``: the sha256 of a scenario's
-# CSVs concatenated in name order, as ``cat out/*.csv | sha256sum`` reads them.
-REPO = Path(__file__).resolve().parents[1]
-DEMO_HEX = REPO / "configs" / "demo.hex"
-CI_PINS = {
-    # Single-word Writes through brown-outs and readdressing, at seed 0.
-    "brownout.cfg": "a9511046beb1fda345199ec2ba6aea20555435fc018afc5dead8ef987e02eb69",
-    # The reprogramming case study: series repeats meet write faults and brown-outs.
-    "reprogram.cfg": "02cd18484f1702ae93585187cb460b32f39c6cd62d3e06cd1cb74d7ec8e399bc",
-}
-
-
-def ci_config(name: str) -> ScenarioConfig:
-    if name == "brownout.cfg":
-        return parse_config_text(f"hex_file = {DEMO_HEX}\nprotocol = basic\nbrownout = auto\n"
-                                 "distance = static\nd_cm = 40\n")
-    cfg = load_config(REPO / "configs" / name)
-    cfg.hex_file = DEMO_HEX  # the file's relative path resolves against the working directory
-    return cfg
-
-
-@pytest.mark.parametrize("name", sorted(CI_PINS))
-def test_ci_pins_hold(tmp_path, name):
-    run_scenario(ci_config(name), out_dir=tmp_path)
-    h = hashlib.sha256()
-    for path in sorted(tmp_path.glob("*.csv")):
-        h.update(path.read_bytes())
-    assert h.hexdigest() == CI_PINS[name]
-
-
-# The CSVs show neither the tag's write-fault stream nor its energy stream, nor
-# the memory a run leaves behind.  One digest per golden run covers all three:
-# each run's memory and written mask, then the ``getstate()`` of both streams.
-GOLDEN_TAG_STATES = {
-    ("basic", 1): "1a6d3c4765681caf832bb893fec8061094589614cfaf188d2cbe6c0e151a2a0d",
-    ("basic", 2): "10a23660d5a1f0ef3b1847509ead0d50d579a92c5c77ec42d2d1d2e1b0067f43",
-    ("far", 1): "20b9109fcd1e22314b6c94c93f44541eecd0895391ff06113d5993d33c0d4aed",
-    # ex and long re-pinned with the one-draw series; the energy stream is no
-    # longer drawn, so its state is the seeded one.
-    ("ex", 1): "edb7681c9cca4df13424a733142c79bc6e93a00173d87442ae173b9565d41d45",
-    ("ex", 2): "a3a7671636b4e8deb5cdc78c31e4e7d3f49a029f1f48f62dd4764c4195d2486d",
-    ("long", 1): "48bf52ef4663703d751c4bd6ffd29f2899ae5f1b5459cd7f307151c7f6afd6fc",
-    ("steps", 1): "631ed463af885243d7e41582d5d7002f763be28bec6f3a5f44ed2b4637e7417b",
-    ("steps", 2): "f1bdce46f9712b3834b1f7ee9c6e222142b3e5760cdde2165411e63982f697bf",
-    # A completed basic run commits each byte until its fault draws spare it,
-    # whatever the channel did, so batch_basic's runs leave basic's tag states.
-    ("batch_basic", 1): "1a6d3c4765681caf832bb893fec8061094589614cfaf188d2cbe6c0e151a2a0d",
-    ("batch_basic", 2): "10a23660d5a1f0ef3b1847509ead0d50d579a92c5c77ec42d2d1d2e1b0067f43",
-    ("batch_ex", 1): "6643386bd1914084c9849b756a8057147b4276571adf640700c2c56875445fb8",
-    ("batch_ex", 2): "b2cc3680597e373bb995a0bf1fa42d272630fc4f134664fea78a6dd47a699d28",
-}
-
-
-def tag_state_digest(outcome) -> str:
-    h = hashlib.sha256()
-    for r in sorted(outcome.runs, key=lambda r: r.run):
-        h.update(r.tag.fram.read(0, FRAM_SIZE) + bytes(r.tag._written))
-        h.update(repr(r.tag._fault_rng.getstate()).encode())
-        h.update(repr(r.tag.energy_rng.getstate()).encode())
-    return h.hexdigest()
-
-
-@pytest.mark.parametrize("name,seed", sorted(GOLDEN_TAG_STATES))
-def test_tag_state_digests_pinned(small_matrix, name, seed):
-    cfg = parse_config_text(GOLDEN_CONFIGS[name] + f"seed = {seed}\n")
-    outcome = run_scenario(cfg, matrix=small_matrix)
-    assert tag_state_digest(outcome) == GOLDEN_TAG_STATES[name, seed]
-
-
-# No CSV carries op_success or op_total.  Each golden run's
-# (messages_sent, resends, sum_s_p, op_success, op_total), in run order:
-GOLDEN_COUNTS = {
-    ("basic", 1): [(561, 0, 280.5, 8402, 8402), (570, 3, 285.0, 8532, 8542)],
-    ("basic", 2): [(567, 2, 283.5, 8491, 8497), (573, 4, 286.5, 8580, 8589)],
-    ("ex", 1): [(94, 6, 304.5, 1152, 1516), (95, 8, 309.5, 1100, 1494)],
-    ("ex", 2): [(103, 6, 307.5, 1294, 1647), (92, 5, 305.5, 1155, 1490)],
-    ("far", 1): [(26, 8, 13.0, 91, 397), (10, 3, 5.0, 32, 158)],
-    ("long", 1): [(25, 5, 325.0, 65, 344), (28, 8, 364.0, 79, 351)],
-    ("steps", 1): [(162, 45, 458.0, 1069, 2548), (143, 40, 473.0, 982, 2245)],
-    ("steps", 2): [(142, 41, 465.0, 890, 2212), (109, 30, 422.0, 698, 1684)],
-}
-
-
-def session_counts(result) -> tuple:
-    return (result.messages_sent, result.resends, result.sum_s_p, result.op_success,
-            result.op_total)
-
-
-@pytest.mark.parametrize("name,seed", sorted(GOLDEN_COUNTS))
-def test_session_counts_pinned(small_matrix, name, seed):
-    cfg = parse_config_text(GOLDEN_CONFIGS[name] + f"seed = {seed}\n")
-    runs = sorted(run_scenario(cfg, matrix=small_matrix).runs, key=lambda r: r.run)
-    # Every run consumes idle reports, which count as no access operation.
-    for r in runs:
-        assert ("nack", "inventory") in {(k[0], k[4]) for k in r.result.log.kinds}
-    assert [session_counts(r.result) for r in runs] == GOLDEN_COUNTS[name, seed]
-
+# -- throttle steps ------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_each_outcome_takes_its_own_throttle_step(small_matrix, seed):
@@ -901,7 +723,7 @@ def test_shared_memo_does_not_leak_between_runs(tmp_path, small_matrix):
         out = tmp_path / f"{name}{run}"
         run_scenario(parse_config_text(GOLDEN_CONFIGS[name] + f"seed = {seed}\n"),
                      out_dir=out, matrix=small_matrix)
-        assert csv_digest(out) == GOLDEN_DIGESTS[name, seed]
+        assert csv_digest(out) == PINS[f"{name}-{seed}"].csv
         assert run or round_odds(50 / D_REF_CM)[5]
 
 
