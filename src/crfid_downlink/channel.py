@@ -108,29 +108,26 @@ def distance_brownout_prob(d: float) -> float:
         return 0.9
 
 
-# A memo entry holds its four odds, the powers (about 330 bytes) and up to
-# one series table per length 1..SERIES_SLOTS (12.2 KB with the dict), so a
-# full memo holds at most about 4096 * 12.8 KB, 52 MB; a run fills only the
-# tables of the lengths it sends at the distances it visits.
+# A memo entry holds its four odds and up to one series table per length
+# 1..SERIES_SLOTS (12.2 KB with the dict), so a full memo holds at most about
+# 4096 * 12.5 KB, 51 MB; a run fills only the tables of the lengths it sends
+# at the distances it visits.
 @lru_cache(maxsize=ODDS_MEMO_SIZE)
-def round_odds(d: float) -> tuple[float, float, float, float, array, dict[int, array]]:
-    """(miss, flip, survival, brownout, powers, tables) at d, memoised across channels and runs.
+def round_odds(d: float) -> tuple[float, float, float, float, dict[int, array]]:
+    """(miss, flip, survival, brownout, tables) at d, memoised across channels and runs.
 
     ``miss`` and ``flip`` are a one-word command's; series slot k keeps its
-    charge with probability ``survival**(k-1)``, and ``powers[k]`` is
-    ``survival**k`` for k < SERIES_SLOTS.  An ``array('d')`` holds the powers
-    in a third of a float tuple's memory, which counts at 4096 entries.
-    ``tables`` maps a series length n to its ``series_table``, filled on the
-    first series of that length at d; the tables are a function of the odds,
-    so every channel and run may share them.
+    charge with probability ``survival**(k-1)``.  ``tables`` maps a series
+    length n to its ``series_table``, filled on the first series of that
+    length at d; the tables are a function of the odds, so every channel and
+    run may share them.
     """
     flip = 1.0 - (1.0 - bit_error_rate(d)) ** (WORD_BITS + COMMAND_OVERHEAD_BITS)
     survival = 1.0 - depletion_prob(d)
-    powers = array("d", map(survival.__pow__, range(SERIES_SLOTS)))
-    return miss_probability(d), flip, survival, distance_brownout_prob(d), powers, {}
+    return miss_probability(d), flip, survival, distance_brownout_prob(d), {}
 
 
-def series_table(n: int, miss: float, flip: float, powers: array) -> array:
+def series_table(n: int, miss: float, flip: float, survival: float) -> array:
     """Cumulative odds of the first 2n of an n-word series' 2n + 1 outcomes.
 
     In ``SERIES_OUTCOMES[n]`` order: a miss at slot 0; for each slot k in
@@ -145,7 +142,7 @@ def series_table(n: int, miss: float, flip: float, powers: array) -> array:
         reach *= hit
         tails.append(reach)  # past the miss at slot k
         if k:
-            reach *= powers[k]
+            reach *= survival**k
             tails.append(reach)  # past the drain at slot k
     tails.append(reach * (1.0 - flip) ** n)  # past the corrupted full reply
     return array("d", [1.0 - tail for tail in tails])
@@ -188,8 +185,7 @@ class ChannelModel:
 
     def restore(self, placement: tuple[float, tuple]) -> None:
         """Put back a ``placement`` taken earlier: no distance check, no memo lookup."""
-        self.d, (self.miss, self.flip, self.survival, self.brownout, self._powers,
-                 self._tables) = placement
+        self.d, (self.miss, self.flip, self.survival, self.brownout, self._tables) = placement
 
     def deliver_word(self) -> Delivery:
         """Outcome of a one-word command to a powered tag."""
@@ -208,7 +204,7 @@ class ChannelModel:
         try:
             table = self._tables[n]
         except KeyError:
-            table = self._tables[n] = series_table(n, self.miss, self.flip, self._powers)
+            table = self._tables[n] = series_table(n, self.miss, self.flip, self.survival)
         return SERIES_OUTCOMES[n][bisect_right(table, self.rng.random())]
 
     def deliver_repeats(self, rounds: int) -> tuple[int, Delivery]:

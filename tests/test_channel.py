@@ -11,7 +11,6 @@ from scipy.stats import chisquare
 from crfid_downlink.channel import (
     COMMAND_OVERHEAD_BITS,
     D_REF_CM,
-    SERIES_SLOTS,
     WORD_BITS,
     ChannelModel,
     Delivery,
@@ -154,7 +153,7 @@ def test_near_field_always_delivers():
     # A series loses nothing to the channel here: its misses (slot 0, then
     # the first cell of each later slot) and its corruption are negligible,
     # so only a drained slot cuts it short.
-    cells = cell_odds(series_table(32, channel.miss, channel.flip, round_odds(channel.d)[4]))
+    cells = cell_odds(series_table(32, channel.miss, channel.flip, channel.survival))
     assert cells[0] + sum(cells[1:-2:2]) + cells[-2] < 1e-8
     series = {channel.deliver_series(32) for _ in range(1000)}
     assert (32, False) in series and (32, True) not in series
@@ -236,7 +235,7 @@ def reference_law(channel, n):
 def test_series_table_cells_equal_the_per_slot_law(d, n):
     channel = channel_at(d, seed=0)
     channel.deliver_series(n)  # fills the placed distance's table
-    table = round_odds(channel.d)[5][n]
+    table = round_odds(channel.d)[4][n]
     assert len(table) == 2 * n
     assert all(a <= b for a, b in zip(table, table[1:]))
     cells = cell_odds(table)
@@ -249,7 +248,7 @@ def test_series_samples_follow_the_table(cm, n):
     # sampler, and the per-slot definition, against the table's cells.
     channel = channel_at(cm / D_REF_CM, seed=8)
     channel.deliver_series(n)
-    table = round_odds(channel.d)[5][n]
+    table = round_odds(channel.d)[4][n]
     cells = cell_odds(table)
     odds = Counter({(0, False): cells[0], (n, True): cells[-2], (n, False): cells[-1]})
     for k in range(1, n):
@@ -290,15 +289,12 @@ def test_memoised_odds_equal_the_formulas_bit_for_bit(d):
     p = math.erfc(1.0 / d)
     direct = (min(5.0 * p, 0.9999), 1.0 - (1.0 - p) ** 67,
               1.0 - min(0.5, 4.0 * d**4), min(0.9, 0.02 * (d / 0.6) ** 4))
-    q = direct[2]
     for _ in range(2):  # the first call may fill the memo, the second reads it
-        *odds, powers, tables = round_odds(d)
+        *odds, tables = round_odds(d)
         assert [x.hex() for x in odds] == [x.hex() for x in direct]
-        assert len(powers) == SERIES_SLOTS == 32
-        assert [powers[k].hex() for k in range(32)] == [(q ** k).hex() for k in range(32)]
         # The series tables fill lazily, each one from the odds beside it.
         assert type(tables) is dict
-        assert all(table == series_table(n, *odds[:2], powers) for n, table in tables.items())
+        assert all(table == series_table(n, *odds[:3]) for n, table in tables.items())
         channel = ChannelModel(seed=0)
         channel.restore((d, round_odds(d)))
         channel.deliver_series(3)  # fills the table the second pass checks

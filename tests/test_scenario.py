@@ -724,7 +724,7 @@ def test_shared_memo_does_not_leak_between_runs(tmp_path, small_matrix):
         run_scenario(parse_config_text(GOLDEN_CONFIGS[name] + f"seed = {seed}\n"),
                      out_dir=out, matrix=small_matrix)
         assert csv_digest(out) == PINS[f"{name}-{seed}"].csv
-        assert run or round_odds(50 / D_REF_CM)[5]
+        assert run or round_odds(50 / D_REF_CM)[4]
 
 
 # -- streamed log rows ---------------------------------------------------------------

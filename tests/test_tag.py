@@ -651,7 +651,7 @@ def test_depletion_first_slot_never_fails():
     assert tag.energy_rng.getstate() == state  # slot 1 draws no energy
     # A one-word series is lost only to the channel's preamble miss: its
     # table has no drain cell, just the miss and then the corrupted reply.
-    table = series_table(1, channel.miss, channel.flip, round_odds(channel.d)[4])
+    table = series_table(1, channel.miss, channel.flip, channel.survival)
     assert len(table) == 2 and table[0] == pytest.approx(channel.miss, rel=1e-12)
     replied = [channel.deliver_series(1)[0] for _ in range(1000)]
     assert 1000 - sum(replied) == pytest.approx(1000 * channel.miss, abs=30)
