@@ -93,12 +93,22 @@ class _Drawn:
 
 
 class _RunningSpec:
-    __slots__ = ("spec", "success_count", "total_rounds", "delete_requested_at")
+    """An active spec's operation frame, started in round ``now``.
 
-    def __init__(self, spec: AccessSpec):
-        self.spec = spec
-        self.success_count = self.total_rounds = 0
-        self.delete_requested_at: int | None = None
+    The frame ends once ``successes_left`` reaches 0 (the stop trigger at
+    OCV successful operations) or in round ``last_round``: OCV plus
+    ``FRAME_SLACK_ROUNDS`` rounds after its start, a bound that keeps frames
+    from dragging on when operations keep failing mid-series, lowered to
+    ``DELETE_GRACE`` rounds after the first delete request.  Counting rounds
+    by the round number is exact because the reader is ticked or batched in
+    every round while a spec is active, which the host does.
+    """
+
+    __slots__ = ("spec", "successes_left", "last_round")
+
+    def __init__(self, spec: AccessSpec, now: int):
+        self.spec, self.successes_left = spec, spec.ocv
+        self.last_round = now + spec.ocv + FRAME_SLACK_ROUNDS - 1
 
 
 class Reader:
@@ -125,8 +135,9 @@ class Reader:
         self.staged = (spec, now + LLRP_LATENCY_TICKS)
 
     def request_delete(self, now: int) -> None:
-        if self.active is not None and self.active.delete_requested_at is None:
-            self.active.delete_requested_at = now
+        # ``now`` never falls, so the first request sets the bound.
+        if self.active is not None:
+            self.active.last_round = min(self.active.last_round, now + DELETE_GRACE)
 
     def tick(self, now: int, tag: Tag, channel: ChannelModel) -> OperationReport | None:
         """Advance one inventory round; returns the round's report, if any.
@@ -140,7 +151,7 @@ class Reader:
             if self._removal_tick is not None:
                 ready = max(ready, self._removal_tick + SWITCH_TICKS)
             if now >= ready:  # past the LLRP pipeline and the switch gap
-                run = self.active = _RunningSpec(spec)
+                run = self.active = _RunningSpec(spec, now)
                 self.staged = None
         if run is None:
             # With no access spec the reader still inventories; a visible tag
@@ -148,7 +159,6 @@ class Reader:
             if not tag.powered or channel.rng.random() < channel.miss:
                 return None
             return OperationReport(0, _INVENTORY, tag.epc)
-        run.total_rounds += 1
         spec = run.spec
         raw = spec.raw
         result, epc = _NO_TAG_SEEN, NO_TAG_EPC  # unpowered, or nothing decoded
@@ -161,7 +171,7 @@ class Reader:
                     result = _ERROR
                 else:
                     tag.handle_basic_write(raw)
-                    run.success_count += 1
+                    run.successes_left -= 1
                     result = _SUCCESS
         elif tag.powered:
             # BlockWrite: no per-word CRC16, so a corrupted word is written and
@@ -174,16 +184,9 @@ class Reader:
                     result = _ERROR
                 else:
                     tag.series_complete(raw, corrupted)
-                    run.success_count += 1
+                    run.successes_left -= 1
                     result = _SUCCESS
-        # The operation frame ends at OCV successful operations; a slightly
-        # larger bound on total rounds keeps frames from dragging on when
-        # operations keep failing mid-series, and a pending delete ends it
-        # at the grace bound.
-        ocv = spec.ocv
-        if (run.success_count >= ocv or run.total_rounds >= ocv + FRAME_SLACK_ROUNDS
-                or (run.delete_requested_at is not None
-                    and now - run.delete_requested_at >= DELETE_GRACE)):
+        if run.successes_left <= 0 or now >= run.last_round:  # the frame ends
             self.active = None
             self._removal_tick = now
         last = self._last
@@ -198,8 +201,8 @@ class Reader:
 
         Only a successful Write of the active spec that a powered tag takes as
         a stale repeat (``Tag.echoes``) repeats: each later round the channel
-        delivers returns its report again and moves only the frame's counters,
-        as ``tick`` would.  The channel samples the rounds in one call, up to
+        delivers returns its report again and takes only one of the frame's
+        successes left, as ``tick`` would.  The channel samples the rounds in one call, up to
         the first Write lost or corrupted and never past the round whose
         frame-end test holds; that last round runs through ``tick``.  Returns
         the rounds run and the last one's report, or ``(0, None)``.
@@ -208,19 +211,16 @@ class Reader:
         if run is None or last.result is not _SUCCESS or not tag.powered:
             return 0, None
         spec = run.spec
-        raw, ocv = spec.raw, spec.ocv
+        raw = spec.raw
         if (len(raw) != 2 or last.spec_id != spec.spec_id or last.epc != tag.epc
                 or not tag.echoes(raw)):
             return 0, None
-        # ``tick``'s frame-end test first holds in the round that brings the
-        # successes to OCV or the rounds to the slack bound, or that reaches the
-        # grace bound: the round ``rounds`` from now, each a success, at the latest.
-        rounds = min(cap, ocv - run.success_count, ocv + FRAME_SLACK_ROUNDS - run.total_rounds)
-        if run.delete_requested_at is not None:
-            rounds = min(rounds, run.delete_requested_at + DELETE_GRACE - now + 1)
+        # ``tick``'s frame-end test first holds in the round that takes the last
+        # success left or that reaches the frame's last round: the round
+        # ``rounds`` from now, each a success, at the latest.
+        rounds = min(cap, run.successes_left, run.last_round - now + 1)
         if rounds < 1:
             return 0, None
         k, outcome = channel.deliver_repeats(rounds)
-        run.total_rounds += k - 1
-        run.success_count += k - 1
+        run.successes_left -= k - 1
         return k, self.tick(now + k - 1, tag, _Drawn(outcome))

@@ -125,7 +125,7 @@ def test_clean_write_succeeds_and_counts():
     reader, tag = Reader(), Tag()
     report = run_reader_round(reader, write_spec(), tag, ScriptedChannel([]))
     assert report.result is ReportResult.SUCCESS
-    assert reader.active.success_count == 1
+    assert reader.active.successes_left == 14  # of OCV = 15
     assert tag.epc[:2] == bytes([0xFD, 0xAA])
 
 
@@ -134,7 +134,7 @@ def test_write_lost_reports_no_tag_seen():
     report = run_reader_round(reader, write_spec(), tag, ScriptedChannel([Delivery.LOST]))
     assert report.result is ReportResult.NO_TAG_SEEN
     assert report.epc == bytes(12)
-    assert reader.active.success_count == 0
+    assert reader.active.successes_left == 15  # OCV
 
 
 def test_write_corrupted_reports_error_without_write():
@@ -142,7 +142,7 @@ def test_write_corrupted_reports_error_without_write():
     report = run_reader_round(reader, write_spec(), tag, ScriptedChannel([Delivery.CORRUPTED]))
     assert report.result is ReportResult.ERROR
     assert tag.epc == bytes(12)  # CRC16 caught it, nothing happened
-    assert reader.active.success_count == 0
+    assert reader.active.successes_left == 15  # OCV
 
 
 def test_unpowered_round_reports_no_tag():
@@ -157,7 +157,7 @@ def test_blockwrite_second_subcommand_lost_is_error():
     channel = ScriptedChannel([Delivery.DELIVERED, Delivery.LOST])
     report = run_reader_round(reader, ex_spec(), tag, channel)
     assert report.result is ReportResult.ERROR
-    assert reader.active.success_count == 0
+    assert reader.active.successes_left == 15  # OCV
     assert tag.epc == bytes(12)
 
 
@@ -175,7 +175,7 @@ def test_blockwrite_corrupted_word_still_counts_at_reader():
     channel = ScriptedChannel([Delivery.DELIVERED, Delivery.CORRUPTED, Delivery.DELIVERED])
     report = run_reader_round(reader, ex_spec(), tag, channel)
     assert report.result is ReportResult.SUCCESS
-    assert reader.active.success_count == 1
+    assert reader.active.successes_left == 14  # of OCV = 15
     assert tag.epc == bytes(12)  # checksum mismatch withheld the echo
     assert tag.fram.read(0xAADD, 2) == bytes(2)
 

@@ -69,13 +69,12 @@ def test_record_matrices_do_not_share_rows():
 
 def test_mutable_records_carry_no_instance_dict():
     spec = AccessSpec(1, b"\x00\x01", 15)
-    for obj in (RecordMatrix(), spec, _RunningSpec(spec),
+    for obj in (RecordMatrix(), spec, _RunningSpec(spec, 4),
                 OperationReport(1, ReportResult.SUCCESS, b""), BasicMessage(0xFD, 0x44),
                 build_ex_message(b"\x01", 0x4400), ScenarioConfig(), DistanceProfile()):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
-    running = _RunningSpec(spec)
-    assert (running.spec, running.success_count, running.total_rounds,
-            running.delete_requested_at) == (spec, 0, 0, None)
+    running = _RunningSpec(spec, 4)  # started in round 4: rounds 4..20 at OCV = 15
+    assert (running.spec, running.successes_left, running.last_round) == (spec, 15, 20)
 
 
 @pytest.mark.parametrize("make", [
