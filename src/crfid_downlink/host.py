@@ -363,11 +363,12 @@ class HostSession:
                 else:
                     nack_report, nack_lost = report, result is no_tag
                     nack_kind = log(now, ("nack", row, chunk, s_p, result._value_, report.epc))
-                    if batching and result is success:
+                    if batching and result is success and report.spec_id != sent:
                         # The reader runs the rounds from this one on that repeat the
                         # report, short of the timeout's and the budget's rounds; all but
                         # the last are NACK rows of its kind, and the next round consumes
-                        # the last one's report.
+                        # the last one's report.  A success of the spec on air never
+                        # repeats: its EPC would be the echo of the spec, an ACK.
                         k, last = repeat(now, min(cfg.n_threshold - 1 - nacks, max_rounds - now),
                                          tag, channel)
                         if k:

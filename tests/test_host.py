@@ -13,9 +13,10 @@ from crfid_downlink.host import HostSession, TransferLog, Variant, classify_repo
 from crfid_downlink.ihex import RecordMatrix, Row, generate_fixture, parse_file
 from crfid_downlink.protocol import HDR_REPROGRAM_INIT, build_ladder, snap_to_ladder, throttle
 from crfid_downlink.reader import ROUNDS_PER_SEC, OperationReport, Reader, ReportResult
-from crfid_downlink.scenario import DistanceProfile, ScenarioConfig, ScenarioError, run_scenario
+from crfid_downlink.scenario import (DistanceProfile, ScenarioConfig, ScenarioError,
+                                     parse_config_text, run_scenario)
 from crfid_downlink.tag import FRAM_SIZE, PowerModel, Tag, TagMode
-from test_pins import session_counts, tag_state_digest
+from test_pins import GOLDEN_CONFIGS, session_counts, tag_state_digest
 from test_scenario import HOST_EVENTS, log_events
 
 GOLDEN_FILE = ":02AADD00BBCCF0\n:00000001FF\n"
@@ -706,3 +707,31 @@ def test_batched_stale_repeats_match_the_round_by_round_run(case):
     batched = static_run(*case)
     with mock.patch.object(host, "Reader", UnbatchedReader):
         assert static_run(*case) == batched
+
+
+class RepeatRecordingReader(Reader):
+    """A reader that records, for each ``repeat`` call, the spec id of the report
+    it would repeat and that of the spec the host staged last."""
+
+    calls: list = []
+
+    def stage(self, spec, now):
+        self.current = spec.spec_id
+        super().stage(spec, now)
+
+    def repeat(self, now, cap, tag, channel):
+        self.calls.append((self._last.spec_id, self.current))
+        return super().repeat(now, cap, tag, channel)
+
+
+@pytest.mark.usefixtures("one_worker")
+def test_only_an_earlier_specs_report_is_offered_for_a_batch(monkeypatch, small_matrix):
+    # A stale repeat of the spec on air would need its report's EPC to be the
+    # tag's echo of that spec, which ACKs it; so the host offers the reader a
+    # batch only for a report of an earlier spec.
+    calls = []
+    monkeypatch.setattr(RepeatRecordingReader, "calls", calls)
+    monkeypatch.setattr(host, "Reader", RepeatRecordingReader)
+    run_scenario(parse_config_text(GOLDEN_CONFIGS["batch_basic"] + "seed = 1\n"),
+                 matrix=small_matrix)
+    assert calls and all(report < current for report, current in calls)
