@@ -110,7 +110,7 @@ def distance_brownout_prob(d: float) -> float:
 
 # A memo entry holds its four odds and up to one series table per length
 # 1..SERIES_SLOTS (12.2 KB with the dict), so a full memo holds at most about
-# 4096 * 12.5 KB, 51 MB; a run fills only the tables of the lengths it sends
+# 4096 * 12.4 KB, 51 MB; a run fills only the tables of the lengths it sends
 # at the distances it visits.
 @lru_cache(maxsize=ODDS_MEMO_SIZE)
 def round_odds(d: float) -> tuple[float, float, float, float, dict[int, array]]:

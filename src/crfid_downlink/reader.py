@@ -201,11 +201,12 @@ class Reader:
 
         Only a successful Write of the active spec that a powered tag takes as
         a stale repeat (``Tag.echoes``) repeats: each later round the channel
-        delivers returns its report again and takes only one of the frame's
-        successes left, as ``tick`` would.  The channel samples the rounds in one call, up to
-        the first Write lost or corrupted and never past the round whose
-        frame-end test holds; that last round runs through ``tick``.  Returns
-        the rounds run and the last one's report, or ``(0, None)``.
+        delivers returns its report again and only takes one of the frame's
+        successes left, as ``tick`` would.  The channel samples the rounds in
+        one call, up to the first Write lost or corrupted and never past the
+        round whose frame-end test holds; that last round runs through
+        ``tick``.  Returns the rounds run and the last one's report, or
+        ``(0, None)``.
         """
         run, last = self.active, self._last
         if run is None or last.result is not _SUCCESS or not tag.powered:

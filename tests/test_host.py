@@ -709,29 +709,23 @@ def test_batched_stale_repeats_match_the_round_by_round_run(case):
         assert static_run(*case) == batched
 
 
-class RepeatRecordingReader(Reader):
-    """A reader that records, for each ``repeat`` call, the spec id of the report
-    it would repeat and that of the spec the host staged last."""
-
-    calls: list = []
-
-    def stage(self, spec, now):
-        self.current = spec.spec_id
-        super().stage(spec, now)
-
-    def repeat(self, now, cap, tag, channel):
-        self.calls.append((self._last.spec_id, self.current))
-        return super().repeat(now, cap, tag, channel)
-
-
 @pytest.mark.usefixtures("one_worker")
 def test_only_an_earlier_specs_report_is_offered_for_a_batch(monkeypatch, small_matrix):
     # A stale repeat of the spec on air would need its report's EPC to be the
     # tag's echo of that spec, which ACKs it; so the host offers the reader a
     # batch only for a report of an earlier spec.
-    calls = []
-    monkeypatch.setattr(RepeatRecordingReader, "calls", calls)
-    monkeypatch.setattr(host, "Reader", RepeatRecordingReader)
+    calls = []  # per repeat call: the spec ids of the report and of the spec on air
+
+    class RecordingReader(Reader):
+        def stage(self, spec, now):
+            self.on_air = spec.spec_id
+            super().stage(spec, now)
+
+        def repeat(self, now, cap, tag, channel):
+            calls.append((self._last.spec_id, self.on_air))
+            return super().repeat(now, cap, tag, channel)
+
+    monkeypatch.setattr(host, "Reader", RecordingReader)
     run_scenario(parse_config_text(GOLDEN_CONFIGS["batch_basic"] + "seed = 1\n"),
                  matrix=small_matrix)
-    assert calls and all(report < current for report, current in calls)
+    assert calls and all(report < on_air for report, on_air in calls)
