@@ -41,7 +41,14 @@ from crfid_downlink.scenario import (
     LOG_COLUMNS,
 )
 from crfid_downlink.tag import FRAM_SIZE, Tag
-from test_pins import GOLDEN_CONFIGS, PINS, csv_digest, readme_key_rows, tag_state_digest
+from test_pins import (
+    GOLDEN_CONFIGS,
+    PINS,
+    csv_digest,
+    held,
+    readme_key_rows,
+    tag_state_digest,
+)
 
 CONFIG_TEXT = """
 # transfer setup
@@ -640,6 +647,32 @@ def test_cli_checksum_invalid(tmp_path, capsys):
 
 def test_cli_checksum_missing_file():
     assert main(["checksum", "/nonexistent/nope.hex"]) == 2
+
+
+# -- golden rows, column by column ---------------------------------------------------
+#
+# Each reads its column of a golden row of ``test_pins.PINS``; the row runs once.
+
+GOLDEN_ROWS = sorted(name for name in PINS if name.rsplit("-", 1)[0] in GOLDEN_CONFIGS)
+
+
+@pytest.mark.parametrize("row", GOLDEN_ROWS)
+def test_csv_digests_pinned(request, row):
+    run = held(request, row)
+    assert PINS[row].events <= run.events  # the digest covers the paths it guards
+    assert run.csv == PINS[row].csv
+
+
+@pytest.mark.parametrize("row", GOLDEN_ROWS)
+def test_tag_state_digests_pinned(request, row):
+    assert held(request, row).tag_state == PINS[row].tag_state
+
+
+@pytest.mark.parametrize("row", [row for row in GOLDEN_ROWS if PINS[row].counts])
+def test_session_counts_pinned(request, row):
+    run = held(request, row)
+    assert run.idle_nacks  # every run consumes idle reports, which count as no access operation
+    assert run.counts == PINS[row].counts
 
 
 # -- throttle steps ------------------------------------------------------------------
