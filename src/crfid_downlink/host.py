@@ -9,8 +9,10 @@ frame included, counts toward the NACK timeout.  A timeout resends the current
 chunk (re-cut at the throttled S_p; a basic data byte after its row's address
 pair, which a brown-out may have cleared) until the resend budget is exhausted
 and the transfer aborts.  Both go through one transmit point, which completes
-the transfer once the cursor has nothing left to send.  ``run`` keeps only the
-rounds, reports, timeouts and resend budget; a run's counts come from its log.
+the transfer once the cursor has nothing left to send; with the bootloader on,
+its last flight is the application CRC, which only a tag holding the image
+echoes.  ``run`` keeps only the rounds, reports, timeouts and resend budget; a
+run's counts come from its log.
 
 Each inventory round the session also places the tag at the profile's
 distance and powers it by the configured brown-out probability, or for
@@ -28,10 +30,10 @@ from typing import TYPE_CHECKING, NamedTuple
 from .channel import ODDS_MEMO_SIZE, ChannelModel
 from .crc import crc16_ccitt
 from .ihex import RecordMatrix
-from .protocol import (HDR_REPROGRAM_INIT, BasicMessage, build_basic_messages, build_ex_message,
-                       build_ladder, echo, snap_to_ladder, throttle)
+from .protocol import (HDR_CRC_HIGH, HDR_CRC_LOW, HDR_REPROGRAM_INIT, build_basic_messages,
+                       build_ex_message, build_ladder, echo, snap_to_ladder, throttle)
 from .reader import ROUNDS_PER_SEC, AccessSpec, OperationReport, Reader, ReportResult
-from .tag import PowerModel, Tag, TagMode
+from .tag import PowerModel, Tag
 
 if TYPE_CHECKING:  # scenario imports this module
     from .scenario import ScenarioConfig
@@ -158,7 +160,7 @@ def classify_report(expected_epc: bytes, report: OperationReport) -> bool:
     return report.epc.startswith(expected_epc)
 
 
-_INIT = BasicMessage(HDR_REPROGRAM_INIT, 0x00).raw
+_INIT = bytes((HDR_REPROGRAM_INIT, 0x00))
 
 
 class HostSession:
@@ -180,7 +182,9 @@ class HostSession:
 
         ``run`` sends back ``(outcome, now)`` after each one: ``"ack"``, or the
         timeout's ``"lost"`` or ``"error"``, and the round it came in.  A
-        message goes out again until it is ACKed.  ``fresh`` is False only for
+        message goes out again until it is ACKed.  With the bootloader on, the
+        INIT Write comes first, as row -1, chunk 0, and the application CRC's
+        high and low bytes last, as chunks 1 and 2.  ``fresh`` is False only for
         a basic row's address pair put back after a data byte's timeout: a
         brown-out clears the tag's address registers, and the tag then ignores
         every data byte until the pair comes again.  A reset tag still answers
@@ -194,13 +198,16 @@ class HostSession:
         ACK after a streak longer than ``m_threshold``; each step that moves it
         is logged through ``log`` as a ``throttle`` row.
         """
+        def until_acked(raw: bytes, row: int, chunk: int, fresh: bool = True) -> Generator:
+            while (yield raw, row, chunk, 0.5, fresh)[0] != "ack":
+                pass
+
         cfg, rows = self.config, self.matrix.rows
         basic = cfg.protocol is Variant.BASIC
         if basic:  # built up front, so RowTooLong surfaces before the first send
             writes = [build_basic_messages(row) for row in rows]
         if cfg.bootloader:
-            while (yield _INIT, -1, 0, 0.5, True)[0] != "ack":
-                pass
+            yield from until_acked(_INIT, -1, 0)
         if basic:
             for r, row_writes in enumerate(writes):
                 k = 0
@@ -209,33 +216,36 @@ class HostSession:
                         k += 1
                     elif k >= _ADDRESS_PAIR:
                         for a in range(_ADDRESS_PAIR):
-                            while (yield row_writes[a], r, a + 1, 0.5, False)[0] != "ack":
-                                pass
-            return
-        throttled, s_p = cfg.s_p is None, cfg.s_p or cfg.s_max
-        streak = ladder_words = 0
-        for r, row in enumerate(rows):
-            if not row.data:
-                continue
-            if (words := row.word_count()) != ladder_words:
-                ladder, ladder_words = build_ladder(words, cfg.s_max), words
-            s_p = snap_to_ladder(s_p if throttled else cfg.s_p, ladder)
-            pos, chunk = 0, 1
-            while pos < len(row.data):
-                data = row.data[pos : pos + 2 * s_p]
-                raw = build_ex_message(data, row.address + pos, cfg.s_max).raw
-                outcome, now = yield raw, r, chunk, s_p, True
-                if outcome != "ack":
-                    step, streak = cfg.t_dl if outcome == "lost" else cfg.t_de, 0
-                elif streak > cfg.m_threshold:
-                    step, streak = cfg.t_u, 0
-                else:
-                    step, streak = 0, streak + 1
-                if throttled and step and (stepped := throttle(s_p, ladder, step)) != s_p:
-                    log(now, ("throttle", r, chunk, stepped, f"{s_p}->{stepped}", b""))
-                    s_p = stepped
-                if outcome == "ack":
-                    pos, chunk = pos + len(data), chunk + 1
+                            yield from until_acked(row_writes[a], r, a + 1, False)
+        else:
+            throttled, s_p = cfg.s_p is None, cfg.s_p or cfg.s_max
+            streak = ladder_words = 0
+            for r, row in enumerate(rows):
+                if not row.data:
+                    continue
+                if (words := row.word_count()) != ladder_words:
+                    ladder, ladder_words = build_ladder(words, cfg.s_max), words
+                s_p = snap_to_ladder(s_p if throttled else cfg.s_p, ladder)
+                pos, chunk = 0, 1
+                while pos < len(row.data):
+                    data = row.data[pos : pos + 2 * s_p]
+                    raw = build_ex_message(data, row.address + pos, cfg.s_max).raw
+                    outcome, now = yield raw, r, chunk, s_p, True
+                    if outcome != "ack":
+                        step, streak = cfg.t_dl if outcome == "lost" else cfg.t_de, 0
+                    elif streak > cfg.m_threshold:
+                        step, streak = cfg.t_u, 0
+                    else:
+                        step, streak = 0, streak + 1
+                    if throttled and step and (stepped := throttle(s_p, ladder, step)) != s_p:
+                        log(now, ("throttle", r, chunk, stepped, f"{s_p}->{stepped}", b""))
+                        s_p = stepped
+                    if outcome == "ack":
+                        pos, chunk = pos + len(data), chunk + 1
+        if cfg.bootloader:
+            crc = matrix_crc(self.matrix)
+            yield from until_acked(bytes((HDR_CRC_HIGH, crc >> 8)), -1, 1)
+            yield from until_acked(bytes((HDR_CRC_LOW, crc & 0xFF)), -1, 2)
 
     # ------------------------------------------------------------------
     # main loop
@@ -295,12 +305,12 @@ class HostSession:
         step = power.step
         set_powered = tag.set_powered
         p = cfg.brownout
-        # At brownout = 0 ``step`` neither draws nor browns out, so it is not
-        # called: the tag is powered from round 1 on, as ``step`` would leave
-        # it, and the power model is left alone.
+        # The tag is powered in round 0.  At brownout = 0 ``step`` neither
+        # draws nor browns out, so it is not called: the tag stays powered, as
+        # ``step`` would leave it, and the power model is left alone.
         stepping = p != 0
-        if not stepping and not tag.powered:
-            set_powered(True)
+        powered = True  # the tag's power as the host last set it
+        set_powered(powered)
         # A tag that neither moves nor loses power takes the rounds that repeat a
         # stale Write's success in batches (``Reader.repeat``).
         batching = place_round is None and not stepping
@@ -338,10 +348,9 @@ class HostSession:
             now += 1  # the next round places the tag, then powers it
             if place_round:
                 place_round(now)
-            if stepping:
-                powered = step(channel.brownout if p is None else p)
-                if powered is not tag.powered:  # only a flip changes the tag
-                    set_powered(powered)
+            if stepping and (on := step(channel.brownout if p is None else p)) is not powered:
+                powered = on  # only a flip changes the tag
+                set_powered(powered)
 
             # Consume the previous round's report; a round without a timeout ends in ``continue``.
             if report is None:
@@ -383,31 +392,15 @@ class HostSession:
                     continue
             outcome = "lost" if silent >= STALL_TICKS or 2 * no_tags > nacks else "error"
             log(now, ("timeout", row, chunk, s_p, outcome, b""))
-            if r_count >= cfg.r_max:
-                failure = "resend budget exhausted"
+            if r_count >= cfg.r_max:  # only a tag holding the image echoes the CRC's low byte
+                failure = ("application CRC mismatch" if (row, chunk) == (-1, 2)
+                           else "resend budget exhausted")
                 log(now, ("abort", row, chunk, s_p, failure, b""))
                 break
             r_count += 1
 
-        reached_app = False
-        if completed and cfg.bootloader:
-            # Deliver the whole-application checksum once the tag has power, within the budget.
-            while not tag.powered and now < max_rounds:
-                now += 1
-                if place_round:
-                    place_round(now)
-                powered = step(channel.brownout if p is None else p)
-                if powered is not tag.powered:
-                    set_powered(powered)
-            if not tag.powered:
-                completed, failure = False, "round budget exhausted"
-            elif tag.transfer_complete(matrix_crc(self.matrix)) is TagMode.APPLICATION:
-                reached_app = True
-            else:
-                # Every message was ACKed, but the tag does not hold the image.
-                completed, failure = False, "application CRC mismatch"
         if completed:
             log(now, ("complete", -1, 0, 0.0, "", b""))
-
         return SessionResult(completed, now, transfer_log, *transfer_log.totals(),
-                             reached_application=reached_app, failure_reason=failure)
+                             reached_application=completed and cfg.bootloader,
+                             failure_reason=failure)

@@ -16,8 +16,10 @@ import struct
 from .ihex import Row, record_checksum
 
 # Basic header bytes.  0x00-0x20 are data-byte offsets relative to the
-# row base address; the two address bytes and the reprogram-init marker
-# live above the offset range.
+# row base address; the application CRC's two bytes, the two address bytes
+# and the reprogram-init marker live above the offset range.
+HDR_CRC_HIGH = 0xFB
+HDR_CRC_LOW = 0xFC
 HDR_ADDR_FIRST = 0xFD
 HDR_ADDR_SECOND = 0xFE
 HDR_REPROGRAM_INIT = 0xFF
@@ -56,8 +58,7 @@ class BasicMessage:
     __slots__ = ("header", "payload", "raw")
 
     def __init__(self, header: int, payload: int):
-        if not (header <= MAX_BASIC_OFFSET or header in (
-                HDR_ADDR_FIRST, HDR_ADDR_SECOND, HDR_REPROGRAM_INIT)):
+        if not (header <= MAX_BASIC_OFFSET or header >= HDR_CRC_HIGH):
             raise ValueError(f"invalid basic header {header:#04x}")
         self.header, self.payload, self.raw = header, payload, bytes((header, payload))
 

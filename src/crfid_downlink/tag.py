@@ -22,6 +22,8 @@ from .protocol import (
     EPC_LENGTH,
     HDR_ADDR_FIRST,
     HDR_ADDR_SECOND,
+    HDR_CRC_HIGH,
+    HDR_CRC_LOW,
     HDR_REPROGRAM_INIT,
     MAX_BASIC_OFFSET,
     echo,
@@ -37,7 +39,7 @@ class TagMode(Enum):
 FRAM_SIZE = 64 * 1024
 
 INITIAL_EPC = bytes(EPC_LENGTH)
-_REPROGRAM = TagMode.REPROGRAM  # the round path's test, without an enum-class lookup
+_REPROGRAM, _APPLICATION = TagMode.REPROGRAM, TagMode.APPLICATION  # without an enum-class lookup
 
 
 class FramImage:
@@ -118,6 +120,7 @@ class Tag:
         self._addr_low: int | None = None
         # Persistent bootloader state: survives power loss like the image.
         self._written = bytearray(FRAM_SIZE)  # 1 at every address written this session
+        self._crc_high: int | None = None  # the application CRC's high byte, once sent after INIT
 
     # -- power -------------------------------------------------------------
 
@@ -161,12 +164,20 @@ class Tag:
                     self.epc = echo(read_back).ljust(EPC_LENGTH, b"\x00")
                     return
         elif header == HDR_REPROGRAM_INIT:
-            if self.mode is TagMode.APPLICATION:
+            if self.mode is _APPLICATION:
                 return
             # A new reprogram session forgets what the last one wrote.
             self.mode = TagMode.REPROGRAM
             self._written = bytearray(FRAM_SIZE)
             self._stored = None
+            self._crc_high = None
+        elif header == HDR_CRC_LOW and self._crc_high is not None and self.mode is not _APPLICATION:
+            # The CRC's low byte after its high byte, in a reprogram session or in the
+            # bootloader a verified application fell back to (no other bootloader holds
+            # a high byte): a power loss before the host saw the echo costs a resend.
+            if (self._crc_high << 8) | raw[1] != self.application_crc():
+                return  # a mismatch stays silent
+            self.mode = _APPLICATION
         elif self.mode is not _REPROGRAM:
             return
         elif header == HDR_ADDR_FIRST:
@@ -174,8 +185,10 @@ class Tag:
             self._addr_low = None
         elif header == HDR_ADDR_SECOND:
             self._addr_low = raw[1]
+        elif header == HDR_CRC_HIGH:
+            self._crc_high = raw[1]
         else:
-            return  # no such header (0x21-0xFC); ignore
+            return  # no such header (0x21-0xFA), or a CRC low byte before its high byte; ignore
         self._echo(raw)
 
     # -- extended (BlockWrite series) handling -------------------------------
@@ -233,19 +246,6 @@ class Tag:
         return self.fram._bytes[address:end] == data
 
     # -- bootloader ----------------------------------------------------------
-
-    def transfer_complete(self, crc: int) -> TagMode:
-        """Deliver the whole-application CRC16 and return the new mode.
-
-        In reprogram mode a CRC that matches ``application_crc`` starts the
-        application; on a mismatch the tag stays in reprogram mode awaiting
-        a retransfer.  Without power or outside reprogram mode nothing
-        changes.
-        """
-        if self.powered and self.mode is TagMode.REPROGRAM and self.application_crc() == crc:
-            self.mode = TagMode.APPLICATION
-            self._echoed = (None, None)  # a stale series repeat is no longer acknowledged
-        return self.mode
 
     def application_crc(self) -> int:
         """CRC16 over everything written during the reprogram session."""

@@ -19,6 +19,8 @@ from crfid_downlink.metrics import MODEL_PARAMS, compute_metrics, model_curves
 from crfid_downlink.protocol import build_ladder, derive_r_max, throttle
 from crfid_downlink.scenario import DistanceProfile, ScenarioConfig, load_config, run_scenario
 from crfid_downlink.tag import Tag, TagMode
+from test_pins import held
+from test_tag import send_crc
 
 
 def report(name: str, detail: str) -> None:
@@ -173,7 +175,7 @@ def test_a8_power_failure_fuzz(small_matrix, clean_run):
               seed=77, tag=tag)
     first_row = small_matrix.rows[0]
     tag.fram.write(first_row.address, bytes([tag.fram.read(first_row.address, 1)[0] ^ 0xFF]))
-    tag.transfer_complete(crc)
+    send_crc(tag, crc)  # the application CRC's two Writes
     assert tag.mode is not TagMode.APPLICATION
     report("A8", f"{completed}/100 fuzzed runs completed, every image byte-identical; "
                  "mismatched CRC kept the bootloader out of application mode")
@@ -197,13 +199,15 @@ def test_a9_determinism(tmp_path, small_matrix):
     report("A9", f"two invocations produced byte-identical CSVs: {', '.join(names)}")
 
 
-def test_a10_wireless_reprogramming():
+def test_a10_wireless_reprogramming(request):
     # The case study: the bootloader takes configs/demo.hex while the tag
     # sweeps 20-90 cm, through distance-derived brown-outs and write faults.
+    # Its runs are those of the pinned ``reprogram.cfg`` row, run once per session.
     cfg = load_config(REPO / "configs/reprogram.cfg")
     matrix = parse_file((REPO / cfg.hex_file).read_text())
     assert cfg.bootloader and cfg.repeats == 10
-    runs = run_scenario(cfg, matrix=matrix).runs
+    runs = held(request, "reprogram.cfg").runs
+    assert len(runs) == cfg.repeats
     for run in runs:
         if run.result.completed:
             assert run.result.reached_application

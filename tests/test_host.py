@@ -11,7 +11,9 @@ from crfid_downlink.channel import ChannelModel
 from crfid_downlink.cli import main
 from crfid_downlink.host import HostSession, TransferLog, Variant, classify_report, matrix_crc
 from crfid_downlink.ihex import RecordMatrix, Row, generate_fixture, parse_file
-from crfid_downlink.protocol import HDR_REPROGRAM_INIT, build_ladder, snap_to_ladder, throttle
+from crfid_downlink.crc import crc16_ccitt
+from crfid_downlink.protocol import (HDR_CRC_HIGH, HDR_CRC_LOW, HDR_REPROGRAM_INIT, build_ladder,
+                                     snap_to_ladder, throttle)
 from crfid_downlink.reader import ROUNDS_PER_SEC, OperationReport, Reader, ReportResult
 from crfid_downlink.scenario import (DistanceProfile, ScenarioConfig, ScenarioError,
                                      parse_config_text, run_scenario)
@@ -317,18 +319,22 @@ def test_the_cursor_readdresses_only_after_a_data_byte_times_out():
     # The cursor answers each (ACK or timeout) with the next transmission as
     # (header byte, chunk, fresh): the INIT until it is ACKed, a timed-out
     # address Write as it was, and a timed-out data byte after its row's
-    # address pair, which goes out as many times as it times out.
+    # address pair, which goes out as many times as it times out.  The
+    # application CRC's high and low bytes come last, each until it is ACKed.
     cfg = ScenarioConfig(protocol=Variant.BASIC, bootloader=True)
     flights = HostSession(cfg, parse_file(GOLDEN_FILE))._flights(TransferLog()._appender())
-    outcomes = ["lost", "ack", "error", "ack", "ack", "lost", "error", "ack", "ack", "ack"]
+    outcomes = ["lost", "ack", "error", "ack", "ack", "lost", "error", "ack", "ack", "ack",
+                "ack", "lost", "ack", "error"]
     replies = [None, *((outcome, now) for now, outcome in enumerate(outcomes, 1))]
-    sent = [(raw[0], row, chunk, fresh)
-            for raw, row, chunk, _, fresh in map(flights.send, replies)]
-    assert sent == [
+    flown = list(map(flights.send, replies))
+    assert [(raw[0], row, chunk, fresh) for raw, row, chunk, _, fresh in flown] == [
         (HDR_REPROGRAM_INIT, -1, 0, True), (HDR_REPROGRAM_INIT, -1, 0, True),
         (0xFD, 0, 1, True), (0xFD, 0, 1, True), (0xFE, 0, 2, True), (0x00, 0, 3, True),
         (0xFD, 0, 1, False), (0xFD, 0, 1, False), (0xFE, 0, 2, False), (0x00, 0, 3, True),
-        (0x01, 0, 4, True)]
+        (0x01, 0, 4, True), (HDR_CRC_HIGH, -1, 1, True), (HDR_CRC_HIGH, -1, 1, True),
+        (HDR_CRC_LOW, -1, 2, True), (HDR_CRC_LOW, -1, 2, True)]
+    crc = crc16_ccitt(b"\xBB\xCC")  # the image, in address order
+    assert [raw[1] for raw, *_ in flown[-4:]] == [crc >> 8] * 2 + [crc & 0xFF] * 2
     with pytest.raises(StopIteration):
         flights.send(("ack", len(replies)))
 
@@ -454,20 +460,16 @@ class CountingProfile(DistanceProfile):
 
 @pytest.mark.parametrize("speed_m_per_s,seed", [(0.1, 3682), (4.0, 1606)])
 def test_a_distance_is_looked_up_at_most_once_per_cycle_position(speed_m_per_s, seed):
-    # brownout = auto, so each round's power draw depends on its distance.  At
-    # these seeds the tag is browned out when the last message is acknowledged,
-    # so the host steps further rounds until it can deliver the checksum.  The
-    # 480-round cycle outlasts the run (seed 3682: last ACK in round 39, 41
-    # rounds); the 12-round one repeats seven times, the wait for power
-    # included (seed 1606: last ACK in round 86, 92 rounds).
+    # brownout = auto, so each round's power draw depends on its distance.  The
+    # 480-round cycle outlasts the run (seed 3682: 62 rounds); the 12-round
+    # one repeats ten times (seed 1606: 120 rounds, the last 34 of them the
+    # application CRC's two Writes, one resent).
     profile = CountingProfile(kind="oscillate", min_cm=100, max_cm=140,
                               speed_m_per_s=speed_m_per_s)
     cfg = ScenarioConfig(seed=seed, bootloader=True, profile=profile)
     result = run_scenario(cfg, matrix=parse_file(GOLDEN_FILE)).runs[0].result
     assert cfg.brownout is None
     assert result.completed and result.reached_application
-    last_ack = max(e.round_no for e in result.log.events if e.event == "ack")
-    assert result.rounds > last_ack
     positions = [round_no % profile.period for round_no in profile.looked_up]
     assert len(set(positions)) == len(positions)
     assert len(positions) <= result.rounds
@@ -475,15 +477,11 @@ def test_a_distance_is_looked_up_at_most_once_per_cycle_position(speed_m_per_s, 
 
 @pytest.mark.usefixtures("one_worker")
 def test_a_static_distance_is_looked_up_once_per_run():
-    # At seed 2281 the tag is browned out when the last message is
-    # acknowledged (round 34 of the first run's 37), so the wait for power
-    # before the checksum steps rounds as well.
+    # At seed 2281 both runs complete at 100 cm.
     profile = CountingProfile(kind="static", d_cm=100)
     cfg = ScenarioConfig(seed=2281, bootloader=True, profile=profile, repeats=2)
     runs = run_scenario(cfg, matrix=parse_file(GOLDEN_FILE)).runs
-    result = runs[0].result
-    assert result.completed and result.reached_application
-    assert result.rounds > max(e.round_no for e in result.log.events if e.event == "ack")
+    assert all(r.result.completed and r.result.reached_application for r in runs)
     assert profile.lookups == len(runs) == 2
 
 
@@ -537,36 +535,42 @@ def test_placement_table_matches_the_per_round_reference(tmp_path, monkeypatch, 
     assert case != "whole-cycle" or longest > period
 
 
-def test_waiting_for_power_to_finish_stays_within_the_round_budget():
-    # The lookup test's seed-3682 case, cut at the round of the last ACK
-    # (round 39): the tag is browned out then, and the budget ends before it can take the
-    # application checksum.
+def test_a_budget_ending_inside_the_checksum_flight_does_not_complete():
+    # The lookup test's seed-3682 case sends the CRC's low byte in round 44 and
+    # sees its ACK in round 62; a budget of 50 rounds ends between the two.
     profile = DistanceProfile(kind="oscillate", min_cm=100, max_cm=140)
     cfg = ScenarioConfig(seed=3682, bootloader=True, profile=profile,
-                         max_sim_seconds=39.5 / ROUNDS_PER_SEC)
+                         max_sim_seconds=50.5 / ROUNDS_PER_SEC)
     result = run_scenario(cfg, matrix=parse_file(GOLDEN_FILE)).runs[0].result
-    assert max(e.round_no for e in result.log.events if e.event == "ack") == 39
+    sends = [(e.round_no, e.row, e.chunk) for e in result.log.events if e.event == "send"]
+    assert sends[-1] == (44, -1, 2)
     assert not result.completed and not result.reached_application
     assert result.failure_reason == "round budget exhausted"
-    assert result.rounds == 39
+    assert result.rounds == 50
     assert result.log.count("complete") == 0
 
 
 class ByteLostBeforeChecksum(Tag):
-    """A tag whose memory loses the first stored byte just before the application CRC."""
+    """A tag whose memory loses its first stored byte as it takes the CRC's high byte."""
 
-    def transfer_complete(self, crc):
-        address = self._written.index(1)
-        self.fram.write(address, bytes([self.fram.read(address)[0] ^ 0xFF]))
-        return super().transfer_complete(crc)
+    def handle_basic_write(self, raw):
+        if raw[0] == HDR_CRC_HIGH and self._crc_high is None:
+            address = self._written.index(1)
+            self.fram.write(address, bytes([self.fram.read(address)[0] ^ 0xFF]))
+        super().handle_basic_write(raw)
 
 
 @pytest.mark.parametrize("protocol", list(Variant))
 def test_a_run_whose_application_crc_fails_is_not_completed(clean_run, protocol):
+    # Every message up to the CRC's low byte is ACKed.  The tag no longer holds
+    # the image, so it never echoes that byte: its send and R_max resends time out.
     cfg = ScenarioConfig(protocol=protocol, bootloader=True)
     tag = ByteLostBeforeChecksum(start_in_bootloader=True)
     result, _ = clean_run(cfg, parse_file(GOLDEN_FILE), tag=tag)
-    assert result.log.count("ack") > 0 and result.log.count("abort") == 0
+    crc_low = [e.event for e in result.log.events if (e.row, e.chunk) == (-1, 2)]
+    assert [e for e in crc_low if e != "nack"] == [
+        "send", *["timeout", "resend"] * cfg.r_max, "timeout", "abort"]
+    assert result.log.count("timeout") == cfg.r_max + 1  # all of them the CRC's
     assert not result.completed and not result.reached_application
     assert result.failure_reason == "application CRC mismatch"
     assert result.log.count("complete") == 0
@@ -623,11 +627,12 @@ def test_budget_ending_on_the_last_ack_completes(clean_run, protocol, bootloader
 # (messages_sent, resends, sum_s_p, op_success, op_total) of the run cut one round
 # before its last ACK, then of the run whose budget ends on it.  The cut run
 # never consumes the report of its last tick, so that report goes uncounted.
+# With the bootloader on, the last ACK is that of the application CRC's low byte.
 BUDGET_COUNTS = {
     (Variant.BASIC, False): [(44, 0, 22.0, 646, 646), (44, 0, 22.0, 647, 647)],
-    (Variant.BASIC, True): [(45, 0, 22.5, 661, 661), (45, 0, 22.5, 662, 662)],
+    (Variant.BASIC, True): [(47, 0, 23.5, 691, 691), (47, 0, 23.5, 692, 692)],
     (Variant.EX, False): [(2, 0, 20.0, 16, 17), (2, 0, 20.0, 16, 18)],
-    (Variant.EX, True): [(3, 0, 20.5, 31, 32), (3, 0, 20.5, 32, 33)],
+    (Variant.EX, True): [(5, 0, 21.5, 61, 62), (5, 0, 21.5, 62, 63)],
 }
 
 

@@ -87,8 +87,10 @@ def workload(name: str, csv: str, reason: str) -> Pin:
     return Pin(text + "\nseed = 1\n", "firmware_matrix", csv, reason)
 
 
-BASIC_RESENDS = ("re-pinned when a timed-out data byte began to follow its row's address "
-                 "pair: the second run of seed 1 and both runs of seed 2 now complete")
+# Each log is the last pin's log up to its complete row, then the CRC pair's
+# rows and the complete row; no tag state moved.
+CRC_FLIGHT = ("re-pinned when the application CRC went over the air as the cursor's last "
+              "two Writes, in place of the host's direct call on the tag")
 FAR_ABORTS = "pinned when a timed-out data byte began to follow its row's address pair"
 # The extended rows' energy stream is no longer drawn, so its state is the seeded one.
 ONE_DRAW = ("re-pinned when a series began to be sampled with one channel draw from its "
@@ -102,25 +104,25 @@ HARNESS_RULE = ("re-pinned when the pin moved from CI's `cat out/*.csv | sha256s
 
 PINS = {
     "basic-1": golden(
-        "basic", 1, "2d6e260618b977c04532f36a1cea13f71ff260b4cb28e2318ccf2e9173238955",
-        "1a6d3c4765681caf832bb893fec8061094589614cfaf188d2cbe6c0e151a2a0d", BASIC_RESENDS,
-        "resend timeout complete", ((561, 0, 280.5, 8402, 8402), (570, 3, 285.0, 8532, 8542))),
+        "basic", 1, "ac507685a479f40346f8c4cf134c478921b33a59e7fde353fd0c03a8c5679bfa",
+        "1a6d3c4765681caf832bb893fec8061094589614cfaf188d2cbe6c0e151a2a0d", CRC_FLIGHT,
+        "resend timeout complete", ((563, 0, 281.5, 8432, 8432), (572, 3, 286.0, 8562, 8572))),
     "basic-2": golden(
-        "basic", 2, "0bd6e59816c23d101f37cd46e0a695dd072a86cabcb1e643fce87be0fa5c7e7d",
-        "10a23660d5a1f0ef3b1847509ead0d50d579a92c5c77ec42d2d1d2e1b0067f43", BASIC_RESENDS,
-        "resend timeout complete", ((567, 2, 283.5, 8491, 8497), (573, 4, 286.5, 8580, 8589))),
+        "basic", 2, "a41e98df41857fe97e8fbb853958588525c78af566077f6b124d30757eefd8e2",
+        "10a23660d5a1f0ef3b1847509ead0d50d579a92c5c77ec42d2d1d2e1b0067f43", CRC_FLIGHT,
+        "resend timeout complete", ((569, 2, 284.5, 8521, 8527), (575, 4, 287.5, 8610, 8619))),
     "far-1": golden(
         "far", 1, "3b4df96506bf3fc83465998f930741201055c4fb536726fe6026e8966eb03416",
         "20b9109fcd1e22314b6c94c93f44541eecd0895391ff06113d5993d33c0d4aed", FAR_ABORTS,
         "resend timeout abort", ((26, 8, 13.0, 91, 397), (10, 3, 5.0, 32, 158))),
     "ex-1": golden(
-        "ex", 1, "728158c900bace2eaa8fc26cb7a9385ce9ec7911b1d455aed6471639ba8d0456",
-        "edb7681c9cca4df13424a733142c79bc6e93a00173d87442ae173b9565d41d45", ONE_DRAW,
-        "throttle resend", ((94, 6, 304.5, 1152, 1516), (95, 8, 309.5, 1100, 1494))),
+        "ex", 1, "539e37d119918b0ecda96173fd579af1432e032351f2cb71e7768fb36d1c7cfb",
+        "edb7681c9cca4df13424a733142c79bc6e93a00173d87442ae173b9565d41d45", CRC_FLIGHT,
+        "throttle resend", ((96, 6, 305.5, 1182, 1546), (97, 8, 310.5, 1130, 1524))),
     "ex-2": golden(
-        "ex", 2, "6ff79143209c4353636b0b2d29244f0230c121e61f1d944bbd6e2cebddaf5e2f",
-        "a3a7671636b4e8deb5cdc78c31e4e7d3f49a029f1f48f62dd4764c4195d2486d", ONE_DRAW,
-        "throttle resend", ((103, 6, 307.5, 1294, 1647), (92, 5, 305.5, 1155, 1490))),
+        "ex", 2, "cf65b75b031c2eaca7d23553ca31cf7e93041ffbc8db967f9a99350df132c4b2",
+        "a3a7671636b4e8deb5cdc78c31e4e7d3f49a029f1f48f62dd4764c4195d2486d", CRC_FLIGHT,
+        "throttle resend", ((105, 6, 308.5, 1324, 1677), (94, 5, 306.5, 1185, 1520))),
     "long-1": golden(
         "long", 1, "01bde756d55bd30c6ded2c043da27064fa4b06f2e5b4f311550aff956c92da22",
         "48bf52ef4663703d751c4bd6ffd29f2899ae5f1b5459cd7f307151c7f6afd6fc", ONE_DRAW,
@@ -136,12 +138,12 @@ PINS = {
         "throttle timeout resend complete",
         ((142, 41, 465.0, 890, 2212), (109, 30, 422.0, 698, 1684))),
     "batch_basic-1": golden(
-        "batch_basic", 1, "58b99f1482da202665f8412b7567d7c6233810db7510204c2be72d6f9cf68428",
-        "1a6d3c4765681caf832bb893fec8061094589614cfaf188d2cbe6c0e151a2a0d", BATCHES,
+        "batch_basic", 1, "4bca4f3813883567c8bf7b7e3dcacb8c334de0f64fb8d1901c82202845d923cb",
+        "1a6d3c4765681caf832bb893fec8061094589614cfaf188d2cbe6c0e151a2a0d", CRC_FLIGHT,
         "nack complete"),
     "batch_basic-2": golden(
-        "batch_basic", 2, "659917631417c3fd91a0736f7f2e9880c489ffaf5c3e0cb1338c93c52c090c4d",
-        "10a23660d5a1f0ef3b1847509ead0d50d579a92c5c77ec42d2d1d2e1b0067f43", BATCHES,
+        "batch_basic", 2, "5bacafbdf7fc858cbe6556ce092a78d7437d70d5847f05b47bd478d4a1024c11",
+        "10a23660d5a1f0ef3b1847509ead0d50d579a92c5c77ec42d2d1d2e1b0067f43", CRC_FLIGHT,
         "nack complete"),
     "batch_ex-1": golden(
         "batch_ex", 1, "328813988864efbd7d4ae78b7703278b1c9cdd619a6e9db739da9825424e418b",
@@ -160,8 +162,7 @@ PINS = {
     # The reprogramming case study: series repeats meet write faults and brown-outs.
     "reprogram.cfg": Pin(
         (REPO / "configs" / "reprogram.cfg").read_text(), "",
-        "fff85719016d1a4979b2e0a2234103b855f674ffca13416307584a53eb986d04",
-        HARNESS_RULE.format("02cd18484f1702ae93585187cb460b32f39c6cd62d3e06cd1cb74d7ec8e399bc")),
+        "ad32a847e9843be55c188eac4b398321394760145845312a8fab59ded0f58dab", CRC_FLIGHT),
     # The benchmark's workloads; CI's full-size benchmark step pins the same digests.
     "static_sp16": workload(
         "static_sp16", "72f4073ecb77543644d7f6ef29a317f74fa953551be2296f7395176898953b48",
@@ -170,9 +171,8 @@ PINS = {
         "mobility_throttle", "94176f60a259551680759b36fb778a48c41304fd7c90dd0d95766c901d6f12d9",
         ONE_DRAW),
     "basic_write": workload(
-        "basic_write", "911b4ca8df07ff5dd52ecb8943a3479be839d70360719018718775b84a1f50ff",
-        "re-pinned when every Write echo was marked, so the all-zero EPC never "
-        "acknowledges a Write"),
+        "basic_write", "d801edf25f07f951450557193f1a075901041ee41f169f2ae0382373a4ed7ef9",
+        CRC_FLIGHT),
 }
 
 
@@ -219,6 +219,7 @@ class Held(NamedTuple):
     counts: tuple
     events: frozenset
     idle_nacks: bool  # every run consumed an idle report
+    runs: list  # the ``RunOutcome`` of each run, in run order
 
 
 _HELD: dict[str, Held] = {}
@@ -235,7 +236,8 @@ def held(request, name: str) -> Held:
             tuple(session_counts(r.result) for r in runs),
             frozenset(e.event for r in runs for e in r.result.log.events),
             all(("nack", "inventory") in {(k[0], k[4]) for k in r.result.log.kinds}
-                for r in runs))
+                for r in runs),
+            runs)
     return _HELD[name]
 
 
@@ -249,6 +251,27 @@ def test_pins_hold(request, name):
     if pin.counts:
         assert run.idle_nacks  # idle reports count as no access operation
         assert run.counts == pin.counts
+
+
+CRC_PAIR_END = [("send", -1, 1), ("ack", -1, 1), ("send", -1, 2), ("ack", -1, 2),
+                ("complete", -1, 0)]
+
+
+@pytest.mark.parametrize("name", [name for name, pin in PINS.items()
+                                  if parse_config_text(pin.config).bootloader])
+def test_a_completed_bootloader_run_ends_with_the_crc_pair(request, name):
+    # The application CRC's high byte (row -1, chunk 1), then its low byte
+    # (chunk 2), are each sent and ACKed last; only then is the run complete,
+    # and a complete run is one that reached the application.
+    runs = [r.result for r in held(request, name).runs]
+    for result in runs:
+        assert result.reached_application == result.completed
+        if result.completed:
+            rows = [(e.event, e.row, e.chunk) for e in result.log.events
+                    if e.event in ("send", "ack", "complete")]
+            assert rows[-5:] == CRC_PAIR_END
+            assert result.log.events[-1].event == "complete"
+    assert any(r.completed for r in runs) or "abort" in PINS[name].events
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork: one share only")

@@ -8,6 +8,8 @@ from crfid_downlink.ihex import RecordMatrix, Row
 from crfid_downlink.protocol import (
     HDR_ADDR_FIRST,
     HDR_ADDR_SECOND,
+    HDR_CRC_HIGH,
+    HDR_CRC_LOW,
     HDR_REPROGRAM_INIT,
     MAX_BASIC_OFFSET,
     BasicMessage,
@@ -23,6 +25,7 @@ from crfid_downlink.protocol import (
 )
 from crfid_downlink.reader import AccessSpec
 from crfid_downlink.scenario import ScenarioConfig, ScenarioError
+from test_tag import reference_crc16_ccitt
 
 T_U, T_DE, T_DL = 1, -2, -3  # the default index steps
 
@@ -53,9 +56,11 @@ def test_basic_messages_row_too_long():
 
 def test_basic_message_header_validation():
     BasicMessage(0x20, 0)
+    BasicMessage(0xFB, 0)
     BasicMessage(0xFD, 0)
-    with pytest.raises(ValueError):
-        BasicMessage(0x21, 0)
+    for header in (0x21, 0xFA):
+        with pytest.raises(ValueError):
+            BasicMessage(header, 0)
 
 
 def test_basic_message_epc_echo_is_message_copy():
@@ -193,20 +198,29 @@ def test_wire_image_matches_the_per_byte_reference(flight_walk, drawn):
     assert AccessSpec(1, msg.raw, 15).raw == raw
     assert msg.expected_epc()[:4] == raw[:4] == header
     assert msg.expected_epc() == header + bytes(8)
-    # The host puts the same image on air, after the INIT Write, and expects
-    # its first four bytes back.
+    # The host puts the same image on air, between the INIT Write and the
+    # application CRC's two Writes, and expects its first four bytes back.
     init = bytes([HDR_REPROGRAM_INIT, 0x00])
     config = ScenarioConfig(protocol=Variant.EX, s_max=s_max, s_p=s_max, bootloader=True)
-    assert sent_images(flight_walk, config, Row(address, chunk))[:2] == [init, raw]
+    sent = sent_images(flight_walk, config, Row(address, chunk))
+    assert sent[:2] == [init, raw] and sent[-2:] == crc_images(chunk)
     # A basic Write's image is its header byte then its payload byte.
     row = Row(address, chunk[: MAX_BASIC_OFFSET + 1])
     config = ScenarioConfig(protocol=Variant.BASIC, bootloader=True)
     basic = [init, bytes([HDR_ADDR_FIRST, address >> 8]), bytes([HDR_ADDR_SECOND, address & 0xFF])]
     basic += [bytes([offset, b]) for offset, b in enumerate(row.data)]
+    basic += crc_images(row.data)
     assert sent_images(flight_walk, config, row) == basic
     assert BasicMessage(HDR_REPROGRAM_INIT, 0).raw == init
-    assert build_basic_messages(row) == basic[1:]
+    assert all(BasicMessage(*r).raw == r for r in basic[-2:])
+    assert build_basic_messages(row) == basic[1:-2]
     assert all(AccessSpec(1, r, 15).raw == r for r in basic)
+
+
+def crc_images(image):
+    """The application CRC's two Writes, for the image ``image``."""
+    crc = reference_crc16_ccitt(image)
+    return [bytes([HDR_CRC_HIGH, crc >> 8]), bytes([HDR_CRC_LOW, crc & 0xFF])]
 
 
 def sent_images(flight_walk, config, row):

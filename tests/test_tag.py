@@ -18,11 +18,14 @@ from crfid_downlink.protocol import (
     EPC_LENGTH,
     HDR_ADDR_FIRST,
     HDR_ADDR_SECOND,
+    HDR_CRC_HIGH,
+    HDR_CRC_LOW,
     HDR_REPROGRAM_INIT,
     MAX_BASIC_OFFSET,
     WRITE_ECHO_MARK,
     BasicMessage,
     build_ex_message,
+    echo,
 )
 from crfid_downlink.scenario import ScenarioConfig
 from crfid_downlink.tag import (
@@ -270,15 +273,17 @@ def test_repeat_of_the_stored_series_only_sets_the_epc():
 
 
 def test_stale_series_repeat_is_acknowledged_only_in_reprogram_mode():
-    # The application keeps the EPC of the last series, but acknowledges no
-    # repeat of it; a corrupted repeat is never acknowledged.
+    # The application acknowledges no repeat of the last series; a corrupted
+    # repeat is never acknowledged.
     tag = Tag()
     raw = raw_of(build_ex_message(bytes([0xBB, 0xCC]), 0xAADD))
     assert tag.series_complete(raw, False) is True
     epc = tag.epc
     assert tag.series_complete(raw, True) is False
     assert tag.series_complete(raw, False) is True and tag.epc is epc
-    assert tag.transfer_complete(tag.application_crc()) is TagMode.APPLICATION
+    send_crc(tag, tag.application_crc())
+    epc = tag.epc
+    assert tag.mode is TagMode.APPLICATION
     assert tag.series_complete(raw, False) is False and tag.epc is epc
 
 
@@ -399,8 +404,13 @@ def test_basic_writes_match_the_read_before_rewrite_reference(fault_prob, rows):
 
 
 class HeaderOrderTag(Tag):
-    """The tag whose Write handling tests INIT, the mode and the two address
-    headers before it takes a data byte, as it once did."""
+    """The tag whose Write handling tests INIT, the CRC's low byte, the mode and
+    the other headers before it takes a data byte, as it once did.
+
+    The CRC's low byte, after its high byte, starts the application in
+    reprogram mode, and in the bootloader of a verified image (one that held
+    the high byte when it fell back); otherwise it is ignored.
+    """
 
     def handle_basic_write(self, raw):
         if not self.powered:
@@ -412,6 +422,12 @@ class HeaderOrderTag(Tag):
             self.mode = TagMode.REPROGRAM
             self._written = bytearray(FRAM_SIZE)
             self._stored = None
+            self._crc_high = None
+        elif header == HDR_CRC_LOW:
+            if (self.mode is TagMode.APPLICATION or self._crc_high is None
+                    or (self._crc_high << 8) | payload != self.application_crc()):
+                return
+            self.mode = TagMode.APPLICATION
         elif self.mode is not TagMode.REPROGRAM:
             return
         elif header == HDR_ADDR_FIRST:
@@ -419,6 +435,8 @@ class HeaderOrderTag(Tag):
             self._addr_low = None
         elif header == HDR_ADDR_SECOND:
             self._addr_low = payload
+        elif header == HDR_CRC_HIGH:
+            self._crc_high = payload
         elif header > MAX_BASIC_OFFSET or self._addr_high is None or self._addr_low is None:
             return
         else:
@@ -427,6 +445,16 @@ class HeaderOrderTag(Tag):
                 self._commit(address, raw[1:])
                 raw = bytes((header, self.fram._bytes[address]))
         self.epc = raw + WRITE_ECHO_MARK.ljust(EPC_LENGTH - 2, b"\x00")
+
+
+def crc_writes(crc):
+    """The application CRC's two Writes: its high byte, then its low byte."""
+    return bytes((HDR_CRC_HIGH, crc >> 8)), bytes((HDR_CRC_LOW, crc & 0xFF))
+
+
+def send_crc(tag, crc):
+    for raw in crc_writes(crc):
+        tag.handle_basic_write(raw)
 
 
 def apply_write_op(tag, op, arg):
@@ -438,8 +466,8 @@ def apply_write_op(tag, op, arg):
             tag.set_powered(False)
         elif op == "return":
             tag.set_powered(True)
-        else:  # "complete": the matching application CRC, or one bit off it
-            tag.transfer_complete(tag.application_crc() ^ arg)
+        else:  # "complete": the application CRC's two Writes, matching or one bit off
+            send_crc(tag, tag.application_crc() ^ arg)
     except IndexError as exc:
         return str(exc)
     return None
@@ -450,8 +478,8 @@ def apply_write_op(tag, op, arg):
 # Each "write" builds a new object; "repeat" passes the previous Write's own
 # object again, as the reader passes its spec's ``raw`` every round.
 WRITE_HEADERS = st.one_of(st.integers(0, 0xFF), st.sampled_from(
-    [HDR_ADDR_FIRST, HDR_ADDR_SECOND, HDR_REPROGRAM_INIT, 0x00, MAX_BASIC_OFFSET,
-     MAX_BASIC_OFFSET + 1, HDR_ADDR_FIRST - 1]))
+    [HDR_ADDR_FIRST, HDR_ADDR_SECOND, HDR_REPROGRAM_INIT, HDR_CRC_HIGH, HDR_CRC_LOW, 0x00,
+     MAX_BASIC_OFFSET, MAX_BASIC_OFFSET + 1, HDR_CRC_HIGH - 1]))
 WRITE_PAYLOADS = st.one_of(st.integers(0, 0xFF), st.sampled_from([0x00, 0x12, 0xFF]))
 WRITE_OPS = st.one_of(
     st.tuples(st.just("write"), st.builds(lambda h, p: bytes((h, p)), WRITE_HEADERS,
@@ -463,7 +491,8 @@ WRITE_OPS = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(st.booleans(), st.sampled_from([0.0, 0.2]), st.lists(WRITE_OPS, max_size=60))
 # Every header once, after a base address: data bytes at 0x00-0x20, nothing
-# at 0x21-0xFC, and the two address headers and INIT at 0xFD-0xFF.
+# at 0x21-0xFA, the CRC pair at 0xFB-0xFC, and the two address headers and
+# INIT at 0xFD-0xFF.
 @example(False, 0.2, [("write", b"\xFD\x12"), ("write", b"\xFE\x34"),
                       *(("write", bytes((h, h))) for h in range(256))])
 # A running application keeps the address pair it was sent, and ignores a data byte.
@@ -477,6 +506,11 @@ WRITE_OPS = st.one_of(
 # A stored data byte, repeated, then rewritten by a second Write and repeated.
 @example(False, 0.2, [("write", b"\xFD\x12"), ("write", b"\xFE\x34"), ("write", b"\x00\x56"),
                       ("repeat", 0), ("repeat", 0), ("write", b"\x00\x57"), ("repeat", 0)])
+# The CRC of an empty session, 0xFFFF: its high byte outlives a power loss; the
+# running application falls back at the next, and its bootloader restarts it on
+# the low byte again.
+@example(False, 0.0, [("write", b"\xFB\xFF"), ("lose", 0), ("return", 0), ("write", b"\xFC\xFF"),
+                      ("lose", 0), ("return", 0), ("repeat", 0)])
 def test_basic_writes_match_the_header_order_reference(start_in_bootloader, fault_prob, ops):
     tag = Tag(fault_prob, fault_seed=9, start_in_bootloader=start_in_bootloader)
     ref = HeaderOrderTag(fault_prob, fault_seed=9, start_in_bootloader=start_in_bootloader)
@@ -488,8 +522,8 @@ def test_basic_writes_match_the_header_order_reference(start_in_bootloader, faul
             last = arg
         assert apply_write_op(tag, op, arg) == apply_write_op(ref, op, arg)
         assert (tag.epc, tag.mode, tag.powered) == (ref.epc, ref.mode, ref.powered)
-        assert (tag._addr_high, tag._addr_low, tag._stored) == (
-            ref._addr_high, ref._addr_low, ref._stored)
+        assert (tag._addr_high, tag._addr_low, tag._stored, tag._crc_high) == (
+            ref._addr_high, ref._addr_low, ref._stored, ref._crc_high)
         assert tag.fram.read(0, FRAM_SIZE) == ref.fram.read(0, FRAM_SIZE)
         assert tag._written == ref._written
         assert tag._fault_rng.getstate() == ref._fault_rng.getstate()
@@ -557,7 +591,7 @@ def apply_tag_op(tag, op, arg, crc):
         return tag.set_powered(False)
     if op == "return":
         return tag.set_powered(True)
-    return tag.transfer_complete(crc ^ arg)
+    return send_crc(tag, crc ^ arg)
 
 
 @settings(max_examples=300, deadline=None)
@@ -699,22 +733,43 @@ def test_bootloader_init_enters_reprogram():
     assert tag.epc[:2] == bytes([0xFF, 0x00])
 
 
-def test_transfer_complete_with_matching_crc_starts_application():
+def session_tag():
+    """A tag after INIT and one series, and the CRC of the image it holds."""
     tag = Tag(start_in_bootloader=True)
     tag.handle_basic_write(b"\xFF\x00")
-    msg = build_ex_message(bytes(range(8)), 0x4400)
-    feed_series(tag, msg)
-    assert tag.transfer_complete(crc16_ccitt(bytes(range(8)))) is TagMode.APPLICATION
-    assert tag.mode is TagMode.APPLICATION
+    feed_series(tag, build_ex_message(bytes(range(8)), 0x4400))
+    return tag, crc16_ccitt(bytes(range(8)))
+
+
+def echoed(raw):
+    return echo(raw).ljust(EPC_LENGTH, b"\x00")
+
+
+def test_transfer_complete_with_matching_crc_starts_application():
+    # The CRC's two Writes: the high byte is echoed, and a matching low byte
+    # starts the application and is echoed.
+    tag, crc = session_tag()
+    high, low = crc_writes(crc)
+    tag.handle_basic_write(high)
+    assert tag.mode is TagMode.REPROGRAM and tag.epc == echoed(high)
+    tag.handle_basic_write(low)
+    assert tag.mode is TagMode.APPLICATION and tag.epc == echoed(low)
 
 
 def test_transfer_complete_with_wrong_crc_stays_in_reprogram():
-    tag = Tag(start_in_bootloader=True)
-    tag.handle_basic_write(b"\xFF\x00")
-    msg = build_ex_message(bytes(range(8)), 0x4400)
-    feed_series(tag, msg)
-    assert tag.transfer_complete(0xBEEF) is TagMode.REPROGRAM
-    assert tag.mode is TagMode.REPROGRAM
+    # A low byte before its high byte, or one that does not match, leaves
+    # the mode and the EPC as they were.
+    tag, crc = session_tag()
+    high, low = crc_writes(crc)
+    epc = tag.epc
+    tag.handle_basic_write(low)
+    assert tag.mode is TagMode.REPROGRAM and tag.epc is epc
+    tag.handle_basic_write(high)
+    epc = tag.epc
+    tag.handle_basic_write(crc_writes(crc ^ 0x0001)[1])
+    assert tag.mode is TagMode.REPROGRAM and tag.epc is epc  # it still echoes the high byte
+    tag.handle_basic_write(low)  # a resend that matches
+    assert tag.mode is TagMode.APPLICATION and tag.epc == echoed(low)
 
 
 def test_init_message_forgets_the_last_sessions_writes():
@@ -740,20 +795,53 @@ def test_application_survives_only_until_power_failure():
     tag.handle_basic_write(b"\xFF\x00")
     msg = build_ex_message(bytes([0x42]), 0x100)
     feed_series(tag, msg)
-    tag.transfer_complete(crc16_ccitt(bytes([0x42])))
+    send_crc(tag, crc16_ccitt(bytes([0x42])))
     assert tag.mode is TagMode.APPLICATION
     tag.set_powered(False)
     tag.set_powered(True)
     assert tag.mode is TagMode.BOOTLOADER
 
 
+def test_a_brownout_between_the_crc_writes_keeps_the_high_byte():
+    tag, crc = session_tag()
+    high, low = crc_writes(crc)
+    tag.handle_basic_write(high)
+    tag.set_powered(False)
+    tag.set_powered(True)
+    assert tag.epc == INITIAL_EPC and tag.mode is TagMode.REPROGRAM
+    tag.handle_basic_write(low)
+    assert tag.mode is TagMode.APPLICATION and tag.epc == echoed(low)
+
+
+def test_the_bootloader_restarts_a_verified_image_on_its_crc_low_byte():
+    # Power fails once the application runs and before the host sees the low
+    # byte's echo: the application falls back, and the host resends the byte.
+    tag, crc = session_tag()
+    high, low = crc_writes(crc)
+    tag.handle_basic_write(high)
+    tag.handle_basic_write(low)
+    tag.set_powered(False)
+    tag.set_powered(True)
+    assert tag.mode is TagMode.BOOTLOADER and tag.epc == INITIAL_EPC
+    tag.handle_basic_write(crc_writes(crc ^ 0x0001)[1])
+    assert tag.mode is TagMode.BOOTLOADER and tag.epc == INITIAL_EPC  # a mismatch stays silent
+    tag.handle_basic_write(low)
+    assert tag.mode is TagMode.APPLICATION and tag.epc == echoed(low)
+
+
 def test_transfer_complete_outside_reprogram_changes_nothing():
+    # A bootloader with no session holds no high byte, so it takes no low
+    # byte; a running application ignores the pair, a mismatch included.
     tag = Tag(start_in_bootloader=True)  # no init message yet
-    assert tag.transfer_complete(tag.application_crc()) is TagMode.BOOTLOADER
+    send_crc(tag, tag.application_crc())
+    assert tag.mode is TagMode.BOOTLOADER and tag.epc == INITIAL_EPC
     tag.handle_basic_write(b"\xFF\x00")
     feed_series(tag, build_ex_message(bytes([0x42]), 0x100))
-    assert tag.transfer_complete(tag.application_crc()) is TagMode.APPLICATION
-    assert tag.transfer_complete(tag.application_crc()) is TagMode.APPLICATION
+    send_crc(tag, tag.application_crc())
+    assert tag.mode is TagMode.APPLICATION
+    epc = tag.epc
+    send_crc(tag, tag.application_crc() ^ 0x0001)
+    assert tag.mode is TagMode.APPLICATION and tag.epc is epc
 
 
 BOOT_OPS = ("lose", "return", "init", "write", "complete", "complete-wrong")
@@ -765,14 +853,19 @@ BOOT_OPS = ("lose", "return", "init", "write", "complete", "complete-wrong")
     st.lists(st.tuples(st.sampled_from(BOOT_OPS), st.integers(0, 255)), max_size=40),
 )
 @example(False, [("write", 7), ("complete", 0), ("init", 0)])  # INIT to a running application
+# The application falls back, a wrong CRC leaves the bootloader, the right one restarts it.
+@example(True, [("init", 0), ("write", 7), ("complete", 0), ("lose", 0), ("return", 0),
+                ("complete-wrong", 0), ("complete", 0)])
 def test_mode_follows_power_init_and_complete(start_in_bootloader, ops):
     """REPROGRAM from an init (or from construction without the bootloader)
-    until a matching complete, then APPLICATION until the next power loss,
-    otherwise BOOTLOADER.  An init the tag takes echoes; one it ignores
-    leaves the EPC as it was."""
+    until the application CRC's two Writes match, then APPLICATION until the
+    next power loss, otherwise BOOTLOADER; there, matching Writes start the
+    application again once a high byte was taken since the last init.  An
+    init the tag takes echoes; one it ignores leaves the EPC as it was."""
     init_echo = BasicMessage(HDR_REPROGRAM_INIT, 0x00).expected_epc()
     tag = Tag(start_in_bootloader=start_in_bootloader)
     expected = TagMode.BOOTLOADER if start_in_bootloader else TagMode.REPROGRAM
+    held = False  # a CRC high byte taken since the last init
     for op, byte in ops:
         if op == "lose":
             if tag.powered and expected is TagMode.APPLICATION:
@@ -784,17 +877,18 @@ def test_mode_follows_power_init_and_complete(start_in_bootloader, ops):
             epc = tag.epc
             tag.handle_basic_write(b"\xFF\x00")
             if tag.powered and expected is not TagMode.APPLICATION:
-                expected = TagMode.REPROGRAM
+                expected, held = TagMode.REPROGRAM, False
                 assert tag.epc == init_echo
             else:
                 assert tag.epc == epc
         elif op == "write":
             feed_series(tag, build_ex_message(bytes([byte]), 0x1000 + byte))
-        elif op == "complete":
-            tag.transfer_complete(tag.application_crc())
-            if tag.powered and expected is TagMode.REPROGRAM:
-                expected = TagMode.APPLICATION
         else:
-            tag.transfer_complete(tag.application_crc() ^ 0x0001)
+            send_crc(tag, tag.application_crc() ^ (op == "complete-wrong"))
+            if tag.powered:
+                held = held or expected is TagMode.REPROGRAM
+                if op == "complete" and (expected is TagMode.REPROGRAM
+                                         or expected is TagMode.BOOTLOADER and held):
+                    expected = TagMode.APPLICATION
         if tag.powered:
             assert tag.mode is expected
