@@ -207,18 +207,37 @@ class ChannelModel:
             table = self._tables[n] = series_table(n, self.miss, self.flip, self.survival)
         return SERIES_OUTCOMES[n][bisect_right(table, self.rng.random())]
 
-    def deliver_repeats(self, rounds: int) -> tuple[int, Delivery]:
-        """Sample one Write round after round, as ``deliver_word`` does, at most
-        ``rounds`` (at least 1) rounds.
-
-        Sampling stops after the first round whose Write is lost or corrupted.
-        Returns the rounds sampled and the last one's outcome; every earlier
-        round was delivered.
-        """
-        random, miss, flip = self.rng.random, self.miss, self.flip
+    def deliver_repeats(self, rounds: int, words: int, power,
+                        brownout: float) -> tuple[int, Delivery | tuple[int, bool] | None]:
+        """Sample a ``words``-word command round after round, as ``deliver_word`` or
+        ``deliver_series`` would, for at most ``rounds`` (at least 1) rounds, each
+        after the first once ``power.rng`` drew its power step at ``brownout`` as
+        ``PowerModel.step`` would.  A brown-out starts its outage (``PowerModel.brown_out``)
+        and ends the sampling before its round, a command lost, corrupted or cut short
+        after its own.  Returns the rounds sampled and the last one's outcome, or None
+        for a full reply (a series' corrupted word included), which every earlier one got."""
+        random, draw = self.rng.random, power.rng.random
+        ahead = rounds if brownout > 0 else 1  # a round k < ahead draws the next one's power
+        if words == 1:
+            miss, flip = self.miss, self.flip
+            for k in range(1, rounds + 1):
+                if random() < miss:
+                    return k, _LOST
+                if random() < flip:
+                    return k, _CORRUPTED
+                if k < ahead and draw() < brownout:
+                    power.brown_out()
+                    break
+            return k, None
+        try:
+            table = self._tables[words]
+        except KeyError:
+            table = self._tables[words] = series_table(words, self.miss, self.flip, self.survival)
+        cut = table[2 * words - 2]  # a draw below it cuts the series short
         for k in range(1, rounds + 1):
-            if random() < miss:
-                return k, _LOST
-            if random() < flip:
-                return k, _CORRUPTED
-        return rounds, _DELIVERED
+            if (u := random()) < cut:
+                return k, SERIES_OUTCOMES[words][bisect_right(table, u)]
+            if k < ahead and draw() < brownout:
+                power.brown_out()
+                break
+        return k, None

@@ -288,10 +288,10 @@ class HostSession:
         placed before round 0) and powers it (at brownout = 0 it stays
         powered), consumes the report of round k - 1, puts any message on
         air, then ticks the reader; round 0 only sends.  For a tag that stays
-        put and powered, the reader runs the rounds that repeat a stale
-        Write's success in one batch, and the log takes their rows at once:
-        each stream draws, and each row and count comes out, as ticking them
-        one by one would.
+        put, the reader runs the rounds that repeat a stale success, Write or
+        series, in one batch that draws each round's power step ahead of it,
+        and the log takes their rows at once: each stream draws, and each row
+        and count comes out, as ticking them one by one would.
         """
         cfg = self.config
         max_rounds = int(cfg.max_sim_seconds * ROUNDS_PER_SEC)
@@ -311,9 +311,8 @@ class HostSession:
         stepping = p != 0
         powered = True  # the tag's power as the host last set it
         set_powered(powered)
-        # A tag that neither moves nor loses power takes the rounds that repeat a
-        # stale Write's success in batches (``Reader.repeat``).
-        batching = place_round is None and not stepping
+        # A tag that stays put takes the rounds that repeat a stale success in batches.
+        batching = place_round is None
         # Locals: an enum-class lookup costs each NACK.
         no_tag, success = ReportResult.NO_TAG_SEEN, ReportResult.SUCCESS
 
@@ -379,7 +378,7 @@ class HostSession:
                         # the last one's report.  A success of the spec on air never
                         # repeats: its EPC would be the echo of the spec, an ACK.
                         k, last = repeat(now, min(cfg.n_threshold - 1 - nacks, max_rounds - now),
-                                         tag, channel)
+                                         tag, channel, power, channel.brownout if p is None else p)
                         if k:
                             log_rounds(range(now + 1, now + k))
                             log_kinds(array("I", (nack_kind,)) * (k - 1))

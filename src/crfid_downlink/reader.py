@@ -11,8 +11,8 @@ Deleting an active spec is lazy: the reader finishes the operation frame
 first (the stop trigger at OCV successful operations usually ends it), so
 the tail of the old frame floods the next message frame with stale
 reports.  A grace bound keeps blocked frames from running forever.
-Those stale rounds change nothing on the tag, so while its power and
-distance hold still, ``Reader.repeat`` runs a string of them in one call.
+Those stale rounds, Writes or series, change nothing on the tag, so while its
+distance holds still, ``Reader.repeat`` runs a string of them in one call.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from enum import Enum
 
 from .channel import SERIES_SLOTS, ChannelModel, Delivery
 from .protocol import EPC_LENGTH
-from .tag import Tag
+from .tag import PowerModel, Tag
 
 MAX_WORD_COUNT = SERIES_SLOTS  # reader hardware ceiling, which the channel's odds cover
 
@@ -81,15 +81,17 @@ class AccessSpec:
 
 
 class _Drawn:
-    """A channel whose one Write takes an outcome ``ChannelModel.deliver_repeats`` drew."""
+    """A channel whose one command takes an outcome ``ChannelModel.deliver_repeats`` drew."""
 
     __slots__ = ("outcome",)
 
     def __init__(self, outcome):
         self.outcome = outcome
 
-    def deliver_word(self):
+    def deliver_word(self, *_):
         return self.outcome
+
+    deliver_series = deliver_word
 
 
 class _RunningSpec:
@@ -195,33 +197,35 @@ class Reader:
         self._last = last = OperationReport(spec.spec_id, result, epc)
         return last
 
-    def repeat(self, now: int, cap: int, tag: Tag,
-               channel: ChannelModel) -> tuple[int, OperationReport | None]:
+    def repeat(self, now: int, cap: int, tag: Tag, channel: ChannelModel, power: PowerModel,
+               brownout: float) -> tuple[int, OperationReport | None]:
         """Run the rounds from ``now`` on that repeat the last report, at most ``cap``.
 
-        Only a successful Write of the active spec that a powered tag takes as
-        a stale repeat (``Tag.echoes``) repeats: each later round the channel
-        delivers returns its report again and only takes one of the frame's
-        successes left, as ``tick`` would.  The channel samples the rounds in
-        one call, up to the first Write lost or corrupted and never past the
-        round whose frame-end test holds; that last round runs through
-        ``tick``.  Returns the rounds run and the last one's report, or
-        ``(0, None)``.
+        Only a success of the active spec that a powered tag takes as a stale
+        repeat (``Tag.echoes``) repeats.  The channel samples the rounds in one
+        call, each after its step of ``power`` at ``brownout``, never past the
+        round whose frame-end test holds.  A round with a full reply, Write or
+        series, only takes one of the frame's successes left, as ``tick`` would;
+        a last round lost, corrupted or cut short runs through ``tick``.
+        Returns the rounds run and the last one's report, or ``(0, None)``.
         """
         run, last = self.active, self._last
-        if run is None or last.result is not _SUCCESS or not tag.powered:
+        if (run is None or last.result is not _SUCCESS or not tag.powered
+                or last.spec_id != run.spec.spec_id or last.epc != tag.epc
+                or not tag.echoes(run.spec.raw)):
             return 0, None
-        spec = run.spec
-        raw = spec.raw
-        if (len(raw) != 2 or last.spec_id != spec.spec_id or last.epc != tag.epc
-                or not tag.echoes(raw)):
-            return 0, None
-        # ``tick``'s frame-end test first holds in the round that takes the last
-        # success left or that reaches the frame's last round: the round
-        # ``rounds`` from now, each a success, at the latest.
+        # ``tick``'s frame-end test first holds in the round that takes the last success
+        # left or reaches the frame's last round: ``rounds`` from now at the latest.
         rounds = min(cap, run.successes_left, run.last_round - now + 1)
         if rounds < 1:
             return 0, None
-        k, outcome = channel.deliver_repeats(rounds)
-        run.successes_left -= k - 1
-        return k, self.tick(now + k - 1, tag, _Drawn(outcome))
+        k, outcome = channel.deliver_repeats(rounds, len(run.spec.raw) >> 1, power, brownout)
+        now += k - 1  # the last round run
+        if outcome is not None:
+            run.successes_left -= k - 1
+            return k, self.tick(now, tag, _Drawn(outcome))
+        run.successes_left -= k
+        if run.successes_left <= 0 or now >= run.last_round:  # ``tick``'s frame end
+            self.active = None
+            self._removal_tick = now
+        return k, last

@@ -74,25 +74,28 @@ class PowerModel:
     """
 
     def __init__(self, seed: int):
-        self._rng = random.Random(seed)
+        self.rng = random.Random(seed)
         self._outage_left = 0
 
     def step(self, brownout_prob: float) -> bool:
         """Advance one round; returns True when the tag is powered."""
-        if self._outage_left > 0:
-            self._outage_left -= 1
-            return False
-        if brownout_prob > 0 and self._rng.random() < brownout_prob:
-            # Geometric with mean MEAN_BURST_ROUNDS, support {1, 2, ...}.
-            u = self._rng.random()
-            q = 1.0 - 1.0 / MEAN_BURST_ROUNDS
-            length = 1
-            while u < q and length < 10_000:
-                u = self._rng.random()
-                length += 1
-            self._outage_left = length - 1
-            return False
-        return True
+        if not self._outage_left:
+            if not (brownout_prob > 0 and self.rng.random() < brownout_prob):
+                return True
+            self.brown_out()
+        self._outage_left -= 1
+        return False
+
+    def brown_out(self) -> None:
+        """Start an outage of 1, 2, ... rounds, geometric with mean MEAN_BURST_ROUNDS: the
+        next ``step`` calls, one per round, return False without drawing."""
+        u = self.rng.random()
+        q = 1.0 - 1.0 / MEAN_BURST_ROUNDS
+        length = 1
+        while u < q and length < 10_000:
+            u = self.rng.random()
+            length += 1
+        self._outage_left = length
 
 
 class Tag:

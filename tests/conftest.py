@@ -7,6 +7,7 @@ import crfid_downlink.scenario as scenario
 from crfid_downlink.channel import ChannelModel
 from crfid_downlink.host import HostSession, TransferLog, Variant
 from crfid_downlink.ihex import generate_fixture, parse_file
+from crfid_downlink.reader import Reader
 from crfid_downlink.scenario import DistanceProfile, ScenarioConfig
 from crfid_downlink.tag import PowerModel, Tag
 
@@ -43,14 +44,21 @@ def run_clean(config, matrix, seed=1, cm=20.0, tag=None, brownout=0.0):
     The config is copied with ``brownout = 0`` and a static profile at ``cm``.
     ``PowerModel.step(0)`` draws nothing, so the channel seed alone decides
     the rounds.  Returns ``(result, tag)``; ``tag`` defaults to a fresh one.
-    A ``brownout`` of 1e-300 steps the power model every round, which browns
-    nothing out, so the run is the same; its rounds then all run one by one.
+    A ``brownout`` of 1e-300 draws the power stream once a round, in a step or
+    in a batch's draw ahead, and browns nothing out, so the run is the same.
     """
     tag = Tag() if tag is None else tag
     config = copy.copy(config)
     config.brownout, config.profile = brownout, DistanceProfile(d_cm=cm)
     result = HostSession(config, matrix).run(tag, ChannelModel(seed=seed), PowerModel(seed=0))
     return result, tag
+
+
+class UnbatchedReader(Reader):
+    """A reader whose batch runs no round, so every round runs through ``tick``."""
+
+    def repeat(self, *args):
+        return 0, None
 
 
 @pytest.fixture()

@@ -18,6 +18,7 @@ from crfid_downlink.reader import ROUNDS_PER_SEC, OperationReport, Reader, Repor
 from crfid_downlink.scenario import (DistanceProfile, ScenarioConfig, ScenarioError,
                                      parse_config_text, run_scenario)
 from crfid_downlink.tag import FRAM_SIZE, PowerModel, Tag, TagMode
+from conftest import UnbatchedReader
 from test_pins import GOLDEN_CONFIGS, session_counts, tag_state_digest
 from test_scenario import HOST_EVENTS, log_events
 
@@ -663,20 +664,14 @@ def test_budget_ending_on_a_timeout_still_resends(clean_run, protocol, bootloade
 # -- batched stale repeats -----------------------------------------------------------
 
 
-class UnbatchedReader(Reader):
-    """A reader whose batch runs no round, so every round runs through ``tick``."""
-
-    def repeat(self, now, cap, tag, channel):
-        return 0, None
-
-
 @st.composite
 def static_runs(draw):
-    """A small image and a config with a static tag at ``brownout = 0``, where
-    the reader batches stale repeats: either flavour, a fixed or throttled S_p,
-    write faults, the bootloader, an OCV up to the NACK threshold (above 28
-    too, where the delete grace bound ends frames) and budgets that may cut a
-    batch short."""
+    """A small image and a config with a static tag, where the reader batches
+    stale repeats: either flavour, a fixed or throttled S_p, write faults, the
+    bootloader, no brown-outs, a fixed brown-out probability up to 0.3 or the
+    distance's own (``auto``), an OCV up to the NACK threshold (above 28 too,
+    where the delete grace bound ends frames) and budgets that may cut a batch
+    short."""
     payload = draw(st.binary(min_size=4, max_size=64))
     matrix = parse_file(generate_fixture(payload, record_width=draw(st.sampled_from([4, 8, 26]))))
     protocol = draw(st.sampled_from(Variant))
@@ -685,7 +680,8 @@ def static_runs(draw):
         protocol=protocol,
         s_p=draw(st.none() | st.integers(1, 16)) if protocol is Variant.EX else None,
         ocv=ocv, n_threshold=draw(st.integers(ocv, 40)), r_max=draw(st.integers(1, 4)),
-        bootloader=draw(st.booleans()), brownout=0.0,
+        bootloader=draw(st.booleans()),
+        brownout=draw(st.sampled_from([0.0, 0.001, 0.05, None]) | st.floats(0, 0.3)),
         write_fault_prob=draw(st.sampled_from([0.0, 0.01, 0.3])),
         max_sim_seconds=draw(st.integers(60, 4000) | st.just(216_000)) / ROUNDS_PER_SEC,
         profile=DistanceProfile(d_cm=draw(st.floats(20, 120))))
@@ -696,19 +692,22 @@ def static_runs(draw):
 def static_run(cfg, matrix, seed):
     tag = Tag(write_fault_prob=cfg.write_fault_prob, fault_seed=seed + 3,
               start_in_bootloader=cfg.bootloader)
-    channel = ChannelModel(seed)
-    result = HostSession(cfg, matrix).run(tag, channel, PowerModel(seed + 2))
+    channel, power = ChannelModel(seed), PowerModel(seed + 2)
+    result = HostSession(cfg, matrix).run(tag, channel, power)
     return ((result.log.rounds, result.log.kind_ids, result.log.kinds), replace(result, log=None),
-            (tag.fram.read(0, FRAM_SIZE), bytes(tag._written), tag.epc, tag.mode,
-             tag._fault_rng.getstate()), channel.rng.getstate())
+            (tag.fram.read(0, FRAM_SIZE), bytes(tag._written), tag.epc, tag.mode, tag.powered,
+             tag._fault_rng.getstate()), channel.rng.getstate(),
+            (power.rng.getstate(), power._outage_left))
 
 
 @settings(max_examples=200, deadline=None)
 @given(static_runs())
 def test_batched_stale_repeats_match_the_round_by_round_run(case):
-    # The batch draws every round from the channel stream and ends every frame
-    # as ticks one by one would: the log, the result, the tag and the channel
-    # stream all match a reader that ticks each round.
+    # The batch draws every round from the channel stream and each later
+    # round's power step from the power stream, and ends every frame as ticks
+    # one by one would: the log, the result, the tag, the channel stream and
+    # the power stream with its pending outage all match a reader that ticks
+    # each round.
     batched = static_run(*case)
     with mock.patch.object(host, "Reader", UnbatchedReader):
         assert static_run(*case) == batched
@@ -726,9 +725,9 @@ def test_only_an_earlier_specs_report_is_offered_for_a_batch(monkeypatch, small_
             self.on_air = spec.spec_id
             super().stage(spec, now)
 
-        def repeat(self, now, cap, tag, channel):
+        def repeat(self, *args):
             calls.append((self._last.spec_id, self.on_air))
-            return super().repeat(now, cap, tag, channel)
+            return super().repeat(*args)
 
     monkeypatch.setattr(host, "Reader", RecordingReader)
     run_scenario(parse_config_text(GOLDEN_CONFIGS["batch_basic"] + "seed = 1\n"),

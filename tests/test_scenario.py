@@ -4,6 +4,7 @@ import filecmp
 import io
 import math
 import os
+import random
 import re
 import signal
 import subprocess
@@ -501,7 +502,7 @@ def stream_states(monkeypatch, config, matrix):
     class RecordingPower(scenario.PowerModel):
         def __init__(self, seed):
             super().__init__(seed)
-            built.append(("power", self._rng.getstate()))
+            built.append(("power", self.rng.getstate()))
 
     class RecordingTag(scenario.Tag):
         def __init__(self, *args, **kwargs):
@@ -864,7 +865,7 @@ def test_repeated_nack_rows_log_the_report_they_consume(monkeypatch, small_matri
     must rebuild from its events id for id, with no kind interned twice.
     """
     ticks = []  # per reader, in run order: its reports by round
-    tick = Reader.tick
+    tick, repeat = Reader.tick, Reader.repeat
 
     def recording_tick(self, now, tag, channel):
         if not ticks or ticks[-1][0] is not self:
@@ -874,7 +875,18 @@ def test_repeated_nack_rows_log_the_report_they_consume(monkeypatch, small_matri
             ticks[-1][1][now] = report
         return report
 
+    def recording_repeat(self, now, *args):
+        # Each round of a batch but its last repeats the last report; the batch
+        # returns the last one's report.
+        last = self._last
+        k, report = repeat(self, now, *args)
+        ticks[-1][1].update(dict.fromkeys(range(now, now + k - 1), last))
+        if k:
+            ticks[-1][1][now + k - 1] = report
+        return k, report
+
     monkeypatch.setattr(Reader, "tick", recording_tick)
+    monkeypatch.setattr(Reader, "repeat", recording_repeat)
     outcome = run_scenario(parse_config_text(REPEAT_NACK_CONFIGS[name] + "seed = 1\n"),
                            matrix=small_matrix)
     assert len(ticks) == len(outcome.runs)
@@ -933,14 +945,15 @@ def test_a_repeated_report_counts_and_logs_as_a_fresh_equal_one(monkeypatch, tmp
 @pytest.mark.parametrize("protocol", ["basic", "ex"])
 def test_brownout_zero_leaves_the_power_stream_alone(monkeypatch, tmp_path, small_matrix,
                                                      protocol):
-    # At brownout = 0 the host never steps the power model.  At 1e-300 it
-    # steps and draws every round, and no round browns out: the same CSVs.
+    # At brownout = 0 the host never steps the power model.  At 1e-300 the
+    # power stream draws exactly once a round, in the host's step or in a
+    # batch's draw ahead, and no round browns out: the same CSVs.
     built = []
 
     class RecordingPower(scenario.PowerModel):
         def __init__(self, seed):
             super().__init__(seed)
-            self.seeded, self.steps = self._rng.getstate(), 0
+            self.seeded, self.steps = self.rng.getstate(), 0
             built.append(self)
 
         def step(self, brownout_prob):
@@ -958,10 +971,14 @@ def test_brownout_zero_leaves_the_power_stream_alone(monkeypatch, tmp_path, smal
         return outcome
 
     run("0")
-    assert all(p.steps == 0 and p._rng.getstate() == p.seeded for p in built)
+    assert all(p.steps == 0 and p.rng.getstate() == p.seeded for p in built)
     tiny = run("1e-300")
     for power, r in zip(built, tiny.runs, strict=True):
-        assert power.steps >= r.result.rounds and power._rng.getstate() != power.seeded
+        drawn = random.Random()
+        drawn.setstate(power.seeded)
+        for _ in range(r.result.rounds):
+            drawn.random()
+        assert power.rng.getstate() == drawn.getstate() and power._outage_left == 0
     assert csv_digest(tmp_path / "0") == csv_digest(tmp_path / "1e-300")
 
 

@@ -1,8 +1,10 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from crfid_downlink import host
 from crfid_downlink.channel import (
     D_REF_CM,
     ChannelModel,
@@ -36,6 +38,7 @@ from crfid_downlink.tag import (
     Tag,
     TagMode,
 )
+from conftest import UnbatchedReader
 
 
 def raw_of(message):
@@ -122,9 +125,9 @@ def test_epc_echoes_read_back_byte():
     assert tag.epc[:2] == bytes([0x00, 0xAB ^ 0xFF])  # echo carries the read-back
 
 
-def handler_calls(clean_run, matrix, config, handler, brownout):
-    """Run ``config`` clean at ``brownout``; the tag's ``handler`` calls, and those
-    that leave ``tag.epc`` the very same object."""
+def handler_calls(clean_run, matrix, config, handler):
+    """Run ``config`` clean; the tag's ``handler`` calls, and those that leave
+    ``tag.epc`` the very same object."""
     tag, calls, kept = Tag(), 0, 0
     handle = getattr(tag, handler)
 
@@ -136,17 +139,18 @@ def handler_calls(clean_run, matrix, config, handler, brownout):
         kept += tag.epc is epc
 
     setattr(tag, handler, counting)
-    result, _ = clean_run(config, matrix, tag=tag, brownout=brownout)
+    result, _ = clean_run(config, matrix, tag=tag)
     assert result.completed and calls > 0
     return calls, kept
 
 
 def stale_repeat_calls(clean_run, matrix, config, handler):
-    """The handler calls at brownout = 1e-300, where every round runs on its own
-    and calls the tag, the share that left the EPC object, and the calls of the
-    same run at brownout = 0, where the reader may batch stale repeats."""
-    calls, kept = handler_calls(clean_run, matrix, config, handler, 1e-300)
-    batched, _ = handler_calls(clean_run, matrix, config, handler, 0.0)
+    """The handler calls of a reader that runs every round on its own and calls
+    the tag (``UnbatchedReader``), the share that left the EPC object, and the
+    calls of the same run with the reader that batches stale repeats."""
+    with mock.patch.object(host, "Reader", UnbatchedReader):
+        calls, kept = handler_calls(clean_run, matrix, config, handler)
+    batched, _ = handler_calls(clean_run, matrix, config, handler)
     return calls, kept / calls, batched
 
 
@@ -156,8 +160,8 @@ def test_most_single_word_rounds_repeat_the_write_the_epc_echoes(small_matrix, c
     config = ScenarioConfig(protocol=Variant.BASIC)
     calls, share, batched = stale_repeat_calls(clean_run, small_matrix, config, "handle_basic_write")
     assert share >= 0.9
-    # At brownout = 0 the reader's batches take most of those stale repeats,
-    # calling the tag for their last round only.
+    # The reader's batches take most of those stale repeats, calling the tag
+    # for their last round only.
     assert calls - batched > calls * share / 2
 
 
@@ -166,8 +170,8 @@ def test_most_series_rounds_repeat_the_series_the_epc_echoes(small_matrix, clean
     config = ScenarioConfig(protocol=Variant.EX, s_p=16)
     calls, share, batched = stale_repeat_calls(clean_run, small_matrix, config, "series_complete")
     assert share >= 0.9
-    # The reader batches Writes only, so every series round calls the tag.
-    assert batched == calls
+    # Series repeats are batched as Writes are.
+    assert calls - batched > calls * share / 2
 
 
 # -- series handling --------------------------------------------------------------
@@ -646,6 +650,46 @@ def test_power_model_outage_fraction_matches_process():
     # Alternating renewal process: powered stretches mean 1/p, outages mean 3.
     expected = MEAN_BURST_ROUNDS / (MEAN_BURST_ROUNDS + 1.0 / 0.1)
     assert unpowered / n == pytest.approx(expected, abs=0.03)
+
+
+def power_drawn_ahead(seed, p, batch, words, rounds=400):
+    """Step a power model for ``rounds`` rounds, handing each powered round after
+    the first to a batch of up to ``batch`` rounds that draws the power of every
+    round after its first ahead (``ChannelModel.deliver_repeats``) on a channel
+    that delivers every command in full.  Returns the on/off sequence, the model
+    and the brown-outs drawn ahead, each with the outage rounds that follow it."""
+    power, channel = PowerModel(seed), ChannelModel(seed)
+    channel.restore((0.1, (0.0, 0.0, 1.0, 0.0, {})))  # no miss, flip or drain
+    on, bursts = [], []
+    while len(on) < rounds:
+        on.append(power.step(p))
+        if on[-1] and len(on) > 1:
+            k, _ = channel.deliver_repeats(min(batch, rounds - len(on) + 1), words, power, p)
+            on += [True] * (k - 1)
+            if power._outage_left:  # a brown-out drawn ahead of round len(on) + 1
+                bursts.append(power._outage_left)
+    return on, power, bursts
+
+
+@pytest.mark.parametrize("words", [1, 16])
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.3])
+@pytest.mark.parametrize("batch", [1, 2, 7, 40])
+def test_power_drawn_ahead_matches_round_by_round_steps(words, p, batch):
+    # A round drawn ahead browns out exactly when its own step would: the same
+    # on/off sequence, stream state and pending outage, for Writes and series.
+    for seed in range(5):
+        reference = PowerModel(seed)
+        steps = [reference.step(p) for _ in range(400)]
+        on, power, bursts = power_drawn_ahead(seed, p, batch, words)
+        assert on == steps
+        assert (power.rng.getstate(), power._outage_left) == (
+            reference.rng.getstate(), reference._outage_left)
+        if p == 0:
+            assert power.rng.getstate() == PowerModel(seed).rng.getstate()
+        if p == 0 or batch == 1:  # nothing drawn ahead
+            assert not bursts
+        else:  # brown-outs drawn ahead, bursts longer than one round among them
+            assert bursts and max(bursts) > 1
 
 
 def test_power_loss_clears_volatile_keeps_fram():
