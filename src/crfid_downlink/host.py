@@ -285,13 +285,13 @@ class HostSession:
         """Drive the transfer to completion, failure, or the round budget.
 
         Round k places the tag (one with a single distance stays where it was
-        placed before round 0) and powers it (at brownout = 0 it stays
-        powered), consumes the report of round k - 1, puts any message on
-        air, then ticks the reader; round 0 only sends.  For a tag that stays
-        put, the reader runs the rounds that repeat a stale success, Write or
-        series, in one batch that draws each round's power step ahead of it,
-        and the log takes their rows at once: each stream draws, and each row
-        and count comes out, as ticking them one by one would.
+        placed before round 0) and steps its power (at brownout = 0 a step
+        draws nothing), consumes the report of round k - 1, puts any message
+        on air, then ticks the reader; round 0 only sends.  For a tag that
+        stays put, the reader runs the rounds that repeat a stale success,
+        Write or series, in one batch that draws each round's power step ahead
+        of it, and the log takes their rows at once: each stream draws, and
+        each row and count comes out, as ticking them one by one would.
         """
         cfg = self.config
         max_rounds = int(cfg.max_sim_seconds * ROUNDS_PER_SEC)
@@ -305,12 +305,8 @@ class HostSession:
         step = power.step
         set_powered = tag.set_powered
         p = cfg.brownout
-        # The tag is powered in round 0.  At brownout = 0 ``step`` neither
-        # draws nor browns out, so it is not called: the tag stays powered, as
-        # ``step`` would leave it, and the power model is left alone.
-        stepping = p != 0
         powered = True  # the tag's power as the host last set it
-        set_powered(powered)
+        set_powered(powered)  # the tag is powered in round 0
         # A tag that stays put takes the rounds that repeat a stale success in batches.
         batching = place_round is None
         # Locals: an enum-class lookup costs each NACK.
@@ -347,7 +343,7 @@ class HostSession:
             now += 1  # the next round places the tag, then powers it
             if place_round:
                 place_round(now)
-            if stepping and (on := step(channel.brownout if p is None else p)) is not powered:
+            if (on := step(channel.brownout if p is None else p)) is not powered:
                 powered = on  # only a flip changes the tag
                 set_powered(powered)
 

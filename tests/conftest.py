@@ -7,7 +7,7 @@ import crfid_downlink.scenario as scenario
 from crfid_downlink.channel import ChannelModel
 from crfid_downlink.host import HostSession, TransferLog, Variant
 from crfid_downlink.ihex import generate_fixture, parse_file
-from crfid_downlink.reader import Reader
+from crfid_downlink.reader import OperationReport, Reader
 from crfid_downlink.scenario import DistanceProfile, ScenarioConfig
 from crfid_downlink.tag import PowerModel, Tag
 
@@ -31,34 +31,59 @@ def random_5120_matrix():
     return parse_file(generate_fixture(payload, record_width=16))
 
 
-@pytest.fixture()
-def small_matrix():
+def small_image():
+    """520 random bytes in 26-byte records (20 rows)."""
     rng = random.Random(17)
     payload = bytes(rng.randrange(256) for _ in range(520))
     return parse_file(generate_fixture(payload, record_width=26))
 
 
-def run_clean(config, matrix, seed=1, cm=20.0, tag=None, brownout=0.0):
+@pytest.fixture()
+def small_matrix():
+    return small_image()
+
+
+def run_clean(config, matrix, seed=1, cm=20.0, tag=None):
     """Run one session with the tag always powered at a fixed ``cm``.
 
     The config is copied with ``brownout = 0`` and a static profile at ``cm``.
     ``PowerModel.step(0)`` draws nothing, so the channel seed alone decides
     the rounds.  Returns ``(result, tag)``; ``tag`` defaults to a fresh one.
-    A ``brownout`` of 1e-300 draws the power stream once a round, in a step or
-    in a batch's draw ahead, and browns nothing out, so the run is the same.
     """
     tag = Tag() if tag is None else tag
     config = copy.copy(config)
-    config.brownout, config.profile = brownout, DistanceProfile(d_cm=cm)
+    config.brownout, config.profile = 0.0, DistanceProfile(d_cm=cm)
     result = HostSession(config, matrix).run(tag, ChannelModel(seed=seed), PowerModel(seed=0))
     return result, tag
 
 
-class UnbatchedReader(Reader):
-    """A reader whose batch runs no round, so every round runs through ``tick``."""
+# The plain configuration: ``PlainHost`` over a ``PlainReader`` runs every round
+# of a transfer with every round-path fast path switched off.  A new fast path
+# is switched off here, in the change that adds it.
+
+
+class PlainReader(Reader):
+    """A reader that runs every round through ``tick``: its batch runs no round,
+    and it hands back a fresh copy of each report, so the host never meets the
+    report it consumed the round before."""
 
     def repeat(self, *args):
         return 0, None
+
+    def tick(self, now, tag, channel):
+        report = super().tick(now, tag, channel)
+        return None if report is None else OperationReport(report.spec_id, report.result,
+                                                           report.epc)
+
+
+class PlainHost(HostSession):
+    """A host that places the tag through the profile in every round, static
+    tags included: no placement is put back, and no stale repeat is batched."""
+
+    def _placement(self, channel, max_rounds):
+        at, place = self.config.profile.at, channel.set_distance_cm
+        place(at(0))
+        return lambda now: place(at(now))
 
 
 @pytest.fixture()

@@ -4,10 +4,10 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from crfid_downlink import host, scenario
-from crfid_downlink.channel import ChannelModel
+from crfid_downlink.channel import ODDS_MEMO_SIZE, ChannelModel
 from crfid_downlink.cli import main
 from crfid_downlink.host import HostSession, TransferLog, Variant, classify_report, matrix_crc
 from crfid_downlink.ihex import RecordMatrix, Row, generate_fixture, parse_file
@@ -18,9 +18,9 @@ from crfid_downlink.reader import ROUNDS_PER_SEC, OperationReport, Reader, Repor
 from crfid_downlink.scenario import (DistanceProfile, ScenarioConfig, ScenarioError,
                                      parse_config_text, run_scenario)
 from crfid_downlink.tag import FRAM_SIZE, PowerModel, Tag, TagMode
-from conftest import UnbatchedReader
-from test_pins import GOLDEN_CONFIGS, session_counts, tag_state_digest
-from test_scenario import HOST_EVENTS, log_events
+from conftest import PlainHost, PlainReader, small_image
+from test_pins import GOLDEN_CONFIGS, session_counts
+from test_scenario import HOST_EVENTS, REPEAT_NACK_CONFIGS, log_events
 
 GOLDEN_FILE = ":02AADD00BBCCF0\n:00000001FF\n"
 
@@ -486,56 +486,6 @@ def test_a_static_distance_is_looked_up_once_per_run():
     assert profile.lookups == len(runs) == 2
 
 
-class PerRoundPlacementHost(HostSession):
-    """The host that places a moving tag through the profile every round, as
-    it did before it kept a per-cycle placement table."""
-
-    def _placement(self, channel, max_rounds):
-        at, place = self.config.profile.at, channel.set_distance_cm
-        if self.config.profile.kind == "static":
-            place(at(0))
-            return None
-        return lambda now: place(at(now))
-
-
-# 20-90 cm oscillations: (speed, max_sim_seconds, the period the host sees).
-PLACEMENT_CASES = {
-    "whole-cycle": (0.1, 3600.0, 840),
-    "fractional-cycle": (0.13, 3600.0, 0),
-    "still": (0.0, 3600.0, 1),
-    "cycle-past-the-budget": (0.1, 10.0, 840),  # a 600-round budget
-    "cycle-past-the-memo": (0.01, 3600.0, 8400),
-}
-
-
-@pytest.mark.parametrize("brownout", [None, 0.05], ids=["auto", "fixed"])
-@pytest.mark.parametrize("case", sorted(PLACEMENT_CASES))
-def test_placement_table_matches_the_per_round_reference(tmp_path, monkeypatch, small_matrix,
-                                                          case, brownout):
-    speed, seconds, period = PLACEMENT_CASES[case]
-    profile = DistanceProfile(kind="oscillate", min_cm=20, max_cm=90, speed_m_per_s=speed)
-    assert profile.period == period
-    longest = 0
-    for seed in (0, 1, 2):
-        cfg = ScenarioConfig(seed=seed, profile=profile, brownout=brownout, bootloader=True,
-                             max_sim_seconds=seconds, repeats=2)
-        table = run_scenario(cfg, tmp_path / f"table{seed}", matrix=small_matrix)
-        with monkeypatch.context() as m:
-            m.setattr(scenario, "HostSession", PerRoundPlacementHost)
-            ref = run_scenario(cfg, tmp_path / f"ref{seed}", matrix=small_matrix)
-        files = sorted(f.name for f in (tmp_path / f"ref{seed}").iterdir())
-        assert "summary.csv" in files and "run_01_log.csv" in files
-        for name in files:
-            assert ((tmp_path / f"table{seed}" / name).read_bytes()
-                    == (tmp_path / f"ref{seed}" / name).read_bytes()), (seed, name)
-        assert tag_state_digest(table) == tag_state_digest(ref)
-        assert [(r.tag.epc, r.tag.mode, r.tag.powered) for r in table.runs] == [
-            (r.tag.epc, r.tag.mode, r.tag.powered) for r in ref.runs]
-        longest = max(longest, *(r.result.rounds for r in table.runs))
-    # The runs outlast the cycle, so later cycles put placements back.
-    assert case != "whole-cycle" or longest > period
-
-
 def test_a_budget_ending_inside_the_checksum_flight_does_not_complete():
     # The lookup test's seed-3682 case sends the CRC's low byte in round 44 and
     # sees its ACK in round 62; a budget of 50 rounds ends between the two.
@@ -661,19 +611,29 @@ def test_budget_ending_on_a_timeout_still_resends(clean_run, protocol, bootloade
     assert [e.event for e in cut.log.events if e.event != "throttle"][-2:] == ["timeout", "resend"]
 
 
-# -- batched stale repeats -----------------------------------------------------------
+# -- the round-path fast paths against the plain run -------------------------------
+#
+# ``HostSession.run`` takes a static tag's stale repeats in batches, puts a
+# moving tag's placements back from a per-cycle table and reuses a repeated
+# report by identity.  ``PlainHost`` over a ``PlainReader`` does none of that,
+# so each generated config must give the same run both ways.
+
+
+# Oscillations between the default 20 and 90 cm: cycles of 840 and 20 rounds, a
+# fractional one, none (speed 0) and one of 8400 rounds, past the odds memo.
+SPEEDS = [0.1, 4.2, 0.13, 0.0, 0.01]
 
 
 @st.composite
-def static_runs(draw):
-    """A small image and a config with a static tag, where the reader batches
-    stale repeats: either flavour, a fixed or throttled S_p, write faults, the
-    bootloader, no brown-outs, a fixed brown-out probability up to 0.3 or the
-    distance's own (``auto``), an OCV up to the NACK threshold (above 28 too,
-    where the delete grace bound ends frames) and budgets that may cut a batch
-    short."""
-    payload = draw(st.binary(min_size=4, max_size=64))
-    matrix = parse_file(generate_fixture(payload, record_width=draw(st.sampled_from([4, 8, 26]))))
+def round_path_configs(draw):
+    """A small image, a config and a seed: either flavour, a fixed or throttled
+    S_p, write faults, the bootloader, no brown-outs, a fixed brown-out
+    probability up to 0.3 or the distance's own (``auto``), an OCV up to the
+    NACK threshold (above 28 too, where the delete grace bound ends frames),
+    budgets that may cut a run or a batch short, and a static tag or an
+    oscillating one, on any branch of ``HostSession._placement``."""
+    payload = draw(st.binary(min_size=1, max_size=64))
+    matrix = parse_file(generate_fixture(payload, record_width=draw(st.integers(1, 33))))
     protocol = draw(st.sampled_from(Variant))
     ocv = draw(st.integers(2, 40))
     cfg = ScenarioConfig(
@@ -684,33 +644,86 @@ def static_runs(draw):
         brownout=draw(st.sampled_from([0.0, 0.001, 0.05, None]) | st.floats(0, 0.3)),
         write_fault_prob=draw(st.sampled_from([0.0, 0.01, 0.3])),
         max_sim_seconds=draw(st.integers(60, 4000) | st.just(216_000)) / ROUNDS_PER_SEC,
-        profile=DistanceProfile(d_cm=draw(st.floats(20, 120))))
+        profile=draw(st.builds(DistanceProfile, d_cm=st.floats(20, 120))
+                     | st.builds(DistanceProfile, kind=st.just("oscillate"),
+                                 speed_m_per_s=st.sampled_from(SPEEDS) | st.floats(0, 5))))
     cfg.validate()
     return cfg, matrix, draw(st.integers(0, 2**16))
 
 
-def static_run(cfg, matrix, seed):
+def placement_branch(cfg) -> str:
+    """The branch of ``HostSession._placement`` that ``cfg`` takes."""
+    period = cfg.profile.period
+    if period == 1:
+        return "static"
+    if not period:
+        return "per-round: fractional cycle"
+    if period > min(int(cfg.max_sim_seconds * ROUNDS_PER_SEC), ODDS_MEMO_SIZE):
+        return "per-round: past the budget or the memo"
+    return "table"
+
+
+def transfer_run(cfg, matrix, seed, session=HostSession):
+    """Run one seeded transfer; returns its log, result, tag state and streams."""
     tag = Tag(write_fault_prob=cfg.write_fault_prob, fault_seed=seed + 3,
               start_in_bootloader=cfg.bootloader)
     channel, power = ChannelModel(seed), PowerModel(seed + 2)
-    result = HostSession(cfg, matrix).run(tag, channel, power)
+    result = session(cfg, matrix).run(tag, channel, power)
     return ((result.log.rounds, result.log.kind_ids, result.log.kinds), replace(result, log=None),
             (tag.fram.read(0, FRAM_SIZE), bytes(tag._written), tag.epc, tag.mode, tag.powered,
-             tag._fault_rng.getstate()), channel.rng.getstate(),
-            (power.rng.getstate(), power._outage_left))
+             tag._addr_high, tag._addr_low, tag._crc_high, tag._fault_rng.getstate()),
+            channel.rng.getstate(), (power.rng.getstate(), power._outage_left))
+
+
+def example_config(text, seed, period=None):
+    """An ``@example`` of a config file's text on the 520-byte image.  ``period``
+    is the cycle its profile must have; a table one must be outlasted."""
+    return example((parse_config_text(text), small_image(), seed), period)
+
+
+def placement_example(speed, seconds, period, seed):
+    return example_config(f"bootloader = true\ndistance = oscillate\nspeed_m_per_s = {speed}\n"
+                          f"max_sim_seconds = {seconds}\n", seed, period)
 
 
 @settings(max_examples=200, deadline=None)
-@given(static_runs())
-def test_batched_stale_repeats_match_the_round_by_round_run(case):
-    # The batch draws every round from the channel stream and each later
-    # round's power step from the power stream, and ends every frame as ticks
-    # one by one would: the log, the result, the tag, the channel stream and
-    # the power stream with its pending outage all match a reader that ticks
-    # each round.
-    batched = static_run(*case)
-    with mock.patch.object(host, "Reader", UnbatchedReader):
-        assert static_run(*case) == batched
+@given(round_path_configs(), st.none())
+# A moving tag at 20-90 cm: a whole cycle the run outlasts, a fractional one, a
+# speed of 0, a cycle past a 600-round budget and one past the odds memo.
+@placement_example(0.1, 3600, 840, seed=0)
+@placement_example(0.13, 3600, 0, seed=0)
+@placement_example(0.0, 3600, 1, seed=0)
+@placement_example(0.1, 10, 840, seed=0)
+@placement_example(0.01, 3600, 8400, seed=0)
+# Repeated NACK rows: the golden basic and EX configs, and EX at 50 cm through
+# brown-outs, where no-tag and success NACKs alternate.
+@example_config(REPEAT_NACK_CONFIGS["basic"], seed=1)
+@example_config(REPEAT_NACK_CONFIGS["ex"], seed=1)
+@example_config(REPEAT_NACK_CONFIGS["ex_50cm_brownouts"], seed=1)
+def test_the_round_path_fast_paths_match_the_plain_run(case, period):
+    # Every stream draws, and every row, count and tag state comes out, as in
+    # the plain run: the log, the result, the tag, the channel and fault
+    # streams, and the power stream with its pending outage.
+    batched = []  # the rounds each batch of the run took
+
+    class CountingReader(Reader):
+        def repeat(self, *args):
+            k, last = super().repeat(*args)
+            batched.append(k)
+            return k, last
+
+    with mock.patch.object(host, "Reader", CountingReader):
+        fast = transfer_run(*case)
+    with mock.patch.object(host, "Reader", PlainReader):
+        plain = transfer_run(*case, session=PlainHost)
+    cfg = case[0]
+    branch = placement_branch(cfg)
+    event(branch)
+    event("a batch ran" if any(batched) else "no batch ran")
+    assert fast == plain
+    if period is not None:
+        assert cfg.profile.period == period
+        assert branch != "table" or fast[1].rounds > period  # later cycles put placements back
 
 
 @pytest.mark.usefixtures("one_worker")

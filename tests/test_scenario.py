@@ -4,7 +4,6 @@ import filecmp
 import io
 import math
 import os
-import random
 import re
 import signal
 import subprocess
@@ -20,14 +19,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from crfid_downlink.channel import D_REF_CM, round_odds
-import crfid_downlink.host as host
 import crfid_downlink.scenario as scenario
 from crfid_downlink.cli import main
 from crfid_downlink.host import LogEvent, SessionResult, TransferLog, Variant
 from crfid_downlink.ihex import generate_fixture, parse_file
 from crfid_downlink.metrics import compute_metrics
 from crfid_downlink.protocol import build_ladder
-from crfid_downlink.reader import ROUNDS_PER_SEC, OperationReport, Reader, ReportResult
+from crfid_downlink.reader import ROUNDS_PER_SEC, Reader, ReportResult
 from crfid_downlink.scenario import (
     DistanceProfile,
     RunOutcome,
@@ -48,7 +46,6 @@ from test_pins import (
     csv_digest,
     held,
     readme_key_rows,
-    tag_state_digest,
 )
 
 CONFIG_TEXT = """
@@ -906,80 +903,6 @@ def test_repeated_nack_rows_log_the_report_they_consume(monkeypatch, small_matri
         assert rebuilt.kinds == log.kinds
         assert len(set(log.kinds)) == len(log.kinds)
         assert log.count("nack") > len({k for k in log.kinds if k[0] == "nack"})
-
-
-class CopyingReader(Reader):
-    """A reader that hands back a fresh copy of every report, so none is
-    ever the object the host consumed the round before."""
-
-    def tick(self, now, tag, channel):
-        report = super().tick(now, tag, channel)
-        return None if report is None else OperationReport(report.spec_id, report.result,
-                                                           report.epc)
-
-
-@pytest.mark.parametrize("name", sorted(REPEAT_NACK_CONFIGS))
-def test_a_repeated_report_counts_and_logs_as_a_fresh_equal_one(monkeypatch, tmp_path,
-                                                                 small_matrix, name):
-    # The host consumes a report that is the flight's last NACKed one by its
-    # precomputed counts and kind id; a fresh report with the same fields
-    # must give the same run.
-    cfg = parse_config_text(REPEAT_NACK_CONFIGS[name] + "seed = 1\n")
-    plain = run_scenario(cfg, out_dir=tmp_path / "plain", matrix=small_matrix)
-    monkeypatch.setattr(host, "Reader", CopyingReader)
-    copied = run_scenario(cfg, out_dir=tmp_path / "copied", matrix=small_matrix)
-    assert csv_digest(tmp_path / "copied") == csv_digest(tmp_path / "plain")
-    assert tag_state_digest(copied) == tag_state_digest(plain)
-    for a, b in zip(plain.runs, copied.runs, strict=True):
-        assert (a.tag.epc, a.tag.mode, a.tag.powered) == (b.tag.epc, b.tag.mode, b.tag.powered)
-        ra, rb = a.result, b.result
-        assert (ra.log.rounds, ra.log.kind_ids, ra.log.kinds) == (
-            rb.log.rounds, rb.log.kind_ids, rb.log.kinds)
-        assert replace(ra, log=None) == replace(rb, log=None)
-
-
-# -- no power steps at brownout = 0 --------------------------------------------------
-
-
-@pytest.mark.usefixtures("one_worker")
-@pytest.mark.parametrize("protocol", ["basic", "ex"])
-def test_brownout_zero_leaves_the_power_stream_alone(monkeypatch, tmp_path, small_matrix,
-                                                     protocol):
-    # At brownout = 0 the host never steps the power model.  At 1e-300 the
-    # power stream draws exactly once a round, in the host's step or in a
-    # batch's draw ahead, and no round browns out: the same CSVs.
-    built = []
-
-    class RecordingPower(scenario.PowerModel):
-        def __init__(self, seed):
-            super().__init__(seed)
-            self.seeded, self.steps = self.rng.getstate(), 0
-            built.append(self)
-
-        def step(self, brownout_prob):
-            self.steps += 1
-            return super().step(brownout_prob)
-
-    monkeypatch.setattr(scenario, "PowerModel", RecordingPower)
-
-    def run(brownout):
-        built.clear()
-        cfg = parse_config_text(f"protocol = {protocol}\nbrownout = {brownout}\n"
-                                "distance = static\nd_cm = 40\nseed = 4\nrepeats = 3\n")
-        outcome = run_scenario(cfg, out_dir=tmp_path / brownout, matrix=small_matrix)
-        assert len(built) == cfg.repeats
-        return outcome
-
-    run("0")
-    assert all(p.steps == 0 and p.rng.getstate() == p.seeded for p in built)
-    tiny = run("1e-300")
-    for power, r in zip(built, tiny.runs, strict=True):
-        drawn = random.Random()
-        drawn.setstate(power.seeded)
-        for _ in range(r.result.rounds):
-            drawn.random()
-        assert power.rng.getstate() == drawn.getstate() and power._outage_left == 0
-    assert csv_digest(tmp_path / "0") == csv_digest(tmp_path / "1e-300")
 
 
 # -- repeats on every CPU -------------------------------------------------------------

@@ -38,7 +38,7 @@ from crfid_downlink.tag import (
     Tag,
     TagMode,
 )
-from conftest import UnbatchedReader
+from conftest import PlainReader
 
 
 def raw_of(message):
@@ -146,9 +146,9 @@ def handler_calls(clean_run, matrix, config, handler):
 
 def stale_repeat_calls(clean_run, matrix, config, handler):
     """The handler calls of a reader that runs every round on its own and calls
-    the tag (``UnbatchedReader``), the share that left the EPC object, and the
+    the tag (``PlainReader``), the share that left the EPC object, and the
     calls of the same run with the reader that batches stale repeats."""
-    with mock.patch.object(host, "Reader", UnbatchedReader):
+    with mock.patch.object(host, "Reader", PlainReader):
         calls, kept = handler_calls(clean_run, matrix, config, handler)
     batched, _ = handler_calls(clean_run, matrix, config, handler)
     return calls, kept / calls, batched
@@ -641,6 +641,7 @@ def test_odd_length_series_honors_length_field():
 def test_power_model_never_browns_out_at_zero():
     pm = PowerModel(seed=3)
     assert all(pm.step(0.0) for _ in range(1000))
+    assert pm.rng.getstate() == PowerModel(seed=3).rng.getstate()  # nothing drawn
 
 
 def test_power_model_outage_fraction_matches_process():
