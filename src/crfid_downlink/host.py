@@ -11,12 +11,9 @@ pair, which a brown-out may have cleared) until the resend budget is exhausted
 and the transfer aborts.  Both go through one transmit point, which completes
 the transfer once the cursor has nothing left to send; with the bootloader on,
 its last flight is the application CRC, which only a tag holding the image
-echoes.  ``run`` keeps only the rounds, reports, timeouts and resend budget; a
-run's counts come from its log.
-
-Each inventory round the session also places the tag at the profile's
-distance and powers it by the configured brown-out probability, or for
-``auto`` by the one that distance implies (see ``HostSession._placement``).
+echoes.  ``run`` keeps only the rounds, reports, timeouts and resend budget, and
+sees the tag only through the reports of the reader, which holds the tag, its
+channel and its power (see ``reader``).  A run's counts come from its log.
 """
 
 from __future__ import annotations
@@ -27,13 +24,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
-from .channel import ODDS_MEMO_SIZE, ChannelModel
 from .crc import crc16_ccitt
 from .ihex import RecordMatrix
 from .protocol import (HDR_CRC_HIGH, HDR_CRC_LOW, HDR_REPROGRAM_INIT, build_basic_messages,
                        build_ex_message, build_ladder, echo, snap_to_ladder, throttle)
-from .reader import ROUNDS_PER_SEC, AccessSpec, OperationReport, Reader, ReportResult
-from .tag import PowerModel, Tag
+from .reader import AccessSpec, OperationReport, Reader, ReportResult
 
 if TYPE_CHECKING:  # scenario imports this module
     from .scenario import ScenarioConfig
@@ -153,9 +148,8 @@ def matrix_crc(matrix: RecordMatrix) -> int:
 def classify_report(expected_epc: bytes, report: OperationReport) -> bool:
     """True (ACK) iff the report's EPC prefix matches the verification data.
 
-    Stale echoes of the previous message and no-tag reports both come back
-    as NACKs; the operation result itself is irrelevant, so a report of an
-    erroneous operation can still embed an ACK.
+    Stale echoes of the previous message and no-tag reports both come back as NACKs;
+    the operation result itself is irrelevant, so an erroneous operation can still ACK.
     """
     return report.epc.startswith(expected_epc)
 
@@ -164,18 +158,14 @@ _INIT = bytes((HDR_REPROGRAM_INIT, 0x00))
 
 
 class HostSession:
-    """One transfer attempt over a reader, tag and channel.
+    """One transfer attempt through a reader.
 
     ``config`` is read as given; ``ScenarioConfig.validate`` checks it.  The
     transfer order lives in ``_flights``, a run's counts in ``TransferLog.totals``.
     """
 
     def __init__(self, config: ScenarioConfig, matrix: RecordMatrix):
-        self.config = config
-        self.matrix = matrix
-
-    # ------------------------------------------------------------------
-    # message cursor
+        self.config, self.matrix = config, matrix
 
     def _flights(self, log: Callable) -> Generator[tuple, tuple[str, int], None]:
         """Every transmission in send order, as ``(raw, row, chunk, S_p, fresh)``.
@@ -247,68 +237,23 @@ class HostSession:
             yield from until_acked(bytes((HDR_CRC_HIGH, crc >> 8)), -1, 1)
             yield from until_acked(bytes((HDR_CRC_LOW, crc & 0xFF)), -1, 2)
 
-    # ------------------------------------------------------------------
-    # main loop
+    def run(self, reader: Reader) -> SessionResult:
+        """Drive the transfer through ``reader`` to completion, failure, or the round budget.
 
-    def _placement(self, channel: ChannelModel,
-                   max_rounds: int) -> Callable[[int], None] | None:
-        """Place the tag for round 0; returns what places it in round k >= 1.
-
-        None means the tag stays: the profile has one distance.  A profile
-        that repeats every ``period`` rounds goes through ``at`` and
-        ``set_distance_cm`` in its first cycle only; each later round puts
-        back the placement its cycle position had.  A cycle longer than the
-        round budget, or than the odds memo (the table would keep its
-        distances alive), is placed every round.
-        """
-        profile = self.config.profile
-        at, place = profile.at, channel.set_distance_cm
-        period = profile.period
-        if period == 1:
-            place(at(0))
-            return None
-        if not period or period > min(max_rounds, ODDS_MEMO_SIZE):
-            return lambda now: place(at(now))
-        placed: list = [None] * period  # by cycle position, filled in the first cycle
-        snapshot, restore = channel.placement, channel.restore
-
-        def place_round(now: int) -> None:
-            if now > period:
-                restore(placed[now % period])
-            else:
-                place(at(now))
-                placed[now % period] = snapshot()
-
-        return place_round
-
-    def run(self, tag: Tag, channel: ChannelModel, power: PowerModel) -> SessionResult:
-        """Drive the transfer to completion, failure, or the round budget.
-
-        Round k places the tag (one with a single distance stays where it was
-        placed before round 0) and steps its power (at brownout = 0 a step
-        draws nothing), consumes the report of round k - 1, puts any message
-        on air, then ticks the reader; round 0 only sends.  For a tag that
-        stays put, the reader runs the rounds that repeat a stale success,
-        Write or series, in one batch that draws each round's power step ahead
-        of it, and the log takes their rows at once: each stream draws, and
-        each row and count comes out, as ticking them one by one would.
+        Round k consumes the report of round k - 1, puts any message on air, then ticks
+        the reader, which runs the round and readies round k + 1; round 0 only sends.
+        For a tag that stays put, the reader runs the rounds that repeat a stale success,
+        Write or series, in one batch, and the log takes their rows at once: each row and
+        count comes out as ticking them one by one would.
         """
         cfg = self.config
-        max_rounds = int(cfg.max_sim_seconds * ROUNDS_PER_SEC)
-        reader = Reader()
+        max_rounds, n_threshold = reader.max_rounds, cfg.n_threshold
         tick, repeat = reader.tick, reader.repeat
         transfer_log = TransferLog()  # this run's rows only: its counts are folded from them
         log = transfer_log._appender()
         log_round, log_kind = transfer_log.rounds.append, transfer_log.kind_ids.append
         log_rounds, log_kinds = transfer_log.rounds.extend, transfer_log.kind_ids.extend
-        place_round = self._placement(channel, max_rounds)
-        step = power.step
-        set_powered = tag.set_powered
-        p = cfg.brownout
-        powered = True  # the tag's power as the host last set it
-        set_powered(powered)  # the tag is powered in round 0
-        # A tag that stays put takes the rounds that repeat a stale success in batches.
-        batching = place_round is None
+        batching = reader.place_round is None  # the reader batches only a tag that stays put
         # Locals: an enum-class lookup costs each NACK.
         no_tag, success = ReportResult.NO_TAG_SEEN, ReportResult.SUCCESS
 
@@ -336,16 +281,11 @@ class HostSession:
                 nack_report = None  # the report its last NACK row consumed
                 outcome = ""
             if now > ticked:  # round 0 only stages the first message; a batch ticks its own
-                report = tick(now, tag, channel)
+                report = tick(now)
             if now >= max_rounds:
                 failure = "round budget exhausted"
                 break
-            now += 1  # the next round places the tag, then powers it
-            if place_round:
-                place_round(now)
-            if (on := step(channel.brownout if p is None else p)) is not powered:
-                powered = on  # only a flip changes the tag
-                set_powered(powered)
+            now += 1
 
             # Consume the previous round's report; a round without a timeout ends in ``continue``.
             if report is None:
@@ -354,17 +294,18 @@ class HostSession:
                     continue
             else:
                 silent = 0
-                result = report.result  # logged as ``_value_``: ``.value`` is a Python-level call
                 if report is nack_report:  # the last NACKed report again: the same kind
                     log_round(now)
                     log_kind(nack_kind)
+                # A result is logged as ``_value_``: ``.value`` is a Python-level call.
                 elif classify_report(expected, report):
-                    log(now, ("ack", row, chunk, s_p, result._value_, report.epc))
+                    log(now, ("ack", row, chunk, s_p, report.result._value_, report.epc))
                     if fresh:  # an address pair put back spends the byte's budget
                         r_count = 0
                     outcome = "ack"
                     continue
                 else:
+                    result = report.result
                     nack_report, nack_lost = report, result is no_tag
                     nack_kind = log(now, ("nack", row, chunk, s_p, result._value_, report.epc))
                     if batching and result is success and report.spec_id != sent:
@@ -373,8 +314,7 @@ class HostSession:
                         # the last are NACK rows of its kind, and the next round consumes
                         # the last one's report.  A success of the spec on air never
                         # repeats: its EPC would be the echo of the spec, an ACK.
-                        k, last = repeat(now, min(cfg.n_threshold - 1 - nacks, max_rounds - now),
-                                         tag, channel, power, channel.brownout if p is None else p)
+                        k, last = repeat(now, min(n_threshold - 1 - nacks, max_rounds - now))
                         if k:
                             log_rounds(range(now + 1, now + k))
                             log_kinds(array("I", (nack_kind,)) * (k - 1))
@@ -383,7 +323,7 @@ class HostSession:
                             report = last
                 no_tags += nack_lost
                 nacks += 1
-                if nacks < cfg.n_threshold:
+                if nacks < n_threshold:
                     continue
             outcome = "lost" if silent >= STALL_TICKS or 2 * no_tags > nacks else "error"
             log(now, ("timeout", row, chunk, s_p, outcome, b""))

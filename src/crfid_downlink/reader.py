@@ -13,15 +13,24 @@ the tail of the old frame floods the next message frame with stale
 reports.  A grace bound keeps blocked frames from running forever.
 Those stale rounds, Writes or series, change nothing on the tag, so while its
 distance holds still, ``Reader.repeat`` runs a string of them in one call.
+
+The reader also holds the tag's world: after each round within the budget it
+places the tag at the profile's distance (``Reader._placement``) and powers it
+by the configured brown-out probability, or for ``auto`` by that distance's.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from .channel import SERIES_SLOTS, ChannelModel, Delivery
+from .channel import ODDS_MEMO_SIZE, SERIES_SLOTS, ChannelModel, Delivery
 from .protocol import EPC_LENGTH
 from .tag import PowerModel, Tag
+
+if TYPE_CHECKING:  # scenario imports this module
+    from .scenario import DistanceProfile
 
 MAX_WORD_COUNT = SERIES_SLOTS  # reader hardware ceiling, which the channel's odds cover
 
@@ -83,10 +92,10 @@ class AccessSpec:
 class _Drawn:
     """A channel whose one command takes an outcome ``ChannelModel.deliver_repeats`` drew."""
 
-    __slots__ = ("outcome",)
+    __slots__ = ("outcome", "brownout")  # and the brown-out odds of the channel that drew it
 
-    def __init__(self, outcome):
-        self.outcome = outcome
+    def __init__(self, outcome, brownout: float):
+        self.outcome, self.brownout = outcome, brownout
 
     def deliver_word(self, *_):
         return self.outcome
@@ -97,13 +106,12 @@ class _Drawn:
 class _RunningSpec:
     """An active spec's operation frame, started in round ``now``.
 
-    The frame ends once ``successes_left`` reaches 0 (the stop trigger at
-    OCV successful operations) or in round ``last_round``: OCV plus
-    ``FRAME_SLACK_ROUNDS`` rounds after its start, a bound that keeps frames
-    from dragging on when operations keep failing mid-series, lowered to
-    ``DELETE_GRACE`` rounds after the first delete request.  Counting rounds
-    by the round number is exact because the reader is ticked or batched in
-    every round while a spec is active, which the host does.
+    The frame ends once ``successes_left`` reaches 0 (the stop trigger at OCV
+    successful operations) or in round ``last_round``: OCV plus ``FRAME_SLACK_ROUNDS``
+    rounds after its start, a bound that keeps frames from dragging on when operations
+    keep failing mid-series, lowered to ``DELETE_GRACE`` rounds after the first delete
+    request.  Counting rounds by the round number is exact because the host ticks or
+    batches the reader in every round while a spec is active.
     """
 
     __slots__ = ("spec", "successes_left", "last_round")
@@ -114,26 +122,69 @@ class _RunningSpec:
 
 
 class Reader:
-    """Single-spec reader driven one round per tick.
+    """Single-spec reader driven one round per tick, over one tag in its world.
 
-    A spec is staged, becomes active once the LLRP pipeline (and the gap
-    after its predecessor's removal) has passed, and is removed at its stop
-    trigger or at the delete grace bound.
+    A spec is staged, becomes active once the LLRP pipeline (and the gap after its
+    predecessor's removal) has passed, and is removed at its stop trigger or at the
+    delete grace bound.  Built, the reader has placed and powered the tag for round 0
+    and entered round 1.  ``brownout`` None is ``auto``; ``max_rounds`` ends the budget.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, tag: Tag, channel: ChannelModel, power: PowerModel,
+                 profile: DistanceProfile, brownout: float | None, max_rounds: int) -> None:
+        self.tag, self.channel, self.power = tag, channel, power
+        self.brownout, self.max_rounds = brownout, max_rounds
         self.active: _RunningSpec | None = None
         self.staged: tuple[AccessSpec, int] | None = None  # (spec, earliest start tick)
         self._removal_tick: int | None = None
         # The last access-round report; the first, with an empty EPC, matches no round.
         self._last = OperationReport(-1, _INVENTORY, b"")
+        self.place_round = self._placement(channel, profile, max_rounds)  # None: the tag stays
+        self._powered = True  # the tag's power as the reader last set it
+        tag.set_powered(True)
+        self._enter(1)
+
+    def _placement(self, channel: ChannelModel, profile: DistanceProfile,
+                   max_rounds: int) -> Callable[[int], None] | None:
+        """Place the tag for round 0; returns what places it in round k >= 1.
+
+        None means the tag stays: the profile has one distance.  A profile that repeats
+        every ``period`` rounds goes through ``at`` and ``set_distance_cm`` in its first
+        cycle only; each later round puts back the placement its cycle position had.  A
+        cycle longer than the round budget, or than the odds memo (the table would keep
+        its distances alive), is placed every round.
+        """
+        at, place, period = profile.at, channel.set_distance_cm, profile.period
+        if period == 1:
+            place(at(0))
+            return None
+        if not period or period > min(max_rounds, ODDS_MEMO_SIZE):
+            return lambda now: place(at(now))
+        placed: list = [None] * period  # by cycle position, filled in the first cycle
+        snapshot, restore = channel.placement, channel.restore
+
+        def place_round(now: int) -> None:
+            if now > period:
+                restore(placed[now % period])
+            else:
+                place(at(now))
+                placed[now % period] = snapshot()
+
+        return place_round
+
+    def _enter(self, now: int) -> None:
+        """Place the tag and step its power for round ``now``, unless it is past the budget."""
+        if now <= self.max_rounds:
+            if self.place_round is not None:
+                self.place_round(now)
+            p = self.channel.brownout if self.brownout is None else self.brownout
+            if (on := self.power.step(p)) is not self._powered:  # a flip changes the tag
+                self._powered = on
+                self.tag.set_powered(on)
 
     def stage(self, spec: AccessSpec, now: int) -> None:
-        """Queue the delete-add-enable train for ``spec``.
-
-        A later stage before activation replaces the pending spec, the way
-        a host rebuilds its command train on resend.
-        """
+        """Queue the delete-add-enable train for ``spec``.  A later stage before activation
+        replaces the pending spec, the way a host rebuilds its command train on resend."""
         self.staged = (spec, now + LLRP_LATENCY_TICKS)
 
     def request_delete(self, now: int) -> None:
@@ -141,12 +192,13 @@ class Reader:
         if self.active is not None:
             self.active.last_round = min(self.active.last_round, now + DELETE_GRACE)
 
-    def tick(self, now: int, tag: Tag, channel: ChannelModel) -> OperationReport | None:
-        """Advance one inventory round; returns the round's report, if any.
+    def tick(self, now: int) -> OperationReport | None:
+        """Run inventory round ``now``, then ``_enter`` the next; returns the round's report.
 
         An access round whose spec id, result and EPC equal the last access
         round's returns that round's report object again.
         """
+        tag, channel = self.tag, self.channel
         run = self.active
         if run is None and self.staged is not None:
             spec, ready = self.staged
@@ -156,60 +208,66 @@ class Reader:
                 run = self.active = _RunningSpec(spec, now)
                 self.staged = None
         if run is None:
-            # With no access spec the reader still inventories; a visible tag
-            # yields a bare EPC report, an invisible one yields nothing.
-            if not tag.powered or channel.rng.random() < channel.miss:
-                return None
-            return OperationReport(0, _INVENTORY, tag.epc)
-        spec = run.spec
-        raw = spec.raw
-        result, epc = _NO_TAG_SEEN, NO_TAG_EPC  # unpowered, or nothing decoded
-        if tag.powered and len(raw) == 2:
-            # Per-command CRC16 catches a corrupted word; the tag stays silent.
-            outcome = channel.deliver_word()
-            if outcome is not _LOST:
-                epc = tag.epc  # the echo the tag backscatters at the round's start
-                if outcome is _CORRUPTED:
-                    result = _ERROR
-                else:
-                    tag.handle_basic_write(raw)
-                    run.successes_left -= 1
-                    result = _SUCCESS
-        elif tag.powered:
-            # BlockWrite: no per-word CRC16, so a corrupted word is written and
-            # replied to; only a lost word (missed preamble, drained slot) ends it.
-            n = len(raw) >> 1
-            replied, corrupted = channel.deliver_series(n)
-            if replied:
-                epc = tag.epc
-                if replied < n:
-                    result = _ERROR
-                else:
-                    tag.series_complete(raw, corrupted)
-                    run.successes_left -= 1
-                    result = _SUCCESS
-        if run.successes_left <= 0 or now >= run.last_round:  # the frame ends
-            self.active = None
-            self._removal_tick = now
-        last = self._last
-        if last.epc == epc and last.result is result and last.spec_id == spec.spec_id:
-            return last
-        self._last = last = OperationReport(spec.spec_id, result, epc)
-        return last
+            # With no access spec the reader still inventories: a visible tag's bare EPC.
+            report = None
+            if tag.powered and not channel.rng.random() < channel.miss:
+                report = OperationReport(0, _INVENTORY, tag.epc)
+        else:
+            spec = run.spec
+            raw = spec.raw
+            result, epc = _NO_TAG_SEEN, NO_TAG_EPC  # unpowered, or nothing decoded
+            if tag.powered and len(raw) == 2:
+                # Per-command CRC16 catches a corrupted word; the tag stays silent.
+                outcome = channel.deliver_word()
+                if outcome is not _LOST:
+                    epc = tag.epc  # the echo the tag backscatters at the round's start
+                    if outcome is _CORRUPTED:
+                        result = _ERROR
+                    else:
+                        tag.handle_basic_write(raw)
+                        run.successes_left -= 1
+                        result = _SUCCESS
+            elif tag.powered:
+                # BlockWrite: no per-word CRC16, so a corrupted word is written and
+                # replied to; only a lost word (missed preamble, drained slot) ends it.
+                n = len(raw) >> 1
+                replied, corrupted = channel.deliver_series(n)
+                if replied:
+                    epc = tag.epc
+                    if replied < n:
+                        result = _ERROR
+                    else:
+                        tag.series_complete(raw, corrupted)
+                        run.successes_left -= 1
+                        result = _SUCCESS
+            if run.successes_left <= 0 or now >= run.last_round:  # the frame ends
+                self.active = None
+                self._removal_tick = now
+            report = self._last
+            if report.epc != epc or report.result is not result or report.spec_id != spec.spec_id:
+                self._last = report = OperationReport(spec.spec_id, result, epc)
+        if now < self.max_rounds:  # ``_enter``, inline: a call would cost each round
+            if self.place_round is not None:
+                place = self.place_round  # called through a local: measured cheaper
+                place(now + 1)
+            p = self.brownout
+            if self.power.step(channel.brownout if p is None else p) is not self._powered:
+                self._powered = powered = not self._powered
+                tag.set_powered(powered)
+        return report
 
-    def repeat(self, now: int, cap: int, tag: Tag, channel: ChannelModel, power: PowerModel,
-               brownout: float) -> tuple[int, OperationReport | None]:
-        """Run the rounds from ``now`` on that repeat the last report, at most ``cap``.
+    def repeat(self, now: int, cap: int) -> tuple[int, OperationReport | None]:
+        """Run the rounds from ``now`` (entered) on that repeat the last report, at most
+        ``cap``, then ``_enter`` the next; returns their number and the last one's report.
 
-        Only a success of the active spec that a powered tag takes as a stale
-        repeat (``Tag.echoes``) repeats.  The channel samples the rounds in one
-        call, each after its step of ``power`` at ``brownout``, never past the
-        round whose frame-end test holds.  A round with a full reply, Write or
-        series, only takes one of the frame's successes left, as ``tick`` would;
-        a last round lost, corrupted or cut short runs through ``tick``.
-        Returns the rounds run and the last one's report, or ``(0, None)``.
+        Only a success of the active spec that a powered tag takes as a stale repeat
+        (``Tag.echoes``) repeats, and only while the tag stays put.  The channel samples
+        the rounds in one call, each after its power step, never past the round whose
+        frame-end test holds.  A round with a full reply, Write or series, only takes one
+        of the frame's successes left, as ``tick`` would; a last round lost, corrupted or
+        cut short runs through ``tick``.  No round repeats: ``(0, None)``.
         """
-        run, last = self.active, self._last
+        run, last, tag, channel = self.active, self._last, self.tag, self.channel
         if (run is None or last.result is not _SUCCESS or not tag.powered
                 or last.spec_id != run.spec.spec_id or last.epc != tag.epc
                 or not tag.echoes(run.spec.raw)):
@@ -219,13 +277,18 @@ class Reader:
         rounds = min(cap, run.successes_left, run.last_round - now + 1)
         if rounds < 1:
             return 0, None
-        k, outcome = channel.deliver_repeats(rounds, len(run.spec.raw) >> 1, power, brownout)
+        p = channel.brownout if self.brownout is None else self.brownout
+        k, outcome = channel.deliver_repeats(rounds, len(run.spec.raw) >> 1, self.power, p)
         now += k - 1  # the last round run
         if outcome is not None:
             run.successes_left -= k - 1
-            return k, self.tick(now, tag, _Drawn(outcome))
+            self.channel = _Drawn(outcome, channel.brownout)
+            last = self.tick(now)
+            self.channel = channel
+            return k, last
         run.successes_left -= k
         if run.successes_left <= 0 or now >= run.last_round:  # ``tick``'s frame end
             self.active = None
             self._removal_tick = now
+        self._enter(now + 1)
         return k, last

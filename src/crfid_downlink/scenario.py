@@ -22,7 +22,7 @@ from .host import HostSession, SessionResult, TransferLog, Variant
 from .ihex import HexFileError, RecordMatrix, parse_file
 from .metrics import SessionMetrics, compute_metrics
 from .protocol import RowTooLong
-from .reader import MAX_WORD_COUNT, ROUNDS_PER_SEC
+from .reader import MAX_WORD_COUNT, ROUNDS_PER_SEC, Reader
 from .tag import PowerModel, Tag
 
 SUMMARY_COLUMNS = ["run", "completed", "t", "m_t", "m_r", "p_r", "mean_S_p", "theta"]
@@ -106,7 +106,7 @@ CONFIG_KEYS = (
     Key("brownout", NUMBER, None, lambda v: 0 <= v <= 1, "in [0, 1]", none="auto"),
     Key("write_fault_prob", NUMBER, 0.0, lambda v: 0 <= v <= 1, "in [0, 1]"),
     Key("dump_fram", BOOL, False),  # write each run's memory image next to its log
-    # The host takes int(max_sim_seconds * ROUNDS_PER_SEC) as its round budget.
+    # A run takes int(max_sim_seconds * ROUNDS_PER_SEC) as its round budget.
     Key("max_sim_seconds", NUMBER, 3600.0, lambda v: 1 <= v * ROUNDS_PER_SEC < math.inf,
         f"between one round and {sys.float_info.max / ROUNDS_PER_SEC:g} s at "
         f"{ROUNDS_PER_SEC} rounds/s"),
@@ -269,14 +269,11 @@ class ScenarioOutcome(NamedTuple):
 def run_single(config: ScenarioConfig, matrix: RecordMatrix, run_index: int) -> RunOutcome:
     """Execute one seeded repetition of the scenario."""
     base = config.seed * 1_000_003 + run_index * 7919
-    tag = Tag(
-        write_fault_prob=config.write_fault_prob,
-        fault_seed=base + 3,
-        start_in_bootloader=config.bootloader,
-        energy_seed=base + 4,
-    )
-    session = HostSession(config, matrix)
-    result = session.run(tag, ChannelModel(seed=base + 1), PowerModel(seed=base + 2))
+    tag = Tag(write_fault_prob=config.write_fault_prob, fault_seed=base + 3,
+              start_in_bootloader=config.bootloader, energy_seed=base + 4)
+    reader = Reader(tag, ChannelModel(seed=base + 1), PowerModel(seed=base + 2), config.profile,
+                    config.brownout, int(config.max_sim_seconds * ROUNDS_PER_SEC))
+    result = HostSession(config, matrix).run(reader)
     return RunOutcome(run_index, result, compute_metrics(result), tag)
 
 

@@ -7,7 +7,7 @@ import crfid_downlink.scenario as scenario
 from crfid_downlink.channel import ChannelModel
 from crfid_downlink.host import HostSession, TransferLog, Variant
 from crfid_downlink.ihex import generate_fixture, parse_file
-from crfid_downlink.reader import OperationReport, Reader
+from crfid_downlink.reader import ROUNDS_PER_SEC, OperationReport, Reader
 from crfid_downlink.scenario import DistanceProfile, ScenarioConfig
 from crfid_downlink.tag import PowerModel, Tag
 
@@ -43,7 +43,15 @@ def small_matrix():
     return small_image()
 
 
-def run_clean(config, matrix, seed=1, cm=20.0, tag=None):
+def run_session(config, matrix, tag, channel, power, reader=Reader):
+    """Run ``config`` once through a ``reader`` (a class) over ``tag``, ``channel``
+    and ``power``, built as ``scenario.run_single`` builds it."""
+    budget = int(config.max_sim_seconds * ROUNDS_PER_SEC)
+    return HostSession(config, matrix).run(
+        reader(tag, channel, power, config.profile, config.brownout, budget))
+
+
+def run_clean(config, matrix, seed=1, cm=20.0, tag=None, reader=Reader):
     """Run one session with the tag always powered at a fixed ``cm``.
 
     The config is copied with ``brownout = 0`` and a static profile at ``cm``.
@@ -53,37 +61,33 @@ def run_clean(config, matrix, seed=1, cm=20.0, tag=None):
     tag = Tag() if tag is None else tag
     config = copy.copy(config)
     config.brownout, config.profile = 0.0, DistanceProfile(d_cm=cm)
-    result = HostSession(config, matrix).run(tag, ChannelModel(seed=seed), PowerModel(seed=0))
+    result = run_session(config, matrix, tag, ChannelModel(seed=seed), PowerModel(seed=0), reader)
     return result, tag
 
 
-# The plain configuration: ``PlainHost`` over a ``PlainReader`` runs every round
-# of a transfer with every round-path fast path switched off.  A new fast path
-# is switched off here, in the change that adds it.
+# The plain configuration: a ``PlainReader`` runs every round of a transfer
+# with every round-path fast path switched off.  A new fast path is switched
+# off here, in the change that adds it.
 
 
 class PlainReader(Reader):
-    """A reader that runs every round through ``tick``: its batch runs no round,
-    and it hands back a fresh copy of each report, so the host never meets the
-    report it consumed the round before."""
+    """A reader that places the tag through the profile in every round, static
+    tags included, and runs every round through ``tick``: no placement is put
+    back, its batch runs no round, and it hands back a fresh copy of each
+    report, so the host never meets the report it consumed the round before."""
+
+    def _placement(self, channel, profile, max_rounds):
+        at, place = profile.at, channel.set_distance_cm
+        place(at(0))
+        return lambda now: place(at(now))
 
     def repeat(self, *args):
         return 0, None
 
-    def tick(self, now, tag, channel):
-        report = super().tick(now, tag, channel)
+    def tick(self, now):
+        report = super().tick(now)
         return None if report is None else OperationReport(report.spec_id, report.result,
                                                            report.epc)
-
-
-class PlainHost(HostSession):
-    """A host that places the tag through the profile in every round, static
-    tags included: no placement is put back, and no stale repeat is batched."""
-
-    def _placement(self, channel, max_rounds):
-        at, place = self.config.profile.at, channel.set_distance_cm
-        place(at(0))
-        return lambda now: place(at(now))
 
 
 @pytest.fixture()

@@ -1,7 +1,9 @@
+import ast
 import gc
+import inspect
 import tracemalloc
 from dataclasses import replace
-from unittest import mock
+from pathlib import Path
 
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
@@ -18,11 +20,31 @@ from crfid_downlink.reader import ROUNDS_PER_SEC, OperationReport, Reader, Repor
 from crfid_downlink.scenario import (DistanceProfile, ScenarioConfig, ScenarioError,
                                      parse_config_text, run_scenario)
 from crfid_downlink.tag import FRAM_SIZE, PowerModel, Tag, TagMode
-from conftest import PlainHost, PlainReader, small_image
+from conftest import PlainReader, run_session, small_image
 from test_pins import GOLDEN_CONFIGS, session_counts
 from test_scenario import HOST_EVENTS, REPEAT_NACK_CONFIGS, log_events
 
 GOLDEN_FILE = ":02AADD00BBCCF0\n:00000001FF\n"
+
+
+# -- the boundary with the reader -------------------------------------------------
+
+
+def test_the_host_sees_the_tag_only_through_the_reader():
+    # The host protocol imports neither the tag nor the channel, and a run takes the reader alone.
+    imported = set()
+    for node in ast.walk(ast.parse(Path(host.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "crfid_downlink" + (f".{module}" if module else "")
+            imported.update({module, *(f"{module}.{alias.name}" for alias in node.names)})
+    world = {"crfid_downlink.tag", "crfid_downlink.channel"}  # a module, or a name from it
+    assert "crfid_downlink.reader" in imported
+    assert not {name for name in imported if name in world or name.rpartition(".")[0] in world}
+    assert list(inspect.signature(HostSession.run).parameters) == ["self", "reader"]
 
 
 # -- classification -----------------------------------------------------------
@@ -613,10 +635,11 @@ def test_budget_ending_on_a_timeout_still_resends(clean_run, protocol, bootloade
 
 # -- the round-path fast paths against the plain run -------------------------------
 #
-# ``HostSession.run`` takes a static tag's stale repeats in batches, puts a
-# moving tag's placements back from a per-cycle table and reuses a repeated
-# report by identity.  ``PlainHost`` over a ``PlainReader`` does none of that,
-# so each generated config must give the same run both ways.
+# The reader takes a static tag's stale repeats in batches, puts a moving
+# tag's placements back from a per-cycle table and reuses a repeated report by
+# identity.  A ``PlainReader`` does none of that, so each generated config must
+# give the same run both ways.  Each run must also keep its claim: a completed
+# run's tag holds the image and, with the bootloader, runs it.
 
 
 # Oscillations between the default 20 and 90 cm: cycles of 840 and 20 rounds, a
@@ -631,7 +654,7 @@ def round_path_configs(draw):
     probability up to 0.3 or the distance's own (``auto``), an OCV up to the
     NACK threshold (above 28 too, where the delete grace bound ends frames),
     budgets that may cut a run or a batch short, and a static tag or an
-    oscillating one, on any branch of ``HostSession._placement``."""
+    oscillating one, on any branch of ``Reader._placement``."""
     payload = draw(st.binary(min_size=1, max_size=64))
     matrix = parse_file(generate_fixture(payload, record_width=draw(st.integers(1, 33))))
     protocol = draw(st.sampled_from(Variant))
@@ -652,7 +675,7 @@ def round_path_configs(draw):
 
 
 def placement_branch(cfg) -> str:
-    """The branch of ``HostSession._placement`` that ``cfg`` takes."""
+    """The branch of ``Reader._placement`` that ``cfg`` takes."""
     period = cfg.profile.period
     if period == 1:
         return "static"
@@ -663,16 +686,32 @@ def placement_branch(cfg) -> str:
     return "table"
 
 
-def transfer_run(cfg, matrix, seed, session=HostSession):
-    """Run one seeded transfer; returns its log, result, tag state and streams."""
+def transfer_run(cfg, matrix, seed, reader=Reader):
+    """Run one seeded transfer through a ``reader`` class; returns its log, result,
+    tag state and streams, and the tag."""
     tag = Tag(write_fault_prob=cfg.write_fault_prob, fault_seed=seed + 3,
               start_in_bootloader=cfg.bootloader)
     channel, power = ChannelModel(seed), PowerModel(seed + 2)
-    result = session(cfg, matrix).run(tag, channel, power)
+    result = run_session(cfg, matrix, tag, channel, power, reader)
     return ((result.log.rounds, result.log.kind_ids, result.log.kinds), replace(result, log=None),
             (tag.fram.read(0, FRAM_SIZE), bytes(tag._written), tag.epc, tag.mode, tag.powered,
              tag._addr_high, tag._addr_low, tag._crc_high, tag._fault_rng.getstate()),
-            channel.rng.getstate(), (power.rng.getstate(), power._outage_left))
+            channel.rng.getstate(), (power.rng.getstate(), power._outage_left)), tag
+
+
+def check_run_claim(matrix, result, tag, bootloader):
+    """A completed run's tag holds every image byte; with the bootloader, its
+    application CRC is the image's and it has left reprogram mode (it took the
+    CRC's low byte), and the run says it reached the application."""
+    event("completed" if result.completed else "failed")
+    if not result.completed:
+        return
+    memory = tag.fram.read(0, FRAM_SIZE)
+    assert all(memory[address] == byte for address, byte in matrix.flat_image().items())
+    if bootloader:
+        assert tag.application_crc() == matrix_crc(matrix)
+        assert tag.mode is not TagMode.REPROGRAM
+        assert result.reached_application
 
 
 def example_config(text, seed, period=None):
@@ -712,15 +751,14 @@ def test_the_round_path_fast_paths_match_the_plain_run(case, period):
             batched.append(k)
             return k, last
 
-    with mock.patch.object(host, "Reader", CountingReader):
-        fast = transfer_run(*case)
-    with mock.patch.object(host, "Reader", PlainReader):
-        plain = transfer_run(*case, session=PlainHost)
+    fast, tag = transfer_run(*case, reader=CountingReader)
+    plain, _ = transfer_run(*case, reader=PlainReader)
     cfg = case[0]
     branch = placement_branch(cfg)
     event(branch)
     event("a batch ran" if any(batched) else "no batch ran")
     assert fast == plain
+    check_run_claim(case[1], fast[1], tag, cfg.bootloader)
     if period is not None:
         assert cfg.profile.period == period
         assert branch != "table" or fast[1].rounds > period  # later cycles put placements back
@@ -742,7 +780,7 @@ def test_only_an_earlier_specs_report_is_offered_for_a_batch(monkeypatch, small_
             calls.append((self._last.spec_id, self.on_air))
             return super().repeat(*args)
 
-    monkeypatch.setattr(host, "Reader", RecordingReader)
+    monkeypatch.setattr(scenario, "Reader", RecordingReader)
     run_scenario(parse_config_text(GOLDEN_CONFIGS["batch_basic"] + "seed = 1\n"),
                  matrix=small_matrix)
     assert calls and all(report < on_air for report, on_air in calls)

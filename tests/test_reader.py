@@ -25,7 +25,8 @@ from crfid_downlink.reader import (
     Reader,
     ReportResult,
 )
-from crfid_downlink.tag import Tag
+from crfid_downlink.scenario import DistanceProfile
+from crfid_downlink.tag import PowerModel, Tag
 
 
 class ScriptedChannel:
@@ -38,6 +39,9 @@ class ScriptedChannel:
         self.outcomes = list(outcomes)
         self.miss = miss_probability(0.1)  # an idle inventory round at 20 cm
         self.rng = random.Random(0)
+
+    def set_distance_cm(self, cm):
+        pass  # the tag's one placement, before round 0
 
     def deliver_word(self):
         if self.outcomes:
@@ -63,9 +67,17 @@ def ex_spec(data=bytes([0xBB, 0xCC]), address=0xAADD, spec_id=1, ocv=15):
     return AccessSpec(spec_id=spec_id, raw=msg.raw, ocv=ocv)
 
 
-def run_reader_round(reader, spec, tag, channel, now=0):
+def reader_over(channel, tag=None, d_cm=20.0):
+    """A reader over ``channel`` and ``tag`` (a fresh one by default), the tag
+    static at ``d_cm`` with ``brownout = 0``: the power step after each round
+    draws nothing and leaves the tag's power as the test sets it."""
+    tag = Tag() if tag is None else tag
+    return Reader(tag, channel, PowerModel(0), DistanceProfile(d_cm=d_cm), 0.0, 10**6)
+
+
+def run_reader_round(reader, spec, now=0):
     reader.stage(spec, now - LLRP_LATENCY_TICKS)
-    return reader.tick(now, tag, channel)
+    return reader.tick(now)
 
 
 # -- spec construction --------------------------------------------------------
@@ -83,14 +95,14 @@ def test_write_is_single_word():
     # the tag checksums (this one fails it and sets no register).
     write, blockwrite = b"\xFD\xAA", b"\xFD\xAA\x00\x00"
     for raw, addr_high in ((write, 0xAA), (blockwrite, None)):
-        tag = Tag()
-        report = run_reader_round(Reader(), write_spec(raw), tag, ScriptedChannel([]))
+        reader = reader_over(ScriptedChannel([]))
+        report = run_reader_round(reader, write_spec(raw))
         assert report.result is ReportResult.SUCCESS
-        assert tag._addr_high == addr_high
+        assert reader.tag._addr_high == addr_high
     # A Write's CRC16 keeps a corrupted word from the tag; a BlockWrite replies to it.
     for raw, result in ((write, ReportResult.ERROR), (blockwrite, ReportResult.SUCCESS)):
-        channel = ScriptedChannel([Delivery.CORRUPTED])
-        assert run_reader_round(Reader(), write_spec(raw), Tag(), channel).result is result
+        reader = reader_over(ScriptedChannel([Delivery.CORRUPTED]))
+        assert run_reader_round(reader, write_spec(raw)).result is result
 
 
 @pytest.mark.parametrize("raw,error,match", [
@@ -122,80 +134,76 @@ def test_report_results_keep_their_order():
 
 
 def test_clean_write_succeeds_and_counts():
-    reader, tag = Reader(), Tag()
-    report = run_reader_round(reader, write_spec(), tag, ScriptedChannel([]))
+    reader = reader_over(ScriptedChannel([]))
+    report = run_reader_round(reader, write_spec())
     assert report.result is ReportResult.SUCCESS
     assert reader.active.successes_left == 14  # of OCV = 15
-    assert tag.epc[:2] == bytes([0xFD, 0xAA])
+    assert reader.tag.epc[:2] == bytes([0xFD, 0xAA])
 
 
 def test_write_lost_reports_no_tag_seen():
-    reader, tag = Reader(), Tag()
-    report = run_reader_round(reader, write_spec(), tag, ScriptedChannel([Delivery.LOST]))
+    reader = reader_over(ScriptedChannel([Delivery.LOST]))
+    report = run_reader_round(reader, write_spec())
     assert report.result is ReportResult.NO_TAG_SEEN
     assert report.epc == bytes(12)
     assert reader.active.successes_left == 15  # OCV
 
 
 def test_write_corrupted_reports_error_without_write():
-    reader, tag = Reader(), Tag()
-    report = run_reader_round(reader, write_spec(), tag, ScriptedChannel([Delivery.CORRUPTED]))
+    reader = reader_over(ScriptedChannel([Delivery.CORRUPTED]))
+    report = run_reader_round(reader, write_spec())
     assert report.result is ReportResult.ERROR
-    assert tag.epc == bytes(12)  # CRC16 caught it, nothing happened
+    assert reader.tag.epc == bytes(12)  # CRC16 caught it, nothing happened
     assert reader.active.successes_left == 15  # OCV
 
 
 def test_unpowered_round_reports_no_tag():
-    reader, tag = Reader(), Tag()
-    tag.set_powered(False)
-    report = run_reader_round(reader, write_spec(), tag, ScriptedChannel([]))
+    reader = reader_over(ScriptedChannel([]))
+    reader.tag.set_powered(False)
+    report = run_reader_round(reader, write_spec())
     assert report.result is ReportResult.NO_TAG_SEEN
 
 
 def test_blockwrite_second_subcommand_lost_is_error():
-    reader, tag = Reader(), Tag()
-    channel = ScriptedChannel([Delivery.DELIVERED, Delivery.LOST])
-    report = run_reader_round(reader, ex_spec(), tag, channel)
+    reader = reader_over(ScriptedChannel([Delivery.DELIVERED, Delivery.LOST]))
+    report = run_reader_round(reader, ex_spec())
     assert report.result is ReportResult.ERROR
     assert reader.active.successes_left == 15  # OCV
-    assert tag.epc == bytes(12)
+    assert reader.tag.epc == bytes(12)
 
 
 def test_blockwrite_first_subcommand_lost_is_no_tag():
-    reader, tag = Reader(), Tag()
-    channel = ScriptedChannel([Delivery.LOST])
-    report = run_reader_round(reader, ex_spec(), tag, channel)
+    reader = reader_over(ScriptedChannel([Delivery.LOST]))
+    report = run_reader_round(reader, ex_spec())
     assert report.result is ReportResult.NO_TAG_SEEN
 
 
 def test_blockwrite_corrupted_word_still_counts_at_reader():
     # No per-word CRC16: the tag replies to a corrupted word, so the reader
     # sees success even though the tag discards the series content.
-    reader, tag = Reader(), Tag()
-    channel = ScriptedChannel([Delivery.DELIVERED, Delivery.CORRUPTED, Delivery.DELIVERED])
-    report = run_reader_round(reader, ex_spec(), tag, channel)
+    reader = reader_over(ScriptedChannel([Delivery.DELIVERED, Delivery.CORRUPTED,
+                                          Delivery.DELIVERED]))
+    report = run_reader_round(reader, ex_spec())
     assert report.result is ReportResult.SUCCESS
     assert reader.active.successes_left == 14  # of OCV = 15
-    assert tag.epc == bytes(12)  # checksum mismatch withheld the echo
-    assert tag.fram.read(0xAADD, 2) == bytes(2)
+    assert reader.tag.epc == bytes(12)  # checksum mismatch withheld the echo
+    assert reader.tag.fram.read(0xAADD, 2) == bytes(2)
 
 
 def test_report_epc_reflects_previous_round():
-    reader, tag = Reader(), Tag()
-    channel = ScriptedChannel([])
+    reader = reader_over(ScriptedChannel([]))
     reader.stage(write_spec(b"\xFD\xAA"), -10)
-    first = reader.tick(0, tag, channel)
-    second = reader.tick(1, tag, channel)
+    first = reader.tick(0)
+    second = reader.tick(1)
     assert first.epc == bytes(12)  # initial EPC, message not yet handled
     assert second.epc[:2] == bytes([0xFD, 0xAA])  # echo of the previous round
 
 
 def test_error_report_still_carries_epc():
-    reader, tag = Reader(), Tag()
-    channel = ScriptedChannel([Delivery.DELIVERED, Delivery.CORRUPTED])
+    reader = reader_over(ScriptedChannel([Delivery.DELIVERED, Delivery.CORRUPTED]))
     reader.stage(write_spec(b"\xFD\xAA"), -10)
-    reader.tick(0, tag, channel)
-    report = reader.tick(1, tag, channel)
+    reader.tick(0)
+    report = reader.tick(1)
     assert report.result is ReportResult.ERROR
     assert report.epc[:2] == bytes([0xFD, 0xAA])
 
@@ -204,12 +212,11 @@ def test_error_report_still_carries_epc():
 
 
 def test_stop_trigger_fires_at_ocv_successes():
-    reader, tag = Reader(), Tag()
-    channel = ScriptedChannel([])
+    reader = reader_over(ScriptedChannel([]))
     reader.stage(write_spec(ocv=5), -10)
     successes = 0
     for now in range(20):
-        report = reader.tick(now, tag, channel)
+        report = reader.tick(now)
         if report is not None and report.result is ReportResult.SUCCESS:
             successes += 1
     assert successes == 5
@@ -218,16 +225,15 @@ def test_stop_trigger_fires_at_ocv_successes():
 def test_delete_grace_bounds_blocked_frames():
     # No success ever, and OCV so high that the OCV + FRAME_SLACK_ROUNDS
     # bound would end the frame 10 rounds later: only the grace bound ends it.
-    reader, tag = Reader(), Tag()
-    tag.set_powered(False)
-    channel = ScriptedChannel([])
+    reader = reader_over(ScriptedChannel([]))
+    reader.tag.set_powered(False)
     reader.stage(write_spec(ocv=40), -10)
-    reader.tick(0, tag, channel)
+    reader.tick(0)
     reader.request_delete(1)
     for now in range(1, 1 + DELETE_GRACE):
-        reader.tick(now, tag, channel)
+        reader.tick(now)
         assert reader.active is not None, now
-    reader.tick(1 + DELETE_GRACE, tag, channel)
+    reader.tick(1 + DELETE_GRACE)
     assert reader.active is None
 
 
@@ -235,23 +241,21 @@ def test_failing_frame_ends_at_the_slack_bound():
     # Every operation fails on a powered tag, and no delete is pending: only
     # the OCV + FRAME_SLACK_ROUNDS bound on total rounds ends the frame.
     ocv = 5
-    reader, tag = Reader(), Tag()
-    channel = ScriptedChannel([Delivery.CORRUPTED] * 20)
+    reader = reader_over(ScriptedChannel([Delivery.CORRUPTED] * 20))
     reader.stage(write_spec(ocv=ocv), -LLRP_LATENCY_TICKS)
     for now in range(ocv + FRAME_SLACK_ROUNDS):
-        assert reader.tick(now, tag, channel).result is ReportResult.ERROR
+        assert reader.tick(now).result is ReportResult.ERROR
         if now < ocv + FRAME_SLACK_ROUNDS - 1:
             assert reader.active is not None, now
     assert reader.active is None
-    assert reader.tick(ocv + FRAME_SLACK_ROUNDS, tag, channel).result is ReportResult.INVENTORY
+    assert reader.tick(ocv + FRAME_SLACK_ROUNDS).result is ReportResult.INVENTORY
 
 
 @pytest.mark.parametrize("stage_at", [1, 2, 3, 4, 8])
 def test_successor_waits_for_latency_and_switch_gap(stage_at):
     # The first spec succeeds every round, so its frame ends at round 4; the
     # host stages the successor before the round's tick.
-    reader, tag = Reader(), Tag()
-    channel = ScriptedChannel([])
+    reader = reader_over(ScriptedChannel([]))
     reader.stage(write_spec(b"\xFD\xAA", spec_id=1, ocv=5), -LLRP_LATENCY_TICKS)
     removal = 4
     first_round = {}
@@ -259,7 +263,7 @@ def test_successor_waits_for_latency_and_switch_gap(stage_at):
         if now == stage_at:
             reader.request_delete(now)
             reader.stage(write_spec(b"\xFE\xBB", spec_id=2), now)
-        report = reader.tick(now, tag, channel)
+        report = reader.tick(now)
         first_round.setdefault(report.spec_id, now)
         if now == removal:
             assert reader.active is None
@@ -271,41 +275,39 @@ def test_successor_waits_for_latency_and_switch_gap(stage_at):
 
 def test_channel_model_drives_reader():
     # End to end with the real channel at close range: everything succeeds.
-    reader, tag = Reader(), Tag()
-    channel = ChannelModel(seed=11)
-    channel.set_distance_cm(20.0)
-    report = run_reader_round(reader, ex_spec(), tag, channel)
+    reader = reader_over(ChannelModel(seed=11), d_cm=20.0)
+    report = run_reader_round(reader, ex_spec())
     assert report.result is ReportResult.SUCCESS
-    assert tag.fram.read(0xAADD, 2) == bytes([0xBB, 0xCC])
+    assert reader.tag.fram.read(0xAADD, 2) == bytes([0xBB, 0xCC])
 
 
 def test_unpowered_round_draws_nothing():
     # An unpowered tag misses every command: no channel or energy draw, for
     # either flavour, and a NO_TAG_SEEN report with the all-zero EPC.
     for spec in (write_spec(), ex_spec()):
-        reader, tag = Reader(), Tag(energy_seed=3)
+        tag, channel = Tag(energy_seed=3), ChannelModel(seed=4)
+        reader = reader_over(channel, tag, d_cm=60.0)
         tag.set_powered(False)
-        channel = ChannelModel(seed=4)
-        channel.set_distance_cm(60.0)
         before = (channel.rng.getstate(), tag.energy_rng.getstate())
-        report = run_reader_round(reader, spec, tag, channel)
+        report = run_reader_round(reader, spec)
         assert report.result is ReportResult.NO_TAG_SEEN
         assert report.epc == NO_TAG_EPC
         assert (channel.rng.getstate(), tag.energy_rng.getstate()) == before
 
 
 def test_a_report_is_returned_again_only_while_every_field_repeats():
-    reader, tag, channel = Reader(), Tag(), ScriptedChannel([])
+    reader = reader_over(ScriptedChannel([]))
+    tag = reader.tag
     tag.set_powered(False)  # each access round: NO_TAG_SEEN with the all-zero EPC
     reader.stage(write_spec(spec_id=1, ocv=1), -LLRP_LATENCY_TICKS)
-    first = [reader.tick(now, tag, channel) for now in range(1 + FRAME_SLACK_ROUNDS)]
+    first = [reader.tick(now) for now in range(1 + FRAME_SLACK_ROUNDS)]
     assert first[0] is first[1] is first[2] and reader.active is None
     reader.stage(write_spec(spec_id=2), 0)
-    assert reader.tick(3, tag, channel) is None  # the switch gap; nothing seen
-    by_id = reader.tick(4, tag, channel)  # a new spec id
+    assert reader.tick(3) is None  # the switch gap; nothing seen
+    by_id = reader.tick(4)  # a new spec id
     tag.set_powered(True)
-    by_result = reader.tick(5, tag, channel)  # SUCCESS; the tag's EPC is still all-zero
-    by_epc, again = reader.tick(6, tag, channel), reader.tick(7, tag, channel)  # the echo
+    by_result = reader.tick(5)  # SUCCESS; the tag's EPC is still all-zero
+    by_epc, again = reader.tick(6), reader.tick(7)  # the echo
     assert [(r.spec_id, r.result, r.epc[:2]) for r in (first[0], by_id, by_result, by_epc)] == [
         (1, ReportResult.NO_TAG_SEEN, b"\0\0"), (2, ReportResult.NO_TAG_SEEN, b"\0\0"),
         (2, ReportResult.SUCCESS, b"\0\0"), (2, ReportResult.SUCCESS, b"\xFD\xAA")]
@@ -318,8 +320,8 @@ def test_a_repeated_report_is_the_same_object_and_never_changes():
     # succeed, fail on a corrupted word, lose the word and find the tag
     # unpowered.  Each report is compared after the last round with the
     # fields it had when it was returned.
-    reader, tag, channel = Reader(), Tag(), ChannelModel(seed=5)
-    channel.set_distance_cm(70.0)
+    reader = reader_over(ChannelModel(seed=5), d_cm=70.0)
+    tag = reader.tag
     power = random.Random(6)
     specs = [write_spec(raw, spec_id) for spec_id, raw in
              enumerate((b"\xFD\x12", b"\xFE\x34", b"\x00\x56", b"\x01\x78"), 1)]
@@ -332,7 +334,7 @@ def test_a_repeated_report_is_the_same_object_and_never_changes():
         for _ in range(40):
             now += 1
             tag.set_powered(power.random() < 0.8)
-            report = reader.tick(now, tag, channel)
+            report = reader.tick(now)
             if report is not None:
                 returned.append((report, (report.spec_id, report.result, report.epc)))
     assert all((r.spec_id, r.result, r.epc) == fields for r, fields in returned)
@@ -406,18 +408,18 @@ series_raw = st.one_of(
 )
 def test_fused_round_matches_per_word_loop(raw, rounds, seed):
     spec = AccessSpec(1, raw, ocv=64)
-    reader = Reader()
-    reader.stage(spec, -LLRP_LATENCY_TICKS)
     fused_tag = Tag(write_fault_prob=0.05, fault_seed=seed, energy_seed=seed + 1)
     ref_tag = Tag(write_fault_prob=0.05, fault_seed=seed, energy_seed=seed + 1)
     energy = fused_tag.energy_rng.getstate()
     channel = ChannelModel(seed)
+    reader = reader_over(channel, fused_tag)
+    reader.stage(spec, -LLRP_LATENCY_TICKS)
     ref_rng = random.Random(seed)
     for now, (d, powered) in enumerate(rounds):
         channel.set_distance_cm(d * D_REF_CM)
         fused_tag.set_powered(powered)
         ref_tag.set_powered(powered)
-        report = reader.tick(now, fused_tag, channel)
+        report = reader.tick(now)
         assert report == reference_blockwrite_round(spec, ref_tag, ref_rng, channel.d)
         assert fused_tag.epc == ref_tag.epc
         assert fused_tag.fram.read(0x0000, 0x10000) == ref_tag.fram.read(0x0000, 0x10000)

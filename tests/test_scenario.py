@@ -864,10 +864,10 @@ def test_repeated_nack_rows_log_the_report_they_consume(monkeypatch, small_matri
     ticks = []  # per reader, in run order: its reports by round
     tick, repeat = Reader.tick, Reader.repeat
 
-    def recording_tick(self, now, tag, channel):
+    def recording_tick(self, now):
         if not ticks or ticks[-1][0] is not self:
             ticks.append((self, {}))
-        report = tick(self, now, tag, channel)
+        report = tick(self, now)
         if report is not None:
             ticks[-1][1][now] = report
         return report

@@ -1,10 +1,8 @@
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from crfid_downlink import host
 from crfid_downlink.channel import (
     D_REF_CM,
     ChannelModel,
@@ -29,6 +27,7 @@ from crfid_downlink.protocol import (
     build_ex_message,
     echo,
 )
+from crfid_downlink.reader import Reader
 from crfid_downlink.scenario import ScenarioConfig
 from crfid_downlink.tag import (
     FRAM_SIZE,
@@ -125,9 +124,9 @@ def test_epc_echoes_read_back_byte():
     assert tag.epc[:2] == bytes([0x00, 0xAB ^ 0xFF])  # echo carries the read-back
 
 
-def handler_calls(clean_run, matrix, config, handler):
-    """Run ``config`` clean; the tag's ``handler`` calls, and those that leave
-    ``tag.epc`` the very same object."""
+def handler_calls(clean_run, matrix, config, handler, reader=Reader):
+    """Run ``config`` clean through a ``reader`` class; the tag's ``handler`` calls,
+    and those that leave ``tag.epc`` the very same object."""
     tag, calls, kept = Tag(), 0, 0
     handle = getattr(tag, handler)
 
@@ -139,7 +138,7 @@ def handler_calls(clean_run, matrix, config, handler):
         kept += tag.epc is epc
 
     setattr(tag, handler, counting)
-    result, _ = clean_run(config, matrix, tag=tag)
+    result, _ = clean_run(config, matrix, tag=tag, reader=reader)
     assert result.completed and calls > 0
     return calls, kept
 
@@ -148,8 +147,7 @@ def stale_repeat_calls(clean_run, matrix, config, handler):
     """The handler calls of a reader that runs every round on its own and calls
     the tag (``PlainReader``), the share that left the EPC object, and the
     calls of the same run with the reader that batches stale repeats."""
-    with mock.patch.object(host, "Reader", PlainReader):
-        calls, kept = handler_calls(clean_run, matrix, config, handler)
+    calls, kept = handler_calls(clean_run, matrix, config, handler, PlainReader)
     batched, _ = handler_calls(clean_run, matrix, config, handler)
     return calls, kept / calls, batched
 
