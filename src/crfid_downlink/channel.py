@@ -25,6 +25,7 @@ import math
 import random
 from array import array
 from bisect import bisect_right
+from collections.abc import Sequence
 from enum import Enum
 from functools import lru_cache
 
@@ -207,37 +208,57 @@ class ChannelModel:
             table = self._tables[n] = series_table(n, self.miss, self.flip, self.survival)
         return SERIES_OUTCOMES[n][bisect_right(table, self.rng.random())]
 
-    def deliver_repeats(self, rounds: int, words: int, power,
-                        brownout: float) -> tuple[int, Delivery | tuple[int, bool] | None]:
+    def deliver_repeats(self, rounds: int, successes: int, words: int, power,
+                        brownout: float) -> tuple[int, Sequence[tuple[int, bool]]]:
         """Sample a ``words``-word command round after round, as ``deliver_word`` or
-        ``deliver_series`` would, for at most ``rounds`` (at least 1) rounds, each
-        after the first once ``power.rng`` drew its power step at ``brownout`` as
-        ``PowerModel.step`` would.  A brown-out starts its outage (``PowerModel.brown_out``)
-        and ends the sampling before its round, a command lost, corrupted or cut short
-        after its own.  Returns the rounds sampled and the last one's outcome, or None
-        for a full reply (a series' corrupted word included), which every earlier one got."""
+        ``deliver_series`` would, until ``successes`` rounds got a full reply (a series'
+        corrupted word included) or ``rounds`` rounds ran, both at least 1.  Each round
+        after the first runs once ``power.rng`` drew its power step at ``brownout`` as
+        ``PowerModel.step`` would; a brown-out starts its outage (``PowerModel.brown_out``)
+        and ends the sampling before its round.  Returns the rounds sampled and, in round
+        order, each one that got no full reply as ``(k, seen)``: its number, from 1, and
+        whether the tag replied at all (a corrupted Write, a series cut short after a reply)."""
         random, draw = self.rng.random, power.rng.random
-        ahead = rounds if brownout > 0 else 1  # a round k < ahead draws the next one's power
+        end = rounds if rounds < successes else successes  # if every round replies in full
+        ahead = end if brownout > 0 else 1  # a round k < ahead draws the next one's power
         if words == 1:
             miss, flip = self.miss, self.flip
-            for k in range(1, rounds + 1):
+            for k in range(1, end + 1):
                 if random() < miss:
-                    return k, _LOST
+                    seen = False
+                    break
                 if random() < flip:
-                    return k, _CORRUPTED
+                    seen = True
+                    break
                 if k < ahead and draw() < brownout:
                     power.brown_out()
+                    return k, ()
+            else:
+                return end, ()
+        else:
+            try:
+                table = self._tables[words]
+            except KeyError:
+                table = self._tables[words] = series_table(words, self.miss, self.flip,
+                                                           self.survival)
+            cut = table[2 * words - 2]  # a draw below it cuts the series short
+            for k in range(1, end + 1):
+                if (u := random()) < cut:
+                    seen = SERIES_OUTCOMES[words][bisect_right(table, u)][0] > 0
                     break
-            return k, None
-        try:
-            table = self._tables[words]
-        except KeyError:
-            table = self._tables[words] = series_table(words, self.miss, self.flip, self.survival)
-        cut = table[2 * words - 2]  # a draw below it cuts the series short
-        for k in range(1, rounds + 1):
-            if (u := random()) < cut:
-                return k, SERIES_OUTCOMES[words][bisect_right(table, u)]
-            if k < ahead and draw() < brownout:
+                if k < ahead and draw() < brownout:
+                    power.brown_out()
+                    return k, ()
+            else:
+                return end, ()
+        # Round k took no success: the rounds after it sample on as a batch of their own,
+        # once round k + 1's power step is drawn here.
+        missed = [(k, seen)]
+        if k < rounds:
+            if brownout > 0 and draw() < brownout:  # round k + 1's power step
                 power.brown_out()
-                break
-        return k, None
+                return k, missed
+            j, later = self.deliver_repeats(rounds - k, successes - k + 1, words, power, brownout)
+            missed += [(k + i, replied) for i, replied in later]
+            k += j
+        return k, missed

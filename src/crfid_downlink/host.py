@@ -63,7 +63,7 @@ class TransferLog:
     __slots__ = ("rounds", "kind_ids", "kinds")
 
     def __init__(self, events: Iterable[LogEvent] = ()):
-        self.rounds = array("q")
+        self.rounds = array("Q")  # unsigned: the array converts each row's round faster
         self.kind_ids = array("I")
         self.kinds: list[tuple] = []
         append = self._appender()
@@ -243,8 +243,9 @@ class HostSession:
         Round k consumes the report of round k - 1, puts any message on air, then ticks
         the reader, which runs the round and readies round k + 1; round 0 only sends.
         For a tag that stays put, the reader runs the rounds that repeat a stale success,
-        Write or series, in one batch, and the log takes their rows at once: each row and
-        count comes out as ticking them one by one would.
+        Write or series, in one batch, lost and corrupted rounds included, and the log
+        takes their rows at once: each row, kind id and count comes out as ticking them
+        one by one would.
         """
         cfg = self.config
         max_rounds, n_threshold = reader.max_rounds, cfg.n_threshold
@@ -310,16 +311,29 @@ class HostSession:
                     nack_kind = log(now, ("nack", row, chunk, s_p, result._value_, report.epc))
                     if batching and result is success and report.spec_id != sent:
                         # The reader runs the rounds from this one on that repeat the
-                        # report, short of the timeout's and the budget's rounds; all but
-                        # the last are NACK rows of its kind, and the next round consumes
-                        # the last one's report.  A success of the spec on air never
-                        # repeats: its EPC would be the echo of the spec, an ACK.
-                        k, last = repeat(now, min(n_threshold - 1 - nacks, max_rounds - now))
+                        # report's command, short of the timeout's and the budget's rounds;
+                        # all but the last are NACK rows, and the next round consumes the
+                        # last one's report.  A success of the spec on air never repeats:
+                        # its EPC would be the echo of the spec, an ACK.  Neither does a
+                        # report of a round with no full reply ACK: its EPC is the stale
+                        # echo or all zeros, which no echo starts (a Write's ends in its
+                        # mark, a BlockWrite's holds its nonzero length).
+                        cap = n_threshold - 1 - nacks  # no ``min``: a call costs each batch
+                        k, last, missed = repeat(now, cap if cap < max_rounds - now
+                                                 else max_rounds - now)
                         if k:
-                            log_rounds(range(now + 1, now + k))
-                            log_kinds(array("I", (nack_kind,)) * (k - 1))
+                            first = now + 1  # the first row of the batch
+                            for r, result, epc in missed:  # in row order, as kinds intern
+                                log_rounds(range(first, r + 1))
+                                log_kinds(array("I", (nack_kind,)) * (r + 1 - first))
+                                log(r + 1, ("nack", row, chunk, s_p, result._value_, epc))
+                                no_tags += result is no_tag
+                                first = r + 2
+                            end = now + k  # the round that consumes the last one's report
+                            log_rounds(range(first, end))
+                            log_kinds(array("I", (nack_kind,)) * (end - first))
                             nacks += k - 1
-                            now = ticked = now + k - 1
+                            now = ticked = end - 1
                             report = last
                 no_tags += nack_lost
                 nacks += 1

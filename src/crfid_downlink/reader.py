@@ -11,21 +11,26 @@ Deleting an active spec is lazy: the reader finishes the operation frame
 first (the stop trigger at OCV successful operations usually ends it), so
 the tail of the old frame floods the next message frame with stale
 reports.  A grace bound keeps blocked frames from running forever.
-Those stale rounds, Writes or series, change nothing on the tag, so while its
-distance holds still, ``Reader.repeat`` runs a string of them in one call.
+Those stale rounds, Writes or series, change nothing on the tag: ``tick`` hands
+a full reply the tag's EPC still echoes (``Tag.echoes``) to no handler, and
+while the tag's distance holds still, ``Reader.repeat`` runs a string of them,
+lost and corrupted rounds included, in one call.
 
 The reader also holds the tag's world: after each round within the budget it
 places the tag at the profile's distance (``Reader._placement``) and powers it
 by the configured brown-out probability, or for ``auto`` by that distance's.
+A tag that moves in a cycle is placed through the profile in its first cycle
+only; ``tick`` then puts back each round's placement from the cycle's table.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from bisect import bisect_right
+from collections.abc import Callable, Sequence
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .channel import ODDS_MEMO_SIZE, SERIES_SLOTS, ChannelModel, Delivery
+from .channel import ODDS_MEMO_SIZE, SERIES_OUTCOMES, SERIES_SLOTS, ChannelModel, Delivery
 from .protocol import EPC_LENGTH
 from .tag import PowerModel, Tag
 
@@ -76,7 +81,7 @@ class AccessSpec:
     receives them.  One word makes the command a Write, more a BlockWrite.
     """
 
-    __slots__ = ("spec_id", "raw", "ocv")
+    __slots__ = ("spec_id", "raw", "ocv", "words")
 
     def __init__(self, spec_id: int, raw: bytes, ocv: int):
         if not isinstance(raw, bytes):
@@ -84,23 +89,9 @@ class AccessSpec:
         size = len(raw)
         if size & 1:
             raise ValueError(f"raw has an odd byte count, {size}: not a whole number of words")
-        if not 1 <= size >> 1 <= MAX_WORD_COUNT:
-            raise ValueError(f"word count {size >> 1} outside 1..{MAX_WORD_COUNT}")
-        self.spec_id, self.raw, self.ocv = spec_id, raw, ocv
-
-
-class _Drawn:
-    """A channel whose one command takes an outcome ``ChannelModel.deliver_repeats`` drew."""
-
-    __slots__ = ("outcome", "brownout")  # and the brown-out odds of the channel that drew it
-
-    def __init__(self, outcome, brownout: float):
-        self.outcome, self.brownout = outcome, brownout
-
-    def deliver_word(self, *_):
-        return self.outcome
-
-    deliver_series = deliver_word
+        if not 1 <= (words := size >> 1) <= MAX_WORD_COUNT:
+            raise ValueError(f"word count {words} outside 1..{MAX_WORD_COUNT}")
+        self.spec_id, self.raw, self.ocv, self.words = spec_id, raw, ocv, words
 
 
 class _RunningSpec:
@@ -139,6 +130,8 @@ class Reader:
         self._removal_tick: int | None = None
         # The last access-round report; the first, with an empty EPC, matches no round.
         self._last = OperationReport(-1, _INVENTORY, b"")
+        self._cycle: list | None = None  # a moving tag's placements by cycle position
+        self._period = 0  # the cycle's length, with ``_cycle``
         self.place_round = self._placement(channel, profile, max_rounds)  # None: the tag stays
         self._powered = True  # the tag's power as the reader last set it
         tag.set_powered(True)
@@ -150,9 +143,10 @@ class Reader:
 
         None means the tag stays: the profile has one distance.  A profile that repeats
         every ``period`` rounds goes through ``at`` and ``set_distance_cm`` in its first
-        cycle only; each later round puts back the placement its cycle position had.  A
-        cycle longer than the round budget, or than the odds memo (the table would keep
-        its distances alive), is placed every round.
+        cycle only, filling ``_cycle``, the placements by cycle position, from which
+        ``tick`` puts back every later round's.  A cycle longer than the round budget, or
+        than the odds memo (the table would keep its distances alive), is placed every
+        round.
         """
         at, place, period = profile.at, channel.set_distance_cm, profile.period
         if period == 1:
@@ -161,14 +155,12 @@ class Reader:
         if not period or period > min(max_rounds, ODDS_MEMO_SIZE):
             return lambda now: place(at(now))
         placed: list = [None] * period  # by cycle position, filled in the first cycle
-        snapshot, restore = channel.placement, channel.restore
+        snapshot = channel.placement
+        self._cycle, self._period = placed, period
 
         def place_round(now: int) -> None:
-            if now > period:
-                restore(placed[now % period])
-            else:
-                place(at(now))
-                placed[now % period] = snapshot()
+            place(at(now))
+            placed[now % period] = snapshot()
 
         return place_round
 
@@ -196,7 +188,10 @@ class Reader:
         """Run inventory round ``now``, then ``_enter`` the next; returns the round's report.
 
         An access round whose spec id, result and EPC equal the last access
-        round's returns that round's report object again.
+        round's returns that round's report object again.  Past a cycle's first
+        placements the next round's comes from ``_cycle``, and a full reply the tag
+        takes as a stale repeat (``Tag.echoes``) reaches no handler: such a round of a
+        series calls nothing but the power step.
         """
         tag, channel = self.tag, self.channel
         run = self.active
@@ -214,9 +209,9 @@ class Reader:
                 report = OperationReport(0, _INVENTORY, tag.epc)
         else:
             spec = run.spec
-            raw = spec.raw
+            raw, n = spec.raw, spec.words
             result, epc = _NO_TAG_SEEN, NO_TAG_EPC  # unpowered, or nothing decoded
-            if tag.powered and len(raw) == 2:
+            if tag.powered and n == 1:
                 # Per-command CRC16 catches a corrupted word; the tag stays silent.
                 outcome = channel.deliver_word()
                 if outcome is not _LOST:
@@ -224,20 +219,27 @@ class Reader:
                     if outcome is _CORRUPTED:
                         result = _ERROR
                     else:
-                        tag.handle_basic_write(raw)
+                        echoed = tag._echoed  # ``Tag.echoes``, inline
+                        if raw is not echoed[0] or epc is not echoed[1]:
+                            tag.handle_basic_write(raw)
                         run.successes_left -= 1
                         result = _SUCCESS
             elif tag.powered:
                 # BlockWrite: no per-word CRC16, so a corrupted word is written and
                 # replied to; only a lost word (missed preamble, drained slot) ends it.
-                n = len(raw) >> 1
-                replied, corrupted = channel.deliver_series(n)
+                try:  # ``ChannelModel.deliver_series``, inline; a missing table draws nothing
+                    replied, corrupted = SERIES_OUTCOMES[n][bisect_right(channel._tables[n],
+                                                                         channel.rng.random())]
+                except KeyError:  # the first series of its length at this distance
+                    replied, corrupted = channel.deliver_series(n)
                 if replied:
                     epc = tag.epc
                     if replied < n:
                         result = _ERROR
                     else:
-                        tag.series_complete(raw, corrupted)
+                        echoed = tag._echoed  # ``Tag.echoes``, inline
+                        if raw is not echoed[0] or epc is not echoed[1]:
+                            tag.series_complete(raw, corrupted)
                         run.successes_left -= 1
                         result = _SUCCESS
             if run.successes_left <= 0 or now >= run.last_round:  # the frame ends
@@ -248,47 +250,61 @@ class Reader:
                 self._last = report = OperationReport(spec.spec_id, result, epc)
         if now < self.max_rounds:  # ``_enter``, inline: a call would cost each round
             if self.place_round is not None:
-                place = self.place_round  # called through a local: measured cheaper
-                place(now + 1)
+                cycle = self._cycle
+                if cycle is not None and now >= self._period:  # ``ChannelModel.restore``, inline
+                    channel.d, (channel.miss, channel.flip, channel.survival, channel.brownout,
+                                channel._tables) = cycle[(now + 1) % self._period]
+                else:
+                    place = self.place_round  # called through a local: measured cheaper
+                    place(now + 1)
             p = self.brownout
             if self.power.step(channel.brownout if p is None else p) is not self._powered:
                 self._powered = powered = not self._powered
                 tag.set_powered(powered)
         return report
 
-    def repeat(self, now: int, cap: int) -> tuple[int, OperationReport | None]:
-        """Run the rounds from ``now`` (entered) on that repeat the last report, at most
-        ``cap``, then ``_enter`` the next; returns their number and the last one's report.
+    def repeat(self, now: int, cap: int) -> tuple[int, OperationReport | None, Sequence]:
+        """Run the rounds from ``now`` (entered) on that repeat the last report's command,
+        at most ``cap``, then ``_enter`` the next.  Returns their number, the last one's
+        report and, in round order, ``(round, result, epc)`` for each earlier one that got
+        no full reply.
 
         Only a success of the active spec that a powered tag takes as a stale repeat
         (``Tag.echoes``) repeats, and only while the tag stays put.  The channel samples
-        the rounds in one call, each after its power step, never past the round whose
-        frame-end test holds.  A round with a full reply, Write or series, only takes one
-        of the frame's successes left, as ``tick`` would; a last round lost, corrupted or
-        cut short runs through ``tick``.  No round repeats: ``(0, None)``.
+        the rounds in one call, each after its power step, up to the round whose
+        frame-end test holds or the last before a brown-out.  A round lost, corrupted or
+        cut short changes nothing on the tag and takes no success; a full reply, Write
+        or series, only takes one of the frame's successes left, as ``tick`` would.  Only
+        a last round that got no full reply gets a new report.  No round repeats:
+        ``(0, None, ())``.
         """
         run, last, tag, channel = self.active, self._last, self.tag, self.channel
         if (run is None or last.result is not _SUCCESS or not tag.powered
                 or last.spec_id != run.spec.spec_id or last.epc != tag.epc
-                or not tag.echoes(run.spec.raw)):
-            return 0, None
-        # ``tick``'s frame-end test first holds in the round that takes the last success
-        # left or reaches the frame's last round: ``rounds`` from now at the latest.
-        rounds = min(cap, run.successes_left, run.last_round - now + 1)
-        if rounds < 1:
-            return 0, None
+                or run.spec.raw is not tag._echoed[0] or tag.epc is not tag._echoed[1]):
+            return 0, None, ()  # the last two: ``Tag.echoes``, inline
+        rounds = run.last_round - now + 1  # the frame's last round at the latest; no ``min``
+        if cap < rounds:
+            if cap < 1:
+                return 0, None, ()
+            rounds = cap
         p = channel.brownout if self.brownout is None else self.brownout
-        k, outcome = channel.deliver_repeats(rounds, len(run.spec.raw) >> 1, self.power, p)
-        now += k - 1  # the last round run
-        if outcome is not None:
-            run.successes_left -= k - 1
-            self.channel = _Drawn(outcome, channel.brownout)
-            last = self.tick(now)
-            self.channel = channel
-            return k, last
+        k, missed = channel.deliver_repeats(rounds, run.successes_left, run.spec.words,
+                                            self.power, p)
         run.successes_left -= k
+        now += k - 1  # the last round run
+        if missed:
+            run.successes_left += len(missed)  # rounds with no full reply took no success
+            first, rows = now - k, []  # the batch's round j is round ``first + j``
+            for j, seen in missed:  # a lost round has no EPC; a corrupted one, the echo
+                rows.append((first + j, _ERROR, last.epc) if seen
+                            else (first + j, _NO_TAG_SEEN, NO_TAG_EPC))
+            if rows[-1][0] == now:  # only the last round gets a report
+                _, result, epc = rows.pop()
+                last = self._last = OperationReport(last.spec_id, result, epc)
+            missed = rows
         if run.successes_left <= 0 or now >= run.last_round:  # ``tick``'s frame end
             self.active = None
             self._removal_tick = now
         self._enter(now + 1)
-        return k, last
+        return k, last, missed

@@ -146,8 +146,9 @@ class Tag:
     def echoes(self, raw: bytes) -> bool:
         """True when ``raw`` is the message the EPC still echoes, with no commit and
         no EPC change since: both handlers then take it as a stale repeat, which
-        changes nothing.  They inline this test: they run on every delivered
-        round, where a call costs."""
+        changes nothing.  They, ``Reader.tick`` (which then calls neither) and
+        ``Reader.repeat`` inline this test: they run on every delivered round,
+        where a call costs."""
         return raw is self._echoed[0] and self.epc is self._echoed[1]
 
     def handle_basic_write(self, raw: bytes) -> None:

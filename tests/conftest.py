@@ -70,11 +70,30 @@ def run_clean(config, matrix, seed=1, cm=20.0, tag=None, reader=Reader):
 # off here, in the change that adds it.
 
 
+class _EchoesNothing:
+    """A tag as a ``PlainReader`` sees it: the tag itself, but for an echo record
+    (``Tag.echoes``) that matches no message, so every full reply reaches the
+    tag's handler, which makes its own stale-repeat test."""
+
+    __slots__ = ("_tag",)
+    _echoed = (None, None)
+
+    def __init__(self, tag):
+        self._tag = tag
+
+    def __getattr__(self, name):
+        return getattr(self._tag, name)
+
+
 class PlainReader(Reader):
     """A reader that places the tag through the profile in every round, static
     tags included, and runs every round through ``tick``: no placement is put
-    back, its batch runs no round, and it hands back a fresh copy of each
-    report, so the host never meets the report it consumed the round before."""
+    back from a cycle's table, its batch runs no round, every full reply goes to
+    the tag's handler, and it hands back a fresh copy of each report, so the
+    host never meets the report it consumed the round before."""
+
+    def __init__(self, tag, *args):
+        super().__init__(_EchoesNothing(tag), *args)
 
     def _placement(self, channel, profile, max_rounds):
         at, place = profile.at, channel.set_distance_cm
@@ -82,7 +101,7 @@ class PlainReader(Reader):
         return lambda now: place(at(now))
 
     def repeat(self, *args):
-        return 0, None
+        return 0, None, ()
 
     def tick(self, now):
         report = super().tick(now)

@@ -24,6 +24,7 @@ from crfid_downlink.channel import (
     round_odds,
     series_table,
 )
+from crfid_downlink.tag import PowerModel
 
 # Finite positive normalized distances, subnormals and far range included.
 distances = st.floats(min_value=0.0, max_value=1e12, exclude_min=True,
@@ -266,6 +267,55 @@ def test_series_samples_follow_the_table(cm, n):
         assert set(counts) <= set(keys)
         result = chisquare([counts[k] for k in keys], [odds[k] * 20_000 for k in keys])
         assert result.pvalue > 1e-3, (counts, odds)
+
+
+# -- stale-repeat batches ----------------------------------------------------------
+
+
+def repeats_round_by_round(channel, power, rounds, successes, words, p):
+    """``deliver_repeats`` drawn a round at a time: ``PowerModel.step`` before each
+    round after the first, then ``deliver_word`` or ``deliver_series``, until
+    ``successes`` full replies, ``rounds`` rounds or an unpowered round; then the
+    next round's power step, as the reader takes it.  Returns the rounds run, each
+    one with no full reply as ``(k, seen)``, and whether the next round is powered."""
+    k, full, missed = 0, 0, []
+    while k < rounds and full < successes:
+        if k and not power.step(p):
+            return k, missed, False
+        k += 1
+        if words == 1:
+            outcome = channel.deliver_word()
+            replied, seen = outcome is Delivery.DELIVERED, outcome is Delivery.CORRUPTED
+        else:
+            n, _ = channel.deliver_series(words)
+            replied, seen = n == words, n > 0
+        full += replied
+        if not replied:
+            missed.append((k, seen))
+    return k, missed, power.step(p)
+
+
+@pytest.mark.parametrize("words", [1, 4, 16])
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.3])
+def test_a_batch_draws_what_round_by_round_draws_would(words, p):
+    # Lost, corrupted and cut-short rounds inside one batch: the same rounds, the
+    # same rounds with no full reply, and the same channel and power streams.
+    through = Counter()  # rounds with no full reply before a batch's last, by ``seen``
+    for seed in range(40):
+        for cm, rounds, successes in ((90.0, 40, 12), (120.0, 40, 40), (120.0, 5, 3)):
+            batch, reference = ChannelModel(seed), ChannelModel(seed)
+            batch.set_distance_cm(cm)
+            reference.set_distance_cm(cm)
+            power, stepped = PowerModel(seed + 1), PowerModel(seed + 1)
+            k, missed = batch.deliver_repeats(rounds, successes, words, power, p)
+            on = power.step(p)  # the next round's power step, which the reader takes
+            assert (k, list(missed), on) == repeats_round_by_round(reference, stepped, rounds,
+                                                                   successes, words, p)
+            assert batch.rng.getstate() == reference.rng.getstate()
+            assert (power.rng.getstate(), power._outage_left) == (
+                stepped.rng.getstate(), stepped._outage_left)
+            through.update(seen for j, seen in missed if j < k)
+    assert through[True] and through[False]
 
 
 def test_delivery_is_seed_reproducible():

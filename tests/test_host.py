@@ -743,13 +743,19 @@ def test_the_round_path_fast_paths_match_the_plain_run(case, period):
     # Every stream draws, and every row, count and tag state comes out, as in
     # the plain run: the log, the result, the tag, the channel and fault
     # streams, and the power stream with its pending outage.
-    batched = []  # the rounds each batch of the run took
+    batched, through = [], []  # per batch: its rounds, and its rounds with no full reply
+    restored = []  # per tick: whether it put the next placement back from the cycle's table
 
     class CountingReader(Reader):
         def repeat(self, *args):
-            k, last = super().repeat(*args)
+            k, last, missed = super().repeat(*args)
             batched.append(k)
-            return k, last
+            through.append(len(missed))
+            return k, last, missed
+
+        def tick(self, now):
+            restored.append(self._cycle is not None and self._period <= now < self.max_rounds)
+            return super().tick(now)
 
     fast, tag = transfer_run(*case, reader=CountingReader)
     plain, _ = transfer_run(*case, reader=PlainReader)
@@ -757,6 +763,10 @@ def test_the_round_path_fast_paths_match_the_plain_run(case, period):
     branch = placement_branch(cfg)
     event(branch)
     event("a batch ran" if any(batched) else "no batch ran")
+    if any(through):
+        event("a batch ran through a lost or corrupted round")
+    if any(restored):
+        event("a tick restored a placement from the table")
     assert fast == plain
     check_run_claim(case[1], fast[1], tag, cfg.bootloader)
     if period is not None:

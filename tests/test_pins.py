@@ -47,13 +47,13 @@ GOLDEN_CONFIGS = {
              "r_max = 10\nbrownout = 0.3\ndistance = static\nd_cm = 40\n"
              "write_fault_prob = 0.01\nrepeats = 2\n",
     # A static tag that never browns out, where the reader batches stale Write
-    # repeats (``Reader.repeat``).  Batches end on errors, on no-tag rounds and at OCV.
+    # repeats (``Reader.repeat``).  Batches run through errors and no-tag rounds and end at OCV.
     # The static rows above batch too, each round's power step drawn ahead of
     # it: basic, far, long and steps.  In basic and steps brown-outs end batches.
     "batch_basic": "protocol = basic\nbootloader = true\nbrownout = 0\ndistance = static\n"
                    "d_cm = 90\nwrite_fault_prob = 0.01\nrepeats = 2\n",
-    # Its extended twin, whose stale series repeats the reader batches the same way;
-    # a series cut short ends a batch.
+    # Its extended twin, whose stale series repeats the reader batches the same way,
+    # series cut short included.
     "batch_ex": "protocol = ex\ns_p = throttle\nocv = 10\nn_threshold = 10\nbrownout = 0\n"
                 "distance = static\nd_cm = 70\nwrite_fault_prob = 0.01\nrepeats = 2\n",
 }

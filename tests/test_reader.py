@@ -39,6 +39,7 @@ class ScriptedChannel:
         self.outcomes = list(outcomes)
         self.miss = miss_probability(0.1)  # an idle inventory round at 20 cm
         self.rng = random.Random(0)
+        self._tables = {}  # no series table, so ``Reader.tick`` calls ``deliver_series``
 
     def set_distance_cm(self, cm):
         pass  # the tag's one placement, before round 0

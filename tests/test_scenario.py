@@ -25,7 +25,7 @@ from crfid_downlink.host import LogEvent, SessionResult, TransferLog, Variant
 from crfid_downlink.ihex import generate_fixture, parse_file
 from crfid_downlink.metrics import compute_metrics
 from crfid_downlink.protocol import build_ladder
-from crfid_downlink.reader import ROUNDS_PER_SEC, Reader, ReportResult
+from crfid_downlink.reader import ROUNDS_PER_SEC, OperationReport, Reader, ReportResult
 from crfid_downlink.scenario import (
     DistanceProfile,
     RunOutcome,
@@ -873,14 +873,17 @@ def test_repeated_nack_rows_log_the_report_they_consume(monkeypatch, small_matri
         return report
 
     def recording_repeat(self, now, *args):
-        # Each round of a batch but its last repeats the last report; the batch
-        # returns the last one's report.
+        # Each round of a batch but its last repeats the last report, unless the
+        # batch lists it with the result and EPC of a round with no full reply;
+        # the batch returns the last one's report.
         last = self._last
-        k, report = repeat(self, now, *args)
+        k, report, missed = repeat(self, now, *args)
         ticks[-1][1].update(dict.fromkeys(range(now, now + k - 1), last))
+        ticks[-1][1].update((r, OperationReport(last.spec_id, result, epc))
+                            for r, result, epc in missed)
         if k:
             ticks[-1][1][now + k - 1] = report
-        return k, report
+        return k, report, missed
 
     monkeypatch.setattr(Reader, "tick", recording_tick)
     monkeypatch.setattr(Reader, "repeat", recording_repeat)

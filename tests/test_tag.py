@@ -126,29 +126,33 @@ def test_epc_echoes_read_back_byte():
 
 def handler_calls(clean_run, matrix, config, handler, reader=Reader):
     """Run ``config`` clean through a ``reader`` class; the tag's ``handler`` calls,
-    and those that leave ``tag.epc`` the very same object."""
-    tag, calls, kept = Tag(), 0, 0
+    those that leave ``tag.epc`` the very same object, and those handed a stale
+    repeat (``Tag.echoes``)."""
+    tag, calls, kept, stale = Tag(), 0, 0, 0
     handle = getattr(tag, handler)
 
-    def counting(*args):
-        nonlocal calls, kept
+    def counting(raw, *args):
+        nonlocal calls, kept, stale
         epc = tag.epc
-        handle(*args)
+        stale += tag.echoes(raw)
+        handle(raw, *args)
         calls += 1
         kept += tag.epc is epc
 
     setattr(tag, handler, counting)
     result, _ = clean_run(config, matrix, tag=tag, reader=reader)
     assert result.completed and calls > 0
-    return calls, kept
+    return calls, kept, stale
 
 
 def stale_repeat_calls(clean_run, matrix, config, handler):
-    """The handler calls of a reader that runs every round on its own and calls
-    the tag (``PlainReader``), the share that left the EPC object, and the
-    calls of the same run with the reader that batches stale repeats."""
-    calls, kept = handler_calls(clean_run, matrix, config, handler, PlainReader)
-    batched, _ = handler_calls(clean_run, matrix, config, handler)
+    """The handler calls of a reader that runs every round on its own and hands
+    every full reply to the tag (``PlainReader``), the share that left the EPC
+    object, and the calls of the same run with the reader that batches stale
+    repeats and hands none to the tag, of which none may be a stale repeat."""
+    calls, kept, _ = handler_calls(clean_run, matrix, config, handler, PlainReader)
+    batched, _, stale = handler_calls(clean_run, matrix, config, handler)
+    assert stale == 0
     return calls, kept / calls, batched
 
 
@@ -158,8 +162,7 @@ def test_most_single_word_rounds_repeat_the_write_the_epc_echoes(small_matrix, c
     config = ScenarioConfig(protocol=Variant.BASIC)
     calls, share, batched = stale_repeat_calls(clean_run, small_matrix, config, "handle_basic_write")
     assert share >= 0.9
-    # The reader's batches take most of those stale repeats, calling the tag
-    # for their last round only.
+    # The reader's batches and ticks hand none of those stale repeats to the tag.
     assert calls - batched > calls * share / 2
 
 
@@ -168,7 +171,7 @@ def test_most_series_rounds_repeat_the_series_the_epc_echoes(small_matrix, clean
     config = ScenarioConfig(protocol=Variant.EX, s_p=16)
     calls, share, batched = stale_repeat_calls(clean_run, small_matrix, config, "series_complete")
     assert share >= 0.9
-    # Series repeats are batched as Writes are.
+    # Series repeats are batched, and skipped, as Writes are.
     assert calls - batched > calls * share / 2
 
 
@@ -663,7 +666,9 @@ def power_drawn_ahead(seed, p, batch, words, rounds=400):
     while len(on) < rounds:
         on.append(power.step(p))
         if on[-1] and len(on) > 1:
-            k, _ = channel.deliver_repeats(min(batch, rounds - len(on) + 1), words, power, p)
+            cap = min(batch, rounds - len(on) + 1)
+            k, missed = channel.deliver_repeats(cap, cap, words, power, p)
+            assert not missed
             on += [True] * (k - 1)
             if power._outage_left:  # a brown-out drawn ahead of round len(on) + 1
                 bursts.append(power._outage_left)
