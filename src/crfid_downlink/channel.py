@@ -252,7 +252,8 @@ class ChannelModel:
             else:
                 return end, ()
         # Round k took no success: the rounds after it sample on as a batch of their own,
-        # once round k + 1's power step is drawn here.
+        # once round k + 1's power step is drawn here (a call per such round, so at most
+        # ``rounds`` deep; a stale frame lasts at most ``DELETE_GRACE`` + 1 rounds).
         missed = [(k, seen)]
         if k < rounds:
             if brownout > 0 and draw() < brownout:  # round k + 1's power step
