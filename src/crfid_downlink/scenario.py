@@ -3,8 +3,9 @@
 A scenario wires the whole stack together (hex file -> host -> reader ->
 tag -> channel), runs it ``repeats`` times with per-run derived seeds and
 writes one transfer log CSV per run plus a summary CSV.  The repeats run at
-once on every usable CPU, each share in its own forked process.  Identical
-config and seed produce byte-identical outputs, whatever the number of CPUs.
+once on every usable CPU, each share in its own forked process, which also
+writes its own runs' logs.  Identical config and seed produce byte-identical
+outputs, whatever the number of CPUs.
 """
 
 from __future__ import annotations
@@ -284,14 +285,16 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_repeats(config: ScenarioConfig, matrix: RecordMatrix) -> list[RunOutcome]:
-    """Every repeat in run order, in W = min(repeats, usable CPUs) shares at once.
+def _run_repeats(config: ScenarioConfig, matrix: RecordMatrix,
+                 out: Path | None) -> tuple[list[RunOutcome], dict[int, Path]]:
+    """Every repeat in run order, in W = min(repeats, usable CPUs) shares at once, and
+    the logs staged in ``out`` for ``write_artifacts`` to rename into place, by run.
 
-    ``shares.run_shares`` forks a child for each share after the first; a run
-    derives all of its seeds from its index, so the split moves no output.
-    W is 1, and every run is made here, for one repeat, one usable CPU, no
-    ``os.fork``, or other threads running, since a fork copies only the
-    calling thread.
+    ``shares.run_shares`` forks a child for each share after the first, which
+    stages its own runs' logs; a run derives all of its seeds from its index,
+    so the split moves no output.  W is 1, every run is made here and nothing
+    is staged, for one repeat, one usable CPU, no ``os.fork``, or other
+    threads running, since a fork copies only the calling thread.
     """
     def run_share(indices: range) -> list[RunOutcome]:
         return [run_single(config, matrix, i) for i in indices]
@@ -300,15 +303,15 @@ def _run_repeats(config: ScenarioConfig, matrix: RecordMatrix) -> list[RunOutcom
     forks = hasattr(os, "fork") and not (threading and threading.active_count() > 1)
     shares = min(config.repeats, _usable_cpus()) if forks else 1
     if shares == 1:
-        return run_share(range(config.repeats))
+        return run_share(range(config.repeats)), {}
     from .shares import run_shares  # compiled and imported by a forked run only
 
-    return run_shares(run_share, config.repeats, shares)
+    return run_shares(run_share, config.repeats, shares, out)
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
                  matrix: RecordMatrix | None = None) -> ScenarioOutcome:
-    """Run all repeats and optionally write the CSV artifacts."""
+    """Run all repeats and optionally write the CSV artifacts; if a run raises, none."""
     config.validate()
     try:
         if matrix is None:
@@ -319,14 +322,15 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
             raise ScenarioError(f"hex_file {config.hex_file!r} holds no data bytes")
     except (OSError, HexFileError) as exc:  # an unreadable image or a bad record
         raise ScenarioError(f"hex_file {config.hex_file!r}: {exc}") from exc
+    out = None if out_dir is None else Path(out_dir)
     try:
-        runs = _run_repeats(config, matrix)
+        runs, staged = _run_repeats(config, matrix, out)
     except RowTooLong as exc:
         # A row the basic flavour cannot address, raised as the host builds its messages.
         raise ScenarioError(f"hex_file {config.hex_file!r}: {exc}") from exc
     outcome = ScenarioOutcome(runs)
-    if out_dir is not None:
-        write_artifacts(config, outcome, Path(out_dir))
+    if out is not None:
+        write_artifacts(config, outcome, out, staged)
     return outcome
 
 
@@ -351,8 +355,19 @@ def _log_lines(log: TransferLog) -> Iterator[str]:
         yield "".join([f"{r},{texts[k]}" for r, k in zip(rounds[start:end], kind_ids[start:end])])
 
 
-def write_artifacts(config: ScenarioConfig, outcome: ScenarioOutcome, out: Path) -> None:
-    """Write ``summary.csv``, each run's log and the distance trace as plain CSV lines."""
+def _write_log(path: Path, log: TransferLog) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(LOG_COLUMNS) + "\n")
+        fh.writelines(_log_lines(log))
+
+
+def write_artifacts(config: ScenarioConfig, outcome: ScenarioOutcome, out: Path,
+                    staged: dict[int, Path] | None = None) -> None:
+    """Write ``summary.csv``, each run's log and the distance trace as plain CSV lines.
+
+    ``staged`` maps a run to its log, already written in ``out`` under another
+    name by the forked share that ran it; it is renamed into place.
+    """
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "summary.csv", "w", newline="") as fh:
         fh.write(",".join(SUMMARY_COLUMNS) + "\n")
@@ -361,9 +376,11 @@ def write_artifacts(config: ScenarioConfig, outcome: ScenarioOutcome, out: Path)
             fh.write(f"{r.run},{int(r.result.completed)},{_fmt(m.t)},{m.m_t},{m.m_r},"
                      f"{_fmt(m.p_r)},{_fmt(m.mean_s_p)},{_fmt(m.theta)}\n")
     for r in outcome.runs:
-        with open(out / f"run_{r.run:02d}_log.csv", "w", newline="") as fh:
-            fh.write(",".join(LOG_COLUMNS) + "\n")
-            fh.writelines(_log_lines(r.result.log))
+        path = out / f"run_{r.run:02d}_log.csv"
+        if staged and r.run in staged:
+            os.replace(staged[r.run], path)
+        else:
+            _write_log(path, r.result.log)
         if config.dump_fram:
             r.tag.fram.dump(out / f"run_{r.run:02d}_fram.bin")
     longest = max(outcome.runs, key=lambda r: r.result.rounds)

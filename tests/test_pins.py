@@ -283,7 +283,7 @@ def test_reprogram_pin_holds_in_two_shares_and_in_one_process(request, monkeypat
     splits = []
     run_shares = shares.run_shares
     monkeypatch.setattr(shares, "run_shares",
-                        lambda run, n, w: splits.append(w) or run_shares(run, n, w))
+                        lambda run, n, w, out: splits.append(w) or run_shares(run, n, w, out))
     for cpus in (2, 1):
         monkeypatch.setattr(scenario, "_usable_cpus", lambda: cpus)
         run_pin(request, "reprogram.cfg", tmp_path / str(cpus))

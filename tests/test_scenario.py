@@ -979,15 +979,24 @@ class MisbehavingTag(Tag):
     seed * 1_000_003 + i * 7919 + 3, so at seed 1 the fault seed tells the run.
     ``actions`` maps a run to what it does: raise, interrupt, or (only in a
     forked child, never in the test's own process) stall or die by SIGKILL.
+    A "late" raise or interrupt first waits until ``out_dir`` holds two files
+    besides its sentinel: at W = 2, the child's logs of runs 1 and 3.
     """
 
     actions: dict[int, str] = {}
     parent_pid = 0
+    out_dir = Path()
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
         run = (kwargs["fault_seed"] - 1_000_003 - 3) // 7919
         action, forked = self.actions.get(run), os.getpid() != self.parent_pid
+        if action in ("late raise", "late interrupt"):
+            deadline = time.monotonic() + 20
+            while len(list(self.out_dir.iterdir())) < 3:
+                assert time.monotonic() < deadline, "the children wrote no logs"
+                time.sleep(0.01)
+            action = action.split()[1]
         if action == "raise":
             raise RunCrashed(f"run {run} crashed")
         if action == "interrupt":
@@ -998,41 +1007,98 @@ class MisbehavingTag(Tag):
             os.kill(os.getpid(), signal.SIGKILL)
 
 
-def run_misbehaving(monkeypatch, cpus, repeats, actions):
+@pytest.fixture
+def sentinel_dir(tmp_path):
+    """An out_dir holding one file, which a failed run must leave as it found it."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "sentinel").write_text("kept\n")
+    return out
+
+
+def assert_left_as_found(out: Path) -> None:
+    assert_no_child_left()
+    assert [p.name for p in out.iterdir()] == ["sentinel"]
+    assert (out / "sentinel").read_text() == "kept\n"
+
+
+def run_misbehaving(monkeypatch, cpus, repeats, actions, out_dir):
     monkeypatch.setattr(scenario, "Tag", MisbehavingTag)
     monkeypatch.setattr(MisbehavingTag, "actions", actions)
     monkeypatch.setattr(MisbehavingTag, "parent_pid", os.getpid())
+    monkeypatch.setattr(MisbehavingTag, "out_dir", out_dir)
     cfg = ScenarioConfig(seed=1, repeats=repeats, brownout=0.0)
-    return run_in_shares(monkeypatch, cpus, cfg, ONE_ROW)
+    return run_in_shares(monkeypatch, cpus, cfg, ONE_ROW, out_dir)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_a_run_that_raises_surfaces_as_it_does_in_one_process(monkeypatch, cpus):
+def test_a_run_that_raises_surfaces_as_it_does_in_one_process(monkeypatch, sentinel_dir, cpus):
     # Run 1 raises in a child at W = 2 and 3; at W = 3 the parent must also
     # kill the child that stalls in run 2.
     started = time.monotonic()
     with pytest.raises(RunCrashed, match="^run 1 crashed$"):
-        run_misbehaving(monkeypatch, cpus, 3, {1: "raise", 2: "stall"})
-    assert_no_child_left()
+        run_misbehaving(monkeypatch, cpus, 3, {1: "raise", 2: "stall"}, sentinel_dir)
+    assert_left_as_found(sentinel_dir)
     assert time.monotonic() - started < 30
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_an_interrupt_of_the_parent_kills_every_child(monkeypatch, cpus):
+def test_an_interrupt_of_the_parent_kills_every_child(monkeypatch, sentinel_dir, cpus):
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        run_misbehaving(monkeypatch, cpus, 3, {0: "interrupt", 1: "stall", 2: "stall"})
-    assert_no_child_left()
+        run_misbehaving(monkeypatch, cpus, 3, {0: "interrupt", 1: "stall", 2: "stall"},
+                        sentinel_dir)
+    assert_left_as_found(sentinel_dir)
     assert time.monotonic() - started < 30
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork: one share only")
-def test_a_child_killed_by_a_signal_names_its_runs(monkeypatch):
+def test_a_child_killed_by_a_signal_names_its_runs(monkeypatch, sentinel_dir):
     with pytest.raises(ChildProcessError,
                        match=f"^the process running runs 1, 3 was killed by signal "
                              f"{int(signal.SIGKILL)} "):
-        run_misbehaving(monkeypatch, 2, 4, {1: "kill"})
-    assert_no_child_left()
+        run_misbehaving(monkeypatch, 2, 4, {1: "kill"}, sentinel_dir)
+    assert_left_as_found(sentinel_dir)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork: one share only")
+@pytest.mark.parametrize("cpus, actions, raised, within", [
+    # W = 2: run 2 raises or is interrupted in this process once the child has
+    # written the logs of runs 1 and 3.
+    (2, {2: "late raise"}, RunCrashed, ""),
+    (2, {2: "late interrupt"}, KeyboardInterrupt, ""),
+    # W = 3: the child of share 2 raises or dies after the child of share 1
+    # has written run 1's log and sent its run back; the directories that
+    # child made up to an out_dir that did not exist go too.
+    (3, {2: "raise"}, RunCrashed, ""),
+    (3, {2: "kill"}, ChildProcessError, ""),
+    (3, {2: "raise"}, RunCrashed, "new/out"),
+])
+def test_a_failed_run_takes_back_what_the_children_wrote(monkeypatch, sentinel_dir, cpus,
+                                                         actions, raised, within):
+    with pytest.raises(raised):
+        run_misbehaving(monkeypatch, cpus, 4, actions, sentinel_dir / within)
+    assert_left_as_found(sentinel_dir)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork: one share only")
+def test_each_forked_share_renders_its_own_logs(monkeypatch, tmp_path, small_matrix):
+    # At W = 2 this process renders share 0's logs, of runs 0 and 2, and the
+    # child renders those of runs 1 and 3; the files hold W = 1's bytes.
+    rendered = []
+    log_lines = scenario._log_lines
+    monkeypatch.setattr(scenario, "_log_lines", lambda log: rendered.append(log) or log_lines(log))
+    cfg = parse_config_text(GOLDEN_CONFIGS["ex"] + "seed = 1\n")
+    cfg.repeats = 4
+    csvs = {}
+    for cpus, mine in ((2, [0, 2]), (1, [0, 1, 2, 3])):
+        rendered.clear()
+        out = tmp_path / str(cpus)
+        outcome = run_in_shares(monkeypatch, cpus, cfg, small_matrix, out)
+        assert_no_child_left()
+        assert [id(log) for log in rendered] == [id(outcome.runs[i].result.log) for i in mine]
+        csvs[cpus] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert csvs[2] == csvs[1]
 
 
 @pytest.mark.parametrize("repeats, other_thread", [(1, False), (2, True)])
