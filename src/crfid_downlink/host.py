@@ -242,10 +242,11 @@ class HostSession:
 
         Round k consumes the report of round k - 1, puts any message on air, then ticks
         the reader, which runs the round and readies round k + 1; round 0 only sends.
-        For a tag that stays put, the reader runs the rounds that repeat a stale success,
-        Write or series, in one batch, lost and corrupted rounds included, and the log
-        takes their rows at once: each row, kind id and count comes out as ticking them
-        one by one would.
+        When the report a transmission follows is a success the new message does not ACK,
+        the reader, for a tag that stays put, runs the rounds from the transmission on that
+        repeat it, Write or series, in one batch, lost and corrupted rounds and the switch
+        gap's round after the old frame included, and the log takes their rows at once:
+        each row, kind id and count comes out as ticking them one by one would.
         """
         cfg = self.config
         max_rounds, n_threshold = reader.max_rounds, cfg.n_threshold
@@ -254,7 +255,6 @@ class HostSession:
         log = transfer_log._appender()
         log_round, log_kind = transfer_log.rounds.append, transfer_log.kind_ids.append
         log_rounds, log_kinds = transfer_log.rounds.extend, transfer_log.kind_ids.extend
-        batching = reader.place_round is None  # the reader batches only a tag that stays put
         # Locals: an enum-class lookup costs each NACK.
         no_tag, success = ReportResult.NO_TAG_SEEN, ReportResult.SUCCESS
 
@@ -281,6 +281,36 @@ class HostSession:
                 nacks = no_tags = silent = 0  # since the last transmission
                 nack_report = None  # the report its last NACK row consumed
                 outcome = ""
+                if (report is not None and report.result is success
+                        and not classify_report(expected, report)):
+                    # The reader runs the rounds from this one on that repeat the old frame's
+                    # stale success, unless it ACKs this message (an extended echo can start
+                    # with a Write's), with the switch gap's round after the frame, short of
+                    # the timeout's and the budget's rounds; each report but the last is a
+                    # NACK row, and the next round consumes the last.  A report of a round
+                    # with no full reply ACKs nothing: its EPC is the stale echo or all
+                    # zeros, which no echo starts (a Write's ends in its mark, a
+                    # BlockWrite's holds its nonzero length).
+                    cap = max_rounds - now  # no ``min``: a call costs each batch
+                    k, last, missed = repeat(now, n_threshold if n_threshold < cap else cap)
+                    if k:
+                        end, first = now + k, now + 1  # the batch's rows: ``first`` to end - 1
+                        for r, result, epc in (*missed, (end - 1, None, b"")):
+                            if first <= r:  # full rows up to ``r``, in row order as kinds intern
+                                if nack_report is None:  # the first interns the stale kind
+                                    nack_report, nack_lost = report, False
+                                    nack_kind = log(first, ("nack", row, chunk, s_p,
+                                                            success._value_, report.epc))
+                                    first += 1
+                                log_rounds(range(first, r + 1))
+                                log_kinds(array("I", (nack_kind,)) * (r + 1 - first))
+                            if result is not None:
+                                log(r + 1, ("nack", row, chunk, s_p, result._value_, epc))
+                                no_tags += result is no_tag
+                                first = r + 2
+                        nacks = k - 1
+                        now = ticked = end - 1
+                        report = last
             if now > ticked:  # round 0 only stages the first message; a batch ticks its own
                 report = tick(now)
             if now >= max_rounds:
@@ -309,32 +339,6 @@ class HostSession:
                     result = report.result
                     nack_report, nack_lost = report, result is no_tag
                     nack_kind = log(now, ("nack", row, chunk, s_p, result._value_, report.epc))
-                    if batching and result is success and report.spec_id != sent:
-                        # The reader runs the rounds from this one on that repeat the
-                        # report's command, short of the timeout's and the budget's rounds;
-                        # all but the last are NACK rows, and the next round consumes the
-                        # last one's report.  A success of the spec on air never repeats:
-                        # its EPC would be the echo of the spec, an ACK.  Neither does a
-                        # report of a round with no full reply ACK: its EPC is the stale
-                        # echo or all zeros, which no echo starts (a Write's ends in its
-                        # mark, a BlockWrite's holds its nonzero length).
-                        cap = n_threshold - 1 - nacks  # no ``min``: a call costs each batch
-                        k, last, missed = repeat(now, cap if cap < max_rounds - now
-                                                 else max_rounds - now)
-                        if k:
-                            first = now + 1  # the first row of the batch
-                            for r, result, epc in missed:  # in row order, as kinds intern
-                                log_rounds(range(first, r + 1))
-                                log_kinds(array("I", (nack_kind,)) * (r + 1 - first))
-                                log(r + 1, ("nack", row, chunk, s_p, result._value_, epc))
-                                no_tags += result is no_tag
-                                first = r + 2
-                            end = now + k  # the round that consumes the last one's report
-                            log_rounds(range(first, end))
-                            log_kinds(array("I", (nack_kind,)) * (end - first))
-                            nacks += k - 1
-                            now = ticked = end - 1
-                            report = last
                 no_tags += nack_lost
                 nacks += 1
                 if nacks < n_threshold:

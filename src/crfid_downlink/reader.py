@@ -117,8 +117,9 @@ class Reader:
 
     A spec is staged, becomes active once the LLRP pipeline (and the gap after its
     predecessor's removal) has passed, and is removed at its stop trigger or at the
-    delete grace bound.  Built, the reader has placed and powered the tag for round 0
-    and entered round 1.  ``brownout`` None is ``auto``; ``max_rounds`` ends the budget.
+    delete grace bound.  Built, the reader has entered round 1: it has placed the tag
+    (a static one once, for good) and powered it; no tick runs round 0.  ``brownout``
+    None is ``auto``; ``max_rounds`` ends the budget.
     """
 
     def __init__(self, tag: Tag, channel: ChannelModel, power: PowerModel,
@@ -139,9 +140,9 @@ class Reader:
 
     def _placement(self, channel: ChannelModel, profile: DistanceProfile,
                    max_rounds: int) -> Callable[[int], None] | None:
-        """Place the tag for round 0; returns what places it in round k >= 1.
+        """Returns what places the tag in round k >= 1, or None for a tag that stays.
 
-        None means the tag stays: the profile has one distance.  A profile that repeats
+        A profile with one distance is placed here, once: None.  A profile that repeats
         every ``period`` rounds goes through ``at`` and ``set_distance_cm`` in its first
         cycle only, filling ``_cycle``, the placements by cycle position, from which
         ``tick`` puts back every later round's.  A cycle longer than the round budget, or
@@ -274,13 +275,15 @@ class Reader:
         the rounds in one call, each after its power step, up to the round whose
         frame-end test holds or the last before a brown-out.  A round lost, corrupted or
         cut short changes nothing on the tag and takes no success; a full reply, Write
-        or series, only takes one of the frame's successes left, as ``tick`` would.  Only
-        a last round that got no full reply gets a new report.  No round repeats:
-        ``(0, None, ())``.
+        or series, only takes one of the frame's successes left, as ``tick`` would.  A
+        batch that ends the frame short of ``cap`` also runs the switch gap's round, an
+        inventory round as ``tick`` runs it, whose report (or None) is the last one.
+        Otherwise only a last round that got no full reply gets a new report.  No round
+        repeats: ``(0, None, ())``.
         """
         run, last, tag, channel = self.active, self._last, self.tag, self.channel
-        if (run is None or last.result is not _SUCCESS or not tag.powered
-                or last.spec_id != run.spec.spec_id or last.epc != tag.epc
+        if (self.place_round is not None or run is None or last.result is not _SUCCESS
+                or not tag.powered or last.spec_id != run.spec.spec_id or last.epc != tag.epc
                 or run.spec.raw is not tag._echoed[0] or tag.epc is not tag._echoed[1]):
             return 0, None, ()  # the last two: ``Tag.echoes``, inline
         rounds = run.last_round - now + 1  # the frame's last round at the latest; no ``min``
@@ -295,16 +298,21 @@ class Reader:
         now += k - 1  # the last round run
         if missed:
             run.successes_left += len(missed)  # rounds with no full reply took no success
-            first, rows = now - k, []  # the batch's round j is round ``first + j``
-            for j, seen in missed:  # a lost round has no EPC; a corrupted one, the echo
-                rows.append((first + j, _ERROR, last.epc) if seen
-                            else (first + j, _NO_TAG_SEEN, NO_TAG_EPC))
-            if rows[-1][0] == now:  # only the last round gets a report
-                _, result, epc = rows.pop()
+            first = now - k  # the batch's round j is round ``first + j``
+            missed = [(first + j, _ERROR, last.epc) if seen  # a lost round has no EPC
+                      else (first + j, _NO_TAG_SEEN, NO_TAG_EPC) for j, seen in missed]
+            if missed[-1][0] == now:  # a last round with no full reply gets a new report
+                _, result, epc = missed[-1]
                 last = self._last = OperationReport(last.spec_id, result, epc)
-            missed = rows
         if run.successes_left <= 0 or now >= run.last_round:  # ``tick``'s frame end
             self.active = None
             self._removal_tick = now
+            if k < cap:  # the switch gap's round: ``SWITCH_TICKS`` keeps any staged spec out
+                self._enter(now + 1)
+                now, k, last = now + 1, k + 1, None
+                if tag.powered and not channel.rng.random() < channel.miss:
+                    last = OperationReport(0, _INVENTORY, tag.epc)
+        if missed and missed[-1][0] == now:  # only the last round gets a report
+            missed.pop()
         self._enter(now + 1)
         return k, last, missed

@@ -311,7 +311,8 @@ def _run_repeats(config: ScenarioConfig, matrix: RecordMatrix,
 
 def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
                  matrix: RecordMatrix | None = None) -> ScenarioOutcome:
-    """Run all repeats and optionally write the CSV artifacts; if a run raises, none."""
+    """Run all repeats and optionally write the CSV artifacts; if a run raises, none.
+    If the write raises, no staged log stays in ``out_dir``."""
     config.validate()
     try:
         if matrix is None:
@@ -330,7 +331,12 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None,
         raise ScenarioError(f"hex_file {config.hex_file!r}: {exc}") from exc
     outcome = ScenarioOutcome(runs)
     if out is not None:
-        write_artifacts(config, outcome, out, staged)
+        try:
+            write_artifacts(config, outcome, out, staged)
+        except BaseException:  # a full disk, or an interrupt among the renames
+            for path in staged.values():  # a renamed one is gone already
+                path.unlink(missing_ok=True)
+            raise
     return outcome
 
 

@@ -720,6 +720,11 @@ def example_config(text, seed, period=None):
     return example((parse_config_text(text), small_image(), seed), period)
 
 
+# A static tag with short frames, where batches end them and reach the caps.
+SHORT_FRAMES = ("protocol = basic\nbootloader = true\nbrownout = {brownout}\ndistance = static\n"
+                "d_cm = {d_cm}\nocv = {ocv}\nn_threshold = {n_threshold}\n")
+
+
 def placement_example(speed, seconds, period, seed):
     return example_config(f"bootloader = true\ndistance = oscillate\nspeed_m_per_s = {speed}\n"
                           f"max_sim_seconds = {seconds}\n", seed, period)
@@ -739,18 +744,40 @@ def placement_example(speed, seconds, period, seed):
 @example_config(REPEAT_NACK_CONFIGS["basic"], seed=1)
 @example_config(REPEAT_NACK_CONFIGS["ex"], seed=1)
 @example_config(REPEAT_NACK_CONFIGS["ex_50cm_brownouts"], seed=1)
+# The switch gap's round, run by a batch that ends the old frame: with no report
+# after a miss, and after a brown-out drawn for it.
+@example_config(SHORT_FRAMES.format(brownout=0, d_cm=70, ocv=6, n_threshold=8), seed=0)
+@example_config(SHORT_FRAMES.format(brownout=0.05, d_cm=20, ocv=15, n_threshold=20), seed=0)
+# A frame that ends on the NACK timeout's cap, so no batch runs the gap; a resend
+# that follows a stale success; and a budget that ends at the gap round, or
+# just after it, so the batch runs it last.
+@example_config(SHORT_FRAMES.format(brownout=0, d_cm=90, ocv=5, n_threshold=5), seed=1)
+@example_config(SHORT_FRAMES.format(brownout=0, d_cm=90, ocv=10, n_threshold=10), seed=2)
+@example_config(SHORT_FRAMES.format(brownout=0, d_cm=20, ocv=15, n_threshold=20)
+                + "max_sim_seconds = 0.3083\n", seed=0)  # 18 rounds: the gap is round 18
+@example_config(SHORT_FRAMES.format(brownout=0, d_cm=20, ocv=15, n_threshold=20)
+                + "max_sim_seconds = 0.325\n", seed=0)
+# The last chunk's extended echo, FB 02 01 02, starts with the echo of the CRC's
+# high byte Write, FB 02 01: its stale success ACKs that Write, so no batch may
+# run the rounds after the Write's transmission as NACKs.
+@example((parse_config_text("protocol = ex\ns_p = 1\nbootloader = true\nbrownout = 0\n"),
+          parse_file(":040100000000E31DFB\n:00000001FF\n"), 0), None)
 def test_the_round_path_fast_paths_match_the_plain_run(case, period):
     # Every stream draws, and every row, count and tag state comes out, as in
     # the plain run: the log, the result, the tag, the channel and fault
     # streams, and the power stream with its pending outage.
     batched, through = [], []  # per batch: its rounds, and its rounds with no full reply
+    starts, gaps = [], []  # per batch: its first round, and whether it ran the switch gap
     restored = []  # per tick: whether it put the next placement back from the cycle's table
 
     class CountingReader(Reader):
-        def repeat(self, *args):
-            k, last, missed = super().repeat(*args)
+        def repeat(self, now, cap):
+            k, last, missed = super().repeat(now, cap)
             batched.append(k)
             through.append(len(missed))
+            if k:
+                starts.append(now)
+                gaps.append(self.active is None and self._removal_tick == now + k - 2)
             return k, last, missed
 
         def tick(self, now):
@@ -765,6 +792,12 @@ def test_the_round_path_fast_paths_match_the_plain_run(case, period):
     event("a batch ran" if any(batched) else "no batch ran")
     if any(through):
         event("a batch ran through a lost or corrupted round")
+    rounds, kind_ids, kinds = fast[0]
+    sent = {r for r, k in zip(rounds, kind_ids) if kinds[k][0] in ("send", "resend")}
+    if starts and all(now in sent for now in starts):
+        event("a batch started at a transmission")
+    if any(gaps):
+        event("a batch ran the switch gap")
     if any(restored):
         event("a tick restored a placement from the table")
     assert fast == plain
@@ -794,3 +827,36 @@ def test_only_an_earlier_specs_report_is_offered_for_a_batch(monkeypatch, small_
     run_scenario(parse_config_text(GOLDEN_CONFIGS["batch_basic"] + "seed = 1\n"),
                  matrix=small_matrix)
     assert calls and all(report < on_air for report, on_air in calls)
+
+
+# Seed 1, per run: the reader's ticks and the batches that ran at least one round.
+# Every batch starts at a transmission, and one that ends the old frame runs the
+# switch gap's round too, so a lost entry or gap round moves these counts.
+BATCH_COUNTS = {
+    "batch_basic": [(2128, 504), (2139, 503)],
+    "batch_ex": [(1691, 207), (1618, 211)],
+}
+
+
+@pytest.mark.usefixtures("one_worker")
+@pytest.mark.parametrize("name", sorted(BATCH_COUNTS))
+def test_the_batched_golden_configs_tick_and_batch_as_pinned(monkeypatch, small_matrix, name):
+    counts = []  # per reader: [ticks, batches]
+
+    class CountingReader(Reader):
+        def __init__(self, *args):
+            super().__init__(*args)
+            counts.append([0, 0])
+
+        def tick(self, now):
+            counts[-1][0] += 1
+            return super().tick(now)
+
+        def repeat(self, *args):
+            k, last, missed = super().repeat(*args)
+            counts[-1][1] += k > 0
+            return k, last, missed
+
+    monkeypatch.setattr(scenario, "Reader", CountingReader)
+    run_scenario(parse_config_text(GOLDEN_CONFIGS[name] + "seed = 1\n"), matrix=small_matrix)
+    assert [tuple(c) for c in counts] == BATCH_COUNTS[name]

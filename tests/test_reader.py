@@ -274,6 +274,28 @@ def test_successor_waits_for_latency_and_switch_gap(stage_at):
         assert first_round[0] == removal + 1  # inventory rounds fill the gap
 
 
+def test_a_batch_that_runs_the_switch_gap_leaves_the_staged_spec_next():
+    # Every word gets through.  Spec 1 runs from round 1, and round 2's report
+    # carries its echo; spec 2 is staged in round 3, and the batch from there runs
+    # spec 1's last two successes, rounds 3 and 4, and the gap's inventory round
+    # 5, so round 6 starts spec 2.
+    channel = ChannelModel(seed=3)
+    channel.miss = channel.flip = 0.0
+    reader = reader_over(channel)
+    reader.stage(write_spec(b"\xFD\xAA", spec_id=1, ocv=4), 1 - LLRP_LATENCY_TICKS)
+    reader.tick(1)
+    stale = reader.tick(2)
+    reader.request_delete(3)
+    reader.stage(write_spec(b"\xFE\xBB", spec_id=2), 3)
+    k, last, missed = reader.repeat(3, 10)
+    assert k == 3 and not missed
+    assert (last.spec_id, last.result, last.epc) == (0, ReportResult.INVENTORY, stale.epc)
+    assert reader.active is None and reader.staged is not None
+    report = reader.tick(6)
+    assert (report.spec_id, report.result) == (2, ReportResult.SUCCESS)
+    assert reader.active.spec.spec_id == 2
+
+
 def test_channel_model_drives_reader():
     # End to end with the real channel at close range: everything succeeds.
     reader = reader_over(ChannelModel(seed=11), d_cm=20.0)

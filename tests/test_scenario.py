@@ -1082,6 +1082,28 @@ def test_a_failed_run_takes_back_what_the_children_wrote(monkeypatch, sentinel_d
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork: one share only")
+def test_a_failed_write_takes_back_the_staged_logs(monkeypatch, tmp_path, small_matrix):
+    # At W = 2 the child stages the logs of runs 1 and 3.  The parent's write of
+    # run 2's log raises, as a full disk would, after run 1's was renamed into
+    # place: run 3's staged log must go too.
+    parent, write_log = os.getpid(), scenario._write_log
+
+    def failing_write_log(path, log):
+        if os.getpid() == parent and path.name == "run_02_log.csv":
+            raise OSError(28, "No space left on device")
+        write_log(path, log)
+
+    monkeypatch.setattr(scenario, "_write_log", failing_write_log)
+    cfg = parse_config_text(GOLDEN_CONFIGS["ex"] + "seed = 1\n")
+    cfg.repeats = 4
+    with pytest.raises(OSError, match="No space left on device"):
+        run_in_shares(monkeypatch, 2, cfg, small_matrix, tmp_path)
+    assert_no_child_left()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "run_00_log.csv", "run_01_log.csv", "summary.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork: one share only")
 def test_each_forked_share_renders_its_own_logs(monkeypatch, tmp_path, small_matrix):
     # At W = 2 this process renders share 0's logs, of runs 0 and 2, and the
     # child renders those of runs 1 and 3; the files hold W = 1's bytes.
