@@ -200,13 +200,16 @@ class ChannelModel:
         Returns the replies before the first loss and, for a full reply,
         whether any word was corrupted; ``n`` is at most SERIES_SLOTS.  One
         draw from the channel's stream picks the outcome from the placed
-        distance's ``series_table``, filled on its first use.
+        distance's ``series_table``.
         """
-        try:
-            table = self._tables[n]
-        except KeyError:
+        return SERIES_OUTCOMES[n][bisect_right(self._series_table(n), self.rng.random())]
+
+    def _series_table(self, n: int) -> array:
+        """The placed distance's ``series_table`` for ``n`` words, filled on its first use."""
+        table = self._tables.get(n)
+        if table is None:
             table = self._tables[n] = series_table(n, self.miss, self.flip, self.survival)
-        return SERIES_OUTCOMES[n][bisect_right(table, self.rng.random())]
+        return table
 
     def deliver_repeats(self, rounds: int, successes: int, words: int, power,
                         brownout: float) -> tuple[int, Sequence[tuple[int, bool]]]:
@@ -236,11 +239,7 @@ class ChannelModel:
             else:
                 return end, ()
         else:
-            try:
-                table = self._tables[words]
-            except KeyError:
-                table = self._tables[words] = series_table(words, self.miss, self.flip,
-                                                           self.survival)
+            table = self._series_table(words)
             cut = table[2 * words - 2]  # a draw below it cuts the series short
             for k in range(1, end + 1):
                 if (u := random()) < cut:

@@ -242,11 +242,11 @@ class HostSession:
 
         Round k consumes the report of round k - 1, puts any message on air, then ticks
         the reader, which runs the round and readies round k + 1; round 0 only sends.
-        When the report a transmission follows is a success the new message does not ACK,
-        the reader, for a tag that stays put, runs the rounds from the transmission on that
-        repeat it, Write or series, in one batch, lost and corrupted rounds and the switch
-        gap's round after the old frame included, and the log takes their rows at once:
-        each row, kind id and count comes out as ticking them one by one would.
+        When the report a transmission follows does not ACK the new message, the reader
+        runs the rounds from the transmission on that repeat it if it is a static tag's
+        stale success, Write or series, in one batch, lost and corrupted rounds and the
+        switch gap's round after the old frame included, and the log takes their rows at
+        once: each row, kind id and count comes out as ticking them one by one would.
         """
         cfg = self.config
         max_rounds, n_threshold = reader.max_rounds, cfg.n_threshold
@@ -255,8 +255,8 @@ class HostSession:
         log = transfer_log._appender()
         log_round, log_kind = transfer_log.rounds.append, transfer_log.kind_ids.append
         log_rounds, log_kinds = transfer_log.rounds.extend, transfer_log.kind_ids.extend
-        # Locals: an enum-class lookup costs each NACK.
-        no_tag, success = ReportResult.NO_TAG_SEEN, ReportResult.SUCCESS
+        # A local: an enum-class lookup costs each NACK.
+        no_tag = ReportResult.NO_TAG_SEEN
 
         sent = r_count = now = 0  # ``sent`` numbers the access specs
         ticked = 0  # the last round the reader has run
@@ -281,16 +281,15 @@ class HostSession:
                 nacks = no_tags = silent = 0  # since the last transmission
                 nack_report = None  # the report its last NACK row consumed
                 outcome = ""
-                if (report is not None and report.result is success
-                        and not classify_report(expected, report)):
-                    # The reader runs the rounds from this one on that repeat the old frame's
-                    # stale success, unless it ACKs this message (an extended echo can start
-                    # with a Write's), with the switch gap's round after the frame, short of
-                    # the timeout's and the budget's rounds; each report but the last is a
-                    # NACK row, and the next round consumes the last.  A report of a round
-                    # with no full reply ACKs nothing: its EPC is the stale echo or all
-                    # zeros, which no echo starts (a Write's ends in its mark, a
-                    # BlockWrite's holds its nonzero length).
+                if report is not None and not classify_report(expected, report):
+                    # If the report is the old frame's stale success (one that ACKs this
+                    # message, as an extended echo starting with a Write's can, is never
+                    # offered), the reader runs the rounds from this one on that repeat it,
+                    # with the switch gap's round, short of the timeout's and the budget's
+                    # rounds; each report but the last is a NACK row, and the next round
+                    # consumes the last.  A report of a round with no full reply ACKs
+                    # nothing: its EPC is the stale echo or all zeros, which no echo starts
+                    # (a Write's ends in its mark, a BlockWrite's holds its nonzero length).
                     cap = max_rounds - now  # no ``min``: a call costs each batch
                     k, last, missed = repeat(now, n_threshold if n_threshold < cap else cap)
                     if k:
@@ -300,7 +299,7 @@ class HostSession:
                                 if nack_report is None:  # the first interns the stale kind
                                     nack_report, nack_lost = report, False
                                     nack_kind = log(first, ("nack", row, chunk, s_p,
-                                                            success._value_, report.epc))
+                                                            report.result._value_, report.epc))
                                     first += 1
                                 log_rounds(range(first, r + 1))
                                 log_kinds(array("I", (nack_kind,)) * (r + 1 - first))

@@ -8,6 +8,7 @@ message.
 from __future__ import annotations
 
 import math
+from binascii import unhexlify
 from typing import NamedTuple
 
 TYPE_DATA = 0x00
@@ -98,7 +99,7 @@ def parse_record(line: str) -> HexRecord:
     if len(hexpart) % 2 != 0:
         raise MalformedRecord("odd number of hex digits")
     try:
-        raw = bytes.fromhex(hexpart)
+        raw = unhexlify(hexpart)  # unlike ``bytes.fromhex``, skips no whitespace
     except ValueError:
         raise MalformedRecord("non-hex characters in record") from None
     if len(raw) < 5:

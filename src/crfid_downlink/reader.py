@@ -270,21 +270,21 @@ class Reader:
         report and, in round order, ``(round, result, epc)`` for each earlier one that got
         no full reply.
 
-        Only a success of the active spec that a powered tag takes as a stale repeat
-        (``Tag.echoes``) repeats, and only while the tag stays put.  The channel samples
-        the rounds in one call, each after its power step, up to the round whose
-        frame-end test holds or the last before a brown-out.  A round lost, corrupted or
-        cut short changes nothing on the tag and takes no success; a full reply, Write
-        or series, only takes one of the frame's successes left, as ``tick`` would.  A
-        batch that ends the frame short of ``cap`` also runs the switch gap's round, an
-        inventory round as ``tick`` runs it, whose report (or None) is the last one.
-        Otherwise only a last round that got no full reply gets a new report.  No round
+        Only a success (of the active spec: ``tick`` replaces the last report in a spec's
+        first round) that a powered tag takes as a stale repeat (``Tag.echoes``) repeats,
+        and only while the tag stays put.  The channel samples the rounds in one call,
+        each after its power step, up to the round whose frame-end test holds or the last
+        before a brown-out.  A round lost, corrupted or cut short changes nothing on the
+        tag and takes no success; a full reply only takes one of the frame's successes
+        left, as ``tick`` would.  A batch that ends the frame short of ``cap`` also runs
+        the switch gap's round, through ``tick``; its report (or None) is the last one.
+        Otherwise only a last round with no full reply gets a new report.  No round
         repeats: ``(0, None, ())``.
         """
         run, last, tag, channel = self.active, self._last, self.tag, self.channel
         if (self.place_round is not None or run is None or last.result is not _SUCCESS
-                or not tag.powered or last.spec_id != run.spec.spec_id or last.epc != tag.epc
-                or run.spec.raw is not tag._echoed[0] or tag.epc is not tag._echoed[1]):
+                or not tag.powered or last.epc != tag.epc or run.spec.raw is not tag._echoed[0]
+                or tag.epc is not tag._echoed[1]):
             return 0, None, ()  # the last two: ``Tag.echoes``, inline
         rounds = run.last_round - now + 1  # the frame's last round at the latest; no ``min``
         if cap < rounds:
@@ -301,18 +301,14 @@ class Reader:
             first = now - k  # the batch's round j is round ``first + j``
             missed = [(first + j, _ERROR, last.epc) if seen  # a lost round has no EPC
                       else (first + j, _NO_TAG_SEEN, NO_TAG_EPC) for j, seen in missed]
-            if missed[-1][0] == now:  # a last round with no full reply gets a new report
-                _, result, epc = missed[-1]
-                last = self._last = OperationReport(last.spec_id, result, epc)
         if run.successes_left <= 0 or now >= run.last_round:  # ``tick``'s frame end
             self.active = None
             self._removal_tick = now
-            if k < cap:  # the switch gap's round: ``SWITCH_TICKS`` keeps any staged spec out
+            if k < cap:  # the switch gap's round, which enters the one after it
                 self._enter(now + 1)
-                now, k, last = now + 1, k + 1, None
-                if tag.powered and not channel.rng.random() < channel.miss:
-                    last = OperationReport(0, _INVENTORY, tag.epc)
-        if missed and missed[-1][0] == now:  # only the last round gets a report
-            missed.pop()
+                return k + 1, self.tick(now + 1), missed
+        if missed and missed[-1][0] == now:  # a last round with no full reply gets a new report
+            _, result, epc = missed.pop()
+            last = self._last = OperationReport(last.spec_id, result, epc)
         self._enter(now + 1)
         return k, last, missed

@@ -116,7 +116,7 @@ class Tag:
         # The series whose payload the last commit read back intact; any commit
         # and any INIT clear it.
         self._stored: bytes | None = None
-        # The last message whose EPC echoes it, and that EPC object; see handle_basic_write.
+        # The last message whose EPC echoes it, and that EPC object; see ``echoes``.
         self._echoed = (None, None)
         # Volatile reprogram state.
         self._addr_high: int | None = None
@@ -144,17 +144,18 @@ class Tag:
     # -- basic (single-word Write) handling ---------------------------------
 
     def echoes(self, raw: bytes) -> bool:
-        """True when ``raw`` is the message the EPC still echoes, with no commit and
-        no EPC change since: both handlers then take it as a stale repeat, which
-        changes nothing.  They, ``Reader.tick`` (which then calls neither) and
-        ``Reader.repeat`` inline this test: they run on every delivered round,
-        where a call costs."""
+        """The stale-repeat rule's one definition: ``raw`` is the message the EPC still
+        echoes, with no commit and no EPC change since.  A handler given one handles it in
+        full, which changes nothing but the EPC object, for an equal one; ``Reader.tick``
+        (which then calls no handler) and ``Reader.repeat`` inline the test."""
         return raw is self._echoed[0] and self.epc is self._echoed[1]
 
     def handle_basic_write(self, raw: bytes) -> None:
-        """Process one intact Write, header and payload; the EPC echoes header, read-back and mark."""
-        if raw is self._echoed[0] and self.epc is self._echoed[1] or not self.powered:
-            return  # a stale repeat (``echoes``), or no power
+        """Process one intact Write, header and payload; the EPC echoes header, read-back and mark.
+
+        A stale repeat (``echoes``) runs in full: a stored data byte is read, not rewritten."""
+        if not self.powered:
+            return
         header = raw[0]
         if header <= MAX_BASIC_OFFSET:  # a data byte, the common case, is tested first
             if self.mode is not _REPROGRAM or self._addr_high is None or self._addr_low is None:
@@ -205,17 +206,15 @@ class Tag:
     def series_complete(self, raw: bytes, corrupted: bool) -> bool:
         """Take a fully replied series, its words as big-endian ``raw`` bytes.
 
-        A stale repeat of the series the EPC still echoes returns at once, as
-        a Write's does.  Otherwise a series that is ``corrupted`` or fails its
-        checksum is dropped before any memory write, and the memory must read
-        the payload back (not merely its checksum, which two inverted bytes
-        can keep) for the EPC to acknowledge it.  A repeat of the series whose
-        last commit read back intact, with no commit and no INIT since, only
-        sets the EPC: a rewrite could fault bytes the host saw acknowledged.
-        Returns True when the EPC acknowledges the series.
+        A series that is ``corrupted`` or fails its checksum is dropped before
+        any memory write, and the memory must read the payload back (not merely
+        its checksum, which two inverted bytes can keep) for the EPC to
+        acknowledge it.  A repeat of the series whose last commit read back
+        intact, with no commit and no INIT since, only sets the EPC: a rewrite
+        could fault bytes the host saw acknowledged.  So a stale repeat
+        (``echoes``), handled in full, gets an equal echo.  Returns True when
+        the EPC acknowledges the series.
         """
-        if raw is self._echoed[0] and self.epc is self._echoed[1]:  # a stale repeat (``echoes``)
-            return not corrupted
         if not self.powered or corrupted or self.mode is not _REPROGRAM or len(raw) < 4:
             return False
         length = raw[1]

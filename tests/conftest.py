@@ -73,7 +73,8 @@ def run_clean(config, matrix, seed=1, cm=20.0, tag=None, reader=Reader):
 class _EchoesNothing:
     """A tag as a ``PlainReader`` sees it: the tag itself, but for an echo record
     (``Tag.echoes``) that matches no message, so every full reply reaches the
-    tag's handler, which makes its own stale-repeat test."""
+    tag's handler, which handles a stale repeat in full: the reader's skip is
+    checked against the whole tag."""
 
     __slots__ = ("_tag",)
     _echoed = (None, None)
@@ -88,9 +89,10 @@ class _EchoesNothing:
 class PlainReader(Reader):
     """A reader that places the tag through the profile in every round, static
     tags included, and runs every round through ``tick``: no placement is put
-    back from a cycle's table, its batch runs no round, every full reply goes to
-    the tag's handler, and it hands back a fresh copy of each report, so the
-    host never meets the report it consumed the round before."""
+    back from a cycle's table, its batch runs no round, every full reply, stale
+    repeats included, goes to the tag's full handling, and it hands back a fresh
+    copy of each report, so the host never meets the report it consumed the round
+    before."""
 
     def __init__(self, tag, *args):
         super().__init__(_EchoesNothing(tag), *args)

@@ -757,6 +757,10 @@ def placement_example(speed, seconds, period, seed):
                 + "max_sim_seconds = 0.3083\n", seed=0)  # 18 rounds: the gap is round 18
 @example_config(SHORT_FRAMES.format(brownout=0, d_cm=20, ocv=15, n_threshold=20)
                 + "max_sim_seconds = 0.325\n", seed=0)
+# A send in the budget's last round, 105, after a stale success: a batch with no
+# round left to run.
+@example_config(SHORT_FRAMES.format(brownout=0, d_cm=20, ocv=4, n_threshold=6)
+                + "max_sim_seconds = 1.7583333333333333\n", seed=3)
 # The last chunk's extended echo, FB 02 01 02, starts with the echo of the CRC's
 # high byte Write, FB 02 01: its stale success ACKs that Write, so no batch may
 # run the rounds after the Write's transmission as NACKs.
@@ -807,6 +811,30 @@ def test_the_round_path_fast_paths_match_the_plain_run(case, period):
         assert branch != "table" or fast[1].rounds > period  # later cycles put placements back
 
 
+# Static short frames in each flavour, with and without brown-outs: at a switch
+# gap of 0 or 1 round, a batch that ends the old frame starts the staged spec in
+# the gap's round.
+TIMING_CONFIGS = [SHORT_FRAMES.format(brownout=brownout, d_cm=20, ocv=4, n_threshold=6)
+                  .replace("protocol = basic", flavour)
+                  for flavour in ("protocol = basic", "protocol = ex\ns_p = 4", "protocol = ex")
+                  for brownout in (0, 0.05)]
+
+
+@pytest.mark.parametrize("name, value", [
+    ("SWITCH_TICKS", 0), ("SWITCH_TICKS", 1), ("SWITCH_TICKS", 3),
+    ("LLRP_LATENCY_TICKS", 0), ("LLRP_LATENCY_TICKS", 5),
+    ("FRAME_SLACK_ROUNDS", 0), ("FRAME_SLACK_ROUNDS", 4),
+    ("DELETE_GRACE", 1), ("DELETE_GRACE", 8)])
+def test_the_fast_paths_match_the_plain_run_at_any_reader_timing(monkeypatch, small_matrix,
+                                                                  name, value):
+    monkeypatch.setattr(f"crfid_downlink.reader.{name}", value)
+    for text in TIMING_CONFIGS:
+        cfg = parse_config_text(text)
+        for seed in (0, 1):
+            fast, _ = transfer_run(cfg, small_matrix, seed)
+            assert fast == transfer_run(cfg, small_matrix, seed, PlainReader)[0], (text, seed)
+
+
 @pytest.mark.usefixtures("one_worker")
 def test_only_an_earlier_specs_report_is_offered_for_a_batch(monkeypatch, small_matrix):
     # A stale repeat of the spec on air would need its report's EPC to be the
@@ -829,9 +857,10 @@ def test_only_an_earlier_specs_report_is_offered_for_a_batch(monkeypatch, small_
     assert calls and all(report < on_air for report, on_air in calls)
 
 
-# Seed 1, per run: the reader's ticks and the batches that ran at least one round.
-# Every batch starts at a transmission, and one that ends the old frame runs the
-# switch gap's round too, so a lost entry or gap round moves these counts.
+# Seed 1, per run: the host's ticks of the reader and the batches that ran at least
+# one round.  Every batch starts at a transmission, and one that ends the old frame
+# runs the switch gap's round too (through ``tick``, a tick the host does not make),
+# so a lost entry or gap round moves these counts.
 BATCH_COUNTS = {
     "batch_basic": [(2128, 504), (2139, 503)],
     "batch_ex": [(1691, 207), (1618, 211)],
@@ -841,19 +870,23 @@ BATCH_COUNTS = {
 @pytest.mark.usefixtures("one_worker")
 @pytest.mark.parametrize("name", sorted(BATCH_COUNTS))
 def test_the_batched_golden_configs_tick_and_batch_as_pinned(monkeypatch, small_matrix, name):
-    counts = []  # per reader: [ticks, batches]
+    counts = []  # per reader: [the host's ticks, batches]
 
     class CountingReader(Reader):
+        batching = False
+
         def __init__(self, *args):
             super().__init__(*args)
             counts.append([0, 0])
 
         def tick(self, now):
-            counts[-1][0] += 1
+            counts[-1][0] += not self.batching
             return super().tick(now)
 
         def repeat(self, *args):
+            self.batching = True
             k, last, missed = super().repeat(*args)
+            self.batching = False
             counts[-1][1] += k > 0
             return k, last, missed
 

@@ -117,6 +117,8 @@ def test_parse_lowercase_accepted():
         ("02AADD00BBCCF0", MalformedRecord),  # missing start char
         (":02AADD00BBCCF", MalformedRecord),  # odd digit count
         (":02AADD00BBCG F0", MalformedRecord),  # non-hex
+        (":02 AA DD00BBCCF0", MalformedRecord),  # whitespace inside the record
+        (":02\tAA\tDD00BBCCF0", MalformedRecord),
         (":03AADD00BBCCEF", LengthMismatch),  # count says 3, data holds 2
         (":0200000400FFFB", UnsupportedRecordType),  # extended addressing
     ],

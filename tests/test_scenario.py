@@ -543,6 +543,20 @@ def test_cli_simulate_success(config_dir, capsys):
     assert (tmp_path / "cli_out" / "summary.csv").exists()
 
 
+def test_cli_simulate_seed_overrides_the_configs(config_dir, capsys):
+    tmp_path, cfg_path = config_dir
+    seeded = tmp_path / "seeded.cfg"
+    seeded.write_text(cfg_path.read_text().replace("seed = 3\n", "seed = 7\n"))
+    outs = {name: tmp_path / name for name in ("flag", "config", "own")}
+    assert main(["simulate", "--config", str(cfg_path), "--seed", "7",
+                 "--out", str(outs["flag"])]) == 0
+    assert main(["simulate", "--config", str(seeded), "--out", str(outs["config"])]) == 0
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(outs["own"])]) == 0
+    csvs = {name: {p.name: p.read_bytes() for p in out.glob("*.csv")} for name, out in outs.items()}
+    assert "summary.csv" in csvs["flag"] and csvs["flag"] == csvs["config"]
+    assert csvs["own"] != csvs["flag"]  # the config's own seed 3 gives other runs
+
+
 def test_cli_simulate_failure_exit_code(tmp_path, small_matrix, capsys):
     from crfid_downlink.ihex import encode
 
